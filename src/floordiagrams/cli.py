@@ -29,10 +29,6 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {value}" if key != "value" else value)
 
 
-def _num(n) -> str:
-    return str(n)
-
-
 # -- subcommand handlers ------------------------------------------------------
 
 
@@ -63,7 +59,7 @@ def cmd_markings(args) -> int:
     if args.list:
         for order in list_markings(diag, lam, rho):
             print(" ".join(order))
-    _emit({"value": _num(nu)}, args.format)
+    _emit({"value": str(nu)}, args.format)
     return 0
 
 
@@ -90,7 +86,7 @@ def cmd_invariant(args) -> int:
     else:
         _require(args.d is not None, "welschinger needs --d")
         value = invariants.welschinger(args.d)
-    _emit({"value": _num(value)}, args.format)
+    _emit({"value": str(value)}, args.format)
     return 0
 
 
@@ -123,7 +119,7 @@ def cmd_nodepoly(args) -> int:
     if args.evaluate:
         key, _, raw = args.evaluate.partition("=")
         _require(key == "d" and raw.isdigit(), "--evaluate expects d=<int>")
-        payload["evaluation"] = {raw: _num(poly.eval_int(int(raw)))}
+        payload["evaluation"] = {raw: str(poly.eval_int(int(raw)))}
     if args.aj:
         ajs = nodepoly.aj_polynomials(args.delta)
         payload["aj"] = {
@@ -184,13 +180,13 @@ def cmd_counts(args) -> int:
     report = sequences.closed_counts(args.d)
     payload = {
         "d": report.d,
-        "cayley": _num(report.cayley),
-        "genus0_enumerated": _num(report.genus0_enumerated),
-        "alternating_formula": _num(report.alternating_formula),
-        "underlying_trees_enumerated": _num(report.underlying_trees_enumerated),
-        "odd_formula": _num(report.odd_formula),
-        "odd_enumerated": _num(report.odd_enumerated),
-        "simple_enumerated": _num(report.simple_enumerated),
+        "cayley": str(report.cayley),
+        "genus0_enumerated": str(report.genus0_enumerated),
+        "alternating_formula": str(report.alternating_formula),
+        "underlying_trees_enumerated": str(report.underlying_trees_enumerated),
+        "odd_formula": str(report.odd_formula),
+        "odd_enumerated": str(report.odd_enumerated),
+        "simple_enumerated": str(report.simple_enumerated),
     }
     _emit(payload, args.format)
     return 0
@@ -461,9 +457,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     if args.cache_dir:
         os.environ["FLOORDIAGRAMS_CACHE_DIR"] = args.cache_dir
-    if args.threads:
-        os.environ["FLOORDIAGRAMS_THREADS"] = str(args.threads)
+    cpus = os.cpu_count() or 1
     try:
+        _require(
+            args.threads is None or 1 <= args.threads <= cpus,
+            f"--threads must be between 1 and {cpus}, got {args.threads}",
+        )
+        if args.threads:
+            os.environ["FLOORDIAGRAMS_THREADS"] = str(args.threads)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

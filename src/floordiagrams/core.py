@@ -72,6 +72,44 @@ class Partition:
         return ",".join(str(p) for p in self.parts)
 
 
+def components(
+    vertices: Iterable[int], edges: Iterable[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """Connected components of a graph as sorted vertex tuples, ordered by
+    minimum vertex.  Each edge starts with its two endpoints, both of which
+    must be among ``vertices``."""
+    parent = {v: v for v in vertices}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in edges:
+        ra, rb = find(e[0]), find(e[1])
+        if ra != rb:
+            parent[rb] = ra
+    groups: dict[int, list[int]] = {}
+    for v in parent:
+        groups.setdefault(find(v), []).append(v)
+    return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
+
+
+def parse_tuples(body: str, arity: int) -> list[tuple[int, ...]]:
+    """Parse ``(a,b,...);(a,b,...)`` into integer tuples of the given arity.
+
+    An empty body is the empty list; a malformed one raises ValueError.
+    """
+    out = []
+    for part in body.split(";") if body.strip() else ():
+        fields = part.strip().lstrip("(").rstrip(")").split(",")
+        if len(fields) != arity:
+            raise ValueError(f"expected {arity} integers in {part!r}")
+        out.append(tuple(int(f) for f in fields))
+    return out
+
+
 @dataclass(frozen=True)
 class DiagramShape:
     components: int
@@ -117,22 +155,7 @@ class FloorDiagram:
 
     def component_vertex_sets(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, ordered by minimum vertex."""
-        parent = list(range(self.d + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for s, t, _ in self.edges:
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                parent[rt] = rs
-        groups: dict[int, list[int]] = {}
-        for v in range(1, self.d + 1):
-            groups.setdefault(find(v), []).append(v)
-        return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
+        return components(range(1, self.d + 1), self.edges)
 
     @property
     def connected(self) -> bool:
@@ -183,13 +206,8 @@ class FloorDiagram:
         try:
             head, body = text.split(";", 1)
             d = int(head.strip().removeprefix("d="))
-            body = body.strip().removeprefix("edges=")
-            edges = []
-            if body:
-                for part in body.split(";"):
-                    s, t, w = part.strip().lstrip("(").rstrip(")").split(",")
-                    edges.append((int(s), int(t), int(w)))
-        except (ValueError, IndexError) as exc:
+            edges = parse_tuples(body.strip().removeprefix("edges="), 3)
+        except ValueError as exc:
             raise DiagramError(f"cannot parse diagram text {text!r}") from exc
         return FloorDiagram(d, tuple(edges))
 

@@ -5,6 +5,10 @@ closes a sub-multiset of the currently open edges (edges whose target is
 still undecided) and opens new edges whose total weight respects the
 divergence bound.  Every diagram is produced exactly once; streams are
 sorted into the canonical text order before being emitted.
+
+A query's genus or cogenus fixes its edge count, and the sweep prunes
+branches that can no longer become connected.  Together these enforce the
+whole query, so no diagram is classified after it is built.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from .core import DiagramError, Edge, FloorDiagram
+from .core import DiagramError, Edge, FloorDiagram, components, parse_tuples
 
 CACHE_ENV = "FLOORDIAGRAMS_CACHE_DIR"
 
@@ -124,7 +128,7 @@ def all_diagrams(
             subset = [e for e in stored if max_edges is None or len(e) <= max_edges]
             if conn == require_connected:
                 return subset
-            return [e for e in subset if _is_connected(d, e)]
+            return [e for e in subset if len(components(range(1, d + 1), e)) == 1]
     # for d <= 9 every number in the text form is a single digit, so plain
     # tuple order coincides with lexicographic order on the canonical text
     if d <= 9:
@@ -136,24 +140,6 @@ def all_diagrams(
         )
     _memory_cache[key] = result
     return result
-
-
-def _is_connected(d: int, edges: tuple[Edge, ...]) -> bool:
-    parent = list(range(d + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = d
-    for s, t, _ in edges:
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[rt] = rs
-            comps -= 1
-    return comps == 1
 
 
 # -- filters ----------------------------------------------------------------
@@ -173,32 +159,21 @@ def filter_predicate(spec: Optional[str]) -> Callable[[FloorDiagram], bool]:
         return lambda diag: all(w % 2 == 1 for _, _, w in diag.edges)
     if spec == "simple":
         return lambda diag: all(w == 1 for _, _, w in diag.edges)
-    if spec.startswith("has-weight="):
-        k = int(spec.split("=", 1)[1])
-        return lambda diag: any(w == k for _, _, w in diag.edges)
-    if spec.startswith("max-weight="):
-        k = int(spec.split("=", 1)[1])
-        return lambda diag: all(w <= k for _, _, w in diag.edges)
-    if spec.startswith("last-sinks="):
-        k = int(spec.split("=", 1)[1])
-
-        def last_sinks(diag: FloorDiagram) -> bool:
-            return all(s <= diag.d - k for s, _, _ in diag.edges)
-
-        return last_sinks
-    if spec.startswith("contains="):
-        body = spec.split("=", 1)[1]
-        wanted = Counter()
-        for part in body.split(";"):
-            s, t, w = part.strip().lstrip("(").rstrip(")").split(",")
-            wanted[(int(s), int(t), int(w))] += 1
-
-        def contains(diag: FloorDiagram) -> bool:
-            have = Counter(diag.edges)
-            return all(have[e] >= c for e, c in wanted.items())
-
-        return contains
-    raise DiagramError(f"unknown filter {spec!r}")
+    name, sep, arg = spec.partition("=")
+    if not sep or name not in ("has-weight", "max-weight", "last-sinks", "contains"):
+        raise DiagramError(f"unknown filter {spec!r}")
+    try:
+        value = Counter(parse_tuples(arg, 3)) if name == "contains" else int(arg)
+    except ValueError as exc:
+        raise DiagramError(f"malformed filter {spec!r}") from exc
+    if name == "has-weight":
+        return lambda diag: any(w == value for _, _, w in diag.edges)
+    if name == "max-weight":
+        return lambda diag: all(w <= value for _, _, w in diag.edges)
+    if name == "last-sinks":
+        return lambda diag: all(s <= diag.d - value for s, _, _ in diag.edges)
+    # multiset containment: nothing wanted is left over after removing the edges
+    return lambda diag: not value - Counter(diag.edges)
 
 
 @dataclass(frozen=True)
@@ -251,21 +226,12 @@ def enumerate_diagrams(query: DiagramQuery) -> Iterator[FloorDiagram]:
     edge_count = _exact_edge_count(query)
     if edge_count < 0:
         return
-    connected_only = query.genus is not None
+    connected_only = query.genus is not None or query.connected is True
     produced: list[FloorDiagram] = []
     for edges in all_diagrams(query.d, edge_count, connected_only):
         if len(edges) != edge_count:
             continue
         diag = FloorDiagram(query.d, edges)
-        shape = diag.classify()
-        if query.genus is not None:
-            if not shape.connected or shape.genus != query.genus:
-                continue
-        else:
-            if shape.cogenus != query.cogenus:
-                continue
-            if query.connected is True and not shape.connected:
-                continue
         if pred(diag):
             produced.append(diag)
     _store_disk_cache(query, produced)

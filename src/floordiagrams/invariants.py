@@ -9,6 +9,7 @@ the direct computations.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -35,7 +36,7 @@ def _weighted_marking_sum(diagrams: list[FloorDiagram]) -> int:
     The reduction is exact integer addition, so the result is independent
     of worker count and scheduling.
     """
-    threads = int(os.environ.get(THREADS_ENV, "1") or "1")
+    threads = min(int(os.environ.get(THREADS_ENV, "1") or "1"), os.cpu_count() or 1)
     if threads > 1 and len(diagrams) > 32:
         from multiprocessing import Pool
 
@@ -90,7 +91,7 @@ def severi_split_oracle(d: int, delta: int) -> int:
             ways = factorial(n_markers)
             for dj, deltaj in acc:
                 ways //= factorial(dj * (dj + 3) // 2 - deltaj)
-            for cnt in _multiplicities(acc).values():
+            for cnt in Counter(acc).values():
                 ways //= factorial(cnt)
             value = ways
             for dj, deltaj in acc:
@@ -109,13 +110,6 @@ def severi_split_oracle(d: int, delta: int) -> int:
 
     parts((d, delta), d, delta, [])
     return total
-
-
-def _multiplicities(pairs: list) -> dict:
-    out: dict = {}
-    for p in pairs:
-        out[p] = out.get(p, 0) + 1
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -213,7 +213,8 @@ def _gap_dp(d: int, windows: tuple[tuple[int, int], ...]) -> int:
 
             choose(0, 0, 1, [])
         states = new_states
-    assert set(states) <= {()}
+    if set(states) - {()}:
+        raise AssertionError(f"items left pending past gap {d}: {sorted(states)}")
     return states.get((), 0)
 
 
@@ -273,7 +274,8 @@ def count_markings(diag: FloorDiagram) -> int:
 
 
 def _poset_elements(poset: MarkingPoset):
-    """Element ids plus strict order constraints (a must precede b)."""
+    """Element ids, in the order of ``poset.element_labels()``, plus strict
+    order constraints (a must precede b)."""
     floors = [("F", v) for v in range(1, poset.d + 1)]
     mids = [("M", s, t, w, c) for s, t, w, c in poset.midpoints]
     sinks = [("S", v, w, c) for v, w, c in poset.sinks]
@@ -368,29 +370,36 @@ def _linear_extensions(elements, constraints):
     yield from rec()
 
 
-def brute_force_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> int:
-    """Count markings by explicit orbit enumeration; independent oracle.
+def _marking_orbits(diag: FloorDiagram, lam: Partition, rho: Partition, what: str):
+    """Label sequence of a canonical representative of every marking orbit,
+    by explicit enumeration of distributions, linear orders and
+    automorphisms.
 
-    Refuses posets with more than BRUTE_FORCE_LIMIT elements.
+    Refuses posets with more than BRUTE_FORCE_LIMIT elements; ``what``
+    names the caller in that error.
     """
-    n_elements = (
-        diag.d + len(diag.edges) + lam.length + rho.length
-    )
+    n_elements = diag.d + len(diag.edges) + lam.length + rho.length
     if n_elements > BRUTE_FORCE_LIMIT:
         raise DiagramError(
-            f"brute force limited to {BRUTE_FORCE_LIMIT} elements, got {n_elements}"
+            f"{what} limited to {BRUTE_FORCE_LIMIT} elements, got {n_elements}"
         )
-    total = 0
+    reps: list[tuple[str, ...]] = []
     for dist in enumerate_distributions(diag, lam, rho):
         poset = build_poset(diag, dist, lam)
         elements, constraints = _poset_elements(poset)
+        label = dict(zip(elements, poset.element_labels()))
         autos = _automorphisms(poset)
         seen = set()
         for ext in _linear_extensions(elements, constraints):
             canon = min(tuple(a.get(e, e) for e in ext) for a in autos)
             seen.add(canon)
-        total += len(seen)
-    return total
+        reps.extend(tuple(label[e] for e in canon) for canon in sorted(seen))
+    return reps
+
+
+def brute_force_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> int:
+    """Count markings by explicit orbit enumeration; independent oracle."""
+    return len(_marking_orbits(diag, lam, rho, "brute force"))
 
 
 def list_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> list[tuple[str, ...]]:
@@ -399,33 +408,7 @@ def list_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> list[tu
     Intended for small-d inspection, gallery rendering and the CLI --list
     flag; sizes are capped like the brute force.
     """
-    n_elements = diag.d + len(diag.edges) + lam.length + rho.length
-    if n_elements > BRUTE_FORCE_LIMIT:
-        raise DiagramError(
-            f"marking listing limited to {BRUTE_FORCE_LIMIT} elements, got {n_elements}"
-        )
-
-    def label(e) -> str:
-        kind = e[0]
-        if kind == "F":
-            return f"v{e[1]}"
-        if kind == "M":
-            return f"e{e[1]}-{e[2]}w{e[3]}#{e[4]}"
-        if kind == "S":
-            return f"s{e[1]}w{e[2]}#{e[3]}"
-        return f"L{e[1]}"
-
-    reps: list[tuple[str, ...]] = []
-    for dist in enumerate_distributions(diag, lam, rho):
-        poset = build_poset(diag, dist, lam)
-        elements, constraints = _poset_elements(poset)
-        autos = _automorphisms(poset)
-        seen = set()
-        for ext in _linear_extensions(elements, constraints):
-            canon = min(tuple(a.get(e, e) for e in ext) for a in autos)
-            seen.add(canon)
-        reps.extend(tuple(label(e) for e in canon) for canon in sorted(seen))
-    return reps
+    return _marking_orbits(diag, lam, rho, "marking listing")
 
 
 def ordering_count_with_pinned_sinks(diag: FloorDiagram, floor: int, k: int) -> int:

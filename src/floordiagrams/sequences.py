@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable
 
-from .core import DiagramError, FloorDiagram
+from .core import DiagramError, FloorDiagram, components, parse_tuples
 from .enumeration import DiagramQuery, enumerate_diagrams
 from .markings import count_markings
 
@@ -36,19 +36,7 @@ class LabeledTree:
         for a, b in edges:
             if not (1 <= a < b <= self.d):
                 raise DiagramError(f"tree edge ({a},{b}) out of range")
-        seen = {1}
-        frontier = [1]
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.d + 1)}
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        while frontier:
-            v = frontier.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        if len(seen) != self.d:
+        if len(components(range(1, self.d + 1), edges)) != 1:
             raise DiagramError("tree must be connected")
 
     def text(self) -> str:
@@ -60,13 +48,8 @@ class LabeledTree:
         try:
             head, body = text.split(";", 1)
             d = int(head.strip().removeprefix("d="))
-            body = body.strip().removeprefix("edges=")
-            edges = []
-            if body:
-                for part in body.split(";"):
-                    a, b = part.strip().lstrip("(").rstrip(")").split(",")
-                    edges.append((int(a), int(b)))
-        except (ValueError, IndexError) as exc:
+            edges = parse_tuples(body.strip().removeprefix("edges="), 2)
+        except ValueError as exc:
             raise DiagramError(f"cannot parse tree text {text!r}") from exc
         return LabeledTree(d, frozenset(edges))
 
@@ -206,28 +189,6 @@ def ode_residual(order: int) -> list[Fraction]:
 # -- bijection with labeled trees --------------------------------------------
 
 
-def _components_after_root_removal(vertices: tuple[int, ...], edges, root: int):
-    others = [v for v in vertices if v != root]
-    parent = {v: v for v in others}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        a, b = e[0], e[1]
-        if a != root and b != root:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for v in others:
-        groups.setdefault(find(v), []).append(v)
-    return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
-
-
 def _diagram_choice_list(vertices: tuple[int, ...], edges) -> list[tuple[int, int]]:
     """Ordered (vertex, weight) choices for attaching a subdiagram to a root:
     vertices left to right, weights from 1 - local divergence down to 1."""
@@ -245,7 +206,10 @@ def _diag_to_tree_edges(vertices: tuple[int, ...], edges) -> frozenset:
     if len(vertices) == 1:
         return frozenset()
     root = max(vertices)
-    comps = _components_after_root_removal(vertices, edges, root)
+    # the root is the largest vertex, so it can only be an edge's second end
+    comps = components(
+        (v for v in vertices if v != root), (e for e in edges if e[1] != root)
+    )
     tree_edges: set[tuple[int, int]] = set()
     for comp in comps:
         comp_set = set(comp)
@@ -264,8 +228,7 @@ def _diag_to_tree_edges(vertices: tuple[int, ...], edges) -> frozenset:
 
 def diagram_to_tree(diag: FloorDiagram) -> LabeledTree:
     """Recursive matching bijection from genus-0 diagrams to labeled trees."""
-    shape = diag.classify()
-    if not shape.connected or shape.genus != 0:
+    if not diag.connected or diag.genus() != 0:
         raise DiagramError("the tree bijection needs a connected genus-0 diagram")
     vertices = tuple(range(1, diag.d + 1))
     return LabeledTree(diag.d, _diag_to_tree_edges(vertices, diag.edges))
@@ -275,7 +238,9 @@ def _tree_to_diag_edges(vertices: tuple[int, ...], edges: frozenset) -> tuple:
     if len(vertices) == 1:
         return ()
     root = max(vertices)
-    comps = _components_after_root_removal(vertices, [(a, b, 1) for a, b in edges], root)
+    comps = components(
+        (v for v in vertices if v != root), (e for e in edges if e[1] != root)
+    )
     diag_edges: list[tuple[int, int, int]] = []
     for comp in comps:
         comp_set = set(comp)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .core import DiagramError, FloorDiagram, Partition
+from .core import DiagramError, FloorDiagram, Partition, components
 from .markings import build_poset, enumerate_distributions
 
 
@@ -331,19 +331,12 @@ def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
     )
     checks.append(CurveCheck("degree", right_rays == d, f"{right_rays}"))
     bounded = [e for e in sketch.elevators if e.lower_floor is not None]
-    parent = {f.vertex: f.vertex for f in sketch.floors}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in bounded:
-        ra, rb = find(e.upper_floor), find(e.lower_floor)
-        if ra != rb:
-            parent[rb] = ra
-    comps = len({find(v) for v in parent})
+    comps = len(
+        components(
+            (f.vertex for f in sketch.floors),
+            ((e.upper_floor, e.lower_floor) for e in bounded),
+        )
+    )
     betti = len(bounded) - len(sketch.floors) + comps
     checks.append(CurveCheck("genus", betti == g, f"betti {betti} of {g}"))
     return CurveReport(tuple(checks))

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -32,10 +33,18 @@ def test_invariant_welschinger(capsys):
     assert out.strip() == "240"
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "invariant", "gw", "--d", "0", "--g", "0")
     assert code == 2
     assert "usage error" in err
+    # --threads is checked before any pool starts; 3 exceeds the patched CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("FLOORDIAGRAMS_THREADS", raising=False)
+    for threads in ["0", "-5", "3"]:
+        code, _, err = run(capsys, "--threads", threads, "invariant", "gw", "--d", "4", "--g", "0")
+        assert code == 2
+        assert "--threads must be between 1 and 2" in err
+        assert "FLOORDIAGRAMS_THREADS" not in os.environ
 
 
 def test_unknown_command_exit_code(capsys):
@@ -49,6 +58,11 @@ def test_domain_error_exit_code(capsys):
     )
     assert code == 1
     assert "error" in err
+    for spec in ["contains=garbage", "contains=(1,2)", "has-weight=x"]:
+        code, out, err = run(capsys, "enumerate", "--d", "3", "--genus", "0", "--filter", spec)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_json_numbers_are_decimal_strings(capsys):
@@ -215,6 +229,7 @@ def test_cache_dir_flag(tmp_path, capsys):
 def test_threads_flag_gives_same_answer(capsys, monkeypatch):
     from floordiagrams import invariants
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     invariants.gw.cache_clear()
     code, out, _ = run(capsys, "--threads", "2", "invariant", "gw", "--d", "4", "--g", "0")
     assert code == 0

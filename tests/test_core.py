@@ -104,6 +104,10 @@ def test_from_text_rejects_garbage():
     with pytest.raises(DiagramError):
         FloorDiagram.from_text("edges=(1,2,1)")
     with pytest.raises(DiagramError):
+        FloorDiagram.from_text("d=3; edges=(1,2)")
+    with pytest.raises(DiagramError):
+        FloorDiagram.from_text("d=3; edges=(1,2,x)")
+    with pytest.raises(DiagramError):
         FloorDiagram.from_json('{"edges": []}')
 
 

@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
+from floordiagrams import enumeration
 from floordiagrams.core import DiagramError, FloorDiagram
 from floordiagrams.enumeration import (
     DiagramQuery,
+    _generate_edge_sets,
     count_connected,
     count_filtered,
     enumerate_diagrams,
@@ -138,6 +140,31 @@ def test_stream_is_deterministic():
     first = [d.text() for d in enumerate_diagrams(DiagramQuery(4, genus=0))]
     second = [d.text() for d in enumerate_diagrams(DiagramQuery(4, genus=0))]
     assert first == second
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_sweep_alone_enforces_every_query(d, monkeypatch):
+    # oracle: classify every diagram of degree d, then group by shape
+    shapes = [
+        (diag.text(), diag.classify())
+        for diag in (FloorDiagram(d, edges) for edges in _generate_edge_sets(d, None))
+    ]
+    # on an empty family cache, the first connected cogenus query (the largest
+    # edge cap) runs a connected sweep that then serves every genus query too
+    monkeypatch.setattr(enumeration, "_memory_cache", {})
+    deltas = range(d * (d - 1) // 2 + 2)
+    queries = [DiagramQuery(d, cogenus=delta, connected=True) for delta in deltas]
+    queries += [DiagramQuery(d, genus=g) for g in range((d - 1) * (d - 2) // 2 + 2)]
+    queries += [DiagramQuery(d, cogenus=delta) for delta in deltas]
+    for query in queries:
+        if query.genus is not None:
+            want = [t for t, s in shapes if s.connected and s.genus == query.genus]
+        else:
+            want = [
+                t for t, s in shapes
+                if s.cogenus == query.cogenus and (s.connected or not query.connected)
+            ]
+        assert [x.text() for x in enumerate_diagrams(query)] == sorted(want), query
 
 
 def test_cogenus_query_includes_disconnected():

@@ -1,6 +1,11 @@
+import multiprocessing
+import os
+
 import pytest
 
+from floordiagrams import invariants
 from floordiagrams.core import DiagramError, Partition
+from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
 from floordiagrams.invariants import (
     closed_form_gmax,
     closed_form_uninodal,
@@ -189,3 +194,14 @@ def test_tangency_at_point_rejects_bad_k():
         tangency_at_point(3, 0, 3)
     with pytest.raises(DiagramError):
         tangency_at_point(3, 0, 0)
+
+
+def test_thread_count_is_capped_at_cpu_count(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single CPU must not start a pool")
+
+    monkeypatch.setenv(invariants.THREADS_ENV, str(10**6))
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    diagrams = list(enumerate_diagrams(DiagramQuery(5, genus=0)))
+    assert invariants._weighted_marking_sum(diagrams) == gw_table()[(5, 0)]

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -293,3 +298,14 @@ def test_pinned_sink_counter_matches_listing():
                 and len({label.split("w")[0] for label in rep[len(rep) - k :]}) == 1
             )
             assert direct == by_listing, (diag_.text(), k)
+
+
+def test_gap_dp_consistency_check_survives_optimize():
+    # a window that ends before it starts leaves an item pending forever
+    code = "from floordiagrams.markings import _gap_dp; _gap_dp(3, ((3, 2),))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0 and "AssertionError" in proc.stderr
