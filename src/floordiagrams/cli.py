@@ -352,11 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact plane-curve counts via labeled floor diagrams",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="enumeration cache directory (also FLOORDIAGRAMS_CACHE_DIR)",
-    )
-    parser.add_argument(
         "--threads",
         type=int,
         default=None,
@@ -455,8 +450,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.cache_dir:
-        os.environ["FLOORDIAGRAMS_CACHE_DIR"] = args.cache_dir
     cpus = os.cpu_count() or 1
     try:
         _require(

@@ -66,7 +66,11 @@ class Partition:
         text = text.strip()
         if not text:
             return Partition(())
-        return Partition(tuple(int(t) for t in text.split(",")))
+        try:
+            parts = tuple(int(t) for t in text.split(","))
+        except ValueError as exc:
+            raise DiagramError(f"cannot parse partition {text!r}") from exc
+        return Partition(parts)
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
@@ -136,18 +140,29 @@ class FloorDiagram:
                 raise DiagramError(f"edge ({s},{t},{w}) must satisfy 1 <= src < tgt <= d")
             if w < 1:
                 raise DiagramError(f"edge ({s},{t},{w}) must have positive weight")
-        for v in range(1, self.d + 1):
-            dv = self.divergence(v)
+        for v, dv in sorted(self._edge_divergences().items()):
             if dv > 1:
                 raise DiagramError(f"divergence {dv} > 1 at vertex {v}")
+
+    def _edge_divergences(self) -> dict[int, int]:
+        """Divergence of every vertex that has an edge, in one pass over the
+        edges; every other vertex has divergence 0."""
+        div: dict[int, int] = {}
+        for s, t, w in self.edges:
+            div[s] = div.get(s, 0) + w
+            div[t] = div.get(t, 0) - w
+        return div
+
+    def divergences(self) -> list[int]:
+        """Divergence of every vertex 1..d."""
+        div = self._edge_divergences()
+        return [div.get(v, 0) for v in range(1, self.d + 1)]
 
     def divergence(self, v: int) -> int:
         """Outgoing minus incoming edge weight at vertex v."""
         if not 1 <= v <= self.d:
             raise DiagramError(f"vertex {v} out of range 1..{self.d}")
-        out_w = sum(w for s, _, w in self.edges if s == v)
-        in_w = sum(w for _, t, w in self.edges if t == v)
-        return out_w - in_w
+        return self._edge_divergences().get(v, 0)
 
     def multiplicity(self) -> int:
         """Product of squared edge weights (1 for an edgeless diagram)."""

@@ -9,23 +9,21 @@ sorted into the canonical text order before being emitted.
 A query's genus or cogenus fixes its edge count, and the sweep prunes
 branches that can no longer become connected.  Together these enforce the
 whole query, so no diagram is classified after it is built.
+
+Edge-set families live in one in-memory cache keyed by degree, edge cap
+and connectivity.  A stored family also serves tighter caps of the same
+connectivity, and no other query.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from .core import DiagramError, Edge, FloorDiagram, components, parse_tuples
+from .core import DiagramError, Edge, FloorDiagram, parse_tuples
 
-CACHE_ENV = "FLOORDIAGRAMS_CACHE_DIR"
-
-_memory_cache: dict[tuple[int, Optional[int], bool], list[tuple[Edge, ...]]] = {}
+_memory_cache: dict[tuple[int, int, bool], list[tuple[Edge, ...]]] = {}
 
 
 def _weight_multisets(limit: int, cap: int) -> list[tuple[int, ...]]:
@@ -112,23 +110,19 @@ def _generate_edge_sets(
 
 
 def all_diagrams(
-    d: int, max_edges: Optional[int] = None, require_connected: bool = False
+    d: int, max_edges: int, require_connected: bool = False
 ) -> list[tuple[Edge, ...]]:
-    """Canonically sorted edge multisets; memoized per query shape."""
+    """Canonically sorted edge multisets with at most max_edges edges;
+    memoized per query shape."""
     if d < 1:
         raise DiagramError(f"degree must be positive, got {d}")
     key = (d, max_edges, require_connected)
     if key in _memory_cache:
         return _memory_cache[key]
-    # an unrestricted family can serve connected queries and tighter caps
+    # a family of the same connectivity with a looser cap serves this one
     for (dd, cap, conn), stored in _memory_cache.items():
-        if dd != d or (conn and not require_connected):
-            continue
-        if cap is None or (max_edges is not None and cap >= max_edges):
-            subset = [e for e in stored if max_edges is None or len(e) <= max_edges]
-            if conn == require_connected:
-                return subset
-            return [e for e in subset if len(components(range(1, d + 1), e)) == 1]
+        if (dd, conn) == (d, require_connected) and cap >= max_edges:
+            return [e for e in stored if len(e) <= max_edges]
     # for d <= 9 every number in the text form is a single digit, so plain
     # tuple order coincides with lexicographic order on the canonical text
     if d <= 9:
@@ -219,23 +213,15 @@ def _exact_edge_count(query: DiagramQuery) -> int:
 def enumerate_diagrams(query: DiagramQuery) -> Iterator[FloorDiagram]:
     """Stream every diagram matching the query, in canonical text order."""
     pred = filter_predicate(query.filter)
-    cached = _load_disk_cache(query)
-    if cached is not None:
-        yield from cached
-        return
     edge_count = _exact_edge_count(query)
     if edge_count < 0:
         return
     connected_only = query.genus is not None or query.connected is True
-    produced: list[FloorDiagram] = []
     for edges in all_diagrams(query.d, edge_count, connected_only):
-        if len(edges) != edge_count:
-            continue
-        diag = FloorDiagram(query.d, edges)
-        if pred(diag):
-            produced.append(diag)
-    _store_disk_cache(query, produced)
-    yield from produced
+        if len(edges) == edge_count:
+            diag = FloorDiagram(query.d, edges)
+            if pred(diag):
+                yield diag
 
 
 def count_connected(d: int, g: int) -> int:
@@ -251,62 +237,3 @@ def count_connected(d: int, g: int) -> int:
 def count_filtered(d: int, g: int, filter_spec: str) -> int:
     """Connected diagram count under a filter spec."""
     return sum(1 for _ in enumerate_diagrams(DiagramQuery(d, genus=g, filter=filter_spec)))
-
-
-# -- optional on-disk cache --------------------------------------------------
-
-
-def cache_dir() -> Optional[Path]:
-    path = os.environ.get(CACHE_ENV)
-    return Path(path) if path else None
-
-
-def _cache_key(query: DiagramQuery) -> str:
-    target = f"g{query.genus}" if query.genus is not None else f"delta{query.cogenus}"
-    tag = f"d{query.d}-{target}-conn{query.connected}"
-    fhash = hashlib.sha256((query.filter or "").encode()).hexdigest()[:12]
-    return f"{tag}-{fhash}"
-
-
-def _load_disk_cache(query: DiagramQuery) -> Optional[list[FloorDiagram]]:
-    root = cache_dir()
-    if root is None:
-        return None
-    base = root / _cache_key(query)
-    manifest = base.with_suffix(".manifest.json")
-    data = base.with_suffix(".jsonl")
-    if not (manifest.exists() and data.exists()):
-        return None
-    meta = json.loads(manifest.read_text())
-    raw = data.read_bytes()
-    if hashlib.sha256(raw).hexdigest() != meta["sha256"]:
-        return None
-    diagrams = [FloorDiagram.from_text(line) for line in raw.decode().splitlines()]
-    if len(diagrams) != meta["count"]:
-        return None
-    return diagrams
-
-
-def _store_disk_cache(query: DiagramQuery, diagrams: list[FloorDiagram]) -> None:
-    root = cache_dir()
-    if root is None:
-        return
-    root.mkdir(parents=True, exist_ok=True)
-    base = root / _cache_key(query)
-    payload = "\n".join(diag.text() for diag in diagrams).encode()
-    base.with_suffix(".jsonl").write_bytes(payload)
-    base.with_suffix(".manifest.json").write_text(
-        json.dumps(
-            {
-                "count": len(diagrams),
-                "sha256": hashlib.sha256(payload).hexdigest(),
-                "d": query.d,
-                "genus": query.genus,
-                "cogenus": query.cogenus,
-                "connected": query.connected,
-                "filter": query.filter,
-            },
-            indent=0,
-            sort_keys=True,
-        )
-    )

@@ -36,7 +36,11 @@ def _weighted_marking_sum(diagrams: list[FloorDiagram]) -> int:
     The reduction is exact integer addition, so the result is independent
     of worker count and scheduling.
     """
-    threads = min(int(os.environ.get(THREADS_ENV, "1") or "1"), os.cpu_count() or 1)
+    raw = os.environ.get(THREADS_ENV) or "1"
+    try:
+        threads = min(int(raw), os.cpu_count() or 1)
+    except ValueError as exc:
+        raise DiagramError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
     if threads > 1 and len(diagrams) > 32:
         from multiprocessing import Pool
 

@@ -80,7 +80,7 @@ class MarkingPoset:
 
 
 def _budgets(diag: FloorDiagram) -> list[int]:
-    return [1 - diag.divergence(v) for v in range(1, diag.d + 1)]
+    return [1 - dv for dv in diag.divergences()]
 
 
 def enumerate_distributions(diag: FloorDiagram, lam: Partition, rho: Partition):

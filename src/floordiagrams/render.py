@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import FloorDiagram
-from .tropical import TropicalCurveSketch
+from .tropical import TropicalCurveSketch, validate_marking
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,7 @@ def marking_svg(
     diag: FloorDiagram, order: tuple[str, ...], layout: SvgLayout = LAYOUT
 ) -> str:
     """Marked diagram: every element on a row, decorated-graph edges as arcs."""
-    from .tropical import canonical_marking
-
-    order = canonical_marking(diag, tuple(order))
+    order = validate_marking(diag, tuple(order))
     pos = {label: i for i, label in enumerate(order)}
     y = layout.height / 2
     pitch = layout.unit // 2

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import pytest
 from hypothesis import strategies as st
 
 from floordiagrams.core import FloorDiagram
@@ -28,8 +27,3 @@ def small_diagrams(draw, max_d: int = 4, max_edges: int = 6):
             div[t] -= w
             edges.append((s, t, w))
     return FloorDiagram(d, tuple(edges))
-
-
-@pytest.fixture(autouse=True)
-def _no_disk_cache(monkeypatch):
-    monkeypatch.delenv("FLOORDIAGRAMS_CACHE_DIR", raising=False)

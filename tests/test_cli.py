@@ -37,6 +37,7 @@ def test_usage_error_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "invariant", "gw", "--d", "0", "--g", "0")
     assert code == 2
     assert "usage error" in err
+    assert run(capsys, "--cache-dir", "x", "enumerate", "--d", "3", "--genus", "1")[0] == 2
     # --threads is checked before any pool starts; 3 exceeds the patched CPU count
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.delenv("FLOORDIAGRAMS_THREADS", raising=False)
@@ -58,9 +59,17 @@ def test_domain_error_exit_code(capsys):
     )
     assert code == 1
     assert "error" in err
-    for spec in ["contains=garbage", "contains=(1,2)", "has-weight=x"]:
-        code, out, err = run(capsys, "enumerate", "--d", "3", "--genus", "0", "--filter", spec)
-        assert code == 1
+    cases = [
+        ["enumerate", "--d", "3", "--genus", "0", "--filter", spec]
+        for spec in ["contains=garbage", "contains=(1,2)", "has-weight=x"]
+    ]
+    cases += [
+        ["markings", "--diagram", "d=3; edges=(1,2,1)", "--lambda", "x", "--rho", "1"],
+        ["invariant", "relative", "--d", "3", "--g", "0", "--lambda", "a", "--rho", "1"],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
@@ -187,6 +196,22 @@ def test_render_command(tmp_path, capsys):
     )
     assert code == 0
     assert out_file.exists()
+    # a marking is validated before anything is written
+    for marking, want in [
+        ("v1 e1-2w1#0 v2 s2w1#0 s2w1#0", 0),
+        ("zz", 1),
+        ("v1 e1-2w1#0 v2", 1),  # the sinks of floor 2 are missing
+        ("v2 e1-2w1#0 v1 s2w1#0 s2w1#0", 1),  # floors out of order
+    ]:
+        out_file = tmp_path / f"m{want}.svg"
+        code, out, err = run(
+            capsys, "render", "--diagram", "d=2; edges=(1,2,1)",
+            "--marking", marking, "--out", str(out_file),
+        )
+        assert code == want, marking
+        assert out_file.exists() == (want == 0)
+        if want:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_invariant_table_csv(capsys):
@@ -218,14 +243,6 @@ def test_identical_invocations_identical_output(capsys):
     assert a == b
 
 
-def test_cache_dir_flag(tmp_path, capsys):
-    code, out, _ = run(
-        capsys, "--cache-dir", str(tmp_path), "enumerate", "--d", "3", "--genus", "1"
-    )
-    assert code == 0
-    assert list(tmp_path.glob("*.manifest.json"))
-
-
 def test_threads_flag_gives_same_answer(capsys, monkeypatch):
     from floordiagrams import invariants
 
@@ -236,3 +253,22 @@ def test_threads_flag_gives_same_answer(capsys, monkeypatch):
     assert out.strip() == "620"
     monkeypatch.delenv("FLOORDIAGRAMS_THREADS", raising=False)
     invariants.gw.cache_clear()
+
+
+def test_malformed_thread_env_is_a_domain_error(capsys, monkeypatch):
+    import multiprocessing
+
+    from floordiagrams import invariants
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no pool may start")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setenv("FLOORDIAGRAMS_THREADS", "abc")
+    invariants.gw.cache_clear()
+    code, out, err = run(capsys, "invariant", "gw", "--d", "5", "--g", "0")
+    invariants.gw.cache_clear()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "FLOORDIAGRAMS_THREADS" in err

@@ -10,6 +10,7 @@ EXAMPLE = diagram(4, [(1, 2, 1), (2, 3, 1), (2, 3, 1), (3, 4, 2)])
 
 def test_divergence_example_diagram():
     assert [EXAMPLE.divergence(v) for v in range(1, 5)] == [1, 1, 0, -2]
+    assert EXAMPLE.divergences() == [1, 1, 0, -2]
 
 
 def test_divergence_single_vertex():
@@ -19,6 +20,11 @@ def test_divergence_single_vertex():
 def test_divergence_weighted_chain():
     chain = diagram(3, [(1, 2, 1), (2, 3, 2)])
     assert chain.divergence(2) == 1
+
+
+def test_validation_visits_edge_endpoints_only():
+    # an edgeless diagram of huge degree validates without a pass over 1..d
+    assert FloorDiagram(10**9).divergence(10**9) == 0
 
 
 def test_divergence_out_of_range():
@@ -150,3 +156,5 @@ def test_partition_rejects_bad_input():
         Partition((1, 2))
     with pytest.raises(DiagramError):
         Partition((0,))
+    with pytest.raises(DiagramError, match="cannot parse partition"):
+        Partition.parse("2,x")

@@ -149,22 +149,25 @@ def test_sweep_alone_enforces_every_query(d, monkeypatch):
         (diag.text(), diag.classify())
         for diag in (FloorDiagram(d, edges) for edges in _generate_edge_sets(d, None))
     ]
-    # on an empty family cache, the first connected cogenus query (the largest
-    # edge cap) runs a connected sweep that then serves every genus query too
-    monkeypatch.setattr(enumeration, "_memory_cache", {})
     deltas = range(d * (d - 1) // 2 + 2)
     queries = [DiagramQuery(d, cogenus=delta, connected=True) for delta in deltas]
     queries += [DiagramQuery(d, genus=g) for g in range((d - 1) * (d - 2) // 2 + 2)]
     queries += [DiagramQuery(d, cogenus=delta) for delta in deltas]
-    for query in queries:
-        if query.genus is not None:
-            want = [t for t, s in shapes if s.connected and s.genus == query.genus]
-        else:
-            want = [
-                t for t, s in shapes
-                if s.cogenus == query.cogenus and (s.connected or not query.connected)
-            ]
-        assert [x.text() for x in enumerate_diagrams(query)] == sorted(want), query
+    # each order starts on an empty family cache.  Forward, the first connected
+    # cogenus query (the largest edge cap) runs a connected sweep that then
+    # serves every genus query too; reversed, the disconnected families are
+    # cached before any connected query arrives and must not answer it.
+    for order in (queries, queries[::-1]):
+        monkeypatch.setattr(enumeration, "_memory_cache", {})
+        for query in order:
+            if query.genus is not None:
+                want = [t for t, s in shapes if s.connected and s.genus == query.genus]
+            else:
+                want = [
+                    t for t, s in shapes
+                    if s.cogenus == query.cogenus and (s.connected or not query.connected)
+                ]
+            assert [x.text() for x in enumerate_diagrams(query)] == sorted(want), query
 
 
 def test_cogenus_query_includes_disconnected():
@@ -196,23 +199,3 @@ def test_query_validation():
         DiagramQuery(3, genus=-1)
     with pytest.raises(DiagramError):
         DiagramQuery(3, genus=0, connected=False)
-
-
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("FLOORDIAGRAMS_CACHE_DIR", str(tmp_path))
-    query = DiagramQuery(4, genus=2)
-    first = [d.text() for d in enumerate_diagrams(query)]
-    manifests = list(tmp_path.glob("*.manifest.json"))
-    assert manifests, "cache manifest should be written"
-    second = [d.text() for d in enumerate_diagrams(query)]
-    assert first == second
-
-
-def test_disk_cache_rejects_corruption(tmp_path, monkeypatch):
-    monkeypatch.setenv("FLOORDIAGRAMS_CACHE_DIR", str(tmp_path))
-    query = DiagramQuery(3, genus=0)
-    first = [d.text() for d in enumerate_diagrams(query)]
-    payload = next(tmp_path.glob("*.jsonl"))
-    payload.write_text(payload.read_text() + "\nd=1; edges=")
-    again = [d.text() for d in enumerate_diagrams(query)]
-    assert again == first
