@@ -194,13 +194,13 @@ def cmd_counts(args) -> int:
 
 def cmd_tropical(args) -> int:
     if args.which == "reconstruct":
+        _require(args.diagram is not None, "reconstruct needs --diagram")
+        _require(args.marking is not None, "reconstruct needs --marking")
         diag = FloorDiagram.from_text(args.diagram)
-        order = tuple(args.marking.split())
-        config = tropical.stretched_config(
-            diag.d, diag.classify().genus, args.config_seed
-        )
-        sketch = tropical.reconstruct(diag, order, config)
-        report = tropical.verify_curve(sketch, diag.d, diag.classify().genus)
+        genus = diag.genus()
+        config = tropical.stretched_config(diag.d, genus, args.config_seed)
+        sketch = tropical.reconstruct(diag, tuple(args.marking.split()), config)
+        report = tropical.verify_curve(sketch, diag.d, genus)
         if args.svg:
             render_svg(sketch, args.svg)
             print(f"wrote {args.svg}")
@@ -351,12 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="floordiagrams",
         description="Exact plane-curve counts via labeled floor diagrams",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker processes for table computations (also FLOORDIAGRAMS_THREADS)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list diagrams for a degree and target")
@@ -443,21 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import os
-
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    cpus = os.cpu_count() or 1
     try:
-        _require(
-            args.threads is None or 1 <= args.threads <= cpus,
-            f"--threads must be between 1 and {cpus}, got {args.threads}",
-        )
-        if args.threads:
-            os.environ["FLOORDIAGRAMS_THREADS"] = str(args.threads)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -8,13 +8,12 @@ the direct computations.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .core import DiagramError, FloorDiagram, Partition
+from .core import DiagramError, Partition
 from .enumeration import DiagramQuery, enumerate_diagrams
 from .markings import (
     count_markings,
@@ -22,33 +21,15 @@ from .markings import (
     ordering_count_with_pinned_sinks,
 )
 
-THREADS_ENV = "FLOORDIAGRAMS_THREADS"
 
-
-def _mu_nu(text: str) -> int:
-    diag = FloorDiagram.from_text(text)
-    return diag.multiplicity() * count_markings(diag)
-
-
-def _weighted_marking_sum(diagrams: list[FloorDiagram]) -> int:
-    """Sum of multiplicity * marking count, optionally over a process pool.
-
-    The reduction is exact integer addition, so the result is independent
-    of worker count and scheduling.
-    """
-    raw = os.environ.get(THREADS_ENV) or "1"
-    try:
-        threads = min(int(raw), os.cpu_count() or 1)
-    except ValueError as exc:
-        raise DiagramError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if threads > 1 and len(diagrams) > 32:
-        from multiprocessing import Pool
-
-        with Pool(threads) as pool:
-            return sum(
-                pool.map(_mu_nu, [diag.text() for diag in diagrams], chunksize=64)
-            )
-    return sum(diag.multiplicity() * count_markings(diag) for diag in diagrams)
+def _weighted_marking_sum(query: DiagramQuery, lam: Partition, rho: Partition) -> int:
+    """Sum of multiplicity * prod(rho) * relative marking count over the
+    query's diagrams, taken one diagram at a time as they are enumerated."""
+    rho_factor = prod(rho.parts)
+    return sum(
+        diag.multiplicity() * rho_factor * count_relative_markings(diag, lam, rho)
+        for diag in enumerate_diagrams(query)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -56,7 +37,7 @@ def gw(d: int, g: int) -> int:
     """Count of irreducible degree-d genus-g plane curves through 3d+g-1 points."""
     if d < 1 or g < 0:
         raise DiagramError(f"need d >= 1 and g >= 0, got d={d}, g={g}")
-    return _weighted_marking_sum(list(enumerate_diagrams(DiagramQuery(d, genus=g))))
+    return _weighted_marking_sum(DiagramQuery(d, genus=g), Partition(()), Partition.ones(d))
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +51,7 @@ def severi(d: int, delta: int) -> int:
     if d < 1 or delta < 0:
         raise DiagramError(f"need d >= 1 and delta >= 0, got d={d}, delta={delta}")
     return _weighted_marking_sum(
-        list(enumerate_diagrams(DiagramQuery(d, cogenus=delta)))
+        DiagramQuery(d, cogenus=delta), Partition(()), Partition.ones(d)
     )
 
 
@@ -125,13 +106,7 @@ def relative_gw(d: int, g: int, lam: Partition, rho: Partition) -> int:
         )
     if g < 0:
         raise DiagramError(f"genus must be nonnegative, got {g}")
-    rho_factor = prod(rho.parts)
-    total = 0
-    for diag in enumerate_diagrams(DiagramQuery(d, genus=g)):
-        nu = count_relative_markings(diag, lam, rho)
-        if nu:
-            total += diag.multiplicity() * rho_factor * nu
-    return total
+    return _weighted_marking_sum(DiagramQuery(d, genus=g), lam, rho)
 
 
 def welschinger(d: int) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import DiagramError, FloorDiagram, Partition, components
-from .markings import build_poset, enumerate_distributions
+from .markings import _poset_elements, build_poset, enumerate_distributions
 
 
 @dataclass(frozen=True)
@@ -130,19 +130,14 @@ class CurveReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _ordinary_labels(diag: FloorDiagram) -> tuple[set[str], dict[str, tuple]]:
+def _ordinary_labels(diag: FloorDiagram) -> dict[str, tuple]:
+    """Element id of every label of the diagram's ordinary marking poset."""
     dist = next(
         enumerate_distributions(diag, Partition(()), Partition.ones(diag.d))
     )
     poset = build_poset(diag, dist, Partition(()))
-    kinds: dict[str, tuple] = {}
-    for v in range(1, diag.d + 1):
-        kinds[f"v{v}"] = ("F", v)
-    for s, t, w, c in poset.midpoints:
-        kinds[f"e{s}-{t}w{w}#{c}"] = ("M", s, t, w, c)
-    for v, w, c in poset.sinks:
-        kinds[f"s{v}w{w}#{c}"] = ("S", v, w, c)
-    return set(kinds), kinds
+    elements, _ = _poset_elements(poset)
+    return dict(zip(poset.element_labels(), elements))
 
 
 def canonical_marking(diag: FloorDiagram, order: tuple[str, ...]) -> tuple[str, ...]:
@@ -162,11 +157,16 @@ def canonical_marking(diag: FloorDiagram, order: tuple[str, ...]) -> tuple[str, 
 
 def validate_marking(diag: FloorDiagram, order: tuple[str, ...]) -> tuple[str, ...]:
     """Check the order is a constrained linear extension; return it canonicalized."""
-    labels, kinds = _ordinary_labels(diag)
+    return _validated(diag, order, _ordinary_labels(diag))
+
+
+def _validated(
+    diag: FloorDiagram, order: tuple[str, ...], kinds: dict[str, tuple]
+) -> tuple[str, ...]:
     order = canonical_marking(diag, tuple(order))
-    if set(order) != labels or len(order) != len(labels):
+    if set(order) != set(kinds) or len(order) != len(kinds):
         raise DiagramError(
-            f"marking must be a permutation of {sorted(labels)}, got {list(order)}"
+            f"marking must be a permutation of {sorted(kinds)}, got {list(order)}"
         )
     pos = {label: i for i, label in enumerate(order)}
     for label in order:
@@ -190,14 +190,14 @@ def reconstruct(
 ) -> TropicalCurveSketch:
     """Build the unique tropical curve through the configuration realizing
     the given marking (highest point corresponds to the smallest element)."""
-    shape = diag.classify()
-    if (config.d, config.g) != (diag.d, shape.genus):
+    genus = diag.genus()
+    if (config.d, config.g) != (diag.d, genus):
         raise DiagramError(
             f"configuration is for (d,g)=({config.d},{config.g}), "
-            f"diagram has ({diag.d},{shape.genus})"
+            f"diagram has ({diag.d},{genus})"
         )
-    order = validate_marking(diag, order)
-    _, kinds = _ordinary_labels(diag)
+    kinds = _ordinary_labels(diag)
+    order = _validated(diag, order, kinds)
     n = len(order)
     pos = {label: i for i, label in enumerate(order)}
     point_of = {label: config.points[n - 1 - pos[label]] for label in order}
@@ -273,7 +273,7 @@ def reconstruct(
                     f"black point of {label} must lie below floor {v}"
                 )
             elevators.append(Elevator(label, x, w, v, None, top, None, (x, y)))
-    return TropicalCurveSketch(diag.d, shape.genus, tuple(floors), tuple(elevators), order)
+    return TropicalCurveSketch(diag.d, genus, tuple(floors), tuple(elevators), order)
 
 
 def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:

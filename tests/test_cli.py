@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -33,19 +32,20 @@ def test_invariant_welschinger(capsys):
     assert out.strip() == "240"
 
 
-def test_usage_error_exit_code(capsys, monkeypatch):
+def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "invariant", "gw", "--d", "0", "--g", "0")
     assert code == 2
     assert "usage error" in err
     assert run(capsys, "--cache-dir", "x", "enumerate", "--d", "3", "--genus", "1")[0] == 2
-    # --threads is checked before any pool starts; 3 exceeds the patched CPU count
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delenv("FLOORDIAGRAMS_THREADS", raising=False)
-    for threads in ["0", "-5", "3"]:
-        code, _, err = run(capsys, "--threads", threads, "invariant", "gw", "--d", "4", "--g", "0")
-        assert code == 2
-        assert "--threads must be between 1 and 2" in err
-        assert "FLOORDIAGRAMS_THREADS" not in os.environ
+    assert run(capsys, "--threads", "2", "invariant", "gw", "--d", "4", "--g", "0")[0] == 2
+    for argv in [
+        ["tropical", "reconstruct", "--diagram", "d=2; edges=(1,2,1)"],
+        ["tropical", "reconstruct", "--marking", "v1 v2"],
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("usage error: ") and len(err.splitlines()) == 1
 
 
 def test_unknown_command_exit_code(capsys):
@@ -241,34 +241,3 @@ def test_identical_invocations_identical_output(capsys):
     a = run(capsys, "enumerate", "--d", "4", "--genus", "1")
     b = run(capsys, "enumerate", "--d", "4", "--genus", "1")
     assert a == b
-
-
-def test_threads_flag_gives_same_answer(capsys, monkeypatch):
-    from floordiagrams import invariants
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    invariants.gw.cache_clear()
-    code, out, _ = run(capsys, "--threads", "2", "invariant", "gw", "--d", "4", "--g", "0")
-    assert code == 0
-    assert out.strip() == "620"
-    monkeypatch.delenv("FLOORDIAGRAMS_THREADS", raising=False)
-    invariants.gw.cache_clear()
-
-
-def test_malformed_thread_env_is_a_domain_error(capsys, monkeypatch):
-    import multiprocessing
-
-    from floordiagrams import invariants
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("no pool may start")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    monkeypatch.setenv("FLOORDIAGRAMS_THREADS", "abc")
-    invariants.gw.cache_clear()
-    code, out, err = run(capsys, "invariant", "gw", "--d", "5", "--g", "0")
-    invariants.gw.cache_clear()
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert "FLOORDIAGRAMS_THREADS" in err

@@ -3,9 +3,7 @@ import os
 
 import pytest
 
-from floordiagrams import invariants
 from floordiagrams.core import DiagramError, Partition
-from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
 from floordiagrams.invariants import (
     closed_form_gmax,
     closed_form_uninodal,
@@ -196,12 +194,15 @@ def test_tangency_at_point_rejects_bad_k():
         tangency_at_point(3, 0, 0)
 
 
-def test_thread_count_is_capped_at_cpu_count(monkeypatch):
+def test_thread_env_is_ignored(monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("a single CPU must not start a pool")
+        raise AssertionError("the invariant sum must not start a pool")
 
-    monkeypatch.setenv(invariants.THREADS_ENV, str(10**6))
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setenv("FLOORDIAGRAMS_THREADS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    diagrams = list(enumerate_diagrams(DiagramQuery(5, genus=0)))
-    assert invariants._weighted_marking_sum(diagrams) == gw_table()[(5, 0)]
+    gw.cache_clear()
+    try:
+        assert gw(5, 0) == gw_table()[(5, 0)]
+    finally:
+        gw.cache_clear()
