@@ -65,6 +65,7 @@ def cmd_markings(args) -> int:
 
 def cmd_invariant(args) -> int:
     if args.table:
+        _require_max_d(args.max_d)
         return _invariant_table(args)
     if args.d is not None:
         _require(args.d >= 1, f"--d must be at least 1, got {args.d}")
@@ -91,7 +92,7 @@ def cmd_invariant(args) -> int:
 
 
 def _invariant_table(args) -> int:
-    max_d = args.max_d or 5
+    max_d = 5 if args.max_d is None else args.max_d
     if args.kind == "gw":
         print("d,g,value")
         for d in range(1, max_d + 1):
@@ -237,6 +238,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify_tables(args) -> int:
+    _require_max_d(args.max_d)
     failures = []
     suites = (
         ["gw", "severi", "relative", "tangency", "appendix", "nodepoly", "counts"]
@@ -256,7 +258,7 @@ def cmd_verify_tables(args) -> int:
 def _verify_suite(suite: str, max_d: int | None) -> list[str]:
     bad: list[str] = []
     if suite == "gw":
-        limit = max_d or 5
+        limit = 5 if max_d is None else max_d
         for (d, g), expect in sorted(tables.gw_table().items()):
             if d > limit:
                 continue
@@ -264,7 +266,7 @@ def _verify_suite(suite: str, max_d: int | None) -> list[str]:
             if got != expect:
                 bad.append(f"gw({d},{g}) = {got}, table says {expect}")
     elif suite == "severi":
-        limit = max_d or 5
+        limit = 5 if max_d is None else max_d
         for (d, delta), expect in sorted(tables.severi_table().items()):
             if d > limit:
                 continue
@@ -287,7 +289,7 @@ def _verify_suite(suite: str, max_d: int | None) -> list[str]:
             if got != expect:
                 bad.append(f"relative(3,1,{lam_text!r},{rho_text!r}) = {got} != {expect}")
     elif suite == "tangency":
-        limit = max_d or 10
+        limit = 10 if max_d is None else max_d
         for d, fixed, free in tables.max_tangency_table():
             if d > limit:
                 continue
@@ -322,7 +324,7 @@ def _verify_suite(suite: str, max_d: int | None) -> list[str]:
             if got != nodepoly.RatPolynomial(coeffs):
                 bad.append(f"A_{j} = {got} != {list(coeffs)}")
     elif suite == "counts":
-        limit = max_d or 6
+        limit = 6 if max_d is None else max_d
         for d in range(1, limit + 1):
             report = sequences.closed_counts(d)
             if report.cayley != report.genus0_enumerated:
@@ -337,6 +339,10 @@ def _verify_suite(suite: str, max_d: int | None) -> list[str]:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise UsageError(message)
+
+
+def _require_max_d(max_d: int | None) -> None:
+    _require(max_d is None or max_d >= 1, f"--max-d must be at least 1, got {max_d}")
 
 
 class UsageError(Exception):

@@ -171,6 +171,31 @@ def build_poset(diag: FloorDiagram, dist: Distribution, lam: Partition) -> Marki
 # -- ordering counters ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def gap_choices(mandatory: int, counts: tuple[int, ...]) -> tuple:
+    """The transfer of one gap: every way to fill it from pending classes.
+
+    ``mandatory`` items must be placed in this gap; from a class of c
+    interchangeable pending items any k may join them, in C(c, k) ways.
+    Returns (counts left per class, ways) pairs, where ways also counts
+    the (gap size)! arrangements of the distinguishable items in the gap.
+    """
+    out = []
+
+    def choose(idx: int, taken: int, mult: int, rest: list):
+        if idx == len(counts):
+            out.append((tuple(rest), mult * factorial(mandatory + taken)))
+            return
+        c = counts[idx]
+        for k in range(c + 1):
+            rest.append(c - k)
+            choose(idx + 1, taken + k, mult * comb(c, k), rest)
+            rest.pop()
+
+    choose(0, 0, 1, [])
+    return tuple(out)
+
+
 @lru_cache(maxsize=200_000)
 def _gap_dp(d: int, windows: tuple[tuple[int, int], ...]) -> int:
     """Number of linear orders: items assigned to gaps within their windows,
@@ -178,7 +203,8 @@ def _gap_dp(d: int, windows: tuple[tuple[int, int], ...]) -> int:
 
     DP over gaps; multi-gap items pending in the state are keyed only by
     their deadline gap (items of equal deadline are interchangeable, which
-    the binomial factors account for).
+    the binomial factors account for).  Each gap is one ``gap_choices``
+    transfer.
     """
     forced = [0] * (d + 1)
     arrivals: dict[int, list[int]] = {}
@@ -197,21 +223,11 @@ def _gap_dp(d: int, windows: tuple[tuple[int, int], ...]) -> int:
             for h in arriving:
                 pools[h] += 1
             mandatory = pools.pop(j, 0) + forced[j]
-            opts = sorted(pools.items())
-
-            def choose(idx: int, taken: int, mult: int, rest: list):
-                if idx == len(opts):
-                    key = tuple((h, c) for h, c in rest if c)
-                    val = coeff * mult * factorial(mandatory + taken)
-                    new_states[key] = new_states.get(key, 0) + val
-                    return
-                h, c = opts[idx]
-                for k in range(c + 1):
-                    rest.append((h, c - k))
-                    choose(idx + 1, taken + k, mult * comb(c, k), rest)
-                    rest.pop()
-
-            choose(0, 0, 1, [])
+            deadlines = sorted(pools)
+            counts = tuple(pools[h] for h in deadlines)
+            for rest, ways in gap_choices(mandatory, counts):
+                key = tuple((h, c) for h, c in zip(deadlines, rest) if c)
+                new_states[key] = new_states.get(key, 0) + coeff * ways
         states = new_states
     if set(states) - {()}:
         raise AssertionError(f"items left pending past gap {d}: {sorted(states)}")

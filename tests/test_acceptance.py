@@ -108,6 +108,9 @@ def test_criterion_2_severi_table_and_splitting():
             assert severi(d, delta) == expect, (d, delta)
     assert severi(4, 4) == 666
     assert severi(5, 5) == 90027
+    # gw inverts the splitting formula, so this is an identity wherever a
+    # one-component term exists (delta <= (d-1)(d-2)/2) and independent only
+    # beyond that; test_oracles.py holds the independent Severi checks
     for d in range(1, 6):
         for delta in range(0, 7):
             assert severi(d, delta) == severi_split_oracle(d, delta), (d, delta)

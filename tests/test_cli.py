@@ -41,6 +41,10 @@ def test_usage_error_exit_code(capsys):
     for argv in [
         ["tropical", "reconstruct", "--diagram", "d=2; edges=(1,2,1)"],
         ["tropical", "reconstruct", "--marking", "v1 v2"],
+        ["invariant", "gw", "--table", "--max-d", "0"],
+        ["invariant", "severi", "--table", "--max-d", "-2"],
+        ["verify-tables", "--suite", "gw", "--max-d", "0"],
+        ["verify-tables", "--max-d", "-2"],
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

@@ -1,10 +1,15 @@
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from floordiagrams.core import DiagramError, Partition
+from floordiagrams.enumeration import DiagramQuery
 from floordiagrams.invariants import (
+    _weighted_marking_sum,
     closed_form_gmax,
     closed_form_uninodal,
     collinear_triple,
@@ -63,13 +68,55 @@ def test_severi_equals_gw_for_low_cogenus():
             assert severi(d, delta) == gw(d, g), (d, delta)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_sweep_row_equals_enumerated_diagram_sum(d):
+    """Every Severi degree of the sweep row equals the enumerate-then-count
+    sum over the diagrams of that cogenus, which shares no code with it
+    beyond the gap transfer."""
+    for delta in range(d * (d - 1) // 2 + 1):
+        expect = _weighted_marking_sum(DiagramQuery(d, cogenus=delta), P(()), P.ones(d))
+        assert severi(d, delta) == expect, (d, delta)
+    assert severi(d, d * (d - 1) // 2 + 1) == 0
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_split_inversion_equals_connected_diagram_sum(d):
+    for g in range((d - 1) * (d - 2) // 2 + 1):
+        assert gw(d, g) == relative_gw(d, g, P(()), P.ones(d)), (d, g)
+
+
+def test_split_inversion_reaches_kontsevich_past_the_tables():
+    for d in (7, 8):
+        assert gw(d, 0) == kontsevich_oracle(d), d
+
+
+def test_sweep_integrality_check_survives_optimize():
+    # an off-by-one sink symmetry leaves a fraction in the row
+    code = (
+        "import math; from floordiagrams import invariants as inv; "
+        "inv.factorial = lambda n: math.factorial(n + 1); inv.severi(4, 2)"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0 and "AssertionError: degree-4 sweep" in proc.stderr
+
+
 def test_split_oracle_examples():
+    """Since gw inverts the splitting formula, these agree with severi by
+    construction wherever a one-component term exists; they check the
+    splitting enumerator, not the sweep."""
     assert severi_split_oracle(4, 4) == 666
     assert severi_split_oracle(3, 2) == 21
     assert severi_split_oracle(5, 0) == 1
 
 
 def test_split_oracle_matches_direct_enumeration():
+    """An identity where delta <= (d-1)(d-2)/2, because gw is this formula
+    solved for its one-component term; only larger delta, where every term
+    splits, compare independent computations."""
     for d in range(1, 5):
         for delta in range(0, 5):
             assert severi(d, delta) == severi_split_oracle(d, delta), (d, delta)

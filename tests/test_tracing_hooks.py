@@ -3,6 +3,10 @@
 ``perfbench/tracing.py`` patches module attributes of the package; a
 refactor that stops calling through one of them silently zeroes a
 per-layer metric.  This runs the tracer, unchanged, in a fresh process.
+
+``gw`` and ``severi`` come from the fused floor sweep, which builds no
+diagram and counts no marking, so the diagram sums the tracer counts are
+issued through ``invariants._weighted_marking_sum`` directly.
 """
 
 import json
@@ -19,8 +23,9 @@ import json, sys
 from types import SimpleNamespace
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import floordiagrams as fd
-from floordiagrams import markings, render
+from floordiagrams import invariants, markings, render
 from floordiagrams.core import Partition
+from floordiagrams.enumeration import DiagramQuery
 import tracing
 
 api = SimpleNamespace(**{name: getattr(fd, name) for name in fd.__all__})
@@ -30,8 +35,12 @@ tracer = tracing.Tracer()
 tracing.install(api, tracer)
 api.gw(4, 0)
 api.severi(4, 2)
+sweep_calls = tracer.calls.get("markings.count", 0)
+ones = Partition.ones(4)
+invariants._weighted_marking_sum(DiagramQuery(4, genus=0), Partition(()), ones)
+invariants._weighted_marking_sum(DiagramQuery(4, cogenus=2), Partition(()), ones)
 api.relative_gw(3, 0, Partition((2,)), Partition((1,)))
-print(json.dumps({"calls": tracer.calls, "counts": tracer.counts}))
+print(json.dumps({"calls": tracer.calls, "counts": tracer.counts, "sweep_calls": sweep_calls}))
 """
 
 
@@ -47,3 +56,4 @@ def test_tracer_counts_every_diagram_of_the_invariant_sums():
     assert traced["calls"]["markings.count"] == diagrams
     assert traced["counts"]["core.diagrams_built"] >= diagrams
     assert traced["calls"]["enumeration.all_diagrams"] >= 1
+    assert traced["sweep_calls"] == 0
