@@ -18,7 +18,6 @@ from .nodepoly import (
     discrete_sum,
     enumerate_templates,
     node_polynomial,
-    severi_numeric,
 )
 from .sequences import (
     LabeledTree,
@@ -62,7 +61,6 @@ __all__ = [
     "reconstruct",
     "relative_gw",
     "severi",
-    "severi_numeric",
     "severi_split_oracle",
     "stretched_config",
     "tree_to_diagram",

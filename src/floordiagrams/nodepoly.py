@@ -4,17 +4,29 @@ A template is what remains of a diagram (extended by one auxiliary top
 vertex absorbing the sinks) after deleting its weight-1 unit-span edges.
 Severi degrees decompose into ordered sequences of non-overlapping
 templates with integer offsets; each template contributes a polynomial
-counting the orderings of its chunk.  Iterating exact discrete summation
-over the offsets yields the node polynomials, of degree twice the
-cogenus, valid from the threshold onward.
+counting the orderings of its chunk.  Summing over the offsets is linear,
+and a sequence prefix hands on only (cogenus used, current threshold), so
+one dynamic program over those states, memoized per cogenus, merges every
+prefix that reaches a state before summing further.  It yields the node
+polynomials N_0, N_1, ..., of degree twice the cogenus, valid from the
+threshold onward.
+
+Every polynomial inside the program counts orderings, so it is
+integer-valued and is stored as integer coefficients b in the binomial
+basis, p(x) = sum_m b_m C(x, m).  A product is taken pointwise on values,
+discrete summation shifts the index (hockey stick), and an argument shift
+is Vandermonde's identity.  ``RatPolynomial`` appears only at the output.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from itertools import accumulate
+from math import comb, factorial, prod
+from operator import mul
 
 from .core import DiagramError
 
@@ -111,22 +123,95 @@ class RatPolynomial:
         return RatPolynomial((Fraction(0), Fraction(1)))
 
 
-def _binom_poly(shift: int, choose: int) -> RatPolynomial:
-    """C(x + shift, choose) as a RatPolynomial in x."""
-    poly = RatPolynomial.constant(Fraction(1, factorial(choose)))
-    for t in range(choose):
-        poly = poly * RatPolynomial((Fraction(shift - t), Fraction(1)))
-    return poly
+def _trim(b) -> tuple:
+    b = list(b)
+    while b and not b[-1]:
+        b.pop()
+    return tuple(b)
 
 
-def to_binomial_basis(p: RatPolynomial) -> list[Fraction]:
-    """Coefficients b with p(k) = sum b_m C(k, m), via forward differences."""
-    values = [p(i) for i in range(p.degree + 1 if p.degree >= 0 else 1)]
+def _gbinom(c: int, i: int) -> int:
+    """C(c, i) = c (c-1) ... (c-i+1) / i! for any integer c."""
+    return comb(c, i) if c >= 0 else (-1) ** i * comb(i - c - 1, i)
+
+
+def _newton_values(b, count: int) -> list:
+    """p(0), ..., p(count - 1) for p = sum_m b_m C(x, m).
+
+    p(x + 1) has coefficients b_m + b_{m+1}, because C(x + 1, m) =
+    C(x, m) + C(x, m - 1); each step reads off p(k) = b_0 and moves on.
+    """
+    row = list(b)
     out = []
-    while values:
-        out.append(values[0])
-        values = [values[i + 1] - values[i] for i in range(len(values) - 1)]
+    for _ in range(count):
+        out.append(row[0] if row else 0)
+        for i in range(len(row) - 1):
+            row[i] += row[i + 1]
     return out
+
+
+def _newton_from_values(values) -> tuple:
+    """Binomial-basis coefficients of the polynomial through p(0), p(1), ...:
+    the leading entries of the forward-difference table."""
+    out = []
+    row = list(values)
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return _trim(out)
+
+
+def _newton_add(p, q) -> tuple:
+    if len(p) < len(q):
+        p, q = q, p
+    return _trim([a + b for a, b in zip(p, q)] + list(p[len(q):]))
+
+
+def _newton_mul(p, q) -> tuple:
+    """Product, pointwise on the values at 0..deg p + deg q."""
+    if not p or not q:
+        return ()
+    count = len(p) + len(q) - 1
+    return _newton_from_values(
+        a * b for a, b in zip(_newton_values(p, count), _newton_values(q, count))
+    )
+
+
+def _newton_shift(b, c: int) -> tuple:
+    """p(x + c), by Vandermonde: C(x + c, m) = sum_j C(c, m - j) C(x, j)."""
+    return tuple(
+        sum(b[m] * _gbinom(c, m - j) for m in range(j, len(b))) for j in range(len(b))
+    )
+
+
+def _newton_sum(b, a: int, shift: int) -> tuple:
+    """q with q(n) = sum_{k=a}^{n-shift} p(k) for all n.
+
+    T(t) = sum_{k<t} p(k) = sum_m b_m C(t, m + 1) (hockey stick), so T has
+    the coefficients of p moved up one place, and q(n) = T(n - shift + 1)
+    - T(a).  The empty sum at n = a + shift - 1 is zero.
+    """
+    if not b:
+        return ()
+    partial = (0, *b)
+    q = list(_newton_shift(partial, 1 - shift))
+    q[0] -= sum(t * _gbinom(a, m) for m, t in enumerate(partial))
+    return _trim(q)
+
+
+def _from_newton(b) -> RatPolynomial:
+    """sum_m b_m C(x, m) in the power basis, with C(x, m) = x(x-1)...(x-m+1)/m!."""
+    if not b:
+        return RatPolynomial(())
+    top = factorial(len(b) - 1)
+    out = [0] * len(b)
+    falling = [1]
+    for m, bm in enumerate(b):
+        scale = bm * (top // factorial(m))
+        for i, c in enumerate(falling):
+            out[i] += scale * c
+        falling = [lo - m * hi for lo, hi in zip([0, *falling], [*falling, 0])]
+    return RatPolynomial(tuple(Fraction(c, top) for c in out))
 
 
 def discrete_sum(p: RatPolynomial, a: int, shift: int) -> RatPolynomial:
@@ -136,14 +221,8 @@ def discrete_sum(p: RatPolynomial, a: int, shift: int) -> RatPolynomial:
     the lower index (hockey stick), then the argument is shifted back.
     The empty sum at n = a + shift - 1 evaluates to zero.
     """
-    basis = to_binomial_basis(p)
-    # S(t) = sum_{k=0}^{t} p(k) = sum_m b_m C(t+1, m+1)
-    s_poly = RatPolynomial(())
-    for m, b in enumerate(basis):
-        if b:
-            s_poly = s_poly + _binom_poly(1, m + 1).scale(b)
-    q = s_poly.shift_argument(-shift) - RatPolynomial.constant(s_poly(a - 1))
-    return q
+    basis = _newton_from_values(p(i) for i in range(p.degree + 1))
+    return _from_newton(_newton_sum(basis, a, shift))
 
 
 @dataclass(frozen=True)
@@ -221,155 +300,135 @@ def enumerate_templates(delta: int) -> tuple[Template, ...]:
                 if 1 <= cost <= delta:
                     candidates.append(((i, j, w), cost))
     candidates.sort()
-    found: set[tuple] = set()
+    templates = []
 
-    def rec(idx: int, left: int, acc: list):
+    def rec(idx: int, left: int, reach: int, acc: list):
+        # acc is sorted by start, so an edge starting at i >= reach (the
+        # largest end so far) would leave v_reach unstraddled for good
         if left == 0:
-            try:
-                found.add(Template(tuple(acc)).edges)
-            except DiagramError:
-                pass
+            templates.append(Template(tuple(acc)))
             return
         for pos in range(idx, len(candidates)):
             edge, cost = candidates[pos]
+            if edge[0] >= reach:
+                break
             if cost <= left:
                 acc.append(edge)
-                rec(pos, left - cost, acc)
+                rec(pos, left - cost, max(reach, edge[1]), acc)
                 acc.pop()
 
-    rec(0, delta, [])
-    templates = [Template(e) for e in found]
+    rec(0, delta, 1, [])
     templates.sort(key=lambda t: (t.length, t.edges))
     return tuple(templates)
 
 
 @lru_cache(maxsize=None)
-def extension_polynomial(template: Template) -> RatPolynomial:
-    """P(template, k): orderings of the template chunk with offset k.
+def _extension_newton(template: Template) -> tuple:
+    """P(template, k) in the binomial basis, from its values at k = 0..#edges.
 
-    The chunk places k+g-1-kappa_g short-edge midpoints in gap g; template
-    edge midpoints are distributed over the gaps they span, ordered within
-    gaps, and shuffled against the short midpoints via binomials.  Parallel
-    equal-weight template edges are interchangeable, so the raw sum is
-    divided by the product of their factorials.
+    The chunk places s_g = k+g-1-kappa_g short-edge midpoints in gap g;
+    template edge midpoints are distributed over the gaps they span,
+    ordered within gaps, and shuffled against the short midpoints, so an
+    assignment putting b_g of them in gap g counts prod_g (s_g+1)...(s_g+b_g)
+    orderings.  Assignments are grouped by that occupancy vector.  Parallel
+    equal-weight template edges are interchangeable, so each value is
+    divided by the product of their factorials, exactly.
     """
-    ell = template.length
-    kappa = template.kappa
-    mids = list(range(len(template.edges)))
-    windows = [(i + 1, j) for i, j, _ in template.edges]
-
-    total = RatPolynomial(())
-    assignment: list[int] = []
-
-    def place(idx: int):
-        nonlocal total
-        if idx == len(mids):
-            poly = RatPolynomial.constant(1)
-            for g in range(1, ell + 1):
-                b = assignment.count(g)
-                if b:
-                    # b! * C(s_g + b, b) with s_g = k + g - 1 - kappa_g
-                    for t in range(1, b + 1):
-                        poly = poly * RatPolynomial(
-                            (Fraction(g - 1 - kappa[g - 1] + t), Fraction(1))
-                        )
-            total = total + poly
-            return
-        lo, hi = windows[idx]
-        for g in range(lo, hi + 1):
-            assignment.append(g)
-            place(idx + 1)
-            assignment.pop()
-
-    place(0)
-    sym = 1
-    seen: dict = {}
-    for e in template.edges:
-        seen[e] = seen.get(e, 0) + 1
-    for cnt in seen.values():
-        sym *= factorial(cnt)
-    return total.scale(Fraction(1, sym))
+    occupancy = Counter({(0,) * template.length: 1})
+    for i, j, _ in template.edges:
+        grown: Counter = Counter()
+        for vec, ways in occupancy.items():
+            for g in range(i, j):
+                grown[vec[:g] + (vec[g] + 1,) + vec[g + 1 :]] += ways
+        occupancy = grown
+    symmetry = prod(factorial(n) for n in Counter(template.edges).values())
+    edges = len(template.edges)
+    values = []
+    for k in range(edges + 1):
+        # rising[g][b] = (s+1)...(s+b) for the s = k + g - kappa short
+        # midpoints in (0-based) gap g
+        rising = [
+            list(accumulate(range(k + g - kappa + 1, k + g - kappa + edges + 1), mul, initial=1))
+            for g, kappa in enumerate(template.kappa)
+        ]
+        raw = sum(
+            ways * prod(map(list.__getitem__, rising, vec))
+            for vec, ways in occupancy.items()
+        )
+        value, rest = divmod(raw, symmetry)
+        if rest:
+            raise AssertionError(
+                f"template {template.edges}: {raw} orderings at k={k} are not "
+                f"divisible by the edge symmetry {symmetry}"
+            )
+        values.append(value)
+    return _newton_from_values(values)
 
 
-def _sequences(delta: int):
-    """Ordered tuples of templates with cogenera summing to delta."""
-
-    def rec(left: int):
-        if left == 0:
-            yield ()
-            return
-        for first in range(1, left + 1):
-            for head in enumerate_templates(first):
-                for tail in rec(left - first):
-                    yield (head, *tail)
-
-    yield from rec(delta)
+def extension_polynomial(template: Template) -> RatPolynomial:
+    """P(template, k): orderings of the template chunk with offset k."""
+    return _from_newton(_extension_newton(template))
 
 
-def severi_numeric(d: int, delta: int) -> int:
-    """Severi degree via the template master sum with explicit offsets."""
-    if d < 1 or delta < 1:
-        raise DiagramError(f"need d >= 1 and delta >= 1, got d={d}, delta={delta}")
-    total = 0
-    for seq in _sequences(delta):
-        polys = [extension_polynomial(t) for t in seq]
-        mu = prod(t.multiplicity for t in seq)
-        m = len(seq)
+@lru_cache(maxsize=None)
+def _template_groups(cogenus: int) -> tuple:
+    """Templates of one cogenus as (length, k_min, epsilon, sum of mu * P).
 
-        def offsets(i: int, k_floor: int, acc: int):
-            nonlocal total
-            if i == m:
-                total += mu * acc
-                return
-            t = seq[i]
-            lo = max(t.k_min, k_floor)
-            if i == m - 1:
-                hi = d + t.epsilon - t.length
-            else:
-                # leave room for the remaining templates
-                room = sum(s.length for s in seq[i + 1 :])
-                hi = d + seq[-1].epsilon - t.length - room
-            for k in range(lo, hi + 1):
-                value = polys[i].eval_int(k)
-                if value:
-                    offsets(i + 1, k + t.length, acc * value)
+    The three keys fix everything the state DP does with a template except
+    its polynomial, and the DP is linear in that polynomial.
+    """
+    groups: dict = {}
+    for t in enumerate_templates(cogenus):
+        key = (t.length, t.k_min, t.epsilon)
+        scaled = tuple(t.multiplicity * c for c in _extension_newton(t))
+        groups[key] = _newton_add(groups.get(key, ()), scaled)
+    return tuple((*key, poly) for key, poly in groups.items())
 
-        offsets(0, 1, 1)
-    return total
+
+@lru_cache(maxsize=None)
+def _row(delta: int) -> tuple:
+    """(states, N_delta, worst threshold) over template sequences of cogenus delta.
+
+    ``states`` pairs each threshold a + length - 1 that such a sequence can
+    end at with the merged polynomial of every sequence ending there; the
+    next template sums its product with that polynomial over offsets from
+    max(k_min, threshold).  N_delta sums each ending polynomial shifted by
+    the last template's epsilon; ``worst`` is the largest threshold - epsilon.
+    """
+    if delta == 0:
+        return ((0, (1,)),), (1,), 0
+    states: dict = {}
+    ends: dict = {}
+    worst = 0
+    for c in range(1, delta + 1):
+        before = _row(delta - c)[0]
+        for length, k_min, eps, poly in _template_groups(c):
+            for threshold, p in before:
+                a = max(k_min, threshold)
+                q = _newton_sum(_newton_mul(poly, p), a, length)
+                end = a + length - 1
+                states[end] = _newton_add(states.get(end, ()), q)
+                ends[eps] = _newton_add(ends.get(eps, ()), q)
+                worst = max(worst, end - eps)
+    total = _newton_add(ends.get(0, ()), _newton_shift(ends.get(1, ()), 1))
+    return tuple(sorted(states.items())), total, worst
 
 
 def node_polynomial(delta: int) -> tuple[RatPolynomial, int]:
     """Symbolic Severi-degree polynomial in d and its validity threshold.
 
-    Iterated discrete summation over template-sequence offsets; per the
-    polynomiality theorem the returned threshold is twice the cogenus,
-    and the internally tracked threshold is asserted not to exceed it.
+    Read from the state DP over template sequences; per the polynomiality
+    theorem the returned threshold is twice the cogenus, and the internally
+    tracked threshold is checked not to exceed it.
     """
     if delta < 0:
         raise DiagramError(f"cogenus must be nonnegative, got {delta}")
-    if delta == 0:
-        return RatPolynomial.constant(1), 0
-    total = RatPolynomial(())
-    worst = 0
-    for seq in _sequences(delta):
-        poly = RatPolynomial.constant(1)
-        threshold = None
-        for t in seq:
-            summand = extension_polynomial(t) * poly
-            a = t.k_min if threshold is None else max(t.k_min, threshold)
-            poly = discrete_sum(summand, a, t.length)
-            threshold = a + t.length - 1
-        eps = seq[-1].epsilon
-        contribution = poly.shift_argument(eps).scale(
-            prod(t.multiplicity for t in seq)
-        )
-        total = total + contribution
-        worst = max(worst, threshold - eps)
+    _, total, worst = _row(delta)
     if worst > 2 * delta:
         raise AssertionError(
             f"validity threshold {worst} exceeds 2*delta = {2 * delta}"
         )
-    return total, 2 * delta
+    return _from_newton(total), 2 * delta
 
 
 def aj_polynomials(delta_max: int) -> list[RatPolynomial]:
@@ -388,19 +447,3 @@ def aj_polynomials(delta_max: int) -> list[RatPolynomial]:
         logs.append(acc.scale(Fraction(1, j)))
     return [logs[j - 1].scale(j) for j in range(1, delta_max + 1)]
 
-
-def exp_series(aj: list[RatPolynomial]) -> list[RatPolynomial]:
-    """Rebuild the node-polynomial series from A_j data (round-trip check).
-
-    With L_j = A_j / j, the series F = exp(sum L_j t^j) satisfies
-    j F_j = sum_{i=1}^{j} i L_i F_{j-i}.
-    """
-    n = len(aj)
-    ls = [aj[j].scale(Fraction(1, j + 1)) for j in range(n)]
-    out = [RatPolynomial.constant(1)]
-    for j in range(1, n + 1):
-        acc = RatPolynomial(())
-        for i in range(1, j + 1):
-            acc = acc + ls[i - 1].scale(i) * out[j - i]
-        out.append(acc.scale(Fraction(1, j)))
-    return out

@@ -1,4 +1,4 @@
-"""Independent oracles that share no code with the floor-diagram engine.
+"""Reference computations the tests compare the engine against.
 
 No production module imports this one; the tests do.
 
@@ -10,14 +10,24 @@ curves through the right number of generic points, with tangency alpha to
 a fixed line at fixed points and beta at moving points.  alpha and beta
 are multiplicity vectors: alpha[k-1] is the number of contacts of order
 k.  Relative to the engine's partitions, lambda maps to alpha and rho to
-beta, so the ordinary Severi degree is N^{d,delta}(0, (d)).
+beta, so the ordinary Severi degree is N^{d,delta}(0, (d)).  It shares no code
+with floor diagrams or templates.
+
+``severi_numeric`` is the template master sum with explicit offsets, one
+template sequence at a time.  It shares the templates and extension
+polynomials with ``nodepoly`` but not the state DP or any discrete sum.
+``exp_series`` rebuilds the node-polynomial series from the A_j.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product, zip_longest
 from math import comb, prod
+
+from .core import DiagramError
+from .nodepoly import RatPolynomial, enumerate_templates, extension_polynomial
 
 Vector = tuple[int, ...]
 
@@ -100,3 +110,70 @@ def caporaso_harris(d: int, delta: int, alpha: Vector = (), beta: Vector | None 
     if beta is None:
         beta = (d,)
     return _ch(d, delta, _trim(alpha), _trim(beta))
+
+
+def _sequences(delta: int, room: int):
+    """Ordered tuples of templates with cogenera summing to delta and
+    lengths summing to at most room.
+
+    A longer sequence contributes nothing at degree room: its offsets need
+    k_1 >= 1, k_{i+1} >= k_i + length_i and k_m <= room + eps - length_m
+    with eps <= 1.
+    """
+    if delta == 0:
+        yield ()
+        return
+    for first in range(1, delta + 1):
+        for head in enumerate_templates(first):
+            if head.length <= room:
+                for tail in _sequences(delta - first, room - head.length):
+                    yield (head, *tail)
+
+
+def severi_numeric(d: int, delta: int) -> int:
+    """Severi degree via the template master sum with explicit offsets."""
+    if d < 1 or delta < 1:
+        raise DiagramError(f"need d >= 1 and delta >= 1, got d={d}, delta={delta}")
+    total = 0
+    for seq in _sequences(delta, d):
+        polys = [extension_polynomial(t) for t in seq]
+        mu = prod(t.multiplicity for t in seq)
+        m = len(seq)
+
+        def offsets(i: int, k_floor: int, acc: int):
+            nonlocal total
+            if i == m:
+                total += mu * acc
+                return
+            t = seq[i]
+            lo = max(t.k_min, k_floor)
+            if i == m - 1:
+                hi = d + t.epsilon - t.length
+            else:
+                # leave room for the remaining templates
+                room = sum(s.length for s in seq[i + 1 :])
+                hi = d + seq[-1].epsilon - t.length - room
+            for k in range(lo, hi + 1):
+                value = polys[i].eval_int(k)
+                if value:
+                    offsets(i + 1, k + t.length, acc * value)
+
+        offsets(0, 1, 1)
+    return total
+
+
+def exp_series(aj: list[RatPolynomial]) -> list[RatPolynomial]:
+    """Rebuild the node-polynomial series from A_j data (round-trip check).
+
+    With L_j = A_j / j, the series F = exp(sum L_j t^j) satisfies
+    j F_j = sum_{i=1}^{j} i L_i F_{j-i}.
+    """
+    n = len(aj)
+    ls = [aj[j].scale(Fraction(1, j + 1)) for j in range(n)]
+    out = [RatPolynomial.constant(1)]
+    for j in range(1, n + 1):
+        acc = RatPolynomial(())
+        for i in range(1, j + 1):
+            acc = acc + ls[i - 1].scale(i) * out[j - i]
+        out.append(acc.scale(Fraction(1, j)))
+    return out

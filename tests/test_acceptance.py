@@ -37,8 +37,8 @@ from floordiagrams.nodepoly import (
     enumerate_templates,
     extension_polynomial,
     node_polynomial,
-    severi_numeric,
 )
+from floordiagrams.oracles import severi_numeric
 from floordiagrams.sequences import (
     diagram_to_tree,
     increasing_tree_oracle,

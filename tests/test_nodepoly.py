@@ -1,5 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,14 +15,18 @@ from floordiagrams.invariants import severi
 from floordiagrams.nodepoly import (
     RatPolynomial,
     Template,
+    _from_newton,
+    _newton_mul,
+    _newton_shift,
+    _newton_sum,
+    _newton_values,
     aj_polynomials,
     discrete_sum,
     enumerate_templates,
-    exp_series,
     extension_polynomial,
     node_polynomial,
-    severi_numeric,
 )
+from floordiagrams.oracles import exp_series, severi_numeric
 from floordiagrams.tables import aj_reference, template_rows
 
 F = Fraction
@@ -67,6 +76,25 @@ def test_discrete_sum_matches_direct_summation(coeffs, a, shift):
     for n in range(a + shift - 1, a + shift + 6):
         direct = sum((p(k) for k in range(a, n - shift + 1)), F(0))
         assert q(n) == direct, (coeffs, a, shift, n)
+
+
+newton = st.lists(st.integers(-30, 30), max_size=5).map(tuple)
+
+
+@given(newton, newton, st.integers(-3, 3), st.integers(-2, 3), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_integer_kernels_match_rational_arithmetic(p, q, c, a, shift):
+    # p and q are integer-valued polynomials, as binomial-basis coefficients
+    P, Q = _from_newton(p), _from_newton(q)
+    for x in range(-3, 8):
+        binomials = [F(prod(range(x - m + 1, x + 1)), factorial(m)) for m in range(len(p))]
+        assert P(x) == sum(b * c for b, c in zip(p, binomials))
+    assert _newton_values(p, 8) == [P(k) for k in range(8)]
+    assert _from_newton(_newton_mul(p, q)) == P * Q
+    assert _from_newton(_newton_shift(p, c)) == P.shift_argument(c)
+    summed = _from_newton(_newton_sum(p, a, shift))
+    for n in range(a + shift - 1, a + shift + 6):
+        assert summed(n) == sum((P(k) for k in range(a, n - shift + 1)), F(0)), (p, a, shift, n)
 
 
 def test_discrete_sum_raises_degree_by_one():
@@ -184,6 +212,20 @@ def test_severi_numeric_matches_diagram_enumeration():
     for d in range(1, 5):
         for delta in range(1, 5):
             assert severi_numeric(d, delta) == severi(d, delta), (d, delta)
+
+
+def test_extension_symmetry_check_survives_optimize():
+    # an edge symmetry off by a factor of two leaves a remainder in the values
+    code = (
+        "import math; from floordiagrams import nodepoly as np; "
+        "np.factorial = lambda n: 2 * math.factorial(n); np.node_polynomial(2)"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0 and "AssertionError: template" in proc.stderr
 
 
 def test_node_polynomial_delta_1():

@@ -1,8 +1,9 @@
 """The Caporaso-Harris recursion against the floor-diagram engine.
 
-The recursion shares no code with floor diagrams, so it checks the sweep
-behind ``severi`` at every cogenus, past the frozen tables, and the
-enumerate-then-count sum at every tangency profile.
+The recursion shares no code with floor diagrams or templates, so it
+checks the sweep behind ``severi`` at every cogenus, past the frozen
+tables, the enumerate-then-count sum at every tangency profile, and the
+node polynomials past their threshold.
 """
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from floordiagrams.core import Partition
 from floordiagrams.enumeration import DiagramQuery
 from floordiagrams.invariants import _weighted_marking_sum, severi
+from floordiagrams.nodepoly import node_polynomial
 from floordiagrams.oracles import caporaso_harris
 from floordiagrams.tables import severi_table
 
@@ -55,3 +57,11 @@ def test_recursion_equals_relative_diagram_sums():
                         assert got == expect, (d, delta, lam, rho)
                         checked += 1
     assert checked > 150
+
+
+def test_recursion_equals_node_polynomials_past_threshold():
+    for delta in range(6):
+        poly, threshold = node_polynomial(delta)
+        assert threshold == 2 * delta
+        for d in range(threshold, threshold + 6):
+            assert poly.eval_int(d) == caporaso_harris(d, delta), (delta, d)
