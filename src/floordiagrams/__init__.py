@@ -7,7 +7,6 @@ from .invariants import (
     kontsevich_oracle,
     relative_gw,
     severi,
-    severi_split_oracle,
     welschinger,
 )
 from .markings import brute_force_markings, count_markings, count_relative_markings
@@ -61,7 +60,6 @@ __all__ = [
     "reconstruct",
     "relative_gw",
     "severi",
-    "severi_split_oracle",
     "stretched_config",
     "tree_to_diagram",
     "verify_curve",

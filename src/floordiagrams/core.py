@@ -172,13 +172,19 @@ class FloorDiagram:
         """Connected components as sorted vertex tuples, ordered by minimum vertex."""
         return components(range(1, self.d + 1), self.edges)
 
+    def _component_count(self) -> int:
+        """Components over the edge endpoints, plus one per vertex without
+        an edge, so the cost is O(E) whatever d is."""
+        ends = {v for s, t, _ in self.edges for v in (s, t)}
+        return len(components(ends, self.edges)) + self.d - len(ends)
+
     @property
     def connected(self) -> bool:
-        return len(self.component_vertex_sets()) == 1
+        return self._component_count() == 1
 
     def genus(self) -> int:
         """First Betti number: edges - vertices + components."""
-        return len(self.edges) - self.d + len(self.component_vertex_sets())
+        return len(self.edges) - self.d + self._component_count()
 
     def classify(self) -> DiagramShape:
         """Component count, degree, genus and cogenus of the diagram.

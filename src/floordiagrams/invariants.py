@@ -3,26 +3,27 @@
 Every invariant is an exact integer: a sum of multiplicity times marking
 count over floor diagrams.
 
-Severi degrees come from one fused floor sweep, ``_severi_row``.  It walks
-the floors 1..d and the gaps between them once, choosing each floor's
-outgoing edges and placing the marking's midpoints and sinks as it goes,
-so no diagram is built, and one sweep gives a whole row of a degree.
-Gromov-Witten numbers invert the splitting formula: gw(d, g) is the
-one-component term of severi(d, delta), the Severi degree minus the
-products of lower-degree gw over every split into several components.
+Gromov-Witten numbers, Severi degrees and relative invariants come from
+one fused floor sweep, ``_relative_row``.  It walks the floors 1..d and
+the gaps between them once, choosing each floor's outgoing edges, its
+lambda parts and its rho sinks and placing the marking's midpoints and
+sinks as it goes, so no diagram is built, and one sweep gives the sums
+over every (possibly disconnected) diagram of a degree and tangency
+profile, grouped by edge count.  Severi degrees read that row; the
+connected sums behind ``relative_gw`` and ``gw`` come from it by one
+inversion over the component that holds floor 1.
 
-Relative invariants, Welschinger numbers and tangency counts stream the
-enumerated diagrams and count the markings of each one.  Independent
-oracles (splitting formula, Kontsevich recursion, closed forms) validate
-the direct computations.
+Welschinger numbers and tangency counts stream the enumerated diagrams
+and count the markings of each one; ``_weighted_marking_sum`` does the
+same for any query and is the oracle the sweep is tested against.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
+from operator import add
 
 from .core import DiagramError, Partition
 from .enumeration import DiagramQuery, enumerate_diagrams
@@ -32,6 +33,8 @@ from .markings import (
     gap_choices,
     ordering_count_with_pinned_sinks,
 )
+
+Vector = tuple[int, ...]  # multiplicity vector: entry k-1 counts the parts equal to k
 
 
 def _weighted_marking_sum(query: DiagramQuery, lam: Partition, rho: Partition) -> int:
@@ -44,211 +47,260 @@ def _weighted_marking_sum(query: DiagramQuery, lam: Partition, rho: Partition) -
     )
 
 
+def _vector(parts: tuple[int, ...]) -> Vector:
+    return tuple(parts.count(k) for k in range(1, max(parts, default=0) + 1))
+
+
 # -- the fused floor sweep ----------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _edge_bundles(cap: int) -> dict[tuple[int, int], Fraction]:
-    """The edges one floor may send to one later floor, grouped by
-    (edge count, weight sum) with weight sum at most ``cap``.
-
-    Each group holds the sum, over its weight multisets, of prod w^2 over
-    prod m_w!, where m_w counts the parallel edges of weight w: their
-    multiplicity over the symmetry of their midpoints.
-    """
-    bundles: dict[tuple[int, int], Fraction] = {}
-
-    # weights are added in weakly decreasing order; run counts the parts
-    # equal to top so far, so a run of m equal parts divides by m!
-    def grow(top: int, n: int, s: int, value: Fraction, run: int):
-        bundles[(n, s)] = bundles.get((n, s), 0) + value
-        for w in range(min(top, cap - s), 0, -1):
-            same = run + 1 if w == top else 1
-            grow(w, n + 1, s + w, value * w * w / same, same)
-
-    grow(cap, 0, 0, Fraction(1), 0)
-    return bundles
+def _edge_bundle(n: int, s: int) -> int:
+    """Sum of prod w^2 over the ordered n-tuples of positive weights with
+    sum s: n! times mu over the symmetry of the parallel midpoints,
+    summed over the weight multisets of n edges between two floors."""
+    if n == 0:
+        return 1 if s == 0 else 0
+    return sum(w * w * _edge_bundle(n - 1, s - w) for w in range(1, s - n + 2))
 
 
 @lru_cache(maxsize=None)
-def _floor_choices(budget: int, targets: int, cap: int) -> tuple:
+def _outgoing(budget: int, targets: int) -> tuple:
     """Every choice of outgoing edges at a floor with incoming weight
     ``budget`` - 1 and ``targets`` later floors.
 
-    Each choice is (edge count per target, weight per target, factor).
-    The floor keeps budget - sum(weights) sinks, so the factor is the
-    product of the chosen bundles over the sinks' symmetry, sinks!.
+    Each choice is (edge count, edge count per target, weight per target,
+    unused budget, prod of the bundles, prod of the edge counts'
+    factorials).
     """
-    by_sum: dict[int, list[tuple[int, Fraction]]] = {}
-    for (n, s), value in _edge_bundles(cap).items():
-        by_sum.setdefault(s, []).append((n, value))
     out = []
 
-    def pick(left: int, counts: tuple, weights: tuple, factor: Fraction):
+    def pick(left: int, counts: tuple, weights: tuple, bundles: int, parallel: int):
         if len(counts) == targets:
-            out.append((counts, weights, factor / factorial(left)))
+            out.append((sum(counts), counts, weights, left, bundles, parallel))
             return
-        for s in range(left + 1):
-            for n, value in by_sum.get(s, ()):
-                pick(left - s, counts + (n,), weights + (s,), factor * value)
+        pick(left, counts + (0,), weights + (0,), bundles, parallel)
+        for s in range(1, left + 1):
+            for n in range(1, s + 1):
+                pick(left - s, counts + (n,), weights + (s,),
+                     bundles * _edge_bundle(n, s), parallel * factorial(n))
 
-    pick(budget, (), (), Fraction(1))
+    pick(budget, (), (), 1, 1)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _severi_row(d: int) -> dict[int, int]:
-    """{edge count: sum of mu * nu} over every degree-d diagram, connected
-    or not, where nu counts the ordinary markings (lambda empty, rho 1^d).
+def _leftover_splits(left: int, lam: Vector, rho: Vector) -> tuple:
+    """Every way a floor spends ``left`` units of unused budget on lambda
+    parts and rho sinks, from the parts still unused; ``lam`` and ``rho``
+    have the same length.
+
+    Each way is (lambda left, rho left, sinks placed, ways, symmetry).
+    Lambda indices are distinguishable, so taking t of the r parts of
+    size k counts C(r, t) ways; u equal-weight sinks of one floor are
+    interchangeable, so their symmetry is u!.
+    """
+    out = []
+
+    def split(k: int, left: int, lam_left: tuple, rho_left: tuple,
+              placed: int, ways: int, symmetry: int):
+        if not left:
+            out.append((lam_left + lam[k - 1:], rho_left + rho[k - 1:], placed, ways, symmetry))
+            return
+        if k > len(lam):
+            return
+        r, q = lam[k - 1], rho[k - 1]
+        for t in range(min(r, left // k) + 1):
+            for u in range(min(q, left // k - t) + 1):
+                split(k + 1, left - k * (t + u), lam_left + (r - t,), rho_left + (q - u,),
+                      placed + u, ways * comb(r, t), symmetry * factorial(u))
+
+    split(1, left, (), (), 0, 1, 1)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _relative_row(d: int, lam: Vector, rho: Vector) -> dict[int, int]:
+    """{edge count: sum of mu * nu_{lambda,rho}} over every degree-d
+    diagram, connected or not; lambda and rho are multiplicity vectors
+    with I(lambda) + I(rho) = d.
 
     The sweep runs floor v, then gap v, for v = 1..d.  A state before
     floor v is (edges so far, incoming weight promised to each of the
     floors v..d, unplaced midpoints of edges into each of the floors
-    v+1..d, unplaced sinks); its value sums mu / symmetry times the ways
-    to place the items so far.  Floor v picks all its outgoing edges at
-    once, which fixes its sinks.  Gap v is one ``gap_choices`` transfer,
+    v+1..d, unplaced sinks, lambda parts left, rho parts left); its value
+    sums mu / symmetry times the ways to place the items so far.  Floor v
+    picks all its outgoing edges at once, then spends its unused budget
+    on lambda parts and rho sinks.  Gap v is one ``gap_choices`` transfer,
     with each midpoint due before its edge's target: midpoints into floor
     v+1 must be placed there, and every other pending item may be.  Gap d
     places the remaining sinks.
+
+    Values are integers scaled by N!, where N = d(d-1)/2 plus the number
+    of rho parts bounds the midpoints and sinks: every product of
+    parallel-edge and sink factorials divides it, so each division is
+    exact, and a remainder raises AssertionError.
     """
-    states = {(0, (0,) * d, (0,) * (d - 1), 0): Fraction(1)}
+    scale = factorial(d * (d - 1) // 2 + sum(rho))
+    size = max(len(lam), len(rho))
+    lam, rho = lam + (0,) * (size - len(lam)), rho + (0,) * (size - len(rho))
+    states = {(0, (0,) * d, (0,) * (d - 1), 0, lam, rho): scale}
     for v in range(1, d + 1):
         floored: dict = {}
-        for (edges, promised, pending, sinks), value in states.items():
-            budget = promised[0] + 1
-            for counts, weights, factor in _floor_choices(budget, d - v, d - 1):
-                key = (
-                    edges + sum(counts),
-                    tuple(p + w for p, w in zip(promised[1:], weights)),
-                    tuple(p + n for p, n in zip(pending, counts)),
-                    sinks + budget - sum(weights),
+        for (edges, promised, pending, sinks, lam_left, rho_left), value in states.items():
+            later = promised[1:]
+            for added, counts, weights, left, bundles, parallel in _outgoing(promised[0] + 1, d - v):
+                splits = _leftover_splits(left, lam_left, rho_left)
+                if not splits:
+                    continue
+                head = (
+                    edges + added,
+                    tuple(map(add, later, weights)),
+                    tuple(map(add, pending, counts)),
                 )
-                floored[key] = floored.get(key, 0) + value * factor
+                for lam_next, rho_next, placed, ways, symmetry in splits:
+                    share, rest = divmod(value * bundles * ways, parallel * symmetry)
+                    if rest:
+                        raise AssertionError(
+                            f"degree-{d} sweep: {parallel * symmetry} does not divide "
+                            f"{value * bundles * ways} at floor {v}"
+                        )
+                    key = head + (sinks + placed, lam_next, rho_next)
+                    floored[key] = floored.get(key, 0) + share
         states = {}
-        for (edges, promised, pending, sinks), value in floored.items():
+        for (edges, promised, pending, sinks, lam_left, rho_left), value in floored.items():
             if v == d:
                 mandatory, classes = sinks, ()
             else:
                 mandatory, classes = pending[0], pending[1:] + (sinks,)
             for rest, ways in gap_choices(mandatory, classes):
-                key = (edges, promised, rest[:-1], rest[-1] if rest else 0)
+                key = (edges, promised, rest[:-1], rest[-1] if rest else 0, lam_left, rho_left)
                 states[key] = states.get(key, 0) + value * ways
-    row: dict[int, Fraction] = {}
-    for (edges, _, _, _), value in states.items():
-        row[edges] = row.get(edges, 0) + value
-    for edges, value in row.items():
-        if value.denominator != 1:
+    row: dict[int, int] = {}
+    for (edges, _, _, _, lam_left, rho_left), value in states.items():
+        # the floors' unused budgets add up to d = I(lambda) + I(rho)
+        if any(lam_left) or any(rho_left):
             raise AssertionError(
-                f"degree-{d} sweep gives a non-integer sum at {edges} edges: {value}"
+                f"degree-{d} sweep leaves parts unused: lambda {lam_left}, rho {rho_left}"
             )
-    return {edges: int(value) for edges, value in row.items()}
+        row[edges] = row.get(edges, 0) + value
+    out = {}
+    for edges, value in row.items():
+        out[edges], rest = divmod(value, scale)
+        if rest:
+            raise AssertionError(
+                f"degree-{d} sweep gives a non-integer sum at {edges} edges: {value} / {scale}"
+            )
+    return out
 
 
-# -- Severi degrees and their splitting ---------------------------------------
+# -- connected sums by inversion ----------------------------------------------
 
 
-def _max_genus(d: int) -> int:
-    return (d - 1) * (d - 2) // 2
+def _trim(vec) -> Vector:
+    vec = list(vec)
+    while vec and not vec[-1]:
+        vec.pop()
+    return tuple(vec)
 
 
-def _split_terms(d: int, delta: int):
-    """Every way a delta-nodal degree-d curve splits into components.
+@lru_cache(maxsize=None)
+def _sub_vectors(vec: Vector) -> tuple[tuple[Vector, Vector, int], ...]:
+    """Every (sub-vector, complement, ways) of a multiplicity vector, where
+    ways = prod C(vec_k, sub_k) counts the choices of distinguishable
+    parts; both vectors are trimmed."""
+    out = [((), (), 1)]
+    for c in vec:
+        out = [
+            (sub + (t,), rest + (c - t,), ways * comb(c, t))
+            for sub, rest, ways in out
+            for t in range(c + 1)
+        ]
+    return tuple((_trim(sub), _trim(rest), ways) for sub, rest, ways in out)
 
-    Yields (ways, parts) for each multiset parts = ((d_j, delta_j), ...)
-    with sum d_j = d and sum delta_j + sum_{j<j'} d_j d_j' = delta.  ways
-    is the multinomial count of ways to share the d(d+3)/2 - delta points
-    among the components, divided by the symmetry of repeated components.
+
+def _weight(vec: Vector) -> int:
+    """I(vec) = sum of k * vec_k."""
+    return sum(k * c for k, c in enumerate(vec, start=1))
+
+
+@lru_cache(maxsize=None)
+def _connected(d: int, edges: int, lam: Vector, rho: Vector) -> int:
+    """Sum of mu * nu_{lambda,rho} over the connected degree-d diagrams
+    with ``edges`` edges.
+
+    A marked diagram splits into marked components and a shuffle of their
+    n items (d floors, the edges' midpoints and one sink per rho part),
+    and floor 1 comes first in every marking.  So the row value is this
+    sum plus, for every component that holds floor 1 with degree d1 < d,
+    C(n-1, n1-1) ways to choose its other items' positions, times
+    C(lambda, lambda1) for its lambda indices, times its connected sum,
+    times the row value of the rest.  With lambda empty and rho = 1^d this
+    is the splitting formula for Severi degrees, with n the number of
+    points.
     """
-    n_markers = d * (d + 3) // 2 - delta
-
-    def parts(prev: tuple[int, int], d_left: int, delta_left: int, acc: list):
-        if d_left == 0:
-            if delta_left:
-                return
-            ways = factorial(n_markers)
-            for dj, deltaj in acc:
-                ways //= factorial(dj * (dj + 3) // 2 - deltaj)
-            for cnt in Counter(acc).values():
-                ways //= factorial(cnt)
-            yield ways, tuple(acc)
-            return
-        for dj in range(min(prev[0], d_left), 0, -1):
-            pair_cost = dj * (d_left - dj)
-            max_deltaj = min(_max_genus(dj), delta_left - pair_cost)
-            start = prev[1] if dj == prev[0] else max_deltaj
-            for deltaj in range(min(start, max_deltaj), -1, -1):
-                acc.append((dj, deltaj))
-                rest = delta_left - pair_cost - deltaj
-                yield from parts((dj, deltaj), d_left - dj, rest, acc)
-                acc.pop()
-
-    yield from parts((d, delta), d, delta, [])
+    total = _relative_row(d, lam, rho).get(edges, 0)
+    n = d + edges + sum(rho)
+    for lam1, lam2, lam_ways in _sub_vectors(lam):
+        for rho1, rho2, _ in _sub_vectors(rho):
+            d1 = _weight(lam1) + _weight(rho1)
+            if not 0 < d1 < d:
+                continue
+            rest = _relative_row(d - d1, lam2, rho2)
+            for e1 in range(d1 - 1, d1 * (d1 - 1) // 2 + 1):
+                other = rest.get(edges - e1)
+                if other:
+                    n1 = d1 + e1 + sum(rho1)
+                    part = _connected(d1, e1, lam1, rho1)
+                    total -= comb(n - 1, n1 - 1) * lam_ways * part * other
+    return total
 
 
-def _split_value(ways: int, parts: tuple[tuple[int, int], ...]) -> int:
-    """One term of the splitting formula: ways times the components' gw."""
-    return ways * prod(gw(dj, _max_genus(dj) - deltaj) for dj, deltaj in parts)
+# -- the invariants -----------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def gw(d: int, g: int) -> int:
     """Count of irreducible degree-d genus-g plane curves through 3d+g-1 points.
 
-    Inverts the splitting formula: severi(d, delta) with delta =
-    (d-1)(d-2)/2 - g, minus every term that splits the curve into two or
-    more components, each of lower degree.
+    The relative invariant with lambda empty and rho = 1^d: the connected
+    sum of the sweep, 0 past the maximal genus (d-1)(d-2)/2.
     """
     if d < 1 or g < 0:
         raise DiagramError(f"need d >= 1 and g >= 0, got d={d}, g={g}")
-    delta = _max_genus(d) - g
-    if delta < 0:
-        return 0
-    return severi(d, delta) - sum(
-        _split_value(ways, parts)
-        for ways, parts in _split_terms(d, delta)
-        if len(parts) > 1
-    )
+    return relative_gw(d, g, Partition(()), Partition.ones(d))
 
 
 @lru_cache(maxsize=None)  # the row is memoized too; perfbench's warm pass clears this
 def severi(d: int, delta: int) -> int:
     """Count of possibly reducible delta-nodal degree-d curves.
 
-    Reads one entry of the degree's sweep row: all (possibly
-    disconnected) diagrams of cogenus delta have d(d-1)/2 - delta edges,
-    and the floor chain and the markings are global across components.
+    Reads one entry of the degree's sweep row with lambda empty and
+    rho = 1^d: all (possibly disconnected) diagrams of cogenus delta have
+    d(d-1)/2 - delta edges, and the floor chain and the markings are
+    global across components.
     """
     if d < 1 or delta < 0:
         raise DiagramError(f"need d >= 1 and delta >= 0, got d={d}, delta={delta}")
-    return _severi_row(d).get(d * (d - 1) // 2 - delta, 0)
-
-
-def severi_split_oracle(d: int, delta: int) -> int:
-    """Severi degree via the splitting formula over unordered component data.
-
-    Sums over multisets {(d_j, delta_j)} with sum d_j = d and
-    sum delta_j + sum_{j<j'} d_j d_j' = delta; each multiset contributes a
-    multinomial marker-set count divided by repetition symmetry, times the
-    product of connected invariants.  Since gw is this formula solved for
-    its one-component term, the two agree by construction whenever delta
-    <= (d-1)(d-2)/2; beyond that every term splits and the sum is
-    independent of severi(d, delta).
-    """
-    if d < 1 or delta < 0:
-        raise DiagramError(f"need d >= 1 and delta >= 0, got d={d}, delta={delta}")
-    return sum(_split_value(ways, parts) for ways, parts in _split_terms(d, delta))
+    return _relative_row(d, (), (d,)).get(d * (d - 1) // 2 - delta, 0)
 
 
 @lru_cache(maxsize=None)
 def relative_gw(d: int, g: int, lam: Partition, rho: Partition) -> int:
-    """Relative invariant: tangency lambda at fixed points, rho at moving ones."""
+    """Relative invariant: tangency lambda at fixed points, rho at moving ones.
+
+    prod(rho) times the connected sum of mu * nu_{lambda,rho} over the
+    diagrams with d - 1 + g edges, from the sweep by inversion.
+    """
     if lam.size + rho.size != d:
         raise DiagramError(
             f"|lambda| + |rho| must equal d: {lam.size} + {rho.size} != {d}"
         )
     if g < 0:
         raise DiagramError(f"genus must be nonnegative, got {g}")
-    return _weighted_marking_sum(DiagramQuery(d, genus=g), lam, rho)
+    if d < 1:
+        raise DiagramError(f"degree must be positive, got {d}")
+    return prod(rho.parts) * _connected(d, d - 1 + g, _vector(lam.parts), _vector(rho.parts))
 
 
 def welschinger(d: int) -> int:

@@ -13,6 +13,14 @@ k.  Relative to the engine's partitions, lambda maps to alpha and rho to
 beta, so the ordinary Severi degree is N^{d,delta}(0, (d)).  It shares no code
 with floor diagrams or templates.
 
+``severi_split_oracle`` is the splitting formula: a Severi degree as a
+sum over the ways a curve splits into components, each counted by
+``gw``.  ``gw`` inverts the floor sweep over the component that holds
+floor 1, which is this formula in exponential form (a marking's
+d + edges + d items are the d(d+3)/2 - delta points), so the two agree
+with ``severi`` whatever the sweep's rows are; the comparison checks the
+splitting enumerator, not the sweep.
+
 ``severi_numeric`` is the template master sum with explicit offsets, one
 template sequence at a time.  It shares the templates and extension
 polynomials with ``nodepoly`` but not the state DP or any discrete sum.
@@ -21,12 +29,14 @@ polynomials with ``nodepoly`` but not the state DP or any discrete sum.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, zip_longest
-from math import comb, prod
+from math import comb, factorial, prod
 
 from .core import DiagramError
+from .invariants import gw
 from .nodepoly import RatPolynomial, enumerate_templates, extension_polynomial
 
 Vector = tuple[int, ...]
@@ -110,6 +120,62 @@ def caporaso_harris(d: int, delta: int, alpha: Vector = (), beta: Vector | None 
     if beta is None:
         beta = (d,)
     return _ch(d, delta, _trim(alpha), _trim(beta))
+
+
+def _max_genus(d: int) -> int:
+    return (d - 1) * (d - 2) // 2
+
+
+def _split_terms(d: int, delta: int):
+    """Every way a delta-nodal degree-d curve splits into components.
+
+    Yields (ways, parts) for each multiset parts = ((d_j, delta_j), ...)
+    with sum d_j = d and sum delta_j + sum_{j<j'} d_j d_j' = delta.  ways
+    is the multinomial count of ways to share the d(d+3)/2 - delta points
+    among the components, divided by the symmetry of repeated components.
+    """
+    n_markers = d * (d + 3) // 2 - delta
+
+    def parts(prev: tuple[int, int], d_left: int, delta_left: int, acc: list):
+        if d_left == 0:
+            if delta_left:
+                return
+            ways = factorial(n_markers)
+            for dj, deltaj in acc:
+                ways //= factorial(dj * (dj + 3) // 2 - deltaj)
+            for cnt in Counter(acc).values():
+                ways //= factorial(cnt)
+            yield ways, tuple(acc)
+            return
+        for dj in range(min(prev[0], d_left), 0, -1):
+            pair_cost = dj * (d_left - dj)
+            max_deltaj = min(_max_genus(dj), delta_left - pair_cost)
+            start = prev[1] if dj == prev[0] else max_deltaj
+            for deltaj in range(min(start, max_deltaj), -1, -1):
+                acc.append((dj, deltaj))
+                rest = delta_left - pair_cost - deltaj
+                yield from parts((dj, deltaj), d_left - dj, rest, acc)
+                acc.pop()
+
+    yield from parts((d, delta), d, delta, [])
+
+
+def _split_value(ways: int, parts: tuple[tuple[int, int], ...]) -> int:
+    """One term of the splitting formula: ways times the components' gw."""
+    return ways * prod(gw(dj, _max_genus(dj) - deltaj) for dj, deltaj in parts)
+
+
+def severi_split_oracle(d: int, delta: int) -> int:
+    """Severi degree via the splitting formula over unordered component data.
+
+    Sums over multisets {(d_j, delta_j)} with sum d_j = d and
+    sum delta_j + sum_{j<j'} d_j d_j' = delta; each multiset contributes a
+    multinomial marker-set count divided by repetition symmetry, times the
+    product of connected invariants.
+    """
+    if d < 1 or delta < 0:
+        raise DiagramError(f"need d >= 1 and delta >= 0, got d={d}, delta={delta}")
+    return sum(_split_value(ways, parts) for ways, parts in _split_terms(d, delta))
 
 
 def _sequences(delta: int, room: int):

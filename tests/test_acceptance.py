@@ -17,7 +17,6 @@ from floordiagrams.invariants import (
     kontsevich_oracle,
     relative_gw,
     severi,
-    severi_split_oracle,
     welschinger,
 )
 from floordiagrams.markings import (
@@ -38,7 +37,7 @@ from floordiagrams.nodepoly import (
     extension_polynomial,
     node_polynomial,
 )
-from floordiagrams.oracles import severi_numeric
+from floordiagrams.oracles import severi_numeric, severi_split_oracle
 from floordiagrams.sequences import (
     diagram_to_tree,
     increasing_tree_oracle,
@@ -108,9 +107,9 @@ def test_criterion_2_severi_table_and_splitting():
             assert severi(d, delta) == expect, (d, delta)
     assert severi(4, 4) == 666
     assert severi(5, 5) == 90027
-    # gw inverts the splitting formula, so this is an identity wherever a
-    # one-component term exists (delta <= (d-1)(d-2)/2) and independent only
-    # beyond that; test_oracles.py holds the independent Severi checks
+    # gw inverts the sweep by the splitting formula in exponential form, so
+    # this is an identity and checks the splitting enumerator only;
+    # test_oracles.py holds the independent Severi checks
     for d in range(1, 6):
         for delta in range(0, 7):
             assert severi(d, delta) == severi_split_oracle(d, delta), (d, delta)

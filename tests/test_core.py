@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 
@@ -25,6 +27,18 @@ def test_divergence_weighted_chain():
 def test_validation_visits_edge_endpoints_only():
     # an edgeless diagram of huge degree validates without a pass over 1..d
     assert FloorDiagram(10**9).divergence(10**9) == 0
+
+
+def test_genus_and_connectivity_visit_edge_endpoints_only():
+    start = time.perf_counter()
+    huge = FloorDiagram(10**9, ((1, 2, 1),))
+    assert huge.genus() == 0
+    assert not huge.connected
+    assert time.perf_counter() - start < 1
+    assert diagram(3, [(1, 2, 1), (2, 3, 1)]).connected
+    assert diagram(1).connected and diagram(1).genus() == 0
+    assert diagram(3, [(1, 3, 1)]).genus() == 0
+    assert not diagram(3, [(1, 3, 1)]).connected
 
 
 def test_divergence_out_of_range():
@@ -132,6 +146,13 @@ def test_cut_crossing_weight_bound(diag):
     for q in range(2, diag.d + 1):
         crossing = sum(w for s, t, w in diag.edges if s < q <= t)
         assert crossing <= q - 1
+
+
+@given(small_diagrams())
+def test_component_count_matches_vertex_sets(diag):
+    comps = diag.component_vertex_sets()
+    assert diag.connected == (len(comps) == 1)
+    assert diag.genus() == len(diag.edges) - diag.d + len(comps)
 
 
 @given(small_diagrams())

@@ -17,10 +17,10 @@ from floordiagrams.invariants import (
     kontsevich_oracle,
     relative_gw,
     severi,
-    severi_split_oracle,
     tangency_at_point,
     welschinger,
 )
+from floordiagrams.oracles import severi_split_oracle
 from floordiagrams.tables import gw_table, relative_table, severi_table
 
 P = Partition
@@ -81,8 +81,11 @@ def test_sweep_row_equals_enumerated_diagram_sum(d):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_split_inversion_equals_connected_diagram_sum(d):
-    for g in range((d - 1) * (d - 2) // 2 + 1):
-        assert gw(d, g) == relative_gw(d, g, P(()), P.ones(d)), (d, g)
+    """The connected sums the sweep gives by inversion equal the
+    enumerate-then-count sum over the connected diagrams of each genus."""
+    for g in range((d - 1) * (d - 2) // 2 + 2):
+        expect = _weighted_marking_sum(DiagramQuery(d, genus=g), P(()), P.ones(d))
+        assert gw(d, g) == expect, (d, g)
 
 
 def test_split_inversion_reaches_kontsevich_past_the_tables():
@@ -105,18 +108,19 @@ def test_sweep_integrality_check_survives_optimize():
 
 
 def test_split_oracle_examples():
-    """Since gw inverts the splitting formula, these agree with severi by
-    construction wherever a one-component term exists; they check the
-    splitting enumerator, not the sweep."""
+    """gw inverts the sweep over the component holding floor 1, which is
+    the splitting formula in exponential form, so these agree with severi
+    by construction; they check the splitting enumerator, not the sweep."""
     assert severi_split_oracle(4, 4) == 666
     assert severi_split_oracle(3, 2) == 21
     assert severi_split_oracle(5, 0) == 1
 
 
 def test_split_oracle_matches_direct_enumeration():
-    """An identity where delta <= (d-1)(d-2)/2, because gw is this formula
-    solved for its one-component term; only larger delta, where every term
-    splits, compare independent computations."""
+    """An identity, because gw inverts the sweep's rows by this formula in
+    exponential form: a sweep that breaks the Severi table still passes.
+    The tables, test_oracles.py and the enumerate-then-count sums are the
+    independent checks."""
     for d in range(1, 5):
         for delta in range(0, 5):
             assert severi(d, delta) == severi_split_oracle(d, delta), (d, delta)

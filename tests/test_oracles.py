@@ -1,16 +1,20 @@
 """The Caporaso-Harris recursion against the floor-diagram engine.
 
 The recursion shares no code with floor diagrams or templates, so it
-checks the sweep behind ``severi`` at every cogenus, past the frozen
-tables, the enumerate-then-count sum at every tangency profile, and the
-node polynomials past their threshold.
+checks the sweep behind ``severi`` and ``relative_gw`` at every cogenus
+and tangency profile, past the frozen tables, the enumerate-then-count
+sum at every tangency profile, and the node polynomials past their
+threshold.  The enumerate-then-count sum in turn checks the sweep's
+connected sums.
 """
+
+from math import prod
 
 import pytest
 
 from floordiagrams.core import Partition
 from floordiagrams.enumeration import DiagramQuery
-from floordiagrams.invariants import _weighted_marking_sum, severi
+from floordiagrams.invariants import _relative_row, _weighted_marking_sum, relative_gw, severi
 from floordiagrams.nodepoly import node_polynomial
 from floordiagrams.oracles import caporaso_harris
 from floordiagrams.tables import severi_table
@@ -57,6 +61,37 @@ def test_recursion_equals_relative_diagram_sums():
                         assert got == expect, (d, delta, lam, rho)
                         checked += 1
     assert checked > 150
+
+
+def profiles(d):
+    for k in range(d + 1):
+        for lam in partitions(k):
+            for rho in partitions(d - k):
+                yield lam, rho
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_recursion_equals_relative_sweep_rows(d):
+    top = d * (d - 1) // 2
+    for lam, rho in profiles(d):
+        alpha, beta = multiplicities(lam), multiplicities(rho)
+        row = _relative_row(d, alpha, beta)
+        for delta in range(top + 2):
+            expect = caporaso_harris(d, delta, alpha, beta)
+            assert prod(rho) * row.get(top - delta, 0) == expect, (d, delta, lam, rho)
+
+
+def test_relative_gw_equals_connected_diagram_sums():
+    checked = 0
+    for d in range(1, 6):
+        for g in range((d - 1) * (d - 2) // 2 + 2):
+            query = DiagramQuery(d, genus=g)
+            for lam, rho in profiles(d):
+                lam, rho = Partition(lam), Partition(rho)
+                expect = _weighted_marking_sum(query, lam, rho)
+                assert relative_gw(d, g, lam, rho) == expect, (d, g, lam, rho)
+                checked += 1
+    assert checked > 350
 
 
 def test_recursion_equals_node_polynomials_past_threshold():

@@ -4,9 +4,10 @@
 refactor that stops calling through one of them silently zeroes a
 per-layer metric.  This runs the tracer, unchanged, in a fresh process.
 
-``gw`` and ``severi`` come from the fused floor sweep, which builds no
-diagram and counts no marking, so the diagram sums the tracer counts are
-issued through ``invariants._weighted_marking_sum`` directly.
+``gw``, ``severi`` and ``relative_gw`` come from the fused floor sweep,
+which builds no diagram and counts no marking, so the diagram sums the
+tracer counts are issued through ``invariants._weighted_marking_sum``
+directly.
 """
 
 import json
@@ -35,11 +36,12 @@ tracer = tracing.Tracer()
 tracing.install(api, tracer)
 api.gw(4, 0)
 api.severi(4, 2)
+api.relative_gw(3, 0, Partition((2,)), Partition((1,)))
 sweep_calls = tracer.calls.get("markings.count", 0)
 ones = Partition.ones(4)
 invariants._weighted_marking_sum(DiagramQuery(4, genus=0), Partition(()), ones)
 invariants._weighted_marking_sum(DiagramQuery(4, cogenus=2), Partition(()), ones)
-api.relative_gw(3, 0, Partition((2,)), Partition((1,)))
+invariants._weighted_marking_sum(DiagramQuery(3, genus=0), Partition((2,)), Partition((1,)))
 print(json.dumps({"calls": tracer.calls, "counts": tracer.counts, "sweep_calls": sweep_calls}))
 """
 
