@@ -20,6 +20,11 @@ from .markings import count_markings, count_relative_markings, list_markings
 from .render import render_svg
 from .sequences import LabeledTree
 
+# the largest cogenus measured (N_8: 18 s, 50 MB on a 2-CPU x86-64 host);
+# the template count grows about 4x per cogenus, so larger values are
+# refused before any template is built
+NODEPOLY_MAX_DELTA = 8
+
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
@@ -110,6 +115,10 @@ def _invariant_table(args) -> int:
 
 def cmd_nodepoly(args) -> int:
     _require(args.delta >= 0, f"--delta must be nonnegative, got {args.delta}")
+    _require(
+        args.delta <= NODEPOLY_MAX_DELTA,
+        f"--delta must be at most {NODEPOLY_MAX_DELTA}, got {args.delta}",
+    )
     poly, threshold = nodepoly.node_polynomial(args.delta)
     payload = {
         "delta": args.delta,
@@ -148,6 +157,7 @@ def cmd_nodepoly(args) -> int:
 
 def cmd_sequence(args) -> int:
     if args.which == "z":
+        _require_max_d(args.max_d)
         print("d,fixed_point,free_point")
         for d in range(1, args.max_d + 1):
             z = sequences.max_tangency_fixed(d)
@@ -390,7 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("nodepoly", help="symbolic node polynomial for a cogenus")
-    p.add_argument("--delta", type=int, required=True)
+    p.add_argument(
+        "--delta",
+        type=int,
+        required=True,
+        help=f"cogenus, at most {NODEPOLY_MAX_DELTA} (the largest measured; the "
+        "template count grows about 4x per cogenus)",
+    )
     p.add_argument("--evaluate", default=None, metavar="d=N")
     p.add_argument("--aj", action="store_true")
     p.add_argument("--format", choices=["text", "json"], default="text")

