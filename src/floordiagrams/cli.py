@@ -25,6 +25,11 @@ from .sequences import LabeledTree
 # refused before any template is built
 NODEPOLY_MAX_DELTA = 8
 
+# the largest degree measured for gw, severi and relative (the sweep over
+# every tangency profile at d = 9: 10 s, 54 MB on a 2-CPU x86-64 host,
+# about 5x per degree); larger degrees are refused before any sweep
+INVARIANT_MAX_D = 9
+
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
@@ -71,9 +76,17 @@ def cmd_markings(args) -> int:
 def cmd_invariant(args) -> int:
     if args.table:
         _require_max_d(args.max_d)
+        _require(
+            args.max_d is None or args.max_d <= INVARIANT_MAX_D,
+            f"--max-d must be at most {INVARIANT_MAX_D}, got {args.max_d}",
+        )
         return _invariant_table(args)
     if args.d is not None:
         _require(args.d >= 1, f"--d must be at least 1, got {args.d}")
+        _require(
+            args.d <= INVARIANT_MAX_D or args.kind == "welschinger",
+            f"--d must be at most {INVARIANT_MAX_D} for {args.kind}, got {args.d}",
+        )
     if args.g is not None:
         _require(args.g >= 0, f"--g must be nonnegative, got {args.g}")
     if args.delta is not None:
@@ -389,13 +402,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariant", help="compute an enumerative invariant")
     p.add_argument("kind", choices=["gw", "severi", "relative", "welschinger"])
-    p.add_argument("--d", type=int)
+    p.add_argument(
+        "--d",
+        type=int,
+        help=f"degree, at most {INVARIANT_MAX_D} for gw, severi and relative (the "
+        "largest measured; the sweep's cost grows about 5x per degree)",
+    )
     p.add_argument("--g", type=int)
     p.add_argument("--delta", type=int)
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--rho", default=None)
     p.add_argument("--table", action="store_true", help="emit the full table as CSV")
-    p.add_argument("--max-d", type=int, default=None)
+    p.add_argument(
+        "--max-d", type=int, default=None, help=f"with --table, at most {INVARIANT_MAX_D}"
+    )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_invariant)
 

@@ -4,14 +4,18 @@ Every invariant is an exact integer: a sum of multiplicity times marking
 count over floor diagrams.
 
 Gromov-Witten numbers, Severi degrees and relative invariants come from
-one fused floor sweep, ``_relative_row``.  It walks the floors 1..d and
+one fused floor sweep, ``_relative_rows``.  It walks the floors 1..d and
 the gaps between them once, choosing each floor's outgoing edges, its
 lambda parts and its rho sinks and placing the marking's midpoints and
 sinks as it goes, so no diagram is built, and one sweep gives the sums
-over every (possibly disconnected) diagram of a degree and tangency
-profile, grouped by edge count.  Severi degrees read that row; the
-connected sums behind ``relative_gw`` and ``gw`` come from it by one
-inversion over the component that holds floor 1.
+over every (possibly disconnected) diagram of a degree, grouped by
+tangency profile and edge count, for every profile inside a cap.
+``_row`` picks the cap: lambda empty and rho = 1^d, the profile of ``gw``
+and ``severi``, has a sweep of its own, and every other profile reads the
+sweep over all profiles of its degree, so a whole grid of profiles costs
+one sweep per degree.  Severi degrees read a row; the connected sums
+behind ``relative_gw`` and ``gw`` come from the rows by one inversion over
+the component that holds floor 1.
 
 Welschinger numbers and tangency counts stream the enumerated diagrams
 and count the markings of each one; ``_weighted_marking_sum`` does the
@@ -20,7 +24,6 @@ same for any query and is the oracle the sweep is tested against.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import add
@@ -49,6 +52,18 @@ def _weighted_marking_sum(query: DiagramQuery, lam: Partition, rho: Partition) -
 
 def _vector(parts: tuple[int, ...]) -> Vector:
     return tuple(parts.count(k) for k in range(1, max(parts, default=0) + 1))
+
+
+def _trim(vec) -> Vector:
+    vec = list(vec)
+    while vec and not vec[-1]:
+        vec.pop()
+    return tuple(vec)
+
+
+def _weight(vec: Vector) -> int:
+    """I(vec) = sum of k * vec_k."""
+    return sum(k * c for k, c in enumerate(vec, start=1))
 
 
 # -- the fused floor sweep ----------------------------------------------------
@@ -95,17 +110,17 @@ def _leftover_splits(left: int, lam: Vector, rho: Vector) -> tuple:
     parts and rho sinks, from the parts still unused; ``lam`` and ``rho``
     have the same length.
 
-    Each way is (lambda left, rho left, sinks placed, ways, symmetry).
-    Lambda indices are distinguishable, so taking t of the r parts of
-    size k counts C(r, t) ways; u equal-weight sinks of one floor are
-    interchangeable, so their symmetry is u!.
+    Each way is (lambda left, rho left, sinks placed, symmetry).  The t
+    lambda parts and the u sinks of size k that one floor takes are each
+    interchangeable, so the symmetry is t! u!; the labels of the lambda
+    parts are paid once per final state, by prod lambda_k! over the parts
+    used.
     """
     out = []
 
-    def split(k: int, left: int, lam_left: tuple, rho_left: tuple,
-              placed: int, ways: int, symmetry: int):
+    def split(k: int, left: int, lam_left: tuple, rho_left: tuple, placed: int, symmetry: int):
         if not left:
-            out.append((lam_left + lam[k - 1:], rho_left + rho[k - 1:], placed, ways, symmetry))
+            out.append((lam_left + lam[k - 1:], rho_left + rho[k - 1:], placed, symmetry))
             return
         if k > len(lam):
             return
@@ -113,38 +128,42 @@ def _leftover_splits(left: int, lam: Vector, rho: Vector) -> tuple:
         for t in range(min(r, left // k) + 1):
             for u in range(min(q, left // k - t) + 1):
                 split(k + 1, left - k * (t + u), lam_left + (r - t,), rho_left + (q - u,),
-                      placed + u, ways * comb(r, t), symmetry * factorial(u))
+                      placed + u, symmetry * factorial(t) * factorial(u))
 
-    split(1, left, (), (), 0, 1, 1)
+    split(1, left, (), (), 0, 1)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _relative_row(d: int, lam: Vector, rho: Vector) -> dict[int, int]:
-    """{edge count: sum of mu * nu_{lambda,rho}} over every degree-d
-    diagram, connected or not; lambda and rho are multiplicity vectors
-    with I(lambda) + I(rho) = d.
+def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
+    """{(lambda, rho): {edge count: sum of mu * nu_{lambda,rho}}} over every
+    degree-d diagram, connected or not, for every profile lambda <= lam_cap,
+    rho <= rho_cap with I(lambda) + I(rho) = d; all are trimmed
+    multiplicity vectors.
 
     The sweep runs floor v, then gap v, for v = 1..d.  A state before
     floor v is (edges so far, incoming weight promised to each of the
     floors v..d, unplaced midpoints of edges into each of the floors
-    v+1..d, unplaced sinks, lambda parts left, rho parts left); its value
-    sums mu / symmetry times the ways to place the items so far.  Floor v
-    picks all its outgoing edges at once, then spends its unused budget
-    on lambda parts and rho sinks.  Gap v is one ``gap_choices`` transfer,
-    with each midpoint due before its edge's target: midpoints into floor
-    v+1 must be placed there, and every other pending item may be.  Gap d
-    places the remaining sinks.
+    v+1..d, unplaced sinks, lambda parts left, rho parts left), starting
+    from the caps; its value sums mu / symmetry times the ways to place
+    the items so far.  Floor v picks all its outgoing edges at once, then
+    spends its unused budget on lambda parts and rho sinks.  Gap v is one
+    ``gap_choices`` transfer, with each midpoint due before its edge's
+    target: midpoints into floor v+1 must be placed there, and every other
+    pending item may be.  Gap d places the remaining sinks.  The final
+    states are grouped by the parts used, cap minus left, and each is
+    multiplied by prod lambda_k! for the labels of its lambda parts.
 
-    Values are integers scaled by N!, where N = d(d-1)/2 plus the number
-    of rho parts bounds the midpoints and sinks: every product of
-    parallel-edge and sink factorials divides it, so each division is
-    exact, and a remainder raises AssertionError.
+    Values are integers scaled by N!, N = d(d-1)/2 + d: midpoints, sinks
+    and lambda parts are at most that many disjoint items, so every
+    product of parallel-edge, sink and lambda factorials divides it, each
+    division is exact, and a remainder raises AssertionError.
     """
-    scale = factorial(d * (d - 1) // 2 + sum(rho))
-    size = max(len(lam), len(rho))
-    lam, rho = lam + (0,) * (size - len(lam)), rho + (0,) * (size - len(rho))
-    states = {(0, (0,) * d, (0,) * (d - 1), 0, lam, rho): scale}
+    scale = factorial(d * (d - 1) // 2 + d)
+    size = max(len(lam_cap), len(rho_cap))
+    lam_cap += (0,) * (size - len(lam_cap))
+    rho_cap += (0,) * (size - len(rho_cap))
+    states = {(0, (0,) * d, (0,) * (d - 1), 0, lam_cap, rho_cap): scale}
     for v in range(1, d + 1):
         floored: dict = {}
         for (edges, promised, pending, sinks, lam_left, rho_left), value in states.items():
@@ -158,12 +177,12 @@ def _relative_row(d: int, lam: Vector, rho: Vector) -> dict[int, int]:
                     tuple(map(add, later, weights)),
                     tuple(map(add, pending, counts)),
                 )
-                for lam_next, rho_next, placed, ways, symmetry in splits:
-                    share, rest = divmod(value * bundles * ways, parallel * symmetry)
+                for lam_next, rho_next, placed, symmetry in splits:
+                    share, rest = divmod(value * bundles, parallel * symmetry)
                     if rest:
                         raise AssertionError(
                             f"degree-{d} sweep: {parallel * symmetry} does not divide "
-                            f"{value * bundles * ways} at floor {v}"
+                            f"{value * bundles} at floor {v}"
                         )
                     key = head + (sinks + placed, lam_next, rho_next)
                     floored[key] = floored.get(key, 0) + share
@@ -176,32 +195,44 @@ def _relative_row(d: int, lam: Vector, rho: Vector) -> dict[int, int]:
             for rest, ways in gap_choices(mandatory, classes):
                 key = (edges, promised, rest[:-1], rest[-1] if rest else 0, lam_left, rho_left)
                 states[key] = states.get(key, 0) + value * ways
-    row: dict[int, int] = {}
+    rows: dict = {}
     for (edges, _, _, _, lam_left, rho_left), value in states.items():
-        # the floors' unused budgets add up to d = I(lambda) + I(rho)
-        if any(lam_left) or any(rho_left):
+        lam = _trim(c - r for c, r in zip(lam_cap, lam_left))
+        rho = _trim(c - r for c, r in zip(rho_cap, rho_left))
+        # the floors' unused budgets add up to d
+        if _weight(lam) + _weight(rho) != d:
             raise AssertionError(
-                f"degree-{d} sweep leaves parts unused: lambda {lam_left}, rho {rho_left}"
+                f"degree-{d} sweep uses parts of weight other than {d}: lambda {lam}, rho {rho}"
             )
-        row[edges] = row.get(edges, 0) + value
-    out = {}
-    for edges, value in row.items():
-        out[edges], rest = divmod(value, scale)
-        if rest:
-            raise AssertionError(
-                f"degree-{d} sweep gives a non-integer sum at {edges} edges: {value} / {scale}"
-            )
-    return out
+        row = rows.setdefault((lam, rho), {})
+        row[edges] = row.get(edges, 0) + value * prod(map(factorial, lam))
+    for profile, row in rows.items():
+        for edges, value in row.items():
+            row[edges], rest = divmod(value, scale)
+            if rest:
+                raise AssertionError(
+                    f"degree-{d} sweep gives a non-integer sum at {profile}, {edges} edges: "
+                    f"{value} / {scale}"
+                )
+    return rows
+
+
+def _row(d: int, lam: Vector, rho: Vector) -> dict[int, int]:
+    """{edge count: sum of mu * nu_{lambda,rho}} over every degree-d diagram.
+
+    lambda empty and rho = 1^d, the profile of ``gw`` and ``severi``, reads
+    the sweep capped at that one profile; every other profile reads its
+    degree's sweep over all profiles, so a grid of profiles costs one
+    sweep per degree.
+    """
+    if not lam and rho == (d,):
+        cap = (), rho
+    else:
+        cap = (tuple(d // k for k in range(1, d + 1)),) * 2
+    return _relative_rows(d, *cap).get((lam, rho), {})
 
 
 # -- connected sums by inversion ----------------------------------------------
-
-
-def _trim(vec) -> Vector:
-    vec = list(vec)
-    while vec and not vec[-1]:
-        vec.pop()
-    return tuple(vec)
 
 
 @lru_cache(maxsize=None)
@@ -219,11 +250,6 @@ def _sub_vectors(vec: Vector) -> tuple[tuple[Vector, Vector, int], ...]:
     return tuple((_trim(sub), _trim(rest), ways) for sub, rest, ways in out)
 
 
-def _weight(vec: Vector) -> int:
-    """I(vec) = sum of k * vec_k."""
-    return sum(k * c for k, c in enumerate(vec, start=1))
-
-
 @lru_cache(maxsize=None)
 def _connected(d: int, edges: int, lam: Vector, rho: Vector) -> int:
     """Sum of mu * nu_{lambda,rho} over the connected degree-d diagrams
@@ -237,16 +263,19 @@ def _connected(d: int, edges: int, lam: Vector, rho: Vector) -> int:
     C(lambda, lambda1) for its lambda indices, times its connected sum,
     times the row value of the rest.  With lambda empty and rho = 1^d this
     is the splitting formula for Severi degrees, with n the number of
-    points.
+    points.  Every row is read through ``_row``, so the inversion for
+    lambda empty and rho = 1^d stays on the sweeps capped at that profile,
+    and any other profile's sub-rows come from the all-profile sweeps of
+    the lower degrees.
     """
-    total = _relative_row(d, lam, rho).get(edges, 0)
+    total = _row(d, lam, rho).get(edges, 0)
     n = d + edges + sum(rho)
     for lam1, lam2, lam_ways in _sub_vectors(lam):
         for rho1, rho2, _ in _sub_vectors(rho):
             d1 = _weight(lam1) + _weight(rho1)
             if not 0 < d1 < d:
                 continue
-            rest = _relative_row(d - d1, lam2, rho2)
+            rest = _row(d - d1, lam2, rho2)
             for e1 in range(d1 - 1, d1 * (d1 - 1) // 2 + 1):
                 other = rest.get(edges - e1)
                 if other:
@@ -282,7 +311,7 @@ def severi(d: int, delta: int) -> int:
     """
     if d < 1 or delta < 0:
         raise DiagramError(f"need d >= 1 and delta >= 0, got d={d}, delta={delta}")
-    return _relative_row(d, (), (d,)).get(d * (d - 1) // 2 - delta, 0)
+    return _row(d, (), (d,)).get(d * (d - 1) // 2 - delta, 0)
 
 
 @lru_cache(maxsize=None)
@@ -330,43 +359,6 @@ def kontsevich_oracle(d: int) -> int:
             * (l * comb(3 * d - 4, 3 * k - 2) - k * comb(3 * d - 4, 3 * k - 1))
         )
     return total
-
-
-def closed_form_gmax(d: int, lam: Partition, rho: Partition) -> int:
-    """Relative invariant at maximal genus: rho_1 rho_2 ... len(rho)!/prod(beta!)."""
-    if lam.size + rho.size != d:
-        raise DiagramError(
-            f"|lambda| + |rho| must equal d: {lam.size} + {rho.size} != {d}"
-        )
-    return prod(rho.parts) * rho.distinct_orderings()
-
-
-def closed_form_uninodal(d: int, lam: Partition, rho: Partition) -> int:
-    """Relative invariant one below maximal genus, in closed form."""
-    if lam.size + rho.size != d:
-        raise DiagramError(
-            f"|lambda| + |rho| must equal d: {lam.size} + {rho.size} != {d}"
-        )
-    if d < 3:
-        raise DiagramError(f"uninodal closed form needs d >= 3, got {d}")
-    alpha1 = lam.count(1)
-    if rho.length == 0:
-        return (d - 2) * (3 * d - 2) + alpha1
-    beta1 = rho.count(1)
-    value = (
-        Fraction((d - 2) * (3 * d - 2) + alpha1 + beta1)
-        + Fraction((d - 1) * beta1, rho.length)
-    ) * closed_form_gmax(d, lam, rho)
-    if value.denominator != 1:
-        raise AssertionError(f"uninodal closed form must be integral, got {value}")
-    return int(value)
-
-
-def collinear_triple(d: int, g: int) -> int:
-    """Curves through a generic triple of collinear points: N(d,g) - (d-1) N(d-1,g)."""
-    if d < 3:
-        raise DiagramError(f"collinear-triple formula needs d >= 3, got {d}")
-    return gw(d, g) - (d - 1) * gw(d - 1, g)
 
 
 def tangency_at_point(d: int, g: int, k: int) -> int:

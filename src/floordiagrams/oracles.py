@@ -21,6 +21,10 @@ d + edges + d items are the d(d+3)/2 - delta points), so the two agree
 with ``severi`` whatever the sweep's rows are; the comparison checks the
 splitting enumerator, not the sweep.
 
+``closed_form_gmax`` and ``closed_form_uninodal`` give relative invariants
+at and one below the maximal genus in closed form; ``collinear_triple``
+counts curves through three collinear points from two ``gw`` values.
+
 ``severi_numeric`` is the template master sum with explicit offsets, one
 template sequence at a time.  It shares the templates and extension
 polynomials with ``nodepoly`` but not the state DP or any discrete sum.
@@ -35,7 +39,7 @@ from functools import lru_cache
 from itertools import product, zip_longest
 from math import comb, factorial, prod
 
-from .core import DiagramError
+from .core import DiagramError, Partition
 from .invariants import gw
 from .nodepoly import RatPolynomial, enumerate_templates, extension_polynomial
 
@@ -176,6 +180,43 @@ def severi_split_oracle(d: int, delta: int) -> int:
     if d < 1 or delta < 0:
         raise DiagramError(f"need d >= 1 and delta >= 0, got d={d}, delta={delta}")
     return sum(_split_value(ways, parts) for ways, parts in _split_terms(d, delta))
+
+
+def closed_form_gmax(d: int, lam: Partition, rho: Partition) -> int:
+    """Relative invariant at maximal genus: rho_1 rho_2 ... len(rho)!/prod(beta!)."""
+    if lam.size + rho.size != d:
+        raise DiagramError(
+            f"|lambda| + |rho| must equal d: {lam.size} + {rho.size} != {d}"
+        )
+    return prod(rho.parts) * rho.distinct_orderings()
+
+
+def closed_form_uninodal(d: int, lam: Partition, rho: Partition) -> int:
+    """Relative invariant one below maximal genus, in closed form."""
+    if lam.size + rho.size != d:
+        raise DiagramError(
+            f"|lambda| + |rho| must equal d: {lam.size} + {rho.size} != {d}"
+        )
+    if d < 3:
+        raise DiagramError(f"uninodal closed form needs d >= 3, got {d}")
+    alpha1 = lam.count(1)
+    if rho.length == 0:
+        return (d - 2) * (3 * d - 2) + alpha1
+    beta1 = rho.count(1)
+    value = (
+        Fraction((d - 2) * (3 * d - 2) + alpha1 + beta1)
+        + Fraction((d - 1) * beta1, rho.length)
+    ) * closed_form_gmax(d, lam, rho)
+    if value.denominator != 1:
+        raise AssertionError(f"uninodal closed form must be integral, got {value}")
+    return int(value)
+
+
+def collinear_triple(d: int, g: int) -> int:
+    """Curves through a generic triple of collinear points: N(d,g) - (d-1) N(d-1,g)."""
+    if d < 3:
+        raise DiagramError(f"collinear-triple formula needs d >= 3, got {d}")
+    return gw(d, g) - (d - 1) * gw(d - 1, g)
 
 
 def _sequences(delta: int, room: int):

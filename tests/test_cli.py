@@ -48,6 +48,11 @@ def test_usage_error_exit_code(capsys):
         ["sequence", "z", "--max-d", "0"],
         ["sequence", "z", "--max-d", "-3"],
         ["nodepoly", "--delta", "9"],
+        ["invariant", "gw", "--d", "10", "--g", "0"],
+        ["invariant", "severi", "--d", "10", "--delta", "0"],
+        ["invariant", "relative", "--d", "10", "--g", "0", "--rho", ",".join("1" * 10)],
+        ["invariant", "relative", "--d", "12", "--g", "0", "--lambda", "12"],
+        ["invariant", "gw", "--table", "--max-d", "10"],
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

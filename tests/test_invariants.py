@@ -10,9 +10,6 @@ from floordiagrams.core import DiagramError, Partition
 from floordiagrams.enumeration import DiagramQuery
 from floordiagrams.invariants import (
     _weighted_marking_sum,
-    closed_form_gmax,
-    closed_form_uninodal,
-    collinear_triple,
     gw,
     kontsevich_oracle,
     relative_gw,
@@ -20,7 +17,12 @@ from floordiagrams.invariants import (
     tangency_at_point,
     welschinger,
 )
-from floordiagrams.oracles import severi_split_oracle
+from floordiagrams.oracles import (
+    closed_form_gmax,
+    closed_form_uninodal,
+    collinear_triple,
+    severi_split_oracle,
+)
 from floordiagrams.tables import gw_table, relative_table, severi_table
 
 P = Partition

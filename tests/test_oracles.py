@@ -14,7 +14,15 @@ import pytest
 
 from floordiagrams.core import Partition
 from floordiagrams.enumeration import DiagramQuery
-from floordiagrams.invariants import _relative_row, _weighted_marking_sum, relative_gw, severi
+from floordiagrams.invariants import (
+    _connected,
+    _relative_rows,
+    _row,
+    _weighted_marking_sum,
+    gw,
+    relative_gw,
+    severi,
+)
 from floordiagrams.nodepoly import node_polynomial
 from floordiagrams.oracles import caporaso_harris
 from floordiagrams.tables import severi_table
@@ -70,15 +78,58 @@ def profiles(d):
                 yield lam, rho
 
 
-@pytest.mark.parametrize("d", range(1, 7))
+def full_cap(d):
+    return tuple(d // k for k in range(1, d + 1))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
 def test_recursion_equals_relative_sweep_rows(d):
     top = d * (d - 1) // 2
+    rows = _relative_rows(d, full_cap(d), full_cap(d))
+    assert len(rows) == len(list(profiles(d)))
     for lam, rho in profiles(d):
         alpha, beta = multiplicities(lam), multiplicities(rho)
-        row = _relative_row(d, alpha, beta)
-        for delta in range(top + 2):
-            expect = caporaso_harris(d, delta, alpha, beta)
-            assert prod(rho) * row.get(top - delta, 0) == expect, (d, delta, lam, rho)
+        # the routed row, and the same profile's row of the all-profile sweep
+        for row in (_row(d, alpha, beta), rows[alpha, beta]):
+            for delta in range(top + 2):
+                expect = caporaso_harris(d, delta, alpha, beta)
+                assert prod(rho) * row.get(top - delta, 0) == expect, (d, delta, lam, rho)
+
+
+def test_gw_and_severi_never_run_the_all_profile_sweep():
+    """The profile lambda empty, rho = 1^d reads the sweep capped at it;
+    every other profile reads its degree's sweep over all profiles, run
+    once per degree."""
+    cached = (gw, severi, relative_gw, _connected, _relative_rows)
+
+    def clear():
+        for fn in cached:
+            fn.cache_clear()
+
+    def swept(d, cap):
+        # True if the sweep (d, cap) is cached already; runs it otherwise
+        misses = _relative_rows.cache_info().misses
+        _relative_rows(d, *cap)
+        return _relative_rows.cache_info().misses == misses
+
+    clear()
+    try:
+        for g in range(7):
+            gw(6, g)
+        for delta in range(17):
+            severi(6, delta)
+        assert _relative_rows.cache_info().currsize == 6
+        assert all(swept(d, ((), (d,))) for d in range(1, 7))
+
+        clear()
+        for lam, rho in profiles(5):
+            relative_gw(5, 0, Partition(lam), Partition(rho))
+        run = _relative_rows.cache_info().currsize
+        assert all(swept(d, (full_cap(d),) * 2) for d in range(1, 6))
+        ones = sum(swept(d, ((), (d,))) for d in range(1, 6))
+        assert run == 5 + ones
+    finally:
+        clear()
 
 
 def test_relative_gw_equals_connected_diagram_sums():
