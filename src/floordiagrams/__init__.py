@@ -2,14 +2,8 @@
 
 from .core import DiagramError, DiagramShape, FloorDiagram, Partition, diagram
 from .enumeration import DiagramQuery, count_connected, count_filtered, enumerate_diagrams
-from .invariants import (
-    gw,
-    kontsevich_oracle,
-    relative_gw,
-    severi,
-    welschinger,
-)
-from .markings import brute_force_markings, count_markings, count_relative_markings
+from .invariants import gw, relative_gw, severi, welschinger
+from .markings import count_markings, count_relative_markings
 from .nodepoly import (
     RatPolynomial,
     Template,
@@ -40,7 +34,6 @@ __all__ = [
     "StretchedConfig",
     "Template",
     "aj_polynomials",
-    "brute_force_markings",
     "closed_counts",
     "count_connected",
     "count_filtered",
@@ -52,7 +45,6 @@ __all__ = [
     "enumerate_diagrams",
     "enumerate_templates",
     "gw",
-    "kontsevich_oracle",
     "max_tangency_fixed",
     "max_tangency_free",
     "node_polynomial",

@@ -25,10 +25,16 @@ from .sequences import LabeledTree
 # refused before any template is built
 NODEPOLY_MAX_DELTA = 8
 
-# the largest degree measured for gw, severi and relative (the sweep over
-# every tangency profile at d = 9: 10 s, 54 MB on a 2-CPU x86-64 host,
-# about 5x per degree); larger degrees are refused before any sweep
+# the largest degree measured for gw, severi, relative and welschinger (the
+# sweep over every tangency profile at d = 9: 10 s, 54 MB on a 2-CPU x86-64
+# host, about 5x per degree; welschinger(9): 1.8-2.7 s, 30 MB); larger
+# degrees are refused before any sweep
 INVARIANT_MAX_D = 9
+
+# the largest degree measured for counts (closed_counts(8) holds all 262,144
+# genus-0 diagrams: 7.9 s, 227 MB on a 2-CPU x86-64 host); d = 9 has 9^7
+# of them, so larger degrees are refused before any diagram is built
+COUNTS_MAX_D = 8
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -84,7 +90,7 @@ def cmd_invariant(args) -> int:
     if args.d is not None:
         _require(args.d >= 1, f"--d must be at least 1, got {args.d}")
         _require(
-            args.d <= INVARIANT_MAX_D or args.kind == "welschinger",
+            args.d <= INVARIANT_MAX_D,
             f"--d must be at most {INVARIANT_MAX_D} for {args.kind}, got {args.d}",
         )
     if args.g is not None:
@@ -201,6 +207,7 @@ def cmd_bijection(args) -> int:
 
 def cmd_counts(args) -> int:
     _require(args.d >= 1, f"--d must be at least 1, got {args.d}")
+    _require(args.d <= COUNTS_MAX_D, f"--d must be at most {COUNTS_MAX_D}, got {args.d}")
     report = sequences.closed_counts(args.d)
     payload = {
         "d": report.d,
@@ -405,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--d",
         type=int,
-        help=f"degree, at most {INVARIANT_MAX_D} for gw, severi and relative (the "
-        "largest measured; the sweep's cost grows about 5x per degree)",
+        help=f"degree, at most {INVARIANT_MAX_D} for gw, severi, relative and welschinger "
+        "(the largest measured; the sweep's cost grows about 5x per degree)",
     )
     p.add_argument("--g", type=int)
     p.add_argument("--delta", type=int)
@@ -445,7 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bijection)
 
     p = sub.add_parser("counts", help="closed counting formulas vs enumeration")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument(
+        "--d",
+        type=int,
+        required=True,
+        help=f"degree, at most {COUNTS_MAX_D} (the largest measured; all d^(d-2) "
+        "genus-0 diagrams are held in memory)",
+    )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_counts)
 

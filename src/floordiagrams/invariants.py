@@ -17,9 +17,12 @@ one sweep per degree.  Severi degrees read a row; the connected sums
 behind ``relative_gw`` and ``gw`` come from the rows by one inversion over
 the component that holds floor 1.
 
-Welschinger numbers and tangency counts stream the enumerated diagrams
-and count the markings of each one; ``_weighted_marking_sum`` does the
-same for any query and is the oracle the sweep is tested against.
+Welschinger numbers are the connected genus-0 sum of the same sweep with
+the real multiplicity in place of mu: each edge weighs 1 when its weight
+is odd and 0 when it is even, in place of w^2 (Brugalle & Mikhalkin,
+Floor decompositions of tropical curves: the planar case, Gokova 2008).
+``_weighted_marking_sum`` streams the enumerated diagrams and counts the
+markings of each one; it is the oracle the sweep is tested against.
 """
 
 from __future__ import annotations
@@ -30,12 +33,8 @@ from operator import add
 
 from .core import DiagramError, Partition
 from .enumeration import DiagramQuery, enumerate_diagrams
-from .markings import (
-    count_markings,
-    count_relative_markings,
-    gap_choices,
-    ordering_count_with_pinned_sinks,
-)
+# perfbench/tracing.py patches enumerate_diagrams and both marking counters here
+from .markings import count_markings, count_relative_markings, gap_choices
 
 Vector = tuple[int, ...]  # multiplicity vector: entry k-1 counts the parts equal to k
 
@@ -70,17 +69,24 @@ def _weight(vec: Vector) -> int:
 
 
 @lru_cache(maxsize=None)
-def _edge_bundle(n: int, s: int) -> int:
+def _edge_bundle(n: int, s: int, odd: bool) -> int:
     """Sum of prod w^2 over the ordered n-tuples of positive weights with
     sum s: n! times mu over the symmetry of the parallel midpoints,
-    summed over the weight multisets of n edges between two floors."""
+    summed over the weight multisets of n edges between two floors.
+
+    With ``odd``, each edge weighs w mod 2 in place of w^2: the real
+    multiplicity, 1 when every edge weight is odd and 0 otherwise.
+    """
     if n == 0:
         return 1 if s == 0 else 0
-    return sum(w * w * _edge_bundle(n - 1, s - w) for w in range(1, s - n + 2))
+    return sum(
+        (w % 2 if odd else w * w) * _edge_bundle(n - 1, s - w, odd)
+        for w in range(1, s - n + 2)
+    )
 
 
 @lru_cache(maxsize=None)
-def _outgoing(budget: int, targets: int) -> tuple:
+def _outgoing(budget: int, targets: int, odd: bool) -> tuple:
     """Every choice of outgoing edges at a floor with incoming weight
     ``budget`` - 1 and ``targets`` later floors.
 
@@ -98,7 +104,7 @@ def _outgoing(budget: int, targets: int) -> tuple:
         for s in range(1, left + 1):
             for n in range(1, s + 1):
                 pick(left - s, counts + (n,), weights + (s,),
-                     bundles * _edge_bundle(n, s), parallel * factorial(n))
+                     bundles * _edge_bundle(n, s, odd), parallel * factorial(n))
 
     pick(budget, (), (), 1, 1)
     return tuple(out)
@@ -135,7 +141,7 @@ def _leftover_splits(left: int, lam: Vector, rho: Vector) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
+def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) -> dict:
     """{(lambda, rho): {edge count: sum of mu * nu_{lambda,rho}}} over every
     degree-d diagram, connected or not, for every profile lambda <= lam_cap,
     rho <= rho_cap with I(lambda) + I(rho) = d; all are trimmed
@@ -157,7 +163,8 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
     Values are integers scaled by N!, N = d(d-1)/2 + d: midpoints, sinks
     and lambda parts are at most that many disjoint items, so every
     product of parallel-edge, sink and lambda factorials divides it, each
-    division is exact, and a remainder raises AssertionError.
+    division is exact, and a remainder raises AssertionError.  ``odd``
+    weighs the edges as ``_edge_bundle`` does.
     """
     scale = factorial(d * (d - 1) // 2 + d)
     size = max(len(lam_cap), len(rho_cap))
@@ -168,7 +175,7 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
         floored: dict = {}
         for (edges, promised, pending, sinks, lam_left, rho_left), value in states.items():
             later = promised[1:]
-            for added, counts, weights, left, bundles, parallel in _outgoing(promised[0] + 1, d - v):
+            for added, counts, weights, left, bundles, parallel in _outgoing(promised[0] + 1, d - v, odd):
                 splits = _leftover_splits(left, lam_left, rho_left)
                 if not splits:
                     continue
@@ -217,7 +224,7 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
     return rows
 
 
-def _row(d: int, lam: Vector, rho: Vector) -> dict[int, int]:
+def _row(d: int, lam: Vector, rho: Vector, odd: bool = False) -> dict[int, int]:
     """{edge count: sum of mu * nu_{lambda,rho}} over every degree-d diagram.
 
     lambda empty and rho = 1^d, the profile of ``gw`` and ``severi``, reads
@@ -229,7 +236,7 @@ def _row(d: int, lam: Vector, rho: Vector) -> dict[int, int]:
         cap = (), rho
     else:
         cap = (tuple(d // k for k in range(1, d + 1)),) * 2
-    return _relative_rows(d, *cap).get((lam, rho), {})
+    return _relative_rows(d, *cap, odd).get((lam, rho), {})
 
 
 # -- connected sums by inversion ----------------------------------------------
@@ -251,9 +258,10 @@ def _sub_vectors(vec: Vector) -> tuple[tuple[Vector, Vector, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _connected(d: int, edges: int, lam: Vector, rho: Vector) -> int:
+def _connected(d: int, edges: int, lam: Vector, rho: Vector, odd: bool = False) -> int:
     """Sum of mu * nu_{lambda,rho} over the connected degree-d diagrams
-    with ``edges`` edges.
+    with ``edges`` edges; with ``odd``, of the real multiplicity in place
+    of mu.
 
     A marked diagram splits into marked components and a shuffle of their
     n items (d floors, the edges' midpoints and one sink per rho part),
@@ -268,19 +276,19 @@ def _connected(d: int, edges: int, lam: Vector, rho: Vector) -> int:
     and any other profile's sub-rows come from the all-profile sweeps of
     the lower degrees.
     """
-    total = _row(d, lam, rho).get(edges, 0)
+    total = _row(d, lam, rho, odd).get(edges, 0)
     n = d + edges + sum(rho)
     for lam1, lam2, lam_ways in _sub_vectors(lam):
         for rho1, rho2, _ in _sub_vectors(rho):
             d1 = _weight(lam1) + _weight(rho1)
             if not 0 < d1 < d:
                 continue
-            rest = _row(d - d1, lam2, rho2)
+            rest = _row(d - d1, lam2, rho2, odd)
             for e1 in range(d1 - 1, d1 * (d1 - 1) // 2 + 1):
                 other = rest.get(edges - e1)
                 if other:
                     n1 = d1 + e1 + sum(rho1)
-                    part = _connected(d1, e1, lam1, rho1)
+                    part = _connected(d1, e1, lam1, rho1, odd)
                     total -= comb(n - 1, n1 - 1) * lam_ways * part * other
     return total
 
@@ -333,53 +341,11 @@ def relative_gw(d: int, g: int, lam: Partition, rho: Partition) -> int:
 
 
 def welschinger(d: int) -> int:
-    """Signed real rational curve count: marking counts of odd genus-0 diagrams."""
-    if d < 1:
-        raise DiagramError(f"degree must be positive, got {d}")
-    total = 0
-    for diag in enumerate_diagrams(DiagramQuery(d, genus=0, filter="odd")):
-        total += count_markings(diag)
-    return total
+    """Signed count of real rational degree-d curves through 3d-1 real points.
 
-
-@lru_cache(maxsize=None)
-def kontsevich_oracle(d: int) -> int:
-    """Genus-0 invariant via the quadratic recursion, seeded with N(1,0)=1."""
-    if d < 1:
-        raise DiagramError(f"degree must be positive, got {d}")
-    if d == 1:
-        return 1
-    total = 0
-    for k in range(1, d):
-        l = d - k
-        total += (
-            kontsevich_oracle(k)
-            * kontsevich_oracle(l)
-            * k * k * l
-            * (l * comb(3 * d - 4, 3 * k - 2) - k * comb(3 * d - 4, 3 * k - 1))
-        )
-    return total
-
-
-def tangency_at_point(d: int, g: int, k: int) -> int:
-    """Order-k tangency at a fixed point of a fixed line.
-
-    Computed two ways: the ordinary-marking sum restricted to markings
-    whose top k elements are sinks of one common floor, and the relative
-    invariant with lambda=(k).  Both must agree.
+    The connected genus-0 sum of the sweep with each edge weighing 1 when
+    its weight is odd and 0 when it is even.
     """
-    if not 1 <= k <= d - 1:
-        raise DiagramError(f"need 1 <= k <= d-1, got k={k}, d={d}")
-    filtered = 0
-    for diag in enumerate_diagrams(DiagramQuery(d, genus=g)):
-        part = sum(
-            ordering_count_with_pinned_sinks(diag, v, k) for v in range(1, d + 1)
-        )
-        filtered += diag.multiplicity() * part
-    direct = relative_gw(d, g, Partition((k,)), Partition.ones(d - k))
-    if filtered != direct:
-        raise AssertionError(
-            f"tangency routes disagree for (d,g,k)=({d},{g},{k}): "
-            f"{filtered} != {direct}"
-        )
-    return direct
+    if d < 1:
+        raise DiagramError(f"degree must be positive, got {d}")
+    return _connected(d, d - 1, (), (d,), True)

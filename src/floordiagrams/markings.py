@@ -8,10 +8,10 @@ floor chain.  Markings are counted modulo automorphisms that fix the
 floors, which on this structure means: permutations of equal-weight sinks
 at the same floor and of midpoints of parallel equal-weight edges.
 
-Two independent ordering counters are provided: a polynomial-time DP over
-the gaps of the floor chain (the production path) and a one-element-at-a-
-time sequential DP (the safety net), plus a fully explicit brute force
-that enumerates decorated graphs, orders, and automorphism orbits.
+Orderings are counted by a polynomial-time DP over the gaps of the floor
+chain.  ``list_markings`` enumerates decorated graphs, orders and
+automorphism orbits explicitly, for small diagrams; ``oracles`` holds the
+independent counters the DP is tested against.
 """
 
 from __future__ import annotations
@@ -240,33 +240,6 @@ def count_orderings(poset: MarkingPoset) -> int:
     return _gap_dp(poset.d, poset.windows())
 
 
-def count_orderings_downset(poset: MarkingPoset) -> int:
-    """Independent sequential counter used as a safety net for the gap DP."""
-    d = poset.d
-    classes = sorted(Counter(poset.windows()).items())
-    counts = tuple(c for _, c in classes)
-
-    @lru_cache(maxsize=None)
-    def rec(f: int, placed: tuple[int, ...]) -> int:
-        if f == d and placed == counts:
-            return 1
-        total = 0
-        if f < d and all(
-            placed[i] == counts[i] for i, ((lo, hi), _) in enumerate(classes) if hi <= f
-        ):
-            total += rec(f + 1, placed)
-        for i, ((lo, hi), c) in enumerate(classes):
-            if lo <= f <= hi and placed[i] < c:
-                nxt = placed[:i] + (placed[i] + 1,) + placed[i + 1 :]
-                total += (c - placed[i]) * rec(f, nxt)
-        return total
-
-    # everything left of floor 1 is empty: start after placing floor 1
-    result = rec(1, (0,) * len(classes))
-    rec.cache_clear()
-    return result
-
-
 def count_relative_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> int:
     """nu_{lambda,rho}: sum over distributions of orderings / symmetry."""
     total = 0
@@ -413,11 +386,6 @@ def _marking_orbits(diag: FloorDiagram, lam: Partition, rho: Partition, what: st
     return reps
 
 
-def brute_force_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> int:
-    """Count markings by explicit orbit enumeration; independent oracle."""
-    return len(_marking_orbits(diag, lam, rho, "brute force"))
-
-
 def list_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> list[tuple[str, ...]]:
     """Canonical representatives of every marking, as label sequences.
 
@@ -426,29 +394,3 @@ def list_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> list[tu
     """
     return _marking_orbits(diag, lam, rho, "marking listing")
 
-
-def ordering_count_with_pinned_sinks(diag: FloorDiagram, floor: int, k: int) -> int:
-    """Orderings of the ordinary poset with k weight-1 sinks of ``floor``
-    removed and pinned above everything, divided by the reduced symmetry.
-
-    Counts ordinary markings whose top k elements are sinks of ``floor``.
-    """
-    dist = next(enumerate_distributions(diag, Partition(()), Partition.ones(diag.d)))
-    poset = build_poset(diag, dist, Partition(()))
-    b = sum(1 for v, w, _ in poset.sinks if v == floor and w == 1)
-    if b < k:
-        return 0
-    kept = tuple(
-        s for s in poset.sinks if not (s[0] == floor and s[1] == 1 and s[2] >= b - k)
-    )
-    reduced = MarkingPoset(
-        poset.d,
-        poset.midpoints,
-        kept,
-        poset.lambda_vertices,
-        poset.symmetry // (factorial(b) // factorial(b - k)),
-    )
-    raw = count_orderings(reduced)
-    if raw % reduced.symmetry:
-        raise AssertionError("symmetry must divide the pinned ordering count")
-    return raw // reduced.symmetry

@@ -29,6 +29,15 @@ counts curves through three collinear points from two ``gw`` values.
 template sequence at a time.  It shares the templates and extension
 polynomials with ``nodepoly`` but not the state DP or any discrete sum.
 ``exp_series`` rebuilds the node-polynomial series from the A_j.
+
+The rest count one diagram at a time.  ``kontsevich_oracle`` is
+Kontsevich's recursion for gw(d, 0).  ``welschinger_oracle`` sums the
+marking counts of the enumerated odd genus-0 diagrams, and
+``tangency_at_point`` counts the markings whose top k elements are sinks
+of one floor, against ``relative_gw``.  ``count_orderings_downset`` orders
+a marking poset one element at a time, next to the gap DP, and
+``brute_force_markings`` counts marking orbits explicitly.
+``increasing_tree_oracle`` recomputes z(d) over increasing-tree diagrams.
 """
 
 from __future__ import annotations
@@ -38,9 +47,19 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product, zip_longest
 from math import comb, factorial, prod
+from typing import Iterable
 
-from .core import DiagramError, Partition
-from .invariants import gw
+from .core import DiagramError, FloorDiagram, Partition
+from .enumeration import DiagramQuery, enumerate_diagrams
+from .invariants import gw, relative_gw
+from .markings import (
+    MarkingPoset,
+    _marking_orbits,
+    build_poset,
+    count_markings,
+    count_orderings,
+    enumerate_distributions,
+)
 from .nodepoly import RatPolynomial, enumerate_templates, extension_polynomial
 
 Vector = tuple[int, ...]
@@ -284,3 +303,156 @@ def exp_series(aj: list[RatPolynomial]) -> list[RatPolynomial]:
             acc = acc + ls[i - 1].scale(i) * out[j - i]
         out.append(acc.scale(Fraction(1, j)))
     return out
+
+
+# -- one diagram at a time ----------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def kontsevich_oracle(d: int) -> int:
+    """Genus-0 invariant via the quadratic recursion, seeded with N(1,0)=1."""
+    if d < 1:
+        raise DiagramError(f"degree must be positive, got {d}")
+    if d == 1:
+        return 1
+    total = 0
+    for k in range(1, d):
+        l = d - k
+        total += (
+            kontsevich_oracle(k)
+            * kontsevich_oracle(l)
+            * k * k * l
+            * (l * comb(3 * d - 4, 3 * k - 2) - k * comb(3 * d - 4, 3 * k - 1))
+        )
+    return total
+
+
+def welschinger_oracle(d: int) -> int:
+    """Signed real rational curve count: marking counts of odd genus-0 diagrams."""
+    if d < 1:
+        raise DiagramError(f"degree must be positive, got {d}")
+    total = 0
+    for diag in enumerate_diagrams(DiagramQuery(d, genus=0, filter="odd")):
+        total += count_markings(diag)
+    return total
+
+
+def ordering_count_with_pinned_sinks(diag: FloorDiagram, floor: int, k: int) -> int:
+    """Orderings of the ordinary poset with k weight-1 sinks of ``floor``
+    removed and pinned above everything, divided by the reduced symmetry.
+
+    Counts ordinary markings whose top k elements are sinks of ``floor``.
+    """
+    dist = next(enumerate_distributions(diag, Partition(()), Partition.ones(diag.d)))
+    poset = build_poset(diag, dist, Partition(()))
+    b = sum(1 for v, w, _ in poset.sinks if v == floor and w == 1)
+    if b < k:
+        return 0
+    kept = tuple(
+        s for s in poset.sinks if not (s[0] == floor and s[1] == 1 and s[2] >= b - k)
+    )
+    reduced = MarkingPoset(
+        poset.d,
+        poset.midpoints,
+        kept,
+        poset.lambda_vertices,
+        poset.symmetry // (factorial(b) // factorial(b - k)),
+    )
+    raw = count_orderings(reduced)
+    if raw % reduced.symmetry:
+        raise AssertionError("symmetry must divide the pinned ordering count")
+    return raw // reduced.symmetry
+
+
+def tangency_at_point(d: int, g: int, k: int) -> int:
+    """Order-k tangency at a fixed point of a fixed line.
+
+    Computed two ways: the ordinary-marking sum restricted to markings
+    whose top k elements are sinks of one common floor, and the relative
+    invariant with lambda=(k).  Both must agree.
+    """
+    if not 1 <= k <= d - 1:
+        raise DiagramError(f"need 1 <= k <= d-1, got k={k}, d={d}")
+    filtered = 0
+    for diag in enumerate_diagrams(DiagramQuery(d, genus=g)):
+        part = sum(
+            ordering_count_with_pinned_sinks(diag, v, k) for v in range(1, d + 1)
+        )
+        filtered += diag.multiplicity() * part
+    direct = relative_gw(d, g, Partition((k,)), Partition.ones(d - k))
+    if filtered != direct:
+        raise AssertionError(
+            f"tangency routes disagree for (d,g,k)=({d},{g},{k}): "
+            f"{filtered} != {direct}"
+        )
+    return direct
+
+
+def count_orderings_downset(poset: MarkingPoset) -> int:
+    """Independent sequential counter used as a safety net for the gap DP."""
+    d = poset.d
+    classes = sorted(Counter(poset.windows()).items())
+    counts = tuple(c for _, c in classes)
+
+    @lru_cache(maxsize=None)
+    def rec(f: int, placed: tuple[int, ...]) -> int:
+        if f == d and placed == counts:
+            return 1
+        total = 0
+        if f < d and all(
+            placed[i] == counts[i] for i, ((lo, hi), _) in enumerate(classes) if hi <= f
+        ):
+            total += rec(f + 1, placed)
+        for i, ((lo, hi), c) in enumerate(classes):
+            if lo <= f <= hi and placed[i] < c:
+                nxt = placed[:i] + (placed[i] + 1,) + placed[i + 1 :]
+                total += (c - placed[i]) * rec(f, nxt)
+        return total
+
+    # everything left of floor 1 is empty: start after placing floor 1
+    result = rec(1, (0,) * len(classes))
+    rec.cache_clear()
+    return result
+
+
+def brute_force_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> int:
+    """Count markings by explicit orbit enumeration; independent oracle."""
+    return len(_marking_orbits(diag, lam, rho, "brute force"))
+
+
+def increasing_tree_diagrams(d: int) -> Iterable[FloorDiagram]:
+    """Floor diagrams of increasing rooted trees on 1..d.
+
+    Every non-root vertex points to a larger parent; the edge weight is the
+    vertex's hooklength (its number of weak descendants).
+    """
+    if d == 1:
+        yield FloorDiagram(1, ())
+        return
+
+    def rec(v: int, parents: list[int]):
+        if v == d:
+            # parents are strictly larger, so ascending order completes each
+            # subtree before its weight is pushed upward
+            weights = [1] * (d + 1)
+            for u in range(1, d):
+                weights[parents[u]] += weights[u]
+            yield FloorDiagram(
+                d, tuple((u, parents[u], weights[u]) for u in range(1, d))
+            )
+            return
+        for p in range(v + 1, d + 1):
+            parents[v] = p
+            yield from rec(v + 1, parents)
+
+    yield from rec(1, [0] * d)
+
+
+def increasing_tree_oracle(d: int) -> int:
+    """z(d) recomputed as sum of mu * nu over increasing-tree diagrams."""
+    if d > 7:
+        raise DiagramError(f"increasing-tree oracle limited to d <= 7, got {d}")
+    total = 0
+    for diag in increasing_tree_diagrams(d):
+        total += diag.multiplicity() * count_markings(diag)
+    return total

@@ -1,9 +1,9 @@
 """Closed recurrences and the diagram/tree bijection.
 
 Covers the maximal-tangency sequence z(d) with its ODE check, the
-recursive bijection between genus-0 diagrams and labeled trees, the
-increasing-tree oracle, and the closed counting formulas for Cayley,
-alternating-tree and odd-diagram numbers.
+recursive bijection between genus-0 diagrams and labeled trees, and the
+closed counting formulas for Cayley, alternating-tree and odd-diagram
+numbers.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable
 
 from .core import DiagramError, FloorDiagram, components, parse_tuples
 from .enumeration import DiagramQuery, enumerate_diagrams
-from .markings import count_markings
 
 
 @dataclass(frozen=True)
@@ -96,44 +94,6 @@ def max_tangency_free(d: int) -> int:
     if d < 1:
         raise DiagramError(f"degree must be positive, got {d}")
     return d * max_tangency_fixed(d)
-
-
-def increasing_tree_diagrams(d: int) -> Iterable[FloorDiagram]:
-    """Floor diagrams of increasing rooted trees on 1..d.
-
-    Every non-root vertex points to a larger parent; the edge weight is the
-    vertex's hooklength (its number of weak descendants).
-    """
-    if d == 1:
-        yield FloorDiagram(1, ())
-        return
-
-    def rec(v: int, parents: list[int]):
-        if v == d:
-            # parents are strictly larger, so ascending order completes each
-            # subtree before its weight is pushed upward
-            weights = [1] * (d + 1)
-            for u in range(1, d):
-                weights[parents[u]] += weights[u]
-            yield FloorDiagram(
-                d, tuple((u, parents[u], weights[u]) for u in range(1, d))
-            )
-            return
-        for p in range(v + 1, d + 1):
-            parents[v] = p
-            yield from rec(v + 1, parents)
-
-    yield from rec(1, [0] * d)
-
-
-def increasing_tree_oracle(d: int) -> int:
-    """z(d) recomputed as sum of mu * nu over increasing-tree diagrams."""
-    if d > 7:
-        raise DiagramError(f"increasing-tree oracle limited to d <= 7, got {d}")
-    total = 0
-    for diag in increasing_tree_diagrams(d):
-        total += diag.multiplicity() * count_markings(diag)
-    return total
 
 
 def tangency_series(order: int) -> list[Fraction]:

@@ -12,19 +12,11 @@ from floordiagrams.enumeration import (
     count_filtered,
     enumerate_diagrams,
 )
-from floordiagrams.invariants import (
-    gw,
-    kontsevich_oracle,
-    relative_gw,
-    severi,
-    welschinger,
-)
+from floordiagrams.invariants import gw, relative_gw, severi, welschinger
 from floordiagrams.markings import (
-    brute_force_markings,
     build_poset,
     count_markings,
     count_orderings,
-    count_orderings_downset,
     count_relative_markings,
     enumerate_distributions,
     list_markings,
@@ -37,10 +29,16 @@ from floordiagrams.nodepoly import (
     extension_polynomial,
     node_polynomial,
 )
-from floordiagrams.oracles import severi_numeric, severi_split_oracle
+from floordiagrams.oracles import (
+    brute_force_markings,
+    count_orderings_downset,
+    increasing_tree_oracle,
+    kontsevich_oracle,
+    severi_numeric,
+    severi_split_oracle,
+)
 from floordiagrams.sequences import (
     diagram_to_tree,
-    increasing_tree_oracle,
     max_tangency_fixed,
     max_tangency_free,
     ode_residual,

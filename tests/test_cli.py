@@ -32,6 +32,12 @@ def test_invariant_welschinger(capsys):
     assert out.strip() == "240"
 
 
+def test_invariant_welschinger_at_the_degree_limit(capsys):
+    code, out, _ = run(capsys, "invariant", "welschinger", "--d", "9")
+    assert code == 0
+    assert out.strip() == "248962406889600"
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "invariant", "gw", "--d", "0", "--g", "0")
     assert code == 2
@@ -53,6 +59,8 @@ def test_usage_error_exit_code(capsys):
         ["invariant", "relative", "--d", "10", "--g", "0", "--rho", ",".join("1" * 10)],
         ["invariant", "relative", "--d", "12", "--g", "0", "--lambda", "12"],
         ["invariant", "gw", "--table", "--max-d", "10"],
+        ["invariant", "welschinger", "--d", "10"],
+        ["counts", "--d", "9"],
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

@@ -11,17 +11,17 @@ from floordiagrams.enumeration import DiagramQuery
 from floordiagrams.invariants import (
     _weighted_marking_sum,
     gw,
-    kontsevich_oracle,
     relative_gw,
     severi,
-    tangency_at_point,
     welschinger,
 )
 from floordiagrams.oracles import (
     closed_form_gmax,
     closed_form_uninodal,
     collinear_triple,
+    kontsevich_oracle,
     severi_split_oracle,
+    tangency_at_point,
 )
 from floordiagrams.tables import gw_table, relative_table, severi_table
 

@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from floordiagrams.core import DiagramError, Partition, diagram
 from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
 from floordiagrams.markings import (
-    brute_force_markings,
     build_poset,
     count_markings,
     count_orderings,
-    count_orderings_downset,
     count_relative_markings,
     enumerate_distributions,
     list_markings,
+)
+from floordiagrams.oracles import (
+    brute_force_markings,
+    count_orderings_downset,
     ordering_count_with_pinned_sinks,
 )
 from floordiagrams.tables import appendix_rows, relative_table

@@ -5,15 +5,18 @@ checks the sweep behind ``severi`` and ``relative_gw`` at every cogenus
 and tangency profile, past the frozen tables, the enumerate-then-count
 sum at every tangency profile, and the node polynomials past their
 threshold.  The enumerate-then-count sum in turn checks the sweep's
-connected sums.
+connected sums, and its odd-weight rows behind ``welschinger``.
 """
 
+import ast
 from math import prod
+from pathlib import Path
 
 import pytest
 
+import floordiagrams
 from floordiagrams.core import Partition
-from floordiagrams.enumeration import DiagramQuery
+from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
 from floordiagrams.invariants import (
     _connected,
     _relative_rows,
@@ -22,9 +25,11 @@ from floordiagrams.invariants import (
     gw,
     relative_gw,
     severi,
+    welschinger,
 )
+from floordiagrams.markings import count_markings
 from floordiagrams.nodepoly import node_polynomial
-from floordiagrams.oracles import caporaso_harris
+from floordiagrams.oracles import caporaso_harris, welschinger_oracle
 from floordiagrams.tables import severi_table
 
 
@@ -107,9 +112,10 @@ def test_gw_and_severi_never_run_the_all_profile_sweep():
             fn.cache_clear()
 
     def swept(d, cap):
-        # True if the sweep (d, cap) is cached already; runs it otherwise
+        # True if the sweep (d, cap) is cached already; runs it otherwise.
+        # The engine passes the edge weight, so it is part of the cache key.
         misses = _relative_rows.cache_info().misses
-        _relative_rows(d, *cap)
+        _relative_rows(d, *cap, False)
         return _relative_rows.cache_info().misses == misses
 
     clear()
@@ -151,3 +157,49 @@ def test_recursion_equals_node_polynomials_past_threshold():
         assert threshold == 2 * delta
         for d in range(threshold, threshold + 6):
             assert poly.eval_int(d) == caporaso_harris(d, delta), (delta, d)
+
+
+def odd_marking_sum(query):
+    """Sum of the marking counts of the query's diagrams, which the odd
+    filter restricts to those with every edge weight odd."""
+    return sum(count_markings(diag) for diag in enumerate_diagrams(query))
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_odd_weight_rows_equal_odd_diagram_sums(d):
+    """Every row and connected sum of the odd-weight sweep, disconnected
+    and higher-genus ones too, which welschinger does not read."""
+    top = d * (d - 1) // 2
+    row = _row(d, (), (d,), True)
+    for delta in range(top + 1):
+        query = DiagramQuery(d, cogenus=delta, filter="odd")
+        assert row.get(top - delta, 0) == odd_marking_sum(query), (d, delta)
+    for g in range((d - 1) * (d - 2) // 2 + 1):
+        query = DiagramQuery(d, genus=g, filter="odd")
+        assert _connected(d, d - 1 + g, (), (d,), True) == odd_marking_sum(query), (d, g)
+
+
+def test_welschinger_equals_enumerated_odd_diagrams():
+    for d in range(1, 8):
+        assert welschinger(d) == welschinger_oracle(d), d
+    # welschinger_oracle(8) gives the same value, in about 30 s
+    assert welschinger(8) == 359935488000
+
+
+def test_production_modules_never_import_the_oracles():
+    package = Path(floordiagrams.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any("oracles" in name.split(".") for name in names), (
+                path.name,
+                node.lineno,
+            )

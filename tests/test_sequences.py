@@ -11,14 +11,13 @@ from floordiagrams.sequences import (
     cayley_count,
     closed_counts,
     diagram_to_tree,
-    increasing_tree_diagrams,
-    increasing_tree_oracle,
     max_tangency_fixed,
     max_tangency_free,
     ode_residual,
     tangency_series,
     tree_to_diagram,
 )
+from floordiagrams.oracles import increasing_tree_diagrams, increasing_tree_oracle
 from floordiagrams.tables import appendix_rows, max_tangency_table
 
 F = Fraction
