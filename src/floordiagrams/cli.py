@@ -275,6 +275,10 @@ def cmd_verify_tables(args) -> int:
         if args.suite == "all"
         else [args.suite]
     )
+    _require(
+        "counts" not in suites or args.max_d is None or args.max_d <= COUNTS_MAX_D,
+        f"--max-d must be at most {COUNTS_MAX_D} for the counts suite, got {args.max_d}",
+    )
     for suite in suites:
         failures.extend(_verify_suite(suite, args.max_d))
     if failures:

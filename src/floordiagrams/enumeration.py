@@ -10,7 +10,10 @@ sorted; streams are then sorted into the canonical text order.
 A query's genus or cogenus fixes its edge count, and the sweep prunes
 branches that can no longer become connected.  Together these enforce the
 whole query, so no diagram is classified after it is built.  Nothing is
-cached: each query runs its own sweep.
+cached between queries: each query runs its own sweep.  ``count_connected``
+walks the same sweep but only counts, memoizing the count of each state
+(incoming weights, component masks, edges used) for the length of one
+call, so it builds no edge set.
 """
 
 from __future__ import annotations
@@ -184,10 +187,54 @@ def enumerate_diagrams(query: DiagramQuery) -> Iterator[FloorDiagram]:
 
 def count_connected(d: int, g: int) -> int:
     """Number of connected labeled floor diagrams of degree d, genus g: the
-    connected edge sets with d + g - 1 edges."""
+    connected edge sets with d + g - 1 edges.
+
+    The sweep of ``_generate_edge_sets`` with counts in place of edge
+    tuples.  What is left to choose at floor v depends only on the
+    incoming weights of floors v..d, the pending-target bitmasks of the
+    components below v and the edges used, so each such state is counted
+    once, in a memo that lives for this call only.
+    """
     if d < 1 or g < 0:
         raise DiagramError(f"need d >= 1 and g >= 0, got d={d}, g={g}")
-    return len(all_diagrams(d, d + g - 1, True))
+    n_edges = d + g - 1
+    incoming = [0] * (d + 1)
+    memo: dict[tuple, int] = {}
+
+    def floor(v: int, components: tuple[int, ...], used: int) -> int:
+        if v == d:
+            return int(used == n_edges)
+        room = sum((d - u) * (incoming[u] + 1) for u in range(v, d))
+        if used + room < n_edges:
+            return 0
+        key = (v, tuple(incoming[v:]), components, used)
+        if key in memo:
+            return memo[key]
+        merged, apart = 0, []
+        for targets in components:
+            if targets >> v & 1:
+                merged |= targets
+            else:
+                apart.append(targets)
+        merged &= ~(1 << v)
+
+        def pick(t0: int, w0: int, budget: int, targets: int, used: int) -> int:
+            total = 0
+            if merged | targets:
+                total += floor(v + 1, tuple(sorted(apart + [merged | targets])), used)
+            if used >= n_edges:
+                return total
+            for t in range(t0, d + 1):
+                for w in range(w0 if t == t0 else 1, budget + 1):
+                    incoming[t] += w
+                    total += pick(t, w, budget - w, targets | 1 << t, used + 1)
+                    incoming[t] -= w
+            return total
+
+        memo[key] = total = pick(v + 1, 1, incoming[v] + 1, 0, used)
+        return total
+
+    return floor(1, (), 0)
 
 
 def count_filtered(d: int, g: int, filter_spec: str) -> int:

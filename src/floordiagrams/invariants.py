@@ -103,8 +103,11 @@ def _outgoing(budget: int, targets: int, odd: bool) -> tuple:
         pick(left, counts + (0,), weights + (0,), bundles, parallel)
         for s in range(1, left + 1):
             for n in range(1, s + 1):
-                pick(left - s, counts + (n,), weights + (s,),
-                     bundles * _edge_bundle(n, s, odd), parallel * factorial(n))
+                # with odd, n odd weights never sum to s of the other parity
+                bundle = _edge_bundle(n, s, odd)
+                if bundle:
+                    pick(left - s, counts + (n,), weights + (s,),
+                         bundles * bundle, parallel * factorial(n))
 
     pick(budget, (), (), 1, 1)
     return tuple(out)

@@ -38,6 +38,12 @@ of one floor, against ``relative_gw``.  ``count_orderings_downset`` orders
 a marking poset one element at a time, next to the gap DP, and
 ``brute_force_markings`` counts marking orbits explicitly.
 ``increasing_tree_oracle`` recomputes z(d) over increasing-tree diagrams.
+
+``diagram_to_tree_oracle`` and ``tree_to_diagram_oracle`` are the tree
+bijection as the paper defines it: root at the largest vertex, split the
+rest into components, attach each by its choice list, and recurse, with
+every component, edge filter and divergence recomputed at each level.
+``sequences`` runs the same bijection in one pass over the floors.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from itertools import product, zip_longest
 from math import comb, factorial, prod
 from typing import Iterable
 
-from .core import DiagramError, FloorDiagram, Partition
+from .core import DiagramError, FloorDiagram, Partition, components
 from .enumeration import DiagramQuery, enumerate_diagrams
 from .invariants import gw, relative_gw
 from .markings import (
@@ -61,6 +67,7 @@ from .markings import (
     enumerate_distributions,
 )
 from .nodepoly import RatPolynomial, enumerate_templates, extension_polynomial
+from .sequences import LabeledTree
 
 Vector = tuple[int, ...]
 
@@ -456,3 +463,81 @@ def increasing_tree_oracle(d: int) -> int:
     for diag in increasing_tree_diagrams(d):
         total += diag.multiplicity() * count_markings(diag)
     return total
+
+
+# -- the recursive tree bijection ---------------------------------------------
+
+
+def _diagram_choice_list(vertices: tuple[int, ...], edges) -> list[tuple[int, int]]:
+    """Ordered (vertex, weight) choices for attaching a subdiagram to a root:
+    vertices left to right, weights from 1 - local divergence down to 1."""
+    out = []
+    for v in vertices:
+        div = sum(w for s, _, w in edges if s == v) - sum(
+            w for _, t, w in edges if t == v
+        )
+        for w in range(1 - div, 0, -1):
+            out.append((v, w))
+    return out
+
+
+def _diag_to_tree_edges(vertices: tuple[int, ...], edges) -> frozenset:
+    if len(vertices) == 1:
+        return frozenset()
+    root = max(vertices)
+    # the root is the largest vertex, so it can only be an edge's second end
+    comps = components(
+        (v for v in vertices if v != root), (e for e in edges if e[1] != root)
+    )
+    tree_edges: set[tuple[int, int]] = set()
+    for comp in comps:
+        comp_set = set(comp)
+        sub = tuple(e for e in edges if e[0] in comp_set and e[1] in comp_set)
+        link = [e for e in edges if e[1] == root and e[0] in comp_set]
+        if len(link) != 1:
+            raise DiagramError("each component must attach to the root by one edge")
+        v, _, w = link[0]
+        choices = _diagram_choice_list(comp, sub)
+        idx = choices.index((v, w))
+        attach = comp[idx]
+        tree_edges.add((attach, root))
+        tree_edges |= _diag_to_tree_edges(comp, sub)
+    return frozenset(tree_edges)
+
+
+def diagram_to_tree_oracle(diag: FloorDiagram) -> LabeledTree:
+    """Recursive matching bijection from genus-0 diagrams to labeled trees."""
+    if not diag.connected or diag.genus() != 0:
+        raise DiagramError("the tree bijection needs a connected genus-0 diagram")
+    vertices = tuple(range(1, diag.d + 1))
+    return LabeledTree(diag.d, _diag_to_tree_edges(vertices, diag.edges))
+
+
+def _tree_to_diag_edges(vertices: tuple[int, ...], edges: frozenset) -> tuple:
+    if len(vertices) == 1:
+        return ()
+    root = max(vertices)
+    comps = components(
+        (v for v in vertices if v != root), (e for e in edges if e[1] != root)
+    )
+    diag_edges: list[tuple[int, int, int]] = []
+    for comp in comps:
+        comp_set = set(comp)
+        sub = frozenset(e for e in edges if e[0] in comp_set and e[1] in comp_set)
+        link = [e for e in edges if root in e and (e[0] in comp_set or e[1] in comp_set)]
+        if len(link) != 1:
+            raise DiagramError("each subtree must attach to the root by one edge")
+        attach = link[0][0] if link[0][1] == root else link[0][1]
+        sub_diag = _tree_to_diag_edges(comp, sub)
+        choices = _diagram_choice_list(comp, sub_diag)
+        idx = comp.index(attach)
+        v, w = choices[idx]
+        diag_edges.extend(sub_diag)
+        diag_edges.append((v, root, w))
+    return tuple(sorted(diag_edges))
+
+
+def tree_to_diagram_oracle(tree: LabeledTree) -> FloorDiagram:
+    """Inverse of diagram_to_tree_oracle."""
+    vertices = tuple(range(1, tree.d + 1))
+    return FloorDiagram(tree.d, _tree_to_diag_edges(vertices, tree.edges))

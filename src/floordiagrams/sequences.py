@@ -1,8 +1,9 @@
 """Closed recurrences and the diagram/tree bijection.
 
 Covers the maximal-tangency sequence z(d) with its ODE check, the
-recursive bijection between genus-0 diagrams and labeled trees, and the
-closed counting formulas for Cayley, alternating-tree and odd-diagram
+bijection between genus-0 diagrams and labeled trees (recursive by
+definition, run here in one pass over the floors), and the closed
+counting formulas for Cayley, alternating-tree and odd-diagram
 numbers.
 """
 
@@ -149,79 +150,95 @@ def ode_residual(order: int) -> list[Fraction]:
 # -- bijection with labeled trees --------------------------------------------
 
 
-def _diagram_choice_list(vertices: tuple[int, ...], edges) -> list[tuple[int, int]]:
-    """Ordered (vertex, weight) choices for attaching a subdiagram to a root:
-    vertices left to right, weights from 1 - local divergence down to 1."""
-    out = []
-    for v in vertices:
-        div = sum(w for s, _, w in edges if s == v) - sum(
-            w for _, t, w in edges if t == v
-        )
-        for w in range(1 - div, 0, -1):
-            out.append((v, w))
-    return out
+_TREE_ONLY = "the tree bijection needs a connected genus-0 diagram"
 
 
-def _diag_to_tree_edges(vertices: tuple[int, ...], edges) -> frozenset:
-    if len(vertices) == 1:
-        return frozenset()
-    root = max(vertices)
-    # the root is the largest vertex, so it can only be an edge's second end
-    comps = components(
-        (v for v in vertices if v != root), (e for e in edges if e[1] != root)
-    )
-    tree_edges: set[tuple[int, int]] = set()
-    for comp in comps:
-        comp_set = set(comp)
-        sub = tuple(e for e in edges if e[0] in comp_set and e[1] in comp_set)
-        link = [e for e in edges if e[1] == root and e[0] in comp_set]
-        if len(link) != 1:
-            raise DiagramError("each component must attach to the root by one edge")
-        v, _, w = link[0]
-        choices = _diagram_choice_list(comp, sub)
-        idx = choices.index((v, w))
-        attach = comp[idx]
-        tree_edges.add((attach, root))
-        tree_edges |= _diag_to_tree_edges(comp, sub)
-    return frozenset(tree_edges)
+def _join(v: int, roots, owner: list[int], members: dict[int, list[int]]) -> None:
+    """Merge vertex v with the components under ``roots``.  ``owner`` maps
+    each vertex seen so far to the largest vertex of its component, and
+    ``members`` maps that vertex to the component's vertices in order."""
+    merged = sorted(x for r in roots for x in members.pop(r))
+    merged.append(v)
+    members[v] = merged
+    for x in merged:
+        owner[x] = v
+
+
+# The recursive bijection roots every subdiagram at its largest vertex, so
+# the subdiagrams hanging below vertex v are exactly the components of the
+# floors 1..v-1 that v's incoming edges (or smaller tree neighbours) touch.
+# Sweeping v = 1..d and merging those components into v therefore meets
+# every subcall once, and the running divergences at v are those of each
+# subdiagram on its own.  A component's choice list runs over its members
+# left to right, with weights 1 - divergence down to 1.
 
 
 def diagram_to_tree(diag: FloorDiagram) -> LabeledTree:
-    """Recursive matching bijection from genus-0 diagrams to labeled trees."""
-    if not diag.connected or diag.genus() != 0:
-        raise DiagramError("the tree bijection needs a connected genus-0 diagram")
-    vertices = tuple(range(1, diag.d + 1))
-    return LabeledTree(diag.d, _diag_to_tree_edges(vertices, diag.edges))
+    """Matching bijection from genus-0 diagrams to labeled trees.
 
-
-def _tree_to_diag_edges(vertices: tuple[int, ...], edges: frozenset) -> tuple:
-    if len(vertices) == 1:
-        return ()
-    root = max(vertices)
-    comps = components(
-        (v for v in vertices if v != root), (e for e in edges if e[1] != root)
-    )
-    diag_edges: list[tuple[int, int, int]] = []
-    for comp in comps:
-        comp_set = set(comp)
-        sub = frozenset(e for e in edges if e[0] in comp_set and e[1] in comp_set)
-        link = [e for e in edges if root in e and (e[0] in comp_set or e[1] in comp_set)]
-        if len(link) != 1:
-            raise DiagramError("each subtree must attach to the root by one edge")
-        attach = link[0][0] if link[0][1] == root else link[0][1]
-        sub_diag = _tree_to_diag_edges(comp, sub)
-        choices = _diagram_choice_list(comp, sub_diag)
-        idx = comp.index(attach)
-        v, w = choices[idx]
-        diag_edges.extend(sub_diag)
-        diag_edges.append((v, root, w))
-    return tuple(sorted(diag_edges))
+    Each component below vertex v joins v by one edge (u, v, w); its tree
+    edge runs from v to the component member at the index of (u, w) in the
+    component's choice list.  Two edges from one component into v close a
+    cycle, and with d - 1 edges and no cycle the diagram is connected.
+    """
+    d = diag.d
+    if len(diag.edges) != d - 1:
+        raise DiagramError(_TREE_ONLY)
+    into: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
+    for s, t, w in diag.edges:
+        into[t].append((s, w))
+    owner, members = list(range(d + 1)), {}
+    div = [0] * (d + 1)
+    tree_edges = []
+    for v in range(1, d + 1):
+        roots = set()
+        for u, w in into[v]:
+            r = owner[u]
+            if r in roots:
+                raise DiagramError(_TREE_ONLY)
+            roots.add(r)
+            idx = 1 - div[u] - w
+            for x in members[r]:
+                if x == u:
+                    break
+                idx += 1 - div[x]
+            tree_edges.append((members[r][idx], v))
+            div[u] += w
+            div[v] -= w
+        _join(v, roots, owner, members)
+    return LabeledTree(d, frozenset(tree_edges))
 
 
 def tree_to_diagram(tree: LabeledTree) -> FloorDiagram:
-    """Inverse of diagram_to_tree."""
-    vertices = tuple(range(1, tree.d + 1))
-    return FloorDiagram(tree.d, _tree_to_diag_edges(vertices, tree.edges))
+    """Inverse of diagram_to_tree, in the same sweep: the subtree below
+    vertex v that meets v at its i-th member joins v by the i-th choice of
+    its component's choice list."""
+    d = tree.d
+    below: list[list[int]] = [[] for _ in range(d + 1)]
+    for a, b in tree.edges:
+        below[b].append(a)
+    owner, members = list(range(d + 1)), {}
+    div = [0] * (d + 1)
+    edges = []
+    for v in range(1, d + 1):
+        roots = set()
+        for a in below[v]:
+            r = owner[a]
+            if r in roots:
+                raise DiagramError("each subtree must attach to the root by one edge")
+            roots.add(r)
+            idx = members[r].index(a)
+            for u in members[r]:
+                room = 1 - div[u]
+                if idx < room:
+                    break
+                idx -= room
+            w = room - idx
+            edges.append((u, v, w))
+            div[u] += w
+            div[v] -= w
+        _join(v, roots, owner, members)
+    return FloorDiagram(d, tuple(edges))
 
 
 # -- closed counting formulas -------------------------------------------------

@@ -61,6 +61,8 @@ def test_usage_error_exit_code(capsys):
         ["invariant", "gw", "--table", "--max-d", "10"],
         ["invariant", "welschinger", "--d", "10"],
         ["counts", "--d", "9"],
+        ["verify-tables", "--suite", "counts", "--max-d", "9"],
+        ["verify-tables", "--suite", "all", "--max-d", "9"],
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+from floordiagrams import enumeration
 from floordiagrams.core import DiagramError, FloorDiagram
 from floordiagrams.enumeration import (
     DiagramQuery,
     _generate_edge_sets,
+    all_diagrams,
     count_connected,
     count_filtered,
     enumerate_diagrams,
@@ -173,6 +175,22 @@ def test_degree_7_counts_frozen():
     assert [len(_generate_edge_sets(7, n_edges)) for n_edges in range(10)] == [
         1, 21, 210, 1330, 5915, 19390, 47992, 91203, 135596, 160972,
     ]
+
+
+def test_counting_sweep_equals_enumeration():
+    grid = [(d, g) for d in range(1, 7) for g in range((d - 1) * (d - 2) // 2 + 1)]
+    for d, g in grid + [(7, 0), (7, 1)]:
+        assert count_connected(d, g) == len(all_diagrams(d, d + g - 1, True)), (d, g)
+
+
+def test_counting_sweep_reaches_cayley_past_the_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("count_connected must not build edge sets")
+
+    monkeypatch.setattr(enumeration, "all_diagrams", refuse)
+    monkeypatch.setattr(enumeration, "_generate_edge_sets", refuse)
+    for d in range(1, 10):
+        assert count_connected(d, 0) == (1 if d == 1 else d ** (d - 2)), d
 
 
 def test_cogenus_query_includes_disconnected():

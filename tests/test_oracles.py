@@ -5,18 +5,21 @@ checks the sweep behind ``severi`` and ``relative_gw`` at every cogenus
 and tangency profile, past the frozen tables, the enumerate-then-count
 sum at every tangency profile, and the node polynomials past their
 threshold.  The enumerate-then-count sum in turn checks the sweep's
-connected sums, and its odd-weight rows behind ``welschinger``.
+connected sums, and its odd-weight rows behind ``welschinger``.  The
+recursive tree bijection checks the one-pass one in both directions.
 """
 
 import ast
+import random
 from math import prod
 from pathlib import Path
 
 import pytest
 
 import floordiagrams
-from floordiagrams.core import Partition
-from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
+from floordiagrams.cli import main
+from floordiagrams.core import DiagramError, FloorDiagram, Partition, diagram
+from floordiagrams.enumeration import DiagramQuery, all_diagrams, enumerate_diagrams
 from floordiagrams.invariants import (
     _connected,
     _relative_rows,
@@ -29,8 +32,14 @@ from floordiagrams.invariants import (
 )
 from floordiagrams.markings import count_markings
 from floordiagrams.nodepoly import node_polynomial
-from floordiagrams.oracles import caporaso_harris, welschinger_oracle
-from floordiagrams.tables import severi_table
+from floordiagrams.oracles import (
+    caporaso_harris,
+    diagram_to_tree_oracle,
+    tree_to_diagram_oracle,
+    welschinger_oracle,
+)
+from floordiagrams.sequences import LabeledTree, diagram_to_tree, tree_to_diagram
+from floordiagrams.tables import appendix_rows, severi_table
 
 
 def partitions(n, largest=None):
@@ -203,3 +212,70 @@ def test_production_modules_never_import_the_oracles():
                 path.name,
                 node.lineno,
             )
+
+
+def assert_bijection_matches_oracle(diag):
+    tree = diagram_to_tree(diag)
+    assert tree == diagram_to_tree_oracle(diag), diag.text()
+    assert tree_to_diagram(tree) == tree_to_diagram_oracle(tree) == diag, diag.text()
+
+
+def test_one_pass_bijection_equals_the_recursion():
+    for d in range(1, 7):
+        for diag in enumerate_diagrams(DiagramQuery(d, genus=0)):
+            assert_bijection_matches_oracle(diag)
+    # all 16,807 at d = 7 take about 4 s, most of it in the recursion
+    for edges in random.Random(7).sample(all_diagrams(7, 6, True), 1500):
+        assert_bijection_matches_oracle(FloorDiagram(7, edges))
+
+
+def cli_text(capsys, *argv):
+    assert main(list(argv)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+def test_bijection_cli_text_equals_the_recursion(capsys):
+    readme = "d=3; edges=(1,2,1);(2,3,2)"
+    assert cli_text(capsys, "bijection", "to-tree", "--diagram", readme) == (
+        "d=3; edges=(1,2);(1,3)\n"
+    )
+    for row in appendix_rows():
+        if row["tree"] is None:
+            continue
+        diag = diagram(row["d"], [tuple(e) for e in row["edges"]])
+        tree = diagram_to_tree_oracle(diag)
+        assert cli_text(capsys, "bijection", "to-tree", "--diagram", diag.text()) == (
+            tree.text() + "\n"
+        )
+        assert cli_text(capsys, "bijection", "to-diagram", "--tree", tree.text()) == (
+            tree_to_diagram_oracle(tree).text() + "\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "d,edges",
+    [
+        (3, [(1, 2, 1), (2, 3, 1), (2, 3, 1)]),  # genus 1
+        (3, [(1, 2, 1)]),  # disconnected
+        (4, [(1, 2, 1), (2, 3, 1), (2, 3, 1)]),  # d - 1 edges: parallel pair, lone floor
+        (5, [(1, 2, 1), (2, 3, 1), (2, 4, 1), (3, 4, 1)]),  # d - 1 edges: a 3-cycle
+    ],
+)
+def test_bijection_rejects_what_the_recursion_rejects(d, edges):
+    for to_tree in (diagram_to_tree, diagram_to_tree_oracle):
+        with pytest.raises(DiagramError, match="^the tree bijection needs a connected genus-0 diagram$"):
+            to_tree(diagram(d, edges))
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("d=3; edges=(1,2)", "a tree on 3 vertices needs 2 edges"),
+        ("d=4; edges=(1,2);(2,3);(1,3)", "tree must be connected"),
+    ],
+)
+def test_non_trees_never_reach_the_bijection(text, message):
+    with pytest.raises(DiagramError, match=f"^{message}$"):
+        LabeledTree.from_text(text)
