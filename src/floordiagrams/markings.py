@@ -9,14 +9,14 @@ floors, which on this structure means: permutations of equal-weight sinks
 at the same floor and of midpoints of parallel equal-weight edges.
 
 Orderings are counted by a polynomial-time DP over the gaps of the floor
-chain.  ``list_markings`` enumerates decorated graphs, orders and
-automorphism orbits explicitly, for small diagrams; ``oracles`` holds the
-independent counters the DP is tested against.
+chain.  ``list_markings`` lists one linear order per orbit explicitly,
+for small diagrams: the one whose interchangeable copies appear in copy
+order.  ``oracles`` holds the independent counters the DP and the listing
+are tested against.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -259,7 +259,7 @@ def count_markings(diag: FloorDiagram) -> int:
     return count_relative_markings(diag, Partition(()), Partition.ones(diag.d))
 
 
-# -- explicit brute force --------------------------------------------------
+# -- explicit listing -----------------------------------------------------
 
 
 def _poset_elements(poset: MarkingPoset):
@@ -285,49 +285,6 @@ def _poset_elements(poset: MarkingPoset):
     for (i, _, _), (j, _, _) in zip(poset.lambda_vertices, poset.lambda_vertices[1:]):
         constraints.append((("L", j), ("L", i)))  # v_1 is maximal, v_2 next, ...
     return elements, constraints
-
-
-def _decorated_edges(poset: MarkingPoset):
-    """Weighted edge list of the decorated graph, for automorphism checks."""
-    edges = []
-    for s, t, w, c in poset.midpoints:
-        m = ("M", s, t, w, c)
-        edges.append((("F", s), m, w))
-        edges.append((m, ("F", t), w))
-    for v, w, c in poset.sinks:
-        edges.append((("F", v), ("S", v, w, c), w))
-    for i, src, w in poset.lambda_vertices:
-        edges.append((("F", src), ("L", i), w))
-    return edges
-
-
-def _automorphisms(poset: MarkingPoset):
-    """All decorated-graph automorphisms fixing floors and lambda vertices.
-
-    Candidates are products of permutations within same-floor equal-weight
-    sink classes and parallel-edge midpoint classes; each candidate is
-    verified to preserve the weighted edge multiset.
-    """
-    sink_classes: dict[tuple[int, int], list] = {}
-    for v, w, c in poset.sinks:
-        sink_classes.setdefault((v, w), []).append(("S", v, w, c))
-    mid_classes: dict[tuple[int, int, int], list] = {}
-    for s, t, w, c in poset.midpoints:
-        mid_classes.setdefault((s, t, w), []).append(("M", s, t, w, c))
-    groups = [g for g in list(sink_classes.values()) + list(mid_classes.values())]
-    base_edges = Counter(_decorated_edges(poset))
-    autos = []
-    for perms in itertools.product(*(itertools.permutations(g) for g in groups)):
-        mapping = {}
-        for group, perm in zip(groups, perms):
-            for a, b in zip(group, perm):
-                mapping[a] = b
-        mapped = Counter(
-            (mapping.get(a, a), mapping.get(b, b), w) for a, b, w in base_edges.elements()
-        )
-        if mapped == base_edges:
-            autos.append(mapping)
-    return autos
 
 
 def _linear_extensions(elements, constraints):
@@ -359,38 +316,28 @@ def _linear_extensions(elements, constraints):
     yield from rec()
 
 
-def _marking_orbits(diag: FloorDiagram, lam: Partition, rho: Partition, what: str):
-    """Label sequence of a canonical representative of every marking orbit,
-    by explicit enumeration of distributions, linear orders and
-    automorphisms.
+def list_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> list[tuple[str, ...]]:
+    """Canonical representatives of every marking, as label sequences.
 
-    Refuses posets with more than BRUTE_FORCE_LIMIT elements; ``what``
-    names the caller in that error.
+    The automorphisms fixing the floors permute interchangeable copies, so
+    each orbit holds exactly one linear order in which the copies of every
+    class appear in copy order; chaining copy c-1 before copy c lists that
+    one.  Intended for small-d inspection, gallery rendering and the CLI
+    --list flag; posets above BRUTE_FORCE_LIMIT elements are refused.
     """
     n_elements = diag.d + len(diag.edges) + lam.length + rho.length
     if n_elements > BRUTE_FORCE_LIMIT:
         raise DiagramError(
-            f"{what} limited to {BRUTE_FORCE_LIMIT} elements, got {n_elements}"
+            f"marking listing limited to {BRUTE_FORCE_LIMIT} elements, got {n_elements}"
         )
     reps: list[tuple[str, ...]] = []
     for dist in enumerate_distributions(diag, lam, rho):
         poset = build_poset(diag, dist, lam)
         elements, constraints = _poset_elements(poset)
         label = dict(zip(elements, poset.element_labels()))
-        autos = _automorphisms(poset)
-        seen = set()
-        for ext in _linear_extensions(elements, constraints):
-            canon = min(tuple(a.get(e, e) for e in ext) for a in autos)
-            seen.add(canon)
-        reps.extend(tuple(label[e] for e in canon) for canon in sorted(seen))
+        constraints += [
+            (e[:-1] + (e[-1] - 1,), e) for e in elements if e[0] in "MS" and e[-1]
+        ]
+        for ext in sorted(_linear_extensions(elements, constraints)):
+            reps.append(tuple(label[e] for e in ext))
     return reps
-
-
-def list_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> list[tuple[str, ...]]:
-    """Canonical representatives of every marking, as label sequences.
-
-    Intended for small-d inspection, gallery rendering and the CLI --list
-    flag; sizes are capped like the brute force.
-    """
-    return _marking_orbits(diag, lam, rho, "marking listing")
-

@@ -35,8 +35,11 @@ Kontsevich's recursion for gw(d, 0).  ``welschinger_oracle`` sums the
 marking counts of the enumerated odd genus-0 diagrams, and
 ``tangency_at_point`` counts the markings whose top k elements are sinks
 of one floor, against ``relative_gw``.  ``count_orderings_downset`` orders
-a marking poset one element at a time, next to the gap DP, and
-``brute_force_markings`` counts marking orbits explicitly.
+a marking poset one element at a time, next to the gap DP.
+``marking_orbits_oracle`` lists marking orbits explicitly: every linear
+order of every distribution, each mapped to the minimum over the
+automorphism group; ``list_markings`` is tested against it, and
+``brute_force_markings`` is its length, tested against the gap DP.
 ``increasing_tree_oracle`` recomputes z(d) over increasing-tree diagrams.
 
 ``diagram_to_tree_oracle`` and ``tree_to_diagram_oracle`` are the tree
@@ -51,7 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, zip_longest
+from itertools import permutations, product, zip_longest
 from math import comb, factorial, prod
 from typing import Iterable
 
@@ -59,8 +62,10 @@ from .core import DiagramError, FloorDiagram, Partition, components
 from .enumeration import DiagramQuery, enumerate_diagrams
 from .invariants import gw, relative_gw
 from .markings import (
+    BRUTE_FORCE_LIMIT,
     MarkingPoset,
-    _marking_orbits,
+    _linear_extensions,
+    _poset_elements,
     build_poset,
     count_markings,
     count_orderings,
@@ -422,9 +427,79 @@ def count_orderings_downset(poset: MarkingPoset) -> int:
     return result
 
 
+def _decorated_edges(poset: MarkingPoset):
+    """Weighted edge list of the decorated graph, for automorphism checks."""
+    edges = []
+    for s, t, w, c in poset.midpoints:
+        m = ("M", s, t, w, c)
+        edges.append((("F", s), m, w))
+        edges.append((m, ("F", t), w))
+    for v, w, c in poset.sinks:
+        edges.append((("F", v), ("S", v, w, c), w))
+    for i, src, w in poset.lambda_vertices:
+        edges.append((("F", src), ("L", i), w))
+    return edges
+
+
+def _automorphisms(poset: MarkingPoset):
+    """All decorated-graph automorphisms fixing floors and lambda vertices.
+
+    Candidates are products of permutations within same-floor equal-weight
+    sink classes and parallel-edge midpoint classes; each candidate is
+    verified to preserve the weighted edge multiset.
+    """
+    sink_classes: dict[tuple[int, int], list] = {}
+    for v, w, c in poset.sinks:
+        sink_classes.setdefault((v, w), []).append(("S", v, w, c))
+    mid_classes: dict[tuple[int, int, int], list] = {}
+    for s, t, w, c in poset.midpoints:
+        mid_classes.setdefault((s, t, w), []).append(("M", s, t, w, c))
+    groups = [g for g in list(sink_classes.values()) + list(mid_classes.values())]
+    base_edges = Counter(_decorated_edges(poset))
+    autos = []
+    for perms in product(*(permutations(g) for g in groups)):
+        mapping = {}
+        for group, perm in zip(groups, perms):
+            for a, b in zip(group, perm):
+                mapping[a] = b
+        mapped = Counter(
+            (mapping.get(a, a), mapping.get(b, b), w) for a, b, w in base_edges.elements()
+        )
+        if mapped == base_edges:
+            autos.append(mapping)
+    return autos
+
+
+def marking_orbits_oracle(
+    diag: FloorDiagram, lam: Partition, rho: Partition
+) -> list[tuple[str, ...]]:
+    """Label sequence of a canonical representative of every marking orbit,
+    by explicit enumeration of distributions, linear orders and
+    automorphisms: each orbit is represented by the minimum of its linear
+    orders.  Refuses posets with more than BRUTE_FORCE_LIMIT elements.
+    """
+    n_elements = diag.d + len(diag.edges) + lam.length + rho.length
+    if n_elements > BRUTE_FORCE_LIMIT:
+        raise DiagramError(
+            f"brute force limited to {BRUTE_FORCE_LIMIT} elements, got {n_elements}"
+        )
+    reps: list[tuple[str, ...]] = []
+    for dist in enumerate_distributions(diag, lam, rho):
+        poset = build_poset(diag, dist, lam)
+        elements, constraints = _poset_elements(poset)
+        label = dict(zip(elements, poset.element_labels()))
+        autos = _automorphisms(poset)
+        seen = set()
+        for ext in _linear_extensions(elements, constraints):
+            canon = min(tuple(a.get(e, e) for e in ext) for a in autos)
+            seen.add(canon)
+        reps.extend(tuple(label[e] for e in canon) for canon in sorted(seen))
+    return reps
+
+
 def brute_force_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> int:
     """Count markings by explicit orbit enumeration; independent oracle."""
-    return len(_marking_orbits(diag, lam, rho, "brute force"))
+    return len(marking_orbits_oracle(diag, lam, rho))
 
 
 def increasing_tree_diagrams(d: int) -> Iterable[FloorDiagram]:

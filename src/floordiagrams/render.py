@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import FloorDiagram
-from .tropical import TropicalCurveSketch, validate_marking
+from .tropical import TropicalCurveSketch, _ordinary_labels, _validated
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,8 @@ def marking_svg(
     diag: FloorDiagram, order: tuple[str, ...], layout: SvgLayout = LAYOUT
 ) -> str:
     """Marked diagram: every element on a row, decorated-graph edges as arcs."""
-    order = validate_marking(diag, tuple(order))
+    kinds = _ordinary_labels(diag)
+    order = _validated(diag, order, kinds)
     pos = {label: i for i, label in enumerate(order)}
     y = layout.height / 2
     pitch = layout.unit // 2
@@ -93,16 +94,14 @@ def marking_svg(
 
     arcs: list[tuple[str, str, int]] = []
     for label in order:
-        if label.startswith("e"):
-            core = label[1:].split("#")[0]
-            st, w = core.split("w")
-            s, t = st.split("-")
-            arcs.append((f"v{s}", label, int(w)))
-            arcs.append((label, f"v{t}", int(w)))
-        elif label.startswith("s"):
-            core = label[1:].split("#")[0]
-            v, w = core.split("w")
-            arcs.append((f"v{v}", label, int(w)))
+        kind = kinds[label]
+        if kind[0] == "M":
+            _, s, t, w, _ = kind
+            arcs.append((f"v{s}", label, w))
+            arcs.append((label, f"v{t}", w))
+        elif kind[0] == "S":
+            _, v, w, _ = kind
+            arcs.append((f"v{v}", label, w))
     body = []
     for a, b, w in arcs:
         span = abs(pos[b] - pos[a])

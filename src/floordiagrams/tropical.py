@@ -155,14 +155,11 @@ def canonical_marking(diag: FloorDiagram, order: tuple[str, ...]) -> tuple[str, 
     return tuple(out)
 
 
-def validate_marking(diag: FloorDiagram, order: tuple[str, ...]) -> tuple[str, ...]:
-    """Check the order is a constrained linear extension; return it canonicalized."""
-    return _validated(diag, order, _ordinary_labels(diag))
-
-
 def _validated(
     diag: FloorDiagram, order: tuple[str, ...], kinds: dict[str, tuple]
 ) -> tuple[str, ...]:
+    """Check the order is a constrained linear extension of the poset whose
+    element ids ``kinds`` maps labels to; return it canonicalized."""
     order = canonical_marking(diag, tuple(order))
     if set(order) != set(kinds) or len(order) != len(kinds):
         raise DiagramError(

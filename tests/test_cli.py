@@ -63,6 +63,8 @@ def test_usage_error_exit_code(capsys):
         ["counts", "--d", "9"],
         ["verify-tables", "--suite", "counts", "--max-d", "9"],
         ["verify-tables", "--suite", "all", "--max-d", "9"],
+        ["sequence", "z", "--max-d", "61"],
+        ["sequence", "ode-check", "--order", "61"],
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -88,6 +90,7 @@ def test_domain_error_exit_code(capsys):
     cases += [
         ["markings", "--diagram", "d=3; edges=(1,2,1)", "--lambda", "x", "--rho", "1"],
         ["invariant", "relative", "--d", "3", "--g", "0", "--lambda", "a", "--rho", "1"],
+        ["sequence", "ode-check", "--order", "0"],
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
@@ -209,6 +212,15 @@ def test_tropical_gallery_command(tmp_path, capsys):
     assert code == 0
     assert "wrote 9 sketches" in out
     assert len(list((tmp_path / "gal").glob("*.svg"))) == 9
+
+
+def test_tropical_gallery_failure_creates_nothing(tmp_path, capsys):
+    for argv in [["--d", "0", "--g", "0"], ["--d", "6", "--g", "0"]]:
+        out_dir = tmp_path / "gal"
+        code, _, err = run(capsys, "tropical", "gallery", *argv, "--out", str(out_dir))
+        assert code == 1, argv
+        assert err.startswith("error: ")
+        assert not out_dir.exists(), argv
 
 
 def test_render_command(tmp_path, capsys):

@@ -240,7 +240,10 @@ def test_brute_force_refuses_large_posets():
 
 
 def test_list_markings_matches_count():
-    for diag_ in (CHAIN3, HEAVY3, FORK3, EXAMPLE):
+    sym24 = diagram(5, [(1, 2, 1), (2, 5, 2), (3, 4, 1), (4, 5, 1)])
+    dist = next(enumerate_distributions(sym24, *ordinary(sym24)))
+    assert build_poset(sym24, dist, P(())).symmetry == 24
+    for diag_ in (CHAIN3, HEAVY3, FORK3, EXAMPLE, sym24):
         reps = list_markings(diag_, *ordinary(diag_))
         assert len(reps) == count_markings(diag_)
         assert len(set(reps)) == len(reps)

@@ -6,7 +6,8 @@ and tangency profile, past the frozen tables, the enumerate-then-count
 sum at every tangency profile, and the node polynomials past their
 threshold.  The enumerate-then-count sum in turn checks the sweep's
 connected sums, and its odd-weight rows behind ``welschinger``.  The
-recursive tree bijection checks the one-pass one in both directions.
+recursive tree bijection checks the one-pass one in both directions, and
+the listing by automorphism orbits checks the marking listing.
 """
 
 import ast
@@ -30,11 +31,17 @@ from floordiagrams.invariants import (
     severi,
     welschinger,
 )
-from floordiagrams.markings import count_markings
+from floordiagrams.markings import (
+    build_poset,
+    count_markings,
+    enumerate_distributions,
+    list_markings,
+)
 from floordiagrams.nodepoly import node_polynomial
 from floordiagrams.oracles import (
     caporaso_harris,
     diagram_to_tree_oracle,
+    marking_orbits_oracle,
     tree_to_diagram_oracle,
     welschinger_oracle,
 )
@@ -212,6 +219,42 @@ def test_production_modules_never_import_the_oracles():
                 path.name,
                 node.lineno,
             )
+
+
+def test_marking_listing_equals_the_orbit_minimum_small():
+    listings = 0
+    for d in range(1, 5):
+        for g in range((d - 1) * (d - 2) // 2 + 1):
+            for diag in enumerate_diagrams(DiagramQuery(d, genus=g)):
+                for lam, rho in profiles(d):
+                    lam, rho = Partition(lam), Partition(rho)
+                    assert list_markings(diag, lam, rho) == marking_orbits_oracle(
+                        diag, lam, rho
+                    ), (diag.text(), lam, rho)
+                    listings += 1
+    assert listings == 747
+
+
+def symmetry(diag):
+    """Order of the automorphism group of the diagram's ordinary markings."""
+    no_tangency, ones = Partition(()), Partition.ones(diag.d)
+    dist = next(enumerate_distributions(diag, no_tangency, ones))
+    return build_poset(diag, dist, no_tangency).symmetry
+
+
+def test_marking_listing_equals_the_orbit_minimum_degree_5():
+    # the oracle costs about 32 s over all 125 genus-0 degree-5 diagrams;
+    # this sample has group orders 2 to 24
+    family = [
+        diag
+        for diag in enumerate_diagrams(DiagramQuery(5, genus=0))
+        if symmetry(diag) >= 2
+    ]
+    no_tangency, ones = Partition(()), Partition.ones(5)
+    for diag in random.Random(3).sample(family, 12):
+        assert list_markings(diag, no_tangency, ones) == marking_orbits_oracle(
+            diag, no_tangency, ones
+        ), diag.text()
 
 
 def assert_bijection_matches_oracle(diag):

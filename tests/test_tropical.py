@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,18 @@ def test_svg_output_is_deterministic(tmp_path):
     render_svg(EXAMPLE, tmp_path / "c.svg", order=order)
     with pytest.raises(TypeError):
         render_svg(42, tmp_path / "d.svg")
+
+
+def test_marking_svg_is_pinned():
+    # the README render diagram with one marking; copies are renumbered in
+    # order of appearance before anything is drawn
+    marking = (
+        "v1 e1-2w1#0 v2 e2-3w1#1 e2-3w1#0 v3 e3-4w2#0 v4 s3w1#0 s4w1#2 s4w1#0 s4w1#1"
+    )
+    svg = marking_svg(EXAMPLE, tuple(marking.split()))
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "61da965f15e82780cf6f3fee7adf1e88e1780b70a4217737e7304b12ed117660"
+    )
 
 
 def test_gallery_svgs_reproduce_appendix_count(tmp_path):
