@@ -36,6 +36,12 @@ INVARIANT_MAX_D = 9
 # of them, so larger degrees are refused before any diagram is built
 COUNTS_MAX_D = 8
 
+# the largest degree measured for enumerate (degree 7 at its worst genus, 4,
+# and cogenus, 11: 5.3 s, 54 MiB and 5.4 s, 56 MiB on a 2-CPU x86-64 host;
+# degree 8 takes 9.7 s, 65 MiB at genus 0, and genus 7 ran past 100 s);
+# larger degrees are refused before any edge set is built
+ENUMERATE_MAX_D = 7
+
 # the largest sizes measured for sequence (z --max-d 60: 4.9 s, ode-check
 # --order 60: 5.3 s, both 17 MB on a 2-CPU x86-64 host; z at 90 takes
 # about 36 s and ode-check at 80 about 21 s); larger values are refused
@@ -57,6 +63,9 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def cmd_enumerate(args) -> int:
     _require(args.d >= 1, f"--d must be at least 1, got {args.d}")
+    _require(
+        args.d <= ENUMERATE_MAX_D, f"--d must be at most {ENUMERATE_MAX_D}, got {args.d}"
+    )
     target = args.genus if args.genus is not None else args.cogenus
     _require(target >= 0, "genus / cogenus must be nonnegative")
     query = DiagramQuery(
@@ -408,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list diagrams for a degree and target")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument(
+        "--d", type=int, required=True, help=f"degree, at most {ENUMERATE_MAX_D}"
+    )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--genus", type=int)
     group.add_argument("--cogenus", type=int)

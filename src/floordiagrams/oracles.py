@@ -47,6 +47,10 @@ bijection as the paper defines it: root at the largest vertex, split the
 rest into components, attach each by its choice list, and recurse, with
 every component, edge filter and divergence recomputed at each level.
 ``sequences`` runs the same bijection in one pass over the floors.
+
+``sketch_svg_oracle`` draws a tropical curve sketch with every coordinate
+mapped as its own Fraction; ``render.sketch_svg`` maps integers over one
+common denominator and must give the same bytes.
 """
 
 from __future__ import annotations
@@ -72,7 +76,9 @@ from .markings import (
     enumerate_distributions,
 )
 from .nodepoly import RatPolynomial, enumerate_templates, extension_polynomial
+from .render import LAYOUT, SvgLayout, _fmt, _svg
 from .sequences import LabeledTree
+from .tropical import TropicalCurveSketch
 
 Vector = tuple[int, ...]
 
@@ -616,3 +622,63 @@ def tree_to_diagram_oracle(tree: LabeledTree) -> FloorDiagram:
     """Inverse of diagram_to_tree_oracle."""
     vertices = tuple(range(1, tree.d + 1))
     return FloorDiagram(tree.d, _tree_to_diag_edges(vertices, tree.edges))
+
+
+def sketch_svg_oracle(sketch: TropicalCurveSketch, layout: SvgLayout = LAYOUT) -> str:
+    """Floors as polylines with rays, elevators as vertical strokes."""
+    xs: list[Fraction] = []
+    ys: list[Fraction] = []
+    for f in sketch.floors:
+        xs.extend([p[0] for p in f.breakpoints] + [f.anchor[0]])
+        ys.extend([p[1] for p in f.breakpoints] + [f.anchor[1]])
+    for e in sketch.elevators:
+        xs.append(e.x)
+        ys.extend([e.top, e.point[1]] + ([e.bottom] if e.bottom is not None else []))
+    x_lo, x_hi = min(xs) - 1, max(xs) + 1
+    y_lo, y_hi = min(ys), max(ys)
+    y_lo -= (y_hi - y_lo) / 10 + 1
+    y_hi += (y_hi - y_lo) / 10 + 1
+    size = layout.sketch_size
+    inner = size - 2 * layout.margin
+
+    def sx(x: Fraction) -> float:
+        return layout.margin + float((x - x_lo) / (x_hi - x_lo)) * inner
+
+    def sy(y: Fraction) -> float:
+        return layout.margin + float((y_hi - y) / (y_hi - y_lo)) * inner
+
+    body = []
+    for f in sketch.floors:
+        pts = list(f.breakpoints)
+        if not pts:
+            pts = [f.anchor]
+        left = (x_lo, f.height(x_lo))
+        right = (x_hi, f.height(x_hi))
+        chain = [left, *pts, right]
+        path = "M " + " L ".join(f"{_fmt(sx(x))} {_fmt(sy(y))}" for x, y in chain)
+        body.append(
+            f'<path d="{path}" fill="none" stroke="{layout.stroke}" stroke-width="2"/>'
+        )
+        ax, ay = f.anchor
+        body.append(
+            f'<circle cx="{_fmt(sx(ax))}" cy="{_fmt(sy(ay))}" r="{layout.dot + 1}" '
+            f'fill="white" stroke="{layout.stroke}" stroke-width="2"/>'
+        )
+    for e in sketch.elevators:
+        bottom = e.bottom if e.bottom is not None else y_lo
+        body.append(
+            f'<line x1="{_fmt(sx(e.x))}" y1="{_fmt(sy(e.top))}" '
+            f'x2="{_fmt(sx(e.x))}" y2="{_fmt(sy(bottom))}" '
+            f'stroke="{layout.accent}" stroke-width="{1 + e.weight}"/>'
+        )
+        px, py = e.point
+        body.append(
+            f'<circle cx="{_fmt(sx(px))}" cy="{_fmt(sy(py))}" r="{layout.dot}" '
+            f'fill="{layout.accent}"/>'
+        )
+        if e.weight > 1:
+            body.append(
+                f'<text x="{_fmt(sx(e.x) + 6)}" y="{_fmt((sy(e.top) + sy(bottom)) / 2)}" '
+                f'font-size="13">{e.weight}</text>'
+            )
+    return _svg(size, size, body)

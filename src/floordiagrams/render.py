@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from pathlib import Path
 
 from .core import FloorDiagram
@@ -128,7 +130,14 @@ def marking_svg(
 
 
 def sketch_svg(sketch: TropicalCurveSketch, layout: SvgLayout = LAYOUT) -> str:
-    """Floors as polylines with rays, elevators as vertical strokes."""
+    """Floors as polylines with rays, elevators as vertical strokes.
+
+    Every coordinate is written over one common denominator, so a point maps
+    by one integer subtraction and one int / int division.  Python rounds
+    that quotient correctly, as it does float(Fraction), which is numerator /
+    denominator: both round the same rational, so every digit matches the
+    exact Fraction mapping.
+    """
     xs: list[Fraction] = []
     ys: list[Fraction] = []
     for f in sketch.floors:
@@ -141,24 +150,30 @@ def sketch_svg(sketch: TropicalCurveSketch, layout: SvgLayout = LAYOUT) -> str:
     y_lo, y_hi = min(ys), max(ys)
     y_lo -= (y_hi - y_lo) / 10 + 1
     y_hi += (y_hi - y_lo) / 10 + 1
+    rays = [(f.height(x_lo), f.height(x_hi)) for f in sketch.floors]
+    bounds = (x_lo, x_hi, y_lo, y_hi)
+    denom = lcm(*{q.denominator for q in chain(xs, ys, bounds, *rays)})
+
+    def scaled(q: Fraction) -> int:
+        return q.numerator * (denom // q.denominator)
+
+    x0, y1 = scaled(x_lo), scaled(y_hi)
+    x_span, y_span = scaled(x_hi) - x0, y1 - scaled(y_lo)
     size = layout.sketch_size
-    inner = size - 2 * layout.margin
+    margin = layout.margin
+    inner = size - 2 * margin
 
     def sx(x: Fraction) -> float:
-        return layout.margin + float((x - x_lo) / (x_hi - x_lo)) * inner
+        return margin + (scaled(x) - x0) / x_span * inner
 
     def sy(y: Fraction) -> float:
-        return layout.margin + float((y_hi - y) / (y_hi - y_lo)) * inner
+        return margin + (y1 - scaled(y)) / y_span * inner
 
     body = []
-    for f in sketch.floors:
-        pts = list(f.breakpoints)
-        if not pts:
-            pts = [f.anchor]
-        left = (x_lo, f.height(x_lo))
-        right = (x_hi, f.height(x_hi))
-        chain = [left, *pts, right]
-        path = "M " + " L ".join(f"{_fmt(sx(x))} {_fmt(sy(y))}" for x, y in chain)
+    for f, (left, right) in zip(sketch.floors, rays):
+        pts = f.breakpoints or (f.anchor,)
+        line = [(x_lo, left), *pts, (x_hi, right)]
+        path = "M " + " L ".join(f"{_fmt(sx(x))} {_fmt(sy(y))}" for x, y in line)
         body.append(
             f'<path d="{path}" fill="none" stroke="{layout.stroke}" stroke-width="2"/>'
         )
@@ -168,10 +183,11 @@ def sketch_svg(sketch: TropicalCurveSketch, layout: SvgLayout = LAYOUT) -> str:
             f'fill="white" stroke="{layout.stroke}" stroke-width="2"/>'
         )
     for e in sketch.elevators:
-        bottom = e.bottom if e.bottom is not None else y_lo
+        ex, top = sx(e.x), sy(e.top)
+        bottom = sy(e.bottom if e.bottom is not None else y_lo)
         body.append(
-            f'<line x1="{_fmt(sx(e.x))}" y1="{_fmt(sy(e.top))}" '
-            f'x2="{_fmt(sx(e.x))}" y2="{_fmt(sy(bottom))}" '
+            f'<line x1="{_fmt(ex)}" y1="{_fmt(top)}" '
+            f'x2="{_fmt(ex)}" y2="{_fmt(bottom)}" '
             f'stroke="{layout.accent}" stroke-width="{1 + e.weight}"/>'
         )
         px, py = e.point
@@ -181,7 +197,7 @@ def sketch_svg(sketch: TropicalCurveSketch, layout: SvgLayout = LAYOUT) -> str:
         )
         if e.weight > 1:
             body.append(
-                f'<text x="{_fmt(sx(e.x) + 6)}" y="{_fmt((sy(e.top) + sy(bottom)) / 2)}" '
+                f'<text x="{_fmt(ex + 6)}" y="{_fmt((top + bottom) / 2)}" '
                 f'font-size="13">{e.weight}</text>'
             )
     return _svg(size, size, body)

@@ -5,7 +5,9 @@ piecewise-linear graph rebuilt by a right-to-left scan (slope 1 at the
 right end, changing by the elevator weight at every black point, slope 0
 at the left end), anchored through its white point; elevators are the
 vertical segments and rays through the black points.  All geometry is in
-exact rationals, so every verification check is an equality check.
+exact rationals, so every verification check is an equality check.  The
+SVG sketch keeps them exact: it writes every coordinate over one common
+denominator and rounds only the final integer quotient.
 """
 
 from __future__ import annotations
@@ -212,6 +214,7 @@ def reconstruct(
             neighbors[v].append((pos[label], label, -w))
 
     floors: list[FloorCurve] = []
+    height_at: dict[tuple[int, str], Fraction] = {}  # (floor, label) -> y
     for v in range(1, diag.d + 1):
         nbrs = sorted(neighbors[v])  # ascending position = right to left
         slope = Fraction(1)
@@ -221,6 +224,7 @@ def reconstruct(
             right_to_left.append((point_of[label][0], slope))
         if slope != 0:
             raise AssertionError(f"floor {v} does not end with slope 0")
+        labels = [label for _, label, _ in reversed(nbrs)]
         breaks_x = [x for x, _ in reversed(right_to_left)]
         slopes = [s for _, s in reversed(right_to_left)] + [Fraction(1)]
         ax, ay = point_of[f"v{v}"]
@@ -238,6 +242,7 @@ def reconstruct(
             y = y + slopes[i] * (breaks_x[i] - x_cur)
             x_cur = breaks_x[i]
             ys[i] = y
+        height_at.update(((v, label), yy) for label, yy in zip(labels, ys))
         floors.append(
             FloorCurve(
                 v,
@@ -247,15 +252,16 @@ def reconstruct(
             )
         )
 
-    floor_by_vertex = {f.vertex: f for f in floors}
+    # each black point is a breakpoint of the floors its elevator meets, so
+    # the walk above already has the elevator's ends
     elevators = []
     for label in order:
         kind = kinds[label]
         if kind[0] == "M":
             _, s, t, w, _ = kind
             x, y = point_of[label]
-            top = floor_by_vertex[s].height(x)
-            bottom = floor_by_vertex[t].height(x)
+            top = height_at[(s, label)]
+            bottom = height_at[(t, label)]
             if not bottom < y < top:
                 raise AssertionError(
                     f"black point of {label} must lie on its elevator"
@@ -264,7 +270,7 @@ def reconstruct(
         elif kind[0] == "S":
             _, v, w, _ = kind
             x, y = point_of[label]
-            top = floor_by_vertex[v].height(x)
+            top = height_at[(v, label)]
             if not y < top:
                 raise AssertionError(
                     f"black point of {label} must lie below floor {v}"
@@ -287,13 +293,16 @@ def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
         )
         bound_ok = all(abs(s) <= d for s in floor.slopes)
         checks.append(CurveCheck(f"floor {floor.vertex} slope bound", bound_ok))
+    at_x: dict[Fraction, list[Elevator]] = {}
+    for e in sketch.elevators:
+        at_x.setdefault(e.x, []).append(e)
     for floor in sketch.floors:
         for i, (bx, _) in enumerate(floor.breakpoints):
             s_left, s_right = floor.slopes[i], floor.slopes[i + 1]
             hit = [
                 e
-                for e in sketch.elevators
-                if e.x == bx and floor.vertex in (e.upper_floor, e.lower_floor)
+                for e in at_x.get(bx, ())
+                if floor.vertex in (e.upper_floor, e.lower_floor)
             ]
             if len(hit) != 1:
                 checks.append(

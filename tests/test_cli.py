@@ -65,6 +65,8 @@ def test_usage_error_exit_code(capsys):
         ["verify-tables", "--suite", "all", "--max-d", "9"],
         ["sequence", "z", "--max-d", "61"],
         ["sequence", "ode-check", "--order", "61"],
+        ["enumerate", "--d", "8", "--genus", "0"],
+        ["enumerate", "--d", "9", "--cogenus", "0", "--connected"],
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

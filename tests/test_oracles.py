@@ -6,12 +6,14 @@ and tangency profile, past the frozen tables, the enumerate-then-count
 sum at every tangency profile, and the node polynomials past their
 threshold.  The enumerate-then-count sum in turn checks the sweep's
 connected sums, and its odd-weight rows behind ``welschinger``.  The
-recursive tree bijection checks the one-pass one in both directions, and
-the listing by automorphism orbits checks the marking listing.
+recursive tree bijection checks the one-pass one in both directions, the
+listing by automorphism orbits checks the marking listing, and the
+per-Fraction sketch renderer checks the integer one byte for byte.
 """
 
 import ast
 import random
+from fractions import Fraction
 from math import prod
 from pathlib import Path
 
@@ -42,11 +44,21 @@ from floordiagrams.oracles import (
     caporaso_harris,
     diagram_to_tree_oracle,
     marking_orbits_oracle,
+    sketch_svg_oracle,
     tree_to_diagram_oracle,
     welschinger_oracle,
 )
+from floordiagrams.render import sketch_svg
 from floordiagrams.sequences import LabeledTree, diagram_to_tree, tree_to_diagram
 from floordiagrams.tables import appendix_rows, severi_table
+from floordiagrams.tropical import (
+    Elevator,
+    FloorCurve,
+    TropicalCurveSketch,
+    reconstruct,
+    stretched_config,
+    verify_curve,
+)
 
 
 def partitions(n, largest=None):
@@ -255,6 +267,46 @@ def test_marking_listing_equals_the_orbit_minimum_degree_5():
         assert list_markings(diag, no_tangency, ones) == marking_orbits_oracle(
             diag, no_tangency, ones
         ), diag.text()
+
+
+def ordinary_markings(d, g):
+    no_tangency, ones = Partition(()), Partition.ones(d)
+    return [
+        (diag, order)
+        for diag in enumerate_diagrams(DiagramQuery(d, genus=g))
+        for order in list_markings(diag, no_tangency, ones)
+    ]
+
+
+def test_sketch_svg_equals_the_fraction_oracle():
+    cases = [(d, 0, seed) for d in range(1, 5) for seed in (0, 1)] + [(3, 1, 0)]
+    cases = [(d, g, seed, ordinary_markings(d, g)) for d, g, seed in cases]
+    # all 25,871 genus-0 degree-5 markings would take over a minute
+    cases.append((5, 0, 0, random.Random(5).sample(ordinary_markings(5, 0), 300)))
+    sketches = 0
+    for d, g, seed, markings in cases:
+        config = stretched_config(d, g, seed)
+        for diag, order in markings:
+            sketch = reconstruct(diag, order, config)
+            assert verify_curve(sketch, d, g).ok, (diag.text(), order)
+            assert sketch_svg(sketch) == sketch_svg_oracle(sketch), (diag.text(), order)
+            sketches += 1
+    assert sketches == 2 * (1 + 1 + 9 + 303) + 1 + 300
+
+
+def test_sketch_svg_equals_the_fraction_oracle_off_the_configurations():
+    # x = 66 maps to 40 + 520 * 67/1600 = 61.775, a tie at the second
+    # decimal, so rounding the quotient and the product in another order
+    # shows; heights near 10**30 have scaled integers past 2**53, so any
+    # float conversion before the quotient shows
+    top = Fraction(10**30)
+    floor = FloorCurve(1, (Fraction(0), top), (), (Fraction(0),))
+    elevators = tuple(
+        Elevator(f"s1w1#{i}", x, 1, 1, None, top, None, (x, top - i - 1))
+        for i, x in enumerate([Fraction(66), Fraction(1598)])
+    )
+    sketch = TropicalCurveSketch(1, 0, (floor,), elevators, ())
+    assert sketch_svg(sketch) == sketch_svg_oracle(sketch)
 
 
 def assert_bijection_matches_oracle(diag):

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,13 @@ from floordiagrams.tropical import (
 
 P = Partition
 EXAMPLE = diagram(4, [(1, 2, 1), (2, 3, 1), (2, 3, 1), (3, 4, 2)])
+# the README `tropical reconstruct` example, at the default config seed
+README_CUBIC = diagram(3, [(1, 2, 1), (2, 3, 1)])
+README_MARKING = tuple("v1 e1-2w1#0 v2 e2-3w1#0 v3 s2w1#0 s3w1#0 s3w1#1".split())
+
+
+def readme_sketch():
+    return reconstruct(README_CUBIC, README_MARKING, stretched_config(3, 0, 0))
 
 
 def ordinary_markings(diag):
@@ -113,6 +121,27 @@ def test_fault_injection_fails_balancing():
     assert any("balancing" in c.name for c in report.failures())
 
 
+def test_verify_curve_reports_an_elevator_off_its_breakpoint():
+    sketch = readme_sketch()
+    bounded = sketch.elevators[0]
+    assert (bounded.upper_floor, bounded.lower_floor) == (1, 2)
+    moved = replace(bounded, x=bounded.x + Fraction(1, 7))
+    bad = replace(sketch, elevators=(moved, *sketch.elevators[1:]))
+    failures = [(c.name, c.detail) for c in verify_curve(bad, 3, 0).failures()]
+    assert failures == [
+        (f"floor 1 breakpoint at x={bounded.x}", "0 elevators meet it"),
+        (f"floor 2 breakpoint at x={bounded.x}", "0 elevators meet it"),
+    ]
+
+
+def test_verify_curve_reports_the_ground_census():
+    sketch = readme_sketch()
+    ground = next(i for i, e in enumerate(sketch.elevators) if e.lower_floor is None)
+    report = verify_curve(perturb_elevator(sketch, ground, +1), 3, 0)
+    failures = {c.name: c.detail for c in report.failures()}
+    assert failures["census (0,-1)"] == "weight 4 of 3"
+
+
 def test_reconstruct_rejects_mismatched_inputs():
     cfg = stretched_config(3, 0, 0)
     diag_ = diagram(3, [(1, 2, 1), (2, 3, 1)])
@@ -168,6 +197,13 @@ def test_marking_svg_is_pinned():
     svg = marking_svg(EXAMPLE, tuple(marking.split()))
     assert hashlib.sha256(svg.encode()).hexdigest() == (
         "61da965f15e82780cf6f3fee7adf1e88e1780b70a4217737e7304b12ed117660"
+    )
+
+
+def test_sketch_svg_is_pinned():
+    svg = sketch_svg(readme_sketch())
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "9d3a4613becac2302b0a34e407595da632a0fa3d5a6ed5297007680c5ad4650c"
     )
 
 
