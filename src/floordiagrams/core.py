@@ -9,8 +9,8 @@ every vertex is at most 1.  All quantities are exact integers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import prod
+from operator import attrgetter, index
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int, int]  # (src, tgt, weight)
@@ -20,14 +20,59 @@ class DiagramError(ValueError):
     """A partition or diagram violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class Partition:
+class Value:
+    """Immutable record whose fields are its class's ``__slots__``, in order.
+
+    Instances of one class are equal when their fields are, and never equal
+    an instance of another class; the hash is the hash of the field tuple,
+    the repr is ``Name(field=value, ...)`` and any assignment raises
+    AttributeError, as with a frozen dataclass.  Plain slotted classes keep
+    ``dataclasses`` out of the package import: it loads ``inspect`` and
+    ``ast`` and executes generated code for every class, which cost more than
+    most solves.  An ``__init__`` stores its fields with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        # attrgetter gives a tuple only for two names or more
+        astuple = get if len(cls.__slots__) > 1 else lambda obj: (get(obj),)
+        cls._astuple = staticmethod(astuple)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since assignment is refused
+        return type(self), self._astuple(self)
+
+
+class Partition(Value):
     """Weakly decreasing sequence of positive integers (tangency data)."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+    def __init__(self, parts: tuple[int, ...] = ()):
+        try:
+            parts = tuple(map(index, parts))
+        except TypeError as exc:
+            raise DiagramError(f"partition parts must be integers, got {parts!r}") from exc
         object.__setattr__(self, "parts", parts)
         for i, p in enumerate(parts):
             if p < 1:
@@ -114,29 +159,48 @@ def parse_tuples(body: str, arity: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class DiagramShape:
-    components: int
-    degree: int
-    genus: int
-    cogenus: int
-    connected: bool
+class DiagramShape(Value):
+    __slots__ = ("components", "degree", "genus", "cogenus", "connected")
+
+    def __init__(
+        self, components: int, degree: int, genus: int, cogenus: int, connected: bool
+    ):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "cogenus", cogenus)
+        object.__setattr__(self, "connected", connected)
 
 
-@dataclass(frozen=True)
-class FloorDiagram:
+class FloorDiagram(Value):
     """Degree-d labeled floor diagram; edges stored as a sorted multiset."""
 
-    d: int
-    edges: tuple[Edge, ...] = ()
+    __slots__ = ("d", "edges")
+
+    def __init__(self, d: int, edges: tuple[Edge, ...] = ()):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DiagramError(f"degree must be positive, got {self.d}")
-        edges = tuple(sorted((int(s), int(t), int(w)) for s, t, w in self.edges))
+        """Canonicalize and validate; a separate method so that it can be
+        counted once per diagram built."""
+        try:
+            d = index(self.d)
+        except TypeError as exc:
+            raise DiagramError(f"degree must be an integer, got {self.d!r}") from exc
+        if d < 1:
+            raise DiagramError(f"degree must be positive, got {d}")
+        try:
+            edges = tuple(sorted((index(s), index(t), index(w)) for s, t, w in self.edges))
+        except TypeError as exc:
+            raise DiagramError(
+                f"edge entries must be integers, got {self.edges!r}"
+            ) from exc
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edges)
         for s, t, w in edges:
-            if not (1 <= s < t <= self.d):
+            if not (1 <= s < t <= d):
                 raise DiagramError(f"edge ({s},{t},{w}) must satisfy 1 <= src < tgt <= d")
             if w < 1:
                 raise DiagramError(f"edge ({s},{t},{w}) must have positive weight")
@@ -236,7 +300,7 @@ class FloorDiagram:
     def from_json(text: str) -> "FloorDiagram":
         try:
             obj = json.loads(text)
-            return FloorDiagram(int(obj["d"]), tuple(tuple(e) for e in obj["edges"]))
+            return FloorDiagram(obj["d"], tuple(tuple(e) for e in obj["edges"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise DiagramError(f"cannot parse diagram json {text!r}") from exc
 

@@ -19,10 +19,9 @@ call, so it builds no edge set.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .core import DiagramError, Edge, FloorDiagram, parse_tuples
+from .core import DiagramError, Edge, FloorDiagram, Value, parse_tuples
 
 
 def _generate_edge_sets(
@@ -132,30 +131,37 @@ def filter_predicate(spec: Optional[str]) -> Callable[[FloorDiagram], bool]:
     return lambda diag: not value - Counter(diag.edges)
 
 
-@dataclass(frozen=True)
-class DiagramQuery:
+class DiagramQuery(Value):
     """Enumeration request: degree plus exactly one of genus / cogenus.
 
     Genus queries cover connected diagrams only.  Cogenus queries allow
     disconnected diagrams; pass connected=True to restrict them.
     """
 
-    d: int
-    genus: Optional[int] = None
-    cogenus: Optional[int] = None
-    connected: Optional[bool] = None
-    filter: Optional[str] = None
+    __slots__ = ("d", "genus", "cogenus", "connected", "filter")
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise DiagramError(f"degree must be positive, got {self.d}")
-        if (self.genus is None) == (self.cogenus is None):
+    def __init__(
+        self,
+        d: int,
+        genus: Optional[int] = None,
+        cogenus: Optional[int] = None,
+        connected: Optional[bool] = None,
+        filter: Optional[str] = None,
+    ):
+        if d < 1:
+            raise DiagramError(f"degree must be positive, got {d}")
+        if (genus is None) == (cogenus is None):
             raise DiagramError("exactly one of genus / cogenus must be set")
-        target = self.genus if self.genus is not None else self.cogenus
+        target = genus if genus is not None else cogenus
         if target < 0:
             raise DiagramError("genus / cogenus must be nonnegative")
-        if self.genus is not None and self.connected is False:
+        if genus is not None and connected is False:
             raise DiagramError("genus queries require connected diagrams")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "cogenus", cogenus)
+        object.__setattr__(self, "connected", connected)
+        object.__setattr__(self, "filter", filter)
 
 
 def _exact_edge_count(query: DiagramQuery) -> int:

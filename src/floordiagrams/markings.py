@@ -18,17 +18,15 @@ are tested against.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .core import DiagramError, FloorDiagram, Partition
+from .core import DiagramError, FloorDiagram, Partition, Value
 
 BRUTE_FORCE_LIMIT = 14
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Value):
     """Placement of the new edges of a (lambda, rho)-marking.
 
     lambda_sources[i] is the floor emitting the single weight-lambda_i edge
@@ -36,12 +34,16 @@ class Distribution:
     sink weights hanging from floor v.
     """
 
-    lambda_sources: tuple[int, ...]
-    rho_sinks: tuple[tuple[int, ...], ...]
+    __slots__ = ("lambda_sources", "rho_sinks")
+
+    def __init__(
+        self, lambda_sources: tuple[int, ...], rho_sinks: tuple[tuple[int, ...], ...]
+    ):
+        object.__setattr__(self, "lambda_sources", lambda_sources)
+        object.__setattr__(self, "rho_sinks", rho_sinks)
 
 
-@dataclass(frozen=True)
-class MarkingPoset:
+class MarkingPoset(Value):
     """Derived ordered structure whose constrained linear orders are counted.
 
     Element inventory: floors 1..d (pinned in order), one midpoint per
@@ -50,11 +52,21 @@ class MarkingPoset:
     group fixing the floors.
     """
 
-    d: int
-    midpoints: tuple[tuple[int, int, int, int], ...]  # (src, tgt, weight, copy)
-    sinks: tuple[tuple[int, int, int], ...]  # (floor, weight, copy)
-    lambda_vertices: tuple[tuple[int, int, int], ...]  # (index, source floor, weight)
-    symmetry: int
+    __slots__ = ("d", "midpoints", "sinks", "lambda_vertices", "symmetry")
+
+    def __init__(
+        self,
+        d: int,
+        midpoints: tuple[tuple[int, int, int, int], ...],  # (src, tgt, weight, copy)
+        sinks: tuple[tuple[int, int, int], ...],  # (floor, weight, copy)
+        lambda_vertices: tuple[tuple[int, int, int], ...],  # (index, source floor, weight)
+        symmetry: int,
+    ):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "midpoints", midpoints)
+        object.__setattr__(self, "sinks", sinks)
+        object.__setattr__(self, "lambda_vertices", lambda_vertices)
+        object.__setattr__(self, "symmetry", symmetry)
 
     @property
     def element_count(self) -> int:

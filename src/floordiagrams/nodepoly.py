@@ -21,24 +21,22 @@ is Vandermonde's identity.  ``RatPolynomial`` appears only at the output.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, prod
-from operator import mul
+from operator import index, mul
 
-from .core import DiagramError
+from .core import DiagramError, Value
 
 
-@dataclass(frozen=True)
-class RatPolynomial:
+class RatPolynomial(Value):
     """Single-variable polynomial with exact rational coefficients."""
 
-    coefficients: tuple[Fraction, ...] = ()
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+    def __init__(self, coefficients: tuple[Fraction, ...] = ()):
+        coeffs = tuple(Fraction(c) for c in coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
@@ -225,15 +223,19 @@ def discrete_sum(p: RatPolynomial, a: int, shift: int) -> RatPolynomial:
     return _from_newton(_newton_sum(basis, a, shift))
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(Value):
     """Weighted edge collection over vertices v_0 < ... < v_ell with no
     weight-1 unit-span edges and every interior vertex straddled."""
 
-    edges: tuple[tuple[int, int, int], ...]  # (i, j, weight) with i < j
+    __slots__ = ("edges",)
 
-    def __post_init__(self):
-        edges = tuple(sorted(tuple(int(x) for x in e) for e in self.edges))
+    def __init__(self, edges: tuple[tuple[int, int, int], ...]):  # (i, j, weight), i < j
+        try:
+            edges = tuple(sorted(tuple(map(index, e)) for e in edges))
+        except TypeError as exc:
+            raise DiagramError(
+                f"template edge entries must be integers, got {edges!r}"
+            ) from exc
         object.__setattr__(self, "edges", edges)
         if not edges:
             raise DiagramError("a template needs at least one edge")

@@ -51,6 +51,10 @@ every component, edge filter and divergence recomputed at each level.
 ``sketch_svg_oracle`` draws a tropical curve sketch with every coordinate
 mapped as its own Fraction; ``render.sketch_svg`` maps integers over one
 common denominator and must give the same bytes.
+
+``copy_with`` copies a value record with some fields changed, and
+``perturb_elevator`` uses it to build faulty sketches that
+``tropical.verify_curve`` must reject.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ from .markings import (
     enumerate_distributions,
 )
 from .nodepoly import RatPolynomial, enumerate_templates, extension_polynomial
-from .render import LAYOUT, SvgLayout, _fmt, _svg
+from .render import ACCENT, DOT, MARGIN, SKETCH_SIZE, STROKE, _fmt, _svg
 from .sequences import LabeledTree
 from .tropical import TropicalCurveSketch
 
@@ -624,7 +628,7 @@ def tree_to_diagram_oracle(tree: LabeledTree) -> FloorDiagram:
     return FloorDiagram(tree.d, _tree_to_diag_edges(vertices, tree.edges))
 
 
-def sketch_svg_oracle(sketch: TropicalCurveSketch, layout: SvgLayout = LAYOUT) -> str:
+def sketch_svg_oracle(sketch: TropicalCurveSketch) -> str:
     """Floors as polylines with rays, elevators as vertical strokes."""
     xs: list[Fraction] = []
     ys: list[Fraction] = []
@@ -638,14 +642,13 @@ def sketch_svg_oracle(sketch: TropicalCurveSketch, layout: SvgLayout = LAYOUT) -
     y_lo, y_hi = min(ys), max(ys)
     y_lo -= (y_hi - y_lo) / 10 + 1
     y_hi += (y_hi - y_lo) / 10 + 1
-    size = layout.sketch_size
-    inner = size - 2 * layout.margin
+    inner = SKETCH_SIZE - 2 * MARGIN
 
     def sx(x: Fraction) -> float:
-        return layout.margin + float((x - x_lo) / (x_hi - x_lo)) * inner
+        return MARGIN + float((x - x_lo) / (x_hi - x_lo)) * inner
 
     def sy(y: Fraction) -> float:
-        return layout.margin + float((y_hi - y) / (y_hi - y_lo)) * inner
+        return MARGIN + float((y_hi - y) / (y_hi - y_lo)) * inner
 
     body = []
     for f in sketch.floors:
@@ -657,28 +660,42 @@ def sketch_svg_oracle(sketch: TropicalCurveSketch, layout: SvgLayout = LAYOUT) -
         chain = [left, *pts, right]
         path = "M " + " L ".join(f"{_fmt(sx(x))} {_fmt(sy(y))}" for x, y in chain)
         body.append(
-            f'<path d="{path}" fill="none" stroke="{layout.stroke}" stroke-width="2"/>'
+            f'<path d="{path}" fill="none" stroke="{STROKE}" stroke-width="2"/>'
         )
         ax, ay = f.anchor
         body.append(
-            f'<circle cx="{_fmt(sx(ax))}" cy="{_fmt(sy(ay))}" r="{layout.dot + 1}" '
-            f'fill="white" stroke="{layout.stroke}" stroke-width="2"/>'
+            f'<circle cx="{_fmt(sx(ax))}" cy="{_fmt(sy(ay))}" r="{DOT + 1}" '
+            f'fill="white" stroke="{STROKE}" stroke-width="2"/>'
         )
     for e in sketch.elevators:
         bottom = e.bottom if e.bottom is not None else y_lo
         body.append(
             f'<line x1="{_fmt(sx(e.x))}" y1="{_fmt(sy(e.top))}" '
             f'x2="{_fmt(sx(e.x))}" y2="{_fmt(sy(bottom))}" '
-            f'stroke="{layout.accent}" stroke-width="{1 + e.weight}"/>'
+            f'stroke="{ACCENT}" stroke-width="{1 + e.weight}"/>'
         )
         px, py = e.point
         body.append(
-            f'<circle cx="{_fmt(sx(px))}" cy="{_fmt(sy(py))}" r="{layout.dot}" '
-            f'fill="{layout.accent}"/>'
+            f'<circle cx="{_fmt(sx(px))}" cy="{_fmt(sy(py))}" r="{DOT}" '
+            f'fill="{ACCENT}"/>'
         )
         if e.weight > 1:
             body.append(
                 f'<text x="{_fmt(sx(e.x) + 6)}" y="{_fmt((sy(e.top) + sy(bottom)) / 2)}" '
                 f'font-size="13">{e.weight}</text>'
             )
-    return _svg(size, size, body)
+    return _svg(SKETCH_SIZE, SKETCH_SIZE, body)
+
+
+def copy_with(value, **changes):
+    """A copy of a value record with the named fields changed, built through
+    its class's constructor, so that every check runs again."""
+    fields = {name: getattr(value, name) for name in type(value).__slots__}
+    return type(value)(**{**fields, **changes})
+
+
+def perturb_elevator(sketch: TropicalCurveSketch, index: int, delta: int) -> TropicalCurveSketch:
+    """Return a sketch with one elevator weight changed (for fault-injection tests)."""
+    elevators = list(sketch.elevators)
+    elevators[index] = copy_with(elevators[index], weight=elevators[index].weight + delta)
+    return copy_with(sketch, elevators=tuple(elevators))

@@ -6,7 +6,6 @@ for the same input, so golden-file comparisons are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -16,19 +15,14 @@ from .core import FloorDiagram
 from .tropical import TropicalCurveSketch, _ordinary_labels, _validated
 
 
-@dataclass(frozen=True)
-class SvgLayout:
-    unit: int = 80          # horizontal pitch between diagram vertices
-    radius: int = 7         # vertex circle radius
-    dot: int = 4            # marking point radius
-    margin: int = 40
-    height: int = 160
-    sketch_size: int = 600
-    stroke: str = "#222222"
-    accent: str = "#aa2222"
-
-
-LAYOUT = SvgLayout()
+UNIT = 80  # horizontal pitch between diagram vertices
+RADIUS = 7  # vertex circle radius
+DOT = 4  # marking point radius
+MARGIN = 40
+HEIGHT = 160
+SKETCH_SIZE = 600
+STROKE = "#222222"
+ACCENT = "#aa2222"
 
 
 def _fmt(value) -> str:
@@ -51,13 +45,13 @@ def _arc(x1: float, y: float, x2: float, lift: float, stroke: str, width: int) -
     )
 
 
-def diagram_svg(diag: FloorDiagram, layout: SvgLayout = LAYOUT) -> str:
+def diagram_svg(diag: FloorDiagram) -> str:
     """Vertices on a row, edges as arcs, weights >= 2 labeled."""
-    y = layout.height / 2
-    width = 2 * layout.margin + layout.unit * (diag.d - 1) or 2 * layout.margin
+    y = HEIGHT / 2
+    width = 2 * MARGIN + UNIT * (diag.d - 1) or 2 * MARGIN
 
     def vx(v: int) -> float:
-        return layout.margin + layout.unit * (v - 1)
+        return MARGIN + UNIT * (v - 1)
 
     body = []
     copies: dict[tuple[int, int], int] = {}
@@ -65,7 +59,7 @@ def diagram_svg(diag: FloorDiagram, layout: SvgLayout = LAYOUT) -> str:
         c = copies.get((s, t), 0)
         copies[(s, t)] = c + 1
         lift = 18 * (t - s) + 26 * c
-        body.append(_arc(vx(s), y, vx(t), lift, layout.stroke, 2))
+        body.append(_arc(vx(s), y, vx(t), lift, STROKE, 2))
         if w > 1:
             mx = (vx(s) + vx(t)) / 2
             body.append(
@@ -74,25 +68,23 @@ def diagram_svg(diag: FloorDiagram, layout: SvgLayout = LAYOUT) -> str:
             )
     for v in range(1, diag.d + 1):
         body.append(
-            f'<circle cx="{_fmt(vx(v))}" cy="{_fmt(y)}" r="{layout.radius}" '
-            f'fill="white" stroke="{layout.stroke}" stroke-width="2"/>'
+            f'<circle cx="{_fmt(vx(v))}" cy="{_fmt(y)}" r="{RADIUS}" '
+            f'fill="white" stroke="{STROKE}" stroke-width="2"/>'
         )
-    return _svg(int(width), layout.height, body)
+    return _svg(int(width), HEIGHT, body)
 
 
-def marking_svg(
-    diag: FloorDiagram, order: tuple[str, ...], layout: SvgLayout = LAYOUT
-) -> str:
+def marking_svg(diag: FloorDiagram, order: tuple[str, ...]) -> str:
     """Marked diagram: every element on a row, decorated-graph edges as arcs."""
     kinds = _ordinary_labels(diag)
     order = _validated(diag, order, kinds)
     pos = {label: i for i, label in enumerate(order)}
-    y = layout.height / 2
-    pitch = layout.unit // 2
-    width = 2 * layout.margin + pitch * (len(order) - 1)
+    y = HEIGHT / 2
+    pitch = UNIT // 2
+    width = 2 * MARGIN + pitch * (len(order) - 1)
 
     def px(label: str) -> float:
-        return layout.margin + pitch * pos[label]
+        return MARGIN + pitch * pos[label]
 
     arcs: list[tuple[str, str, int]] = []
     for label in order:
@@ -108,7 +100,7 @@ def marking_svg(
     for a, b, w in arcs:
         span = abs(pos[b] - pos[a])
         lift = 10 + 8 * span
-        body.append(_arc(px(a), y, px(b), lift, layout.stroke, 1 + (w > 1)))
+        body.append(_arc(px(a), y, px(b), lift, STROKE, 1 + (w > 1)))
         if w > 1:
             mx = (px(a) + px(b)) / 2
             body.append(
@@ -118,18 +110,18 @@ def marking_svg(
     for label in order:
         if label.startswith("v"):
             body.append(
-                f'<circle cx="{_fmt(px(label))}" cy="{_fmt(y)}" r="{layout.radius}" '
-                f'fill="white" stroke="{layout.stroke}" stroke-width="2"/>'
+                f'<circle cx="{_fmt(px(label))}" cy="{_fmt(y)}" r="{RADIUS}" '
+                f'fill="white" stroke="{STROKE}" stroke-width="2"/>'
             )
         else:
             body.append(
-                f'<circle cx="{_fmt(px(label))}" cy="{_fmt(y)}" r="{layout.dot}" '
-                f'fill="{layout.stroke}"/>'
+                f'<circle cx="{_fmt(px(label))}" cy="{_fmt(y)}" r="{DOT}" '
+                f'fill="{STROKE}"/>'
             )
-    return _svg(int(width), layout.height, body)
+    return _svg(int(width), HEIGHT, body)
 
 
-def sketch_svg(sketch: TropicalCurveSketch, layout: SvgLayout = LAYOUT) -> str:
+def sketch_svg(sketch: TropicalCurveSketch) -> str:
     """Floors as polylines with rays, elevators as vertical strokes.
 
     Every coordinate is written over one common denominator, so a point maps
@@ -159,28 +151,24 @@ def sketch_svg(sketch: TropicalCurveSketch, layout: SvgLayout = LAYOUT) -> str:
 
     x0, y1 = scaled(x_lo), scaled(y_hi)
     x_span, y_span = scaled(x_hi) - x0, y1 - scaled(y_lo)
-    size = layout.sketch_size
-    margin = layout.margin
-    inner = size - 2 * margin
+    inner = SKETCH_SIZE - 2 * MARGIN
 
     def sx(x: Fraction) -> float:
-        return margin + (scaled(x) - x0) / x_span * inner
+        return MARGIN + (scaled(x) - x0) / x_span * inner
 
     def sy(y: Fraction) -> float:
-        return margin + (y1 - scaled(y)) / y_span * inner
+        return MARGIN + (y1 - scaled(y)) / y_span * inner
 
     body = []
     for f, (left, right) in zip(sketch.floors, rays):
         pts = f.breakpoints or (f.anchor,)
         line = [(x_lo, left), *pts, (x_hi, right)]
         path = "M " + " L ".join(f"{_fmt(sx(x))} {_fmt(sy(y))}" for x, y in line)
-        body.append(
-            f'<path d="{path}" fill="none" stroke="{layout.stroke}" stroke-width="2"/>'
-        )
+        body.append(f'<path d="{path}" fill="none" stroke="{STROKE}" stroke-width="2"/>')
         ax, ay = f.anchor
         body.append(
-            f'<circle cx="{_fmt(sx(ax))}" cy="{_fmt(sy(ay))}" r="{layout.dot + 1}" '
-            f'fill="white" stroke="{layout.stroke}" stroke-width="2"/>'
+            f'<circle cx="{_fmt(sx(ax))}" cy="{_fmt(sy(ay))}" r="{DOT + 1}" '
+            f'fill="white" stroke="{STROKE}" stroke-width="2"/>'
         )
     for e in sketch.elevators:
         ex, top = sx(e.x), sy(e.top)
@@ -188,19 +176,19 @@ def sketch_svg(sketch: TropicalCurveSketch, layout: SvgLayout = LAYOUT) -> str:
         body.append(
             f'<line x1="{_fmt(ex)}" y1="{_fmt(top)}" '
             f'x2="{_fmt(ex)}" y2="{_fmt(bottom)}" '
-            f'stroke="{layout.accent}" stroke-width="{1 + e.weight}"/>'
+            f'stroke="{ACCENT}" stroke-width="{1 + e.weight}"/>'
         )
         px, py = e.point
         body.append(
-            f'<circle cx="{_fmt(sx(px))}" cy="{_fmt(sy(py))}" r="{layout.dot}" '
-            f'fill="{layout.accent}"/>'
+            f'<circle cx="{_fmt(sx(px))}" cy="{_fmt(sy(py))}" r="{DOT}" '
+            f'fill="{ACCENT}"/>'
         )
         if e.weight > 1:
             body.append(
                 f'<text x="{_fmt(ex + 6)}" y="{_fmt((top + bottom) / 2)}" '
                 f'font-size="13">{e.weight}</text>'
             )
-    return _svg(size, size, body)
+    return _svg(SKETCH_SIZE, SKETCH_SIZE, body)
 
 
 def render_svg(obj, path, order: tuple[str, ...] | None = None) -> Path:

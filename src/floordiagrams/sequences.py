@@ -9,33 +9,31 @@ numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .core import DiagramError, FloorDiagram, components, parse_tuples
+from .core import DiagramError, FloorDiagram, Value, components, parse_tuples
 from .enumeration import DiagramQuery, enumerate_diagrams
 
 
-@dataclass(frozen=True)
-class LabeledTree:
+class LabeledTree(Value):
     """Tree on the vertex set 1..d, edges as unordered pairs."""
 
-    d: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("d", "edges")
 
-    def __post_init__(self):
-        edges = frozenset(tuple(sorted(e)) for e in self.edges)
+    def __init__(self, d: int, edges: frozenset[tuple[int, int]]):
+        edges = frozenset(tuple(sorted(e)) for e in edges)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edges)
-        if self.d < 1:
-            raise DiagramError(f"tree needs at least one vertex, got d={self.d}")
-        if len(edges) != self.d - 1:
-            raise DiagramError(f"a tree on {self.d} vertices needs {self.d - 1} edges")
+        if d < 1:
+            raise DiagramError(f"tree needs at least one vertex, got d={d}")
+        if len(edges) != d - 1:
+            raise DiagramError(f"a tree on {d} vertices needs {d - 1} edges")
         for a, b in edges:
-            if not (1 <= a < b <= self.d):
+            if not (1 <= a < b <= d):
                 raise DiagramError(f"tree edge ({a},{b}) out of range")
-        if len(components(range(1, self.d + 1), edges)) != 1:
+        if len(components(range(1, d + 1), edges)) != 1:
             raise DiagramError("tree must be connected")
 
     def text(self) -> str:
@@ -244,16 +242,37 @@ def tree_to_diagram(tree: LabeledTree) -> FloorDiagram:
 # -- closed counting formulas -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CountReport:
-    d: int
-    cayley: int
-    genus0_enumerated: int
-    alternating_formula: int
-    underlying_trees_enumerated: int
-    odd_formula: int
-    odd_enumerated: int
-    simple_enumerated: int
+class CountReport(Value):
+    __slots__ = (
+        "d",
+        "cayley",
+        "genus0_enumerated",
+        "alternating_formula",
+        "underlying_trees_enumerated",
+        "odd_formula",
+        "odd_enumerated",
+        "simple_enumerated",
+    )
+
+    def __init__(
+        self,
+        d: int,
+        cayley: int,
+        genus0_enumerated: int,
+        alternating_formula: int,
+        underlying_trees_enumerated: int,
+        odd_formula: int,
+        odd_enumerated: int,
+        simple_enumerated: int,
+    ):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "cayley", cayley)
+        object.__setattr__(self, "genus0_enumerated", genus0_enumerated)
+        object.__setattr__(self, "alternating_formula", alternating_formula)
+        object.__setattr__(self, "underlying_trees_enumerated", underlying_trees_enumerated)
+        object.__setattr__(self, "odd_formula", odd_formula)
+        object.__setattr__(self, "odd_enumerated", odd_enumerated)
+        object.__setattr__(self, "simple_enumerated", simple_enumerated)
 
 
 def cayley_count(d: int) -> int:

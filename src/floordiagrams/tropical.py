@@ -12,30 +12,26 @@ denominator and rounds only the final integer quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .core import DiagramError, FloorDiagram, Partition, components
+from .core import DiagramError, FloorDiagram, Partition, Value, components
 from .markings import _poset_elements, build_poset, enumerate_distributions
 
 
-@dataclass(frozen=True)
-class StretchedConfig:
+class StretchedConfig(Value):
     """Points ascending in both coordinates, with vertical gaps dominating
     horizontal spread by the factor d^3 + d."""
 
-    d: int
-    g: int
-    points: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("d", "g", "points")
 
-    def __post_init__(self):
-        pts = tuple((Fraction(x), Fraction(y)) for x, y in self.points)
+    def __init__(self, d: int, g: int, points: tuple[tuple[Fraction, Fraction], ...]):
+        pts = tuple((Fraction(x), Fraction(y)) for x, y in points)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "g", g)
         object.__setattr__(self, "points", pts)
-        if len(pts) != 3 * self.d - 1 + self.g:
-            raise DiagramError(
-                f"a ({self.d},{self.g})-configuration needs {3 * self.d - 1 + self.g} points"
-            )
+        if len(pts) != 3 * d - 1 + g:
+            raise DiagramError(f"a ({d},{g})-configuration needs {3 * d - 1 + g} points")
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         if any(a >= b for a, b in zip(xs, xs[1:])):
@@ -45,7 +41,7 @@ class StretchedConfig:
         if len(pts) > 1:
             min_dy = min(b - a for a, b in zip(ys, ys[1:]))
             max_dx = xs[-1] - xs[0]
-            factor = self.d**3 + self.d
+            factor = d**3 + d
             if not min_dy > factor * max_dx:
                 raise DiagramError("configuration is not vertically stretched")
 
@@ -72,15 +68,23 @@ def stretched_config(d: int, g: int, seed: int = 0) -> StretchedConfig:
     return StretchedConfig(d, g, tuple(points))
 
 
-@dataclass(frozen=True)
-class FloorCurve:
+class FloorCurve(Value):
     """Graph of one floor: breakpoints left to right and the slope sequence
     (one more slope than breakpoints; 0 at the far left, 1 at the far right)."""
 
-    vertex: int
-    anchor: tuple[Fraction, Fraction]
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    slopes: tuple[Fraction, ...]
+    __slots__ = ("vertex", "anchor", "breakpoints", "slopes")
+
+    def __init__(
+        self,
+        vertex: int,
+        anchor: tuple[Fraction, Fraction],
+        breakpoints: tuple[tuple[Fraction, Fraction], ...],
+        slopes: tuple[Fraction, ...],
+    ):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "slopes", slopes)
 
     def height(self, x: Fraction) -> Fraction:
         if not self.breakpoints:
@@ -92,37 +96,64 @@ class FloorCurve:
         return by + self.slopes[-1] * (x - bx)
 
 
-@dataclass(frozen=True)
-class Elevator:
-    label: str
-    x: Fraction
-    weight: int
-    upper_floor: int
-    lower_floor: Optional[int]  # None for a ground elevator
-    top: Fraction
-    bottom: Optional[Fraction]
-    point: tuple[Fraction, Fraction]
+class Elevator(Value):
+    __slots__ = (
+        "label", "x", "weight", "upper_floor", "lower_floor", "top", "bottom", "point"
+    )
+
+    def __init__(
+        self,
+        label: str,
+        x: Fraction,
+        weight: int,
+        upper_floor: int,
+        lower_floor: Optional[int],  # None for a ground elevator
+        top: Fraction,
+        bottom: Optional[Fraction],
+        point: tuple[Fraction, Fraction],
+    ):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "upper_floor", upper_floor)
+        object.__setattr__(self, "lower_floor", lower_floor)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "point", point)
 
 
-@dataclass(frozen=True)
-class TropicalCurveSketch:
-    d: int
-    g: int
-    floors: tuple[FloorCurve, ...]
-    elevators: tuple[Elevator, ...]
-    marking: tuple[str, ...]
+class TropicalCurveSketch(Value):
+    __slots__ = ("d", "g", "floors", "elevators", "marking")
+
+    def __init__(
+        self,
+        d: int,
+        g: int,
+        floors: tuple[FloorCurve, ...],
+        elevators: tuple[Elevator, ...],
+        marking: tuple[str, ...],
+    ):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "floors", floors)
+        object.__setattr__(self, "elevators", elevators)
+        object.__setattr__(self, "marking", marking)
 
 
-@dataclass(frozen=True)
-class CurveCheck:
-    name: str
-    ok: bool
-    detail: str = ""
+class CurveCheck(Value):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class CurveReport:
-    checks: tuple[CurveCheck, ...]
+class CurveReport(Value):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[CurveCheck, ...]):
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -323,8 +354,9 @@ def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
                     f"slopes {s_left}->{s_right}, elevator {e.label} ({vertical:+})",
                 )
             )
-    left_rays = len(sketch.floors)
-    right_rays = len(sketch.floors)
+    left_rays = sum(1 for f in sketch.floors if f.slopes[0] == 0)
+    right_rays = sum(1 for f in sketch.floors if f.slopes[-1] == 1)
+    floors = len(sketch.floors)
     ground_weight = sum(e.weight for e in sketch.elevators if e.lower_floor is None)
     checks.append(
         CurveCheck("census (-1,0)", left_rays == d, f"{left_rays} of {d}")
@@ -335,7 +367,7 @@ def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
     checks.append(
         CurveCheck("census (0,-1)", ground_weight == d, f"weight {ground_weight} of {d}")
     )
-    checks.append(CurveCheck("degree", right_rays == d, f"{right_rays}"))
+    checks.append(CurveCheck("degree", floors == d, f"{floors}"))
     bounded = [e for e in sketch.elevators if e.lower_floor is not None]
     comps = len(
         components(
@@ -343,16 +375,9 @@ def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
             ((e.upper_floor, e.lower_floor) for e in bounded),
         )
     )
-    betti = len(bounded) - len(sketch.floors) + comps
+    betti = len(bounded) - floors + comps
     checks.append(CurveCheck("genus", betti == g, f"betti {betti} of {g}"))
     return CurveReport(tuple(checks))
-
-
-def perturb_elevator(sketch: TropicalCurveSketch, index: int, delta: int) -> TropicalCurveSketch:
-    """Return a sketch with one elevator weight changed (for fault-injection tests)."""
-    elevators = list(sketch.elevators)
-    elevators[index] = replace(elevators[index], weight=elevators[index].weight + delta)
-    return replace(sketch, elevators=tuple(elevators))
 
 
 def extract_marking(sketch: TropicalCurveSketch) -> tuple[FloorDiagram, tuple[str, ...]]:

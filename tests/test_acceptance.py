@@ -34,6 +34,7 @@ from floordiagrams.oracles import (
     count_orderings_downset,
     increasing_tree_oracle,
     kontsevich_oracle,
+    perturb_elevator,
     severi_numeric,
     severi_split_oracle,
 )
@@ -57,7 +58,6 @@ from floordiagrams.tables import (
 from floordiagrams.tropical import (
     canonical_marking,
     extract_marking,
-    perturb_elevator,
     reconstruct,
     stretched_config,
     verify_curve,

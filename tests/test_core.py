@@ -172,6 +172,18 @@ def test_partition_basics():
     assert Partition.parse("") == Partition(())
 
 
+def test_constructors_reject_non_integers():
+    # each was truncated (or accepted, failing later) by int()
+    with pytest.raises(DiagramError):
+        Partition((2.9, 1))
+    with pytest.raises(DiagramError):
+        FloorDiagram(3, ((1, 2.7, 1.9), (2, 3, 1)))
+    with pytest.raises(DiagramError):
+        FloorDiagram(3.5, ())
+    with pytest.raises(DiagramError):
+        FloorDiagram.from_json('{"d": 3.5, "edges": []}')
+
+
 def test_partition_rejects_bad_input():
     with pytest.raises(DiagramError):
         Partition((1, 2))

@@ -139,6 +139,8 @@ def test_template_validation():
         Template(((0, 1, 2), (2, 3, 2)))  # vertex 2 not straddled
     with pytest.raises(DiagramError):
         Template(((1, 0, 2),))
+    with pytest.raises(DiagramError):
+        Template(((0, 2, 1.5),))  # was truncated to weight 1
 
 
 def brute_force_templates(delta):

@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,12 +6,12 @@ import pytest
 from floordiagrams.core import DiagramError, Partition, diagram
 from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
 from floordiagrams.markings import list_markings
+from floordiagrams.oracles import copy_with, perturb_elevator
 from floordiagrams.render import diagram_svg, marking_svg, render_svg, sketch_svg
 from floordiagrams.tropical import (
     StretchedConfig,
     canonical_marking,
     extract_marking,
-    perturb_elevator,
     reconstruct,
     stretched_config,
     verify_curve,
@@ -125,8 +124,8 @@ def test_verify_curve_reports_an_elevator_off_its_breakpoint():
     sketch = readme_sketch()
     bounded = sketch.elevators[0]
     assert (bounded.upper_floor, bounded.lower_floor) == (1, 2)
-    moved = replace(bounded, x=bounded.x + Fraction(1, 7))
-    bad = replace(sketch, elevators=(moved, *sketch.elevators[1:]))
+    moved = copy_with(bounded, x=bounded.x + Fraction(1, 7))
+    bad = copy_with(sketch, elevators=(moved, *sketch.elevators[1:]))
     failures = [(c.name, c.detail) for c in verify_curve(bad, 3, 0).failures()]
     assert failures == [
         (f"floor 1 breakpoint at x={bounded.x}", "0 elevators meet it"),
@@ -140,6 +139,16 @@ def test_verify_curve_reports_the_ground_census():
     report = verify_curve(perturb_elevator(sketch, ground, +1), 3, 0)
     failures = {c.name: c.detail for c in report.failures()}
     assert failures["census (0,-1)"] == "weight 4 of 3"
+
+
+def test_verify_curve_reads_the_right_rays():
+    sketch = readme_sketch()
+    floor = sketch.floors[0]
+    bent = copy_with(floor, slopes=(*floor.slopes[:-1], floor.slopes[-1] + 1))
+    bad = copy_with(sketch, floors=(bent, *sketch.floors[1:]))
+    failures = {c.name: c.detail for c in verify_curve(bad, 3, 0).failures()}
+    assert failures["census (1,1)"] == "2 of 3"
+    assert "census (-1,0)" not in failures and "degree" not in failures
 
 
 def test_reconstruct_rejects_mismatched_inputs():
