@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import invariants, nodepoly, sequences, tables, tropical
 from .core import DiagramError, FloorDiagram, Partition
 from .enumeration import DiagramQuery, enumerate_diagrams
-from .markings import count_markings, count_relative_markings, list_markings
+from .markings import check_listing_size, count_markings, count_relative_markings, list_markings
 from .render import render_svg
 from .sequences import LabeledTree
 
@@ -267,6 +267,9 @@ def cmd_tropical(args) -> int:
     from pathlib import Path
 
     out = Path(args.out)
+    # an ordinary marking of a connected (d, g) diagram has d floors,
+    # d - 1 + g edges and d sinks
+    check_listing_size(3 * args.d - 1 + args.g)
     config = tropical.stretched_config(args.d, args.g, args.config_seed)
     count = 0
     for diag in enumerate_diagrams(DiagramQuery(args.d, genus=args.g)):

@@ -9,9 +9,9 @@ every vertex is at most 1.  All quantities are exact integers.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from math import prod
 from operator import attrgetter, index
-from typing import Iterable, Sequence
 
 Edge = tuple[int, int, int]  # (src, tgt, weight)
 

@@ -19,7 +19,7 @@ call, so it builds no edge set.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterator, Optional
+from collections.abc import Callable, Iterator
 
 from .core import DiagramError, Edge, FloorDiagram, Value, parse_tuples
 
@@ -100,7 +100,7 @@ def all_diagrams(
 # -- filters ----------------------------------------------------------------
 
 
-def filter_predicate(spec: Optional[str]) -> Callable[[FloorDiagram], bool]:
+def filter_predicate(spec: str | None) -> Callable[[FloorDiagram], bool]:
     """Parse a filter spec into a predicate.
 
     Supported: ``odd`` (all weights odd), ``simple`` (all weights one),
@@ -143,10 +143,10 @@ class DiagramQuery(Value):
     def __init__(
         self,
         d: int,
-        genus: Optional[int] = None,
-        cogenus: Optional[int] = None,
-        connected: Optional[bool] = None,
-        filter: Optional[str] = None,
+        genus: int | None = None,
+        cogenus: int | None = None,
+        connected: bool | None = None,
+        filter: str | None = None,
     ):
         if d < 1:
             raise DiagramError(f"degree must be positive, got {d}")

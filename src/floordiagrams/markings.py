@@ -328,6 +328,14 @@ def _linear_extensions(elements, constraints):
     yield from rec()
 
 
+def check_listing_size(n_elements: int) -> None:
+    """Refuse to list the markings of a poset above BRUTE_FORCE_LIMIT elements."""
+    if n_elements > BRUTE_FORCE_LIMIT:
+        raise DiagramError(
+            f"marking listing limited to {BRUTE_FORCE_LIMIT} elements, got {n_elements}"
+        )
+
+
 def list_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> list[tuple[str, ...]]:
     """Canonical representatives of every marking, as label sequences.
 
@@ -337,11 +345,7 @@ def list_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> list[tu
     one.  Intended for small-d inspection, gallery rendering and the CLI
     --list flag; posets above BRUTE_FORCE_LIMIT elements are refused.
     """
-    n_elements = diag.d + len(diag.edges) + lam.length + rho.length
-    if n_elements > BRUTE_FORCE_LIMIT:
-        raise DiagramError(
-            f"marking listing limited to {BRUTE_FORCE_LIMIT} elements, got {n_elements}"
-        )
+    check_listing_size(diag.d + len(diag.edges) + lam.length + rho.length)
     reps: list[tuple[str, ...]] = []
     for dist in enumerate_distributions(diag, lam, rho):
         poset = build_poset(diag, dist, lam)

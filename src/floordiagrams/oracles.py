@@ -50,7 +50,10 @@ every component, edge filter and divergence recomputed at each level.
 
 ``sketch_svg_oracle`` draws a tropical curve sketch with every coordinate
 mapped as its own Fraction; ``render.sketch_svg`` maps integers over one
-common denominator and must give the same bytes.
+common denominator and must give the same bytes.  ``reconstruct_oracle``
+and ``verify_curve_oracle`` rebuild and check a sketch with every height
+and slope a Fraction; ``tropical`` walks the floors in integers on the
+configuration's lattice and must give equal records.
 
 ``copy_with`` copies a value record with some fields changed, and
 ``perturb_elevator`` uses it to build faulty sketches that
@@ -64,7 +67,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product, zip_longest
 from math import comb, factorial, prod
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .core import DiagramError, FloorDiagram, Partition, components
 from .enumeration import DiagramQuery, enumerate_diagrams
@@ -82,7 +85,16 @@ from .markings import (
 from .nodepoly import RatPolynomial, enumerate_templates, extension_polynomial
 from .render import ACCENT, DOT, MARGIN, SKETCH_SIZE, STROKE, _fmt, _svg
 from .sequences import LabeledTree
-from .tropical import TropicalCurveSketch
+from .tropical import (
+    CurveCheck,
+    CurveReport,
+    Elevator,
+    FloorCurve,
+    StretchedConfig,
+    TropicalCurveSketch,
+    _ordinary_labels,
+    _validated,
+)
 
 Vector = tuple[int, ...]
 
@@ -685,6 +697,171 @@ def sketch_svg_oracle(sketch: TropicalCurveSketch) -> str:
                 f'font-size="13">{e.weight}</text>'
             )
     return _svg(SKETCH_SIZE, SKETCH_SIZE, body)
+
+
+def reconstruct_oracle(
+    diag: FloorDiagram, order: tuple[str, ...], config: StretchedConfig
+) -> TropicalCurveSketch:
+    """Build the unique tropical curve through the configuration realizing
+    the given marking (highest point corresponds to the smallest element)."""
+    genus = diag.genus()
+    if (config.d, config.g) != (diag.d, genus):
+        raise DiagramError(
+            f"configuration is for (d,g)=({config.d},{config.g}), "
+            f"diagram has ({diag.d},{genus})"
+        )
+    kinds = _ordinary_labels(diag)
+    order = _validated(diag, order, kinds)
+    n = len(order)
+    pos = {label: i for i, label in enumerate(order)}
+    point_of = {label: config.points[n - 1 - pos[label]] for label in order}
+
+    # black neighbors per floor: (position, label, signed weight); sign +w for
+    # an elevator from above (incoming edge), -w from below (outgoing or sink)
+    neighbors: dict[int, list[tuple[int, str, int]]] = {v: [] for v in range(1, diag.d + 1)}
+    for label, kind in kinds.items():
+        if kind[0] == "M":
+            _, s, t, w, _ = kind
+            neighbors[t].append((pos[label], label, +w))
+            neighbors[s].append((pos[label], label, -w))
+        elif kind[0] == "S":
+            _, v, w, _ = kind
+            neighbors[v].append((pos[label], label, -w))
+
+    floors: list[FloorCurve] = []
+    height_at: dict[tuple[int, str], Fraction] = {}  # (floor, label) -> y
+    for v in range(1, diag.d + 1):
+        nbrs = sorted(neighbors[v])  # ascending position = right to left
+        slope = Fraction(1)
+        right_to_left = []  # (x, slope left of this breakpoint)
+        for _, label, signed in nbrs:
+            slope += signed
+            right_to_left.append((point_of[label][0], slope))
+        if slope != 0:
+            raise AssertionError(f"floor {v} does not end with slope 0")
+        labels = [label for _, label, _ in reversed(nbrs)]
+        breaks_x = [x for x, _ in reversed(right_to_left)]
+        slopes = [s for _, s in reversed(right_to_left)] + [Fraction(1)]
+        ax, ay = point_of[f"v{v}"]
+        region = sum(1 for x in breaks_x if x < ax)
+        ys: list[Optional[Fraction]] = [None] * len(breaks_x)
+        y = ay
+        x_cur = ax
+        for i in range(region - 1, -1, -1):  # walk left from the anchor
+            y = y + slopes[i + 1] * (breaks_x[i] - x_cur)
+            x_cur = breaks_x[i]
+            ys[i] = y
+        y = ay
+        x_cur = ax
+        for i in range(region, len(breaks_x)):  # walk right
+            y = y + slopes[i] * (breaks_x[i] - x_cur)
+            x_cur = breaks_x[i]
+            ys[i] = y
+        height_at.update(((v, label), yy) for label, yy in zip(labels, ys))
+        floors.append(
+            FloorCurve(
+                v,
+                (ax, ay),
+                tuple((x, yy) for x, yy in zip(breaks_x, ys)),
+                tuple(slopes),
+            )
+        )
+
+    # each black point is a breakpoint of the floors its elevator meets, so
+    # the walk above already has the elevator's ends
+    elevators = []
+    for label in order:
+        kind = kinds[label]
+        if kind[0] == "M":
+            _, s, t, w, _ = kind
+            x, y = point_of[label]
+            top = height_at[(s, label)]
+            bottom = height_at[(t, label)]
+            if not bottom < y < top:
+                raise AssertionError(
+                    f"black point of {label} must lie on its elevator"
+                )
+            elevators.append(Elevator(label, x, w, s, t, top, bottom, (x, y)))
+        elif kind[0] == "S":
+            _, v, w, _ = kind
+            x, y = point_of[label]
+            top = height_at[(v, label)]
+            if not y < top:
+                raise AssertionError(
+                    f"black point of {label} must lie below floor {v}"
+                )
+            elevators.append(Elevator(label, x, w, v, None, top, None, (x, y)))
+    return TropicalCurveSketch(diag.d, genus, tuple(floors), tuple(elevators), order)
+
+
+def verify_curve_oracle(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
+    """Balancing, endpoint slopes, unbounded-direction census, degree, genus."""
+    checks: list[CurveCheck] = []
+    for floor in sketch.floors:
+        ok = floor.slopes[0] == 0 and floor.slopes[-1] == 1
+        checks.append(
+            CurveCheck(
+                f"floor {floor.vertex} end slopes",
+                ok,
+                f"left {floor.slopes[0]}, right {floor.slopes[-1]}",
+            )
+        )
+        bound_ok = all(abs(s) <= d for s in floor.slopes)
+        checks.append(CurveCheck(f"floor {floor.vertex} slope bound", bound_ok))
+    at_x: dict[Fraction, list[Elevator]] = {}
+    for e in sketch.elevators:
+        at_x.setdefault(e.x, []).append(e)
+    for floor in sketch.floors:
+        for i, (bx, _) in enumerate(floor.breakpoints):
+            s_left, s_right = floor.slopes[i], floor.slopes[i + 1]
+            hit = [
+                e
+                for e in at_x.get(bx, ())
+                if floor.vertex in (e.upper_floor, e.lower_floor)
+            ]
+            if len(hit) != 1:
+                checks.append(
+                    CurveCheck(
+                        f"floor {floor.vertex} breakpoint at x={bx}",
+                        False,
+                        f"{len(hit)} elevators meet it",
+                    )
+                )
+                continue
+            e = hit[0]
+            vertical = e.weight if e.lower_floor == floor.vertex else -e.weight
+            balanced = (s_right - s_left + vertical) == 0
+            checks.append(
+                CurveCheck(
+                    f"balancing at floor {floor.vertex}, x={bx}",
+                    balanced,
+                    f"slopes {s_left}->{s_right}, elevator {e.label} ({vertical:+})",
+                )
+            )
+    left_rays = sum(1 for f in sketch.floors if f.slopes[0] == 0)
+    right_rays = sum(1 for f in sketch.floors if f.slopes[-1] == 1)
+    floors = len(sketch.floors)
+    ground_weight = sum(e.weight for e in sketch.elevators if e.lower_floor is None)
+    checks.append(
+        CurveCheck("census (-1,0)", left_rays == d, f"{left_rays} of {d}")
+    )
+    checks.append(
+        CurveCheck("census (1,1)", right_rays == d, f"{right_rays} of {d}")
+    )
+    checks.append(
+        CurveCheck("census (0,-1)", ground_weight == d, f"weight {ground_weight} of {d}")
+    )
+    checks.append(CurveCheck("degree", floors == d, f"{floors}"))
+    bounded = [e for e in sketch.elevators if e.lower_floor is not None]
+    comps = len(
+        components(
+            (f.vertex for f in sketch.floors),
+            ((e.upper_floor, e.lower_floor) for e in bounded),
+        )
+    )
+    betti = len(bounded) - floors + comps
+    checks.append(CurveCheck("genus", betti == g, f"betti {betti} of {g}"))
+    return CurveReport(tuple(checks))
 
 
 def copy_with(value, **changes):

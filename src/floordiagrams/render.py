@@ -7,7 +7,6 @@ for the same input, so golden-file comparisons are meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from pathlib import Path
 
@@ -124,61 +123,82 @@ def marking_svg(diag: FloorDiagram, order: tuple[str, ...]) -> str:
 def sketch_svg(sketch: TropicalCurveSketch) -> str:
     """Floors as polylines with rays, elevators as vertical strokes.
 
-    Every coordinate is written over one common denominator, so a point maps
-    by one integer subtraction and one int / int division.  Python rounds
-    that quotient correctly, as it does float(Fraction), which is numerator /
-    denominator: both round the same rational, so every digit matches the
-    exact Fraction mapping.
+    Every coordinate is converted once to an integer over one common
+    denominator: 100 times the lcm of the coordinates' denominators, times
+    the lcm of the ray slopes' denominators, so that both tenth paddings
+    and every ray end stay integers.  A point then maps by one integer
+    subtraction and one int / int division.  Python rounds that quotient
+    correctly, as it does float(Fraction), which is numerator / denominator:
+    both round the same rational, so every digit matches the exact Fraction
+    mapping.
     """
-    xs: list[Fraction] = []
-    ys: list[Fraction] = []
-    for f in sketch.floors:
-        xs.extend([p[0] for p in f.breakpoints] + [f.anchor[0]])
-        ys.extend([p[1] for p in f.breakpoints] + [f.anchor[1]])
-    for e in sketch.elevators:
-        xs.append(e.x)
-        ys.extend([e.top, e.point[1]] + ([e.bottom] if e.bottom is not None else []))
-    x_lo, x_hi = min(xs) - 1, max(xs) + 1
-    y_lo, y_hi = min(ys), max(ys)
-    y_lo -= (y_hi - y_lo) / 10 + 1
-    y_hi += (y_hi - y_lo) / 10 + 1
-    rays = [(f.height(x_lo), f.height(x_hi)) for f in sketch.floors]
-    bounds = (x_lo, x_hi, y_lo, y_hi)
-    denom = lcm(*{q.denominator for q in chain(xs, ys, bounds, *rays)})
+    floors, elevators = sketch.floors, sketch.elevators
+    values = [q for f in floors for p in (*f.breakpoints, f.anchor) for q in p]
+    values += [q for e in elevators for q in (e.x, e.top, *e.point)]
+    values += [e.bottom for e in elevators if e.bottom is not None]
+    ray_slopes = [(f.slopes[0], f.slopes[-1]) for f in floors]
+    unit = (
+        100
+        * lcm(*{q.denominator for q in values})
+        * lcm(*{s.denominator for pair in ray_slopes for s in pair})
+    )
 
     def scaled(q: Fraction) -> int:
-        return q.numerator * (denom // q.denominator)
+        numerator, denominator = q.as_integer_ratio()
+        return numerator * (unit // denominator)
 
-    x0, y1 = scaled(x_lo), scaled(y_hi)
-    x_span, y_span = scaled(x_hi) - x0, y1 - scaled(y_lo)
+    def scaled_point(p: tuple[Fraction, Fraction]) -> tuple[int, int]:
+        return scaled(p[0]), scaled(p[1])
+
+    anchors = [scaled_point(f.anchor) for f in floors]
+    paths = [[scaled_point(p) for p in f.breakpoints] or [a] for f, a in zip(floors, anchors)]
+    lifts = [
+        (
+            scaled(e.x),
+            scaled(e.top),
+            None if e.bottom is None else scaled(e.bottom),
+            scaled_point(e.point),
+        )
+        for e in elevators
+    ]
+    xs = [x for path in paths for x, _ in path] + [x for x, _ in anchors]
+    xs += [lift[0] for lift in lifts]
+    ys = [y for path in paths for _, y in path] + [y for _, y in anchors]
+    ys += [y for _, top, bottom, (_, py) in lifts for y in (top, py, bottom) if y is not None]
+    x_lo, x_hi = min(xs) - unit, max(xs) + unit
+    y_lo, y_hi = min(ys), max(ys)
+    # every value is a multiple of 100, so both tenths divide exactly
+    y_lo -= (y_hi - y_lo) // 10 + unit
+    y_hi += (y_hi - y_lo) // 10 + unit
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
     inner = SKETCH_SIZE - 2 * MARGIN
 
-    def sx(x: Fraction) -> float:
-        return MARGIN + (scaled(x) - x0) / x_span * inner
+    def sx(x: int) -> float:
+        return MARGIN + (x - x_lo) / x_span * inner
 
-    def sy(y: Fraction) -> float:
-        return MARGIN + (y1 - scaled(y)) / y_span * inner
+    def sy(y: int) -> float:
+        return MARGIN + (y_hi - y) / y_span * inner
 
     body = []
-    for f, (left, right) in zip(sketch.floors, rays):
-        pts = f.breakpoints or (f.anchor,)
-        line = [(x_lo, left), *pts, (x_hi, right)]
-        path = "M " + " L ".join(f"{_fmt(sx(x))} {_fmt(sy(y))}" for x, y in line)
-        body.append(f'<path d="{path}" fill="none" stroke="{STROKE}" stroke-width="2"/>')
-        ax, ay = f.anchor
+    for path, (ax, ay), (s_left, s_right) in zip(paths, anchors, ray_slopes):
+        (bx, by), (ex, ey) = path[0], path[-1]
+        left = by + s_left.numerator * (x_lo - bx) // s_left.denominator
+        right = ey + s_right.numerator * (x_hi - ex) // s_right.denominator
+        line = [(x_lo, left), *path, (x_hi, right)]
+        svg_path = "M " + " L ".join(f"{_fmt(sx(x))} {_fmt(sy(y))}" for x, y in line)
+        body.append(f'<path d="{svg_path}" fill="none" stroke="{STROKE}" stroke-width="2"/>')
         body.append(
             f'<circle cx="{_fmt(sx(ax))}" cy="{_fmt(sy(ay))}" r="{DOT + 1}" '
             f'fill="white" stroke="{STROKE}" stroke-width="2"/>'
         )
-    for e in sketch.elevators:
-        ex, top = sx(e.x), sy(e.top)
-        bottom = sy(e.bottom if e.bottom is not None else y_lo)
+    for e, (x, top_y, bottom_y, (px, py)) in zip(elevators, lifts):
+        ex, top = sx(x), sy(top_y)
+        bottom = sy(y_lo if bottom_y is None else bottom_y)
         body.append(
             f'<line x1="{_fmt(ex)}" y1="{_fmt(top)}" '
             f'x2="{_fmt(ex)}" y2="{_fmt(bottom)}" '
             f'stroke="{ACCENT}" stroke-width="{1 + e.weight}"/>'
         )
-        px, py = e.point
         body.append(
             f'<circle cx="{_fmt(sx(px))}" cy="{_fmt(sy(py))}" r="{DOT}" '
             f'fill="{ACCENT}"/>'

@@ -7,15 +7,20 @@ The JSON files freeze the published values the engine must reproduce;
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
+
+# the tables ship next to this file; reading them through os.path keeps
+# importlib.resources, and the typing and pathlib modules it loads, out of
+# a cold start
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @lru_cache(maxsize=None)
 def _load(name: str) -> dict:
-    path = resources.files("floordiagrams.data").joinpath(name)
-    return json.loads(path.read_text(encoding="utf-8"))
+    with open(os.path.join(_DATA, name), encoding="utf-8") as f:
+        return json.load(f)
 
 
 def gw_table() -> dict[tuple[int, int], int]:

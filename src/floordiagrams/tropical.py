@@ -4,16 +4,24 @@ Given a vertically stretched configuration and a marking, each floor is a
 piecewise-linear graph rebuilt by a right-to-left scan (slope 1 at the
 right end, changing by the elevator weight at every black point, slope 0
 at the left end), anchored through its white point; elevators are the
-vertical segments and rays through the black points.  All geometry is in
-exact rationals, so every verification check is an equality check.  The
-SVG sketch keeps them exact: it writes every coordinate over one common
-denominator and rounds only the final integer quotient.
+vertical segments and rays through the black points.
+
+Every elevator stands at a point's x coordinate and every slope is an
+integer, so each coordinate lies on the lattice (1/L)Z, where L is the lcm
+of the points' denominators.  ``reconstruct`` walks the floors in integers
+scaled by L and makes the sketch's Fraction fields only at the end, reusing
+the configuration's own points; ``verify_curve`` compares integer slopes as
+ints.  Arithmetic stays exact throughout, so every verification check is
+an equality check.  The SVG sketch keeps it exact too: it writes every
+coordinate over one common denominator and rounds only the final integer
+quotient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from math import lcm
 
 from .core import DiagramError, FloorDiagram, Partition, Value, components
 from .markings import _poset_elements, build_poset, enumerate_distributions
@@ -107,9 +115,9 @@ class Elevator(Value):
         x: Fraction,
         weight: int,
         upper_floor: int,
-        lower_floor: Optional[int],  # None for a ground elevator
+        lower_floor: int | None,  # None for a ground elevator
         top: Fraction,
-        bottom: Optional[Fraction],
+        bottom: Fraction | None,
         point: tuple[Fraction, Fraction],
     ):
         object.__setattr__(self, "label", label)
@@ -163,14 +171,22 @@ class CurveReport(Value):
         return [c for c in self.checks if not c.ok]
 
 
+@lru_cache(maxsize=64)
 def _ordinary_labels(diag: FloorDiagram) -> dict[str, tuple]:
-    """Element id of every label of the diagram's ordinary marking poset."""
+    """Element id of every label of the diagram's ordinary marking poset.
+
+    A gallery draws every marking of one diagram in turn, so the map is
+    built once per diagram; callers only read it."""
     dist = next(
         enumerate_distributions(diag, Partition(()), Partition.ones(diag.d))
     )
     poset = build_poset(diag, dist, Partition(()))
     elements, _ = _poset_elements(poset)
     return dict(zip(poset.element_labels(), elements))
+
+
+# the Fraction of an integer slope, one per value, shared by every floor
+_whole = lru_cache(maxsize=64)(Fraction)
 
 
 def canonical_marking(diag: FloorDiagram, order: tuple[str, ...]) -> tuple[str, ...]:
@@ -230,7 +246,14 @@ def reconstruct(
     order = _validated(diag, order, kinds)
     n = len(order)
     pos = {label: i for i, label in enumerate(order)}
-    point_of = {label: config.points[n - 1 - pos[label]] for label in order}
+    point_of = {label: config.points[n - 1 - i] for label, i in pos.items()}
+    # a floor starts at a point and moves by integer slopes times differences
+    # of the points' x, so every height lies on the points' lattice (1/scale)Z
+    scale = lcm(*{q.denominator for point in config.points for q in point})
+    lattice_of = {
+        label: (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+        for label, (x, y) in point_of.items()
+    }
 
     # black neighbors per floor: (position, label, signed weight); sign +w for
     # an elevator from above (incoming edge), -w from below (outgoing or sink)
@@ -245,41 +268,44 @@ def reconstruct(
             neighbors[v].append((pos[label], label, -w))
 
     floors: list[FloorCurve] = []
-    height_at: dict[tuple[int, str], Fraction] = {}  # (floor, label) -> y
+    # (floor, label) -> the breakpoint's y, scaled to an integer and as a Fraction
+    height_at: dict[tuple[int, str], tuple[int, Fraction]] = {}
     for v in range(1, diag.d + 1):
         nbrs = sorted(neighbors[v])  # ascending position = right to left
-        slope = Fraction(1)
-        right_to_left = []  # (x, slope left of this breakpoint)
-        for _, label, signed in nbrs:
+        slope = 1
+        slopes = []  # the slope left of each breakpoint, right to left
+        for _, _, signed in nbrs:
             slope += signed
-            right_to_left.append((point_of[label][0], slope))
+            slopes.append(slope)
         if slope != 0:
             raise AssertionError(f"floor {v} does not end with slope 0")
         labels = [label for _, label, _ in reversed(nbrs)]
-        breaks_x = [x for x, _ in reversed(right_to_left)]
-        slopes = [s for _, s in reversed(right_to_left)] + [Fraction(1)]
-        ax, ay = point_of[f"v{v}"]
+        slopes = slopes[::-1] + [1]
+        breaks_x = [lattice_of[label][0] for label in labels]
+        ax, ay = lattice_of[f"v{v}"]
         region = sum(1 for x in breaks_x if x < ax)
-        ys: list[Optional[Fraction]] = [None] * len(breaks_x)
+        ys = [0] * len(breaks_x)
         y = ay
         x_cur = ax
         for i in range(region - 1, -1, -1):  # walk left from the anchor
-            y = y + slopes[i + 1] * (breaks_x[i] - x_cur)
+            y += slopes[i + 1] * (breaks_x[i] - x_cur)
             x_cur = breaks_x[i]
             ys[i] = y
         y = ay
         x_cur = ax
         for i in range(region, len(breaks_x)):  # walk right
-            y = y + slopes[i] * (breaks_x[i] - x_cur)
+            y += slopes[i] * (breaks_x[i] - x_cur)
             x_cur = breaks_x[i]
             ys[i] = y
-        height_at.update(((v, label), yy) for label, yy in zip(labels, ys))
+        heights = [Fraction(y, scale) for y in ys]
+        for label, y, height in zip(labels, ys, heights):
+            height_at[(v, label)] = (y, height)
         floors.append(
             FloorCurve(
                 v,
-                (ax, ay),
-                tuple((x, yy) for x, yy in zip(breaks_x, ys)),
-                tuple(slopes),
+                point_of[f"v{v}"],
+                tuple((point_of[label][0], h) for label, h in zip(labels, heights)),
+                tuple(map(_whole, slopes)),
             )
         )
 
@@ -288,51 +314,58 @@ def reconstruct(
     elevators = []
     for label in order:
         kind = kinds[label]
+        point, y = point_of[label], lattice_of[label][1]
         if kind[0] == "M":
             _, s, t, w, _ = kind
-            x, y = point_of[label]
-            top = height_at[(s, label)]
-            bottom = height_at[(t, label)]
-            if not bottom < y < top:
+            top_y, top = height_at[(s, label)]
+            bottom_y, bottom = height_at[(t, label)]
+            if not bottom_y < y < top_y:
                 raise AssertionError(
                     f"black point of {label} must lie on its elevator"
                 )
-            elevators.append(Elevator(label, x, w, s, t, top, bottom, (x, y)))
+            elevators.append(Elevator(label, point[0], w, s, t, top, bottom, point))
         elif kind[0] == "S":
             _, v, w, _ = kind
-            x, y = point_of[label]
-            top = height_at[(v, label)]
-            if not y < top:
+            top_y, top = height_at[(v, label)]
+            if not y < top_y:
                 raise AssertionError(
                     f"black point of {label} must lie below floor {v}"
                 )
-            elevators.append(Elevator(label, x, w, v, None, top, None, (x, y)))
+            elevators.append(Elevator(label, point[0], w, v, None, top, None, point))
     return TropicalCurveSketch(diag.d, genus, tuple(floors), tuple(elevators), order)
 
 
 def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
-    """Balancing, endpoint slopes, unbounded-direction census, degree, genus."""
+    """Balancing, endpoint slopes, unbounded-direction census, degree, genus.
+
+    Integer-valued slopes are compared as ints; any other slope keeps its
+    exact Fraction arithmetic."""
     checks: list[CurveCheck] = []
-    for floor in sketch.floors:
-        ok = floor.slopes[0] == 0 and floor.slopes[-1] == 1
+    floor_slopes = [
+        [s.numerator if s.denominator == 1 else s for s in floor.slopes]
+        for floor in sketch.floors
+    ]
+    for floor, slopes in zip(sketch.floors, floor_slopes):
+        ok = slopes[0] == 0 and slopes[-1] == 1
         checks.append(
             CurveCheck(
                 f"floor {floor.vertex} end slopes",
                 ok,
-                f"left {floor.slopes[0]}, right {floor.slopes[-1]}",
+                f"left {slopes[0]}, right {slopes[-1]}",
             )
         )
-        bound_ok = all(abs(s) <= d for s in floor.slopes)
+        bound_ok = all(abs(s) <= d for s in slopes)
         checks.append(CurveCheck(f"floor {floor.vertex} slope bound", bound_ok))
-    at_x: dict[Fraction, list[Elevator]] = {}
+    # keyed by the exact ratio, which hashes faster than a Fraction
+    at_x: dict[tuple[int, int], list[Elevator]] = {}
     for e in sketch.elevators:
-        at_x.setdefault(e.x, []).append(e)
-    for floor in sketch.floors:
+        at_x.setdefault(e.x.as_integer_ratio(), []).append(e)
+    for floor, slopes in zip(sketch.floors, floor_slopes):
         for i, (bx, _) in enumerate(floor.breakpoints):
-            s_left, s_right = floor.slopes[i], floor.slopes[i + 1]
+            s_left, s_right = slopes[i], slopes[i + 1]
             hit = [
                 e
-                for e in at_x.get(bx, ())
+                for e in at_x.get(bx.as_integer_ratio(), ())
                 if floor.vertex in (e.upper_floor, e.lower_floor)
             ]
             if len(hit) != 1:
@@ -354,8 +387,8 @@ def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
                     f"slopes {s_left}->{s_right}, elevator {e.label} ({vertical:+})",
                 )
             )
-    left_rays = sum(1 for f in sketch.floors if f.slopes[0] == 0)
-    right_rays = sum(1 for f in sketch.floors if f.slopes[-1] == 1)
+    left_rays = sum(1 for slopes in floor_slopes if slopes[0] == 0)
+    right_rays = sum(1 for slopes in floor_slopes if slopes[-1] == 1)
     floors = len(sketch.floors)
     ground_weight = sum(e.weight for e in sketch.elevators if e.lower_floor is None)
     checks.append(

@@ -52,6 +52,7 @@ from floordiagrams.tables import (
     gw_table,
     max_tangency_table,
     relative_table,
+    severi_reducible_entries,
     severi_table,
     template_rows,
 )
@@ -105,13 +106,22 @@ def test_criterion_2_severi_table_and_splitting():
             assert severi(d, delta) == expect, (d, delta)
     assert severi(4, 4) == 666
     assert severi(5, 5) == 90027
+    # a Severi degree also counts reducible curves, so it differs from the
+    # irreducible count of genus (d-1)(d-2)/2 - delta exactly at the entries
+    # the table marks reducible; a negative genus has no irreducible curve
+    reducible = set()
+    for d, delta in severi_table():
+        genus = (d - 1) * (d - 2) // 2 - delta
+        if severi(d, delta) != (gw(d, genus) if genus >= 0 else 0):
+            reducible.add((d, delta))
+    assert reducible == severi_reducible_entries()
     # gw inverts the sweep by the splitting formula in exponential form, so
     # this is an identity and checks the splitting enumerator only;
     # test_oracles.py holds the independent Severi checks
     for d in range(1, 6):
         for delta in range(0, 7):
             assert severi(d, delta) == severi_split_oracle(d, delta), (d, delta)
-    report(2, "Severi table d<=5 and splitting oracle", start)
+    report(2, "Severi table d<=5, reducible entries d<=6, splitting oracle", start)
 
 
 def test_criterion_3_relative_table():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -223,6 +224,19 @@ def test_tropical_gallery_failure_creates_nothing(tmp_path, capsys):
         assert code == 1, argv
         assert err.startswith("error: ")
         assert not out_dir.exists(), argv
+
+
+def test_tropical_gallery_refuses_an_oversized_degree_at_once(tmp_path, capsys):
+    # degree 40 ran for minutes and degree 1000 overflowed the recursion
+    # limit before the marking-listing limit was checked up front
+    for d, elements in [(40, 119), (1000, 2999)]:
+        out_dir = tmp_path / "gal"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "tropical", "gallery", "--d", str(d), "--out", str(out_dir))
+        assert time.perf_counter() - start < 1, d
+        assert code == 1, d
+        assert err == f"error: marking listing limited to 14 elements, got {elements}\n"
+        assert not out_dir.exists(), d
 
 
 def test_render_command(tmp_path, capsys):

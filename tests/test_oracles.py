@@ -42,10 +42,14 @@ from floordiagrams.markings import (
 from floordiagrams.nodepoly import node_polynomial
 from floordiagrams.oracles import (
     caporaso_harris,
+    copy_with,
     diagram_to_tree_oracle,
     marking_orbits_oracle,
+    perturb_elevator,
+    reconstruct_oracle,
     sketch_svg_oracle,
     tree_to_diagram_oracle,
+    verify_curve_oracle,
     welschinger_oracle,
 )
 from floordiagrams.render import sketch_svg
@@ -54,6 +58,7 @@ from floordiagrams.tables import appendix_rows, severi_table
 from floordiagrams.tropical import (
     Elevator,
     FloorCurve,
+    StretchedConfig,
     TropicalCurveSketch,
     reconstruct,
     stretched_config,
@@ -307,6 +312,72 @@ def test_sketch_svg_equals_the_fraction_oracle_off_the_configurations():
     )
     sketch = TropicalCurveSketch(1, 0, (floor,), elevators, ())
     assert sketch_svg(sketch) == sketch_svg_oracle(sketch)
+
+
+def off_lattice_config():
+    """A (3, 0)-configuration whose denominators 3, 7 and 11 do not divide
+    2000, the lcm of every ``stretched_config``."""
+    gap = (3**3 + 3) * (8 + 2) + 1
+    thirds = (3, 7, 11)
+    return StretchedConfig(
+        3,
+        0,
+        tuple(
+            (i + Fraction(1, thirds[i % 3]), i * gap + Fraction(2, thirds[(i + 1) % 3]))
+            for i in range(1, 9)
+        ),
+    )
+
+
+def test_lattice_reconstruction_equals_the_fraction_oracle():
+    cases = [(d, 0, seed) for d in range(1, 5) for seed in (0, 1)]
+    cases += [(3, 1, seed) for seed in (0, 1)]
+    cases = [(d, g, stretched_config(d, g, seed), ordinary_markings(d, g)) for d, g, seed in cases]
+    sample = random.Random(5).sample(ordinary_markings(5, 0), 300)
+    cases.append((5, 0, stretched_config(5, 0, 0), sample))
+    cases.append((3, 0, off_lattice_config(), ordinary_markings(3, 0)))
+    sketches = 0
+    for d, g, config, markings in cases:
+        for diag, order in markings:
+            sketch = reconstruct(diag, order, config)
+            assert repr(sketch) == repr(reconstruct_oracle(diag, order, config)), order
+            report = verify_curve(sketch, d, g)
+            assert report.ok, (diag.text(), order)
+            assert repr(report) == repr(verify_curve_oracle(sketch, d, g)), order
+            sketches += 1
+    assert sketches == 2 * (1 + 1 + 9 + 303) + 2 * 1 + 300 + 9
+
+
+def test_broken_sketches_equal_the_fraction_oracles():
+    # the README cubic on two configurations; 13 divides no denominator of
+    # either, so a slope or point in thirteenths leaves both lattices
+    diag = diagram(3, [(1, 2, 1), (2, 3, 1)])
+    order = tuple("v1 e1-2w1#0 v2 e2-3w1#0 v3 s2w1#0 s3w1#0 s3w1#1".split())
+    thirteenth = Fraction(1, 13)
+    for config in (stretched_config(3, 0, 0), off_lattice_config()):
+        sketch = reconstruct(diag, order, config)
+        assert sketch_svg(sketch) == sketch_svg_oracle(sketch)
+        broken = [perturb_elevator(sketch, i, +1) for i in range(len(sketch.elevators))]
+        bounded = sketch.elevators[0]
+        shifted = copy_with(bounded, x=bounded.x + Fraction(1, 7))
+        broken.append(copy_with(sketch, elevators=(shifted, *sketch.elevators[1:])))
+        floor = sketch.floors[1]
+        for slopes in [
+            (floor.slopes[0], floor.slopes[1] + thirteenth, *floor.slopes[2:]),
+            (thirteenth, *floor.slopes[1:-1], floor.slopes[-1] + thirteenth),
+        ]:
+            bent = copy_with(floor, slopes=slopes)
+            broken.append(copy_with(sketch, floors=(sketch.floors[0], bent, *sketch.floors[2:])))
+        for bad in broken:
+            report = verify_curve(bad, 3, 0)
+            assert not report.ok
+            assert repr(report) == repr(verify_curve_oracle(bad, 3, 0))
+            assert sketch_svg(bad) == sketch_svg_oracle(bad)
+        # verify_curve does not read the black points, but the drawing must
+        # place one off its elevator exactly
+        moved = copy_with(bounded, point=(bounded.point[0] + thirteenth, bounded.point[1]))
+        off = copy_with(sketch, elevators=(moved, *sketch.elevators[1:]))
+        assert sketch_svg(off) == sketch_svg_oracle(off)
 
 
 def assert_bijection_matches_oracle(diag):

@@ -1,5 +1,6 @@
 """The value-class contract: repr, hash, equality, immutability and copying,
-and a package import that loads neither ``dataclasses`` nor ``inspect``."""
+and a package import that loads neither ``dataclasses`` nor ``inspect``, nor,
+to load a table, ``typing`` or ``importlib.resources``."""
 
 import copy
 import os
@@ -107,17 +108,23 @@ def test_value_class_contract(value, names, text):
     assert pickle.loads(pickle.dumps(value)) == value
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def loaded_in_a_cold_start(code: str, modules: set[str]) -> str:
+    """Which of ``modules`` a fresh process has loaded after running ``code``."""
     # -S skips site, whose own imports could otherwise hide one of ours
     src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import sys\n"
-        "import floordiagrams\n"
-        "from floordiagrams import invariants, markings, render, tables\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
-    )
+    code = f"import sys\n{code}\nprint(sorted({modules!r} & set(sys.modules)))\n"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    code = "import floordiagrams\nfrom floordiagrams import invariants, markings, render, tables"
+    assert loaded_in_a_cold_start(code, {"dataclasses", "inspect"}) == "[]"
+
+
+def test_table_load_needs_neither_typing_nor_importlib_resources():
+    code = "import floordiagrams, floordiagrams.tables\nfloordiagrams.tables.gw_table()"
+    assert loaded_in_a_cold_start(code, {"typing", "importlib.resources"}) == "[]"
