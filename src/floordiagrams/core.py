@@ -92,15 +92,6 @@ class Partition(Value):
         """Number of parts equal to ``value`` (the exponent in <1^a 2^b ...>)."""
         return sum(1 for p in self.parts if p == value)
 
-    def distinct_orderings(self) -> int:
-        """Number of distinct permutations of the parts: len! / prod(mult!)."""
-        from math import factorial
-
-        n = factorial(self.length)
-        for v in set(self.parts):
-            n //= factorial(self.count(v))
-        return n
-
     @staticmethod
     def ones(n: int) -> "Partition":
         return Partition((1,) * n)

@@ -4,18 +4,18 @@ Every invariant is an exact integer: a sum of multiplicity times marking
 count over floor diagrams.
 
 Gromov-Witten numbers, Severi degrees and relative invariants come from
-one fused floor sweep, ``_relative_rows``.  It walks the floors 1..d and
-the gaps between them once, choosing each floor's outgoing edges, its
-lambda parts and its rho sinks and placing the marking's midpoints and
-sinks as it goes, so no diagram is built, and one sweep gives the sums
-over every (possibly disconnected) diagram of a degree, grouped by
-tangency profile and edge count, for every profile inside a cap.
-``_row`` picks the cap: lambda empty and rho = 1^d, the profile of ``gw``
-and ``severi``, has a sweep of its own, and every other profile reads the
-sweep over all profiles of its degree, so a whole grid of profiles costs
-one sweep per degree.  Severi degrees read a row; the connected sums
-behind ``relative_gw`` and ``gw`` come from the rows by one inversion over
-the component that holds floor 1.
+one sweep, ``_relative_rows``, that reads marked diagrams in marking
+order: each position holds the next floor, an edge's midpoint or a sink,
+and an edge gets its target only when it lands on a floor (the Fock space
+reading of Block & Goettsche, IMRN 2016, and Cooper & Pandharipande,
+Proc. LMS 2017).  No diagram is built, and one sweep gives the sums over
+every (possibly disconnected) diagram of a degree, grouped by tangency
+profile and edge count, for every profile inside a cap.  ``_row`` picks
+the cap: lambda empty and rho = 1^d, the profile of ``gw`` and
+``severi``, has a sweep of its own, and every other profile reads the
+sweep over all profiles of its degree.  Severi degrees read a row; the
+connected sums behind ``relative_gw`` and ``gw`` come from the rows by
+one inversion over the component that holds floor 1.
 
 Welschinger numbers are the connected genus-0 sum of the same sweep with
 the real multiplicity in place of mu: each edge weighs 1 when its weight
@@ -29,12 +29,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial, prod
-from operator import add
 
 from .core import DiagramError, Partition
 from .enumeration import DiagramQuery, enumerate_diagrams
 # perfbench/tracing.py patches enumerate_diagrams and both marking counters here
-from .markings import count_markings, count_relative_markings, gap_choices
+from .markings import count_markings, count_relative_markings
 
 Vector = tuple[int, ...]  # multiplicity vector: entry k-1 counts the parts equal to k
 
@@ -65,52 +64,41 @@ def _weight(vec: Vector) -> int:
     return sum(k * c for k, c in enumerate(vec, start=1))
 
 
-# -- the fused floor sweep ----------------------------------------------------
+# -- the marking-order sweep --------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _edge_bundle(n: int, s: int, odd: bool) -> int:
-    """Sum of prod w^2 over the ordered n-tuples of positive weights with
-    sum s: n! times mu over the symmetry of the parallel midpoints,
-    summed over the weight multisets of n edges between two floors.
-
-    With ``odd``, each edge weighs w mod 2 in place of w^2: the real
-    multiplicity, 1 when every edge weight is odd and 0 otherwise.
-    """
-    if n == 0:
-        return 1 if s == 0 else 0
-    return sum(
-        (w % 2 if odd else w * w) * _edge_bundle(n - 1, s - w, odd)
-        for w in range(1, s - n + 2)
-    )
-
-
-@lru_cache(maxsize=None)
-def _outgoing(budget: int, targets: int, odd: bool) -> tuple:
-    """Every choice of outgoing edges at a floor with incoming weight
-    ``budget`` - 1 and ``targets`` later floors.
-
-    Each choice is (edge count, edge count per target, weight per target,
-    unused budget, prod of the bundles, prod of the edge counts'
-    factorials).
-    """
+def _midpoints(pending: Vector, placed: Vector) -> tuple:
+    """Every way the next position holds a pending edge's midpoint:
+    (pending, placed, ways), one edge of some weight k moved from pending
+    to placed in pending_k ways."""
     out = []
-
-    def pick(left: int, counts: tuple, weights: tuple, bundles: int, parallel: int):
-        if len(counts) == targets:
-            out.append((sum(counts), counts, weights, left, bundles, parallel))
-            return
-        pick(left, counts + (0,), weights + (0,), bundles, parallel)
-        for s in range(1, left + 1):
-            for n in range(1, s + 1):
-                # with odd, n odd weights never sum to s of the other parity
-                bundle = _edge_bundle(n, s, odd)
-                if bundle:
-                    pick(left - s, counts + (n,), weights + (s,),
-                         bundles * bundle, parallel * factorial(n))
-
-    pick(budget, (), (), 1, 1)
+    for k, c in enumerate(pending):
+        if c:
+            left, moved = list(pending), list(placed) + [0] * len(pending)
+            left[k] -= 1
+            moved[k] += 1
+            out.append((_trim(left), _trim(moved), c))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _emissions(pending: Vector, budget: int, odd: bool) -> tuple:
+    """Every multiset of outgoing edges, m_w of weight w, that a floor
+    with ``budget`` may emit: (pending plus m, budget left,
+    prod w^(2 m_w), prod m_w!).  With ``odd``, each edge weighs w mod 2
+    in place of w^2, so a multiset with an even weight is dropped."""
+    pending += (0,) * (budget - len(pending))
+    out = [((), budget, 1, 1)]
+    for w, c in enumerate(pending, start=1):
+        weigh = w % 2 if odd else w * w
+        out = [
+            (vec + (c + m,), left - w * m, num * weigh**m, den * factorial(m))
+            for vec, left, num, den in out
+            for m in range(left // w + 1)
+            if weigh or not m
+        ]
+    return tuple((_trim(vec), left, num, den) for vec, left, num, den in out)
 
 
 @lru_cache(maxsize=None)
@@ -150,63 +138,74 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
     rho <= rho_cap with I(lambda) + I(rho) = d; all are trimmed
     multiplicity vectors.
 
-    The sweep runs floor v, then gap v, for v = 1..d.  A state before
-    floor v is (edges so far, incoming weight promised to each of the
-    floors v..d, unplaced midpoints of edges into each of the floors
-    v+1..d, unplaced sinks, lambda parts left, rho parts left), starting
-    from the caps; its value sums mu / symmetry times the ways to place
-    the items so far.  Floor v picks all its outgoing edges at once, then
-    spends its unused budget on lambda parts and rho sinks.  Gap v is one
-    ``gap_choices`` transfer, with each midpoint due before its edge's
-    target: midpoints into floor v+1 must be placed there, and every other
-    pending item may be.  Gap d places the remaining sinks.  The final
-    states are grouped by the parts used, cap minus left, and each is
-    multiplied by prod lambda_k! for the labels of its lambda parts.
+    The sweep reads a marking one position at a time, breadth-first, so a
+    marked diagram has no symmetry left.  A state is (floors placed,
+    edges by weight whose midpoint is pending, edges by weight whose
+    midpoint is placed and whose target is not, sinks unplaced, lambda
+    parts left, rho parts left).  A position holds a pending midpoint, in
+    pending_k ways, an unplaced sink, or the next floor.  A floor, in
+    three phases summed into dicts of their own, absorbs some placed
+    edges, in prod C(placed_k, t_k) ways; emits outgoing edges into
+    pending, divided by m_w! as the midpoints pick among them later; and
+    spends the rest of its budget through ``_leftover_splits``.  The last
+    floor absorbs every placed edge and emits nothing.  A state with
+    every floor and sink placed is final: at position n it has
+    n - d - |rho| edges, and it is multiplied by prod lambda_k! for the
+    labels of its lambda parts.
 
     Values are integers scaled by N!, N = d(d-1)/2 + d: midpoints, sinks
     and lambda parts are at most that many disjoint items, so every
     product of parallel-edge, sink and lambda factorials divides it, each
     division is exact, and a remainder raises AssertionError.  ``odd``
-    weighs the edges as ``_edge_bundle`` does.
+    weighs the edges as ``_emissions`` does.
     """
     scale = factorial(d * (d - 1) // 2 + d)
     size = max(len(lam_cap), len(rho_cap))
     lam_cap += (0,) * (size - len(lam_cap))
     rho_cap += (0,) * (size - len(rho_cap))
-    states = {(0, (0,) * d, (0,) * (d - 1), 0, lam_cap, rho_cap): scale}
-    for v in range(1, d + 1):
-        floored: dict = {}
-        for (edges, promised, pending, sinks, lam_left, rho_left), value in states.items():
-            later = promised[1:]
-            for added, counts, weights, left, bundles, parallel in _outgoing(promised[0] + 1, d - v, odd):
-                splits = _leftover_splits(left, lam_left, rho_left)
-                if not splits:
-                    continue
-                head = (
-                    edges + added,
-                    tuple(map(add, later, weights)),
-                    tuple(map(add, pending, counts)),
-                )
-                for lam_next, rho_next, placed, symmetry in splits:
-                    share, rest = divmod(value * bundles, parallel * symmetry)
-                    if rest:
-                        raise AssertionError(
-                            f"degree-{d} sweep: {parallel * symmetry} does not divide "
-                            f"{value * bundles} at floor {v}"
-                        )
-                    key = head + (sinks + placed, lam_next, rho_next)
-                    floored[key] = floored.get(key, 0) + share
+    states = {(0, (), (), 0, lam_cap, rho_cap): scale}
+    finals: dict = {}
+    position = 0
+    while states:
+        position += 1
+        moved, absorbed, emitted = {}, {}, {}
+        for state, value in states.items():
+            floors, pending, placed, sinks, lam_left, rho_left = state
+            for pending_next, placed_next, ways in _midpoints(pending, placed):
+                key = (floors, pending_next, placed_next, sinks, lam_left, rho_left)
+                moved[key] = moved.get(key, 0) + value * ways
+            if sinks:
+                key = (floors, pending, placed, sinks - 1, lam_left, rho_left)
+                moved[key] = moved.get(key, 0) + value * sinks
+            if floors < d - 1:
+                for taken, rest, ways in _sub_vectors(placed):
+                    key = (floors, pending, rest, sinks, lam_left, rho_left, _weight(taken) + 1)
+                    absorbed[key] = absorbed.get(key, 0) + value * ways
+            elif floors == d - 1 and not pending:
+                key = (d, (), (), sinks, lam_left, rho_left, _weight(placed) + 1)
+                emitted[key] = emitted.get(key, 0) + value
+        for (floors, pending, placed, *parts, budget), value in absorbed.items():
+            for pending_next, left, weighs, parallel in _emissions(pending, budget, odd):
+                share, rest = divmod(value * weighs, parallel)
+                if rest:
+                    raise AssertionError(f"degree-{d} sweep: {parallel} leaves {rest} at a floor")
+                key = (floors + 1, pending_next, placed, *parts, left)
+                emitted[key] = emitted.get(key, 0) + share
+        for (floors, pending, placed, sinks, lam_left, rho_left, left), value in emitted.items():
+            for lam_next, rho_next, sunk, symmetry in _leftover_splits(left, lam_left, rho_left):
+                share, rest = divmod(value, symmetry)
+                if rest:
+                    raise AssertionError(f"degree-{d} sweep: {symmetry} leaves {rest} at a floor")
+                key = (floors, pending, placed, sinks + sunk, lam_next, rho_next)
+                moved[key] = moved.get(key, 0) + share
         states = {}
-        for (edges, promised, pending, sinks, lam_left, rho_left), value in floored.items():
-            if v == d:
-                mandatory, classes = sinks, ()
+        for state, value in moved.items():
+            if state[0] < d or state[3]:
+                states[state] = value
             else:
-                mandatory, classes = pending[0], pending[1:] + (sinks,)
-            for rest, ways in gap_choices(mandatory, classes):
-                key = (edges, promised, rest[:-1], rest[-1] if rest else 0, lam_left, rho_left)
-                states[key] = states.get(key, 0) + value * ways
-    rows: dict = {}
-    for (edges, _, _, _, lam_left, rho_left), value in states.items():
+                finals.setdefault(state[4:], {})[position] = value
+    rows = {}
+    for (lam_left, rho_left), values in finals.items():
         lam = _trim(c - r for c, r in zip(lam_cap, lam_left))
         rho = _trim(c - r for c, r in zip(rho_cap, rho_left))
         # the floors' unused budgets add up to d
@@ -214,16 +213,12 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
             raise AssertionError(
                 f"degree-{d} sweep uses parts of weight other than {d}: lambda {lam}, rho {rho}"
             )
-        row = rows.setdefault((lam, rho), {})
-        row[edges] = row.get(edges, 0) + value * prod(map(factorial, lam))
-    for profile, row in rows.items():
-        for edges, value in row.items():
-            row[edges], rest = divmod(value, scale)
+        row = rows[lam, rho] = {}
+        for position, value in values.items():
+            edges = position - d - sum(rho)
+            row[edges], rest = divmod(value * prod(map(factorial, lam)), scale)
             if rest:
-                raise AssertionError(
-                    f"degree-{d} sweep gives a non-integer sum at {profile}, {edges} edges: "
-                    f"{value} / {scale}"
-                )
+                raise AssertionError(f"degree-{d} sweep: {scale} leaves {rest} at {lam, rho}")
     return rows
 
 

@@ -83,16 +83,6 @@ class RatPolynomial(Value):
             raise AssertionError(f"expected integer value, got {value}")
         return int(value)
 
-    def shift_argument(self, c) -> "RatPolynomial":
-        """Return p(x + c)."""
-        result = RatPolynomial(())
-        xc = RatPolynomial((Fraction(c), Fraction(1)))
-        power = RatPolynomial((Fraction(1),))
-        for coeff in self.coefficients:
-            result = result + power.scale(coeff)
-            power = power * xc
-        return result
-
     def format(self, var: str = "x") -> str:
         if not self.coefficients:
             return "0"

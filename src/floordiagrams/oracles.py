@@ -19,7 +19,10 @@ sum over the ways a curve splits into components, each counted by
 floor 1, which is this formula in exponential form (a marking's
 d + edges + d items are the d(d+3)/2 - delta points), so the two agree
 with ``severi`` whatever the sweep's rows are; the comparison checks the
-splitting enumerator, not the sweep.
+splitting enumerator, not the sweep.  ``gw_log_oracle`` runs the same
+formula the other way from ``caporaso_harris`` alone: gw at every genus as
+the log of the Severi degrees' exponential series in the point count, so
+it checks the inversion in ``invariants._connected``.
 
 ``closed_form_gmax`` and ``closed_form_uninodal`` give relative invariants
 at and one below the maximal genus in closed form; ``collinear_triple``
@@ -28,7 +31,8 @@ counts curves through three collinear points from two ``gw`` values.
 ``severi_numeric`` is the template master sum with explicit offsets, one
 template sequence at a time.  It shares the templates and extension
 polynomials with ``nodepoly`` but not the state DP or any discrete sum.
-``exp_series`` rebuilds the node-polynomial series from the A_j.
+``exp_series`` rebuilds the node-polynomial series from the A_j, and
+``shift_argument`` shifts a polynomial's argument.
 
 The rest count one diagram at a time.  ``kontsevich_oracle`` is
 Kontsevich's recursion for gw(d, 0).  ``welschinger_oracle`` sums the
@@ -57,7 +61,9 @@ configuration's lattice and must give equal records.
 
 ``copy_with`` copies a value record with some fields changed, and
 ``perturb_elevator`` uses it to build faulty sketches that
-``tropical.verify_curve`` must reject.
+``tropical.verify_curve`` must reject.  ``distinct_orderings``,
+``severi_reducible_entries`` and ``appendix_counts`` are small readers of
+partitions and frozen tables that only the tests use.
 """
 
 from __future__ import annotations
@@ -85,6 +91,7 @@ from .markings import (
 from .nodepoly import RatPolynomial, enumerate_templates, extension_polynomial
 from .render import ACCENT, DOT, MARGIN, SKETCH_SIZE, STROKE, _fmt, _svg
 from .sequences import LabeledTree
+from .tables import _load
 from .tropical import (
     CurveCheck,
     CurveReport,
@@ -179,6 +186,51 @@ def caporaso_harris(d: int, delta: int, alpha: Vector = (), beta: Vector | None 
     return _ch(d, delta, _trim(alpha), _trim(beta))
 
 
+def _severi_points(d: int) -> list[int]:
+    """F_d[n] = N^{d,delta} with n = d(d+3)/2 - delta points, n = 0..d(d+3)/2."""
+    top = d * (d + 3) // 2
+    return [caporaso_harris(d, top - n) for n in range(top + 1)]
+
+
+@lru_cache(maxsize=None)
+def _severi_log(d: int) -> tuple[int, ...]:
+    """G_d[n], n = 0..d(d+3)/2: the degree-d part of the log of the Severi
+    degrees' exponential series in the point count, from
+    d G_d = d F_d - sum_{k<d} k G_k (*) F_{d-k}, where (*) is the binomial
+    convolution in n."""
+    total = [d * f for f in _severi_points(d)]
+    for k in range(1, d):
+        low, rest = _severi_log(k), _severi_points(d - k)
+        for n in range(len(total)):
+            total[n] -= k * sum(
+                comb(n, i) * low[i] * rest[n - i]
+                for i in range(min(n + 1, len(low)))
+                if n - i < len(rest)
+            )
+    out = []
+    for n, value in enumerate(total):
+        share, rest = divmod(value, d)
+        if rest:
+            raise AssertionError(f"degree-{d} log: {d} does not divide {value} at {n} points")
+        out.append(share)
+    return tuple(out)
+
+
+def gw_log_oracle(d: int, g: int) -> int:
+    """gw(d, g) from ``caporaso_harris`` alone, by the exponential formula.
+
+    A possibly reducible curve through n labelled points splits uniquely
+    into irreducible components, each through 3 d_i + g_i - 1 of them, so
+    sum_d F_d x^d = exp(sum_d G_d x^d) as exponential series in n, with
+    G_d[n] = gw(d, n - 3d + 1) (Caporaso & Harris, Invent. Math. 131,
+    1998, section 1).  Any g with 3d + g - 1 >= 0 is read, so the log can
+    be checked to vanish below genus 0; past d(d+3)/2 points it is 0.
+    """
+    log = _severi_log(d)
+    n = 3 * d + g - 1
+    return log[n] if n < len(log) else 0
+
+
 def _max_genus(d: int) -> int:
     return (d - 1) * (d - 2) // 2
 
@@ -235,13 +287,21 @@ def severi_split_oracle(d: int, delta: int) -> int:
     return sum(_split_value(ways, parts) for ways, parts in _split_terms(d, delta))
 
 
+def distinct_orderings(partition: Partition) -> int:
+    """Number of distinct permutations of the parts: len! / prod(mult!)."""
+    ways = factorial(partition.length)
+    for mult in Counter(partition.parts).values():
+        ways //= factorial(mult)
+    return ways
+
+
 def closed_form_gmax(d: int, lam: Partition, rho: Partition) -> int:
     """Relative invariant at maximal genus: rho_1 rho_2 ... len(rho)!/prod(beta!)."""
     if lam.size + rho.size != d:
         raise DiagramError(
             f"|lambda| + |rho| must equal d: {lam.size} + {rho.size} != {d}"
         )
-    return prod(rho.parts) * rho.distinct_orderings()
+    return prod(rho.parts) * distinct_orderings(rho)
 
 
 def closed_form_uninodal(d: int, lam: Partition, rho: Partition) -> int:
@@ -320,6 +380,17 @@ def severi_numeric(d: int, delta: int) -> int:
 
         offsets(0, 1, 1)
     return total
+
+
+def shift_argument(p: RatPolynomial, c) -> RatPolynomial:
+    """Return p(x + c)."""
+    result = RatPolynomial(())
+    xc = RatPolynomial((Fraction(c), Fraction(1)))
+    power = RatPolynomial((Fraction(1),))
+    for coeff in p.coefficients:
+        result = result + power.scale(coeff)
+        power = power * xc
+    return result
 
 
 def exp_series(aj: list[RatPolynomial]) -> list[RatPolynomial]:
@@ -795,7 +866,8 @@ def reconstruct_oracle(
 
 
 def verify_curve_oracle(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
-    """Balancing, endpoint slopes, unbounded-direction census, degree, genus."""
+    """Balancing, endpoint slopes, unbounded-direction census, degree, genus,
+    and a failed check for each black point off its elevator."""
     checks: list[CurveCheck] = []
     for floor in sketch.floors:
         ok = floor.slopes[0] == 0 and floor.slopes[-1] == 1
@@ -861,6 +933,17 @@ def verify_curve_oracle(sketch: TropicalCurveSketch, d: int, g: int) -> CurveRep
     )
     betti = len(bounded) - floors + comps
     checks.append(CurveCheck("genus", betti == g, f"betti {betti} of {g}"))
+    for e in sketch.elevators:
+        x, y = e.point
+        above_bottom = e.bottom is None or e.bottom < y
+        if x != e.x or not (above_bottom and y < e.top):
+            checks.append(
+                CurveCheck(
+                    f"elevator {e.label} point",
+                    False,
+                    f"({x}, {y}) off x={e.x}, y from {e.bottom} to {e.top}",
+                )
+            )
     return CurveReport(tuple(checks))
 
 
@@ -876,3 +959,19 @@ def perturb_elevator(sketch: TropicalCurveSketch, index: int, delta: int) -> Tro
     elevators = list(sketch.elevators)
     elevators[index] = copy_with(elevators[index], weight=elevators[index].weight + delta)
     return copy_with(sketch, elevators=tuple(elevators))
+
+
+# -- frozen-table readers only the tests use ----------------------------------
+
+
+def severi_reducible_entries() -> set[tuple[int, int]]:
+    """The (d, delta) entries the frozen Severi table marks reducible."""
+    return {tuple(e) for e in _load("severi_table.json")["reducible"]}
+
+
+def appendix_counts() -> dict[tuple[int, int], int]:
+    """The frozen appendix's connected diagram count for each (d, g)."""
+    return {
+        tuple(int(x) for x in key.split(",")): value
+        for key, value in _load("appendix_a.json")["counts"].items()
+    }

@@ -41,10 +41,6 @@ def severi_table() -> dict[tuple[int, int], int]:
     }
 
 
-def severi_reducible_entries() -> set[tuple[int, int]]:
-    return {tuple(e) for e in _load("severi_table.json")["reducible"]}
-
-
 def relative_table() -> dict:
     return _load("relative_table.json")
 
@@ -55,13 +51,6 @@ def max_tangency_table() -> list[tuple[int, int, int]]:
 
 def appendix_rows() -> list[dict]:
     return _load("appendix_a.json")["rows"]
-
-
-def appendix_counts() -> dict[tuple[int, int], int]:
-    return {
-        tuple(int(x) for x in key.split(",")): value
-        for key, value in _load("appendix_a.json")["counts"].items()
-    }
 
 
 def template_rows() -> list[dict]:

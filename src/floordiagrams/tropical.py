@@ -11,7 +11,7 @@ integer, so each coordinate lies on the lattice (1/L)Z, where L is the lcm
 of the points' denominators.  ``reconstruct`` walks the floors in integers
 scaled by L and makes the sketch's Fraction fields only at the end, reusing
 the configuration's own points; ``verify_curve`` compares integer slopes as
-ints.  Arithmetic stays exact throughout, so every verification check is
+ints and checks that every black point stands on its elevator.  Arithmetic stays exact throughout, so every verification check is
 an equality check.  The SVG sketch keeps it exact too: it writes every
 coordinate over one common denominator and rounds only the final integer
 quotient.
@@ -336,7 +336,8 @@ def reconstruct(
 
 
 def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
-    """Balancing, endpoint slopes, unbounded-direction census, degree, genus.
+    """Balancing, endpoint slopes, unbounded-direction census, degree, genus,
+    and a failed check for each black point off its elevator.
 
     Integer-valued slopes are compared as ints; any other slope keeps its
     exact Fraction arithmetic."""
@@ -410,6 +411,16 @@ def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
     )
     betti = len(bounded) - floors + comps
     checks.append(CurveCheck("genus", betti == g, f"betti {betti} of {g}"))
+    for e in sketch.elevators:
+        px, py = e.point
+        if px != e.x or py >= e.top or (e.bottom is not None and py <= e.bottom):
+            checks.append(
+                CurveCheck(
+                    f"elevator {e.label} point",
+                    False,
+                    f"({px}, {py}) off x={e.x}, y from {e.bottom} to {e.top}",
+                )
+            )
     return CurveReport(tuple(checks))
 
 

@@ -30,12 +30,14 @@ from floordiagrams.nodepoly import (
     node_polynomial,
 )
 from floordiagrams.oracles import (
+    appendix_counts,
     brute_force_markings,
     count_orderings_downset,
     increasing_tree_oracle,
     kontsevich_oracle,
     perturb_elevator,
     severi_numeric,
+    severi_reducible_entries,
     severi_split_oracle,
 )
 from floordiagrams.sequences import (
@@ -47,12 +49,10 @@ from floordiagrams.sequences import (
 )
 from floordiagrams.tables import (
     aj_reference,
-    appendix_counts,
     appendix_rows,
     gw_table,
     max_tangency_table,
     relative_table,
-    severi_reducible_entries,
     severi_table,
     template_rows,
 )

@@ -44,6 +44,7 @@ from floordiagrams.oracles import (
     caporaso_harris,
     copy_with,
     diagram_to_tree_oracle,
+    gw_log_oracle,
     marking_orbits_oracle,
     perturb_elevator,
     reconstruct_oracle,
@@ -86,12 +87,24 @@ def test_recursion_reproduces_the_severi_table():
         assert caporaso_harris(d, delta) == expect, (d, delta)
 
 
-@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("d", range(1, 10))
 def test_recursion_equals_sweep_row(d):
     top = d * (d - 1) // 2
     for delta in range(top + 2):
         assert caporaso_harris(d, delta, (), (d,)) == severi(d, delta), (d, delta)
     assert severi(d, top) > 0 and severi(d, top + 1) == 0
+
+
+def test_log_of_the_recursion_equals_gw_at_every_genus():
+    """The exponential formula read from Caporaso-Harris alone checks the
+    inversion behind gw at every genus, past the frozen degree-6 column."""
+    assert [gw_log_oracle(7, g) for g in (1, 2, 3)] == [60478511040, 122824720116, 153796445095]
+    for d in range(1, 9):
+        # below genus 0 the point count is under 3d - 1 and the log vanishes
+        for g in range(1 - 3 * d, 0):
+            assert gw_log_oracle(d, g) == 0, (d, g)
+        for g in range((d - 1) * (d - 2) // 2 + 2):
+            assert gw_log_oracle(d, g) == gw(d, g), (d, g)
 
 
 def test_recursion_equals_relative_diagram_sums():
@@ -373,8 +386,7 @@ def test_broken_sketches_equal_the_fraction_oracles():
             assert not report.ok
             assert repr(report) == repr(verify_curve_oracle(bad, 3, 0))
             assert sketch_svg(bad) == sketch_svg_oracle(bad)
-        # verify_curve does not read the black points, but the drawing must
-        # place one off its elevator exactly
+        # the drawing must place a black point off its elevator exactly
         moved = copy_with(bounded, point=(bounded.point[0] + thirteenth, bounded.point[1]))
         off = copy_with(sketch, elevators=(moved, *sketch.elevators[1:]))
         assert sketch_svg(off) == sketch_svg_oracle(off)

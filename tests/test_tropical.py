@@ -6,7 +6,7 @@ import pytest
 from floordiagrams.core import DiagramError, Partition, diagram
 from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
 from floordiagrams.markings import list_markings
-from floordiagrams.oracles import copy_with, perturb_elevator
+from floordiagrams.oracles import copy_with, perturb_elevator, verify_curve_oracle
 from floordiagrams.render import diagram_svg, marking_svg, render_svg, sketch_svg
 from floordiagrams.tropical import (
     StretchedConfig,
@@ -127,10 +127,33 @@ def test_verify_curve_reports_an_elevator_off_its_breakpoint():
     moved = copy_with(bounded, x=bounded.x + Fraction(1, 7))
     bad = copy_with(sketch, elevators=(moved, *sketch.elevators[1:]))
     failures = [(c.name, c.detail) for c in verify_curve(bad, 3, 0).failures()]
+    (px, py), top, bottom = bounded.point, bounded.top, bounded.bottom
     assert failures == [
         (f"floor 1 breakpoint at x={bounded.x}", "0 elevators meet it"),
         (f"floor 2 breakpoint at x={bounded.x}", "0 elevators meet it"),
+        # the black point stayed behind at the old x
+        ("elevator e1-2w1#0 point", f"({px}, {py}) off x={moved.x}, y from {bottom} to {top}"),
     ]
+
+
+def test_verify_curve_reads_the_black_points():
+    sketch = readme_sketch()
+    bounded = sketch.elevators[0]
+    (px, py), thirteenth = bounded.point, Fraction(1, 13)
+    for point in [(px + thirteenth, py), (px, bounded.top + thirteenth)]:
+        moved = copy_with(bounded, point=point)
+        bad = copy_with(sketch, elevators=(moved, *sketch.elevators[1:]))
+        report = verify_curve(bad, 3, 0)
+        assert not report.ok
+        assert [c.name for c in report.failures()] == ["elevator e1-2w1#0 point"]
+        assert repr(report) == repr(verify_curve_oracle(bad, 3, 0))
+    # a ground elevator has no bottom, but its point must stay below the top
+    at = next(i for i, e in enumerate(sketch.elevators) if e.lower_floor is None)
+    ground = sketch.elevators[at]
+    moved = copy_with(ground, point=(ground.point[0], ground.top))
+    bad = copy_with(sketch, elevators=(*sketch.elevators[:at], moved, *sketch.elevators[at + 1:]))
+    failures = [c.name for c in verify_curve(bad, 3, 0).failures()]
+    assert failures == [f"elevator {ground.label} point"]
 
 
 def test_verify_curve_reports_the_ground_census():
