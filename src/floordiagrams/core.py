@@ -8,7 +8,6 @@ every vertex is at most 1.  All quantities are exact integers.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Sequence
 from math import prod
 from operator import attrgetter, index
@@ -174,7 +173,8 @@ class FloorDiagram(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        """Canonicalize and validate; a separate method so that it can be
+        """Canonicalize and validate in one pass over the sorted edges, so
+        the cost is O(E) whatever d is; a separate method so that it can be
         counted once per diagram built."""
         try:
             d = index(self.d)
@@ -183,21 +183,24 @@ class FloorDiagram(Value):
         if d < 1:
             raise DiagramError(f"degree must be positive, got {d}")
         try:
-            edges = tuple(sorted((index(s), index(t), index(w)) for s, t, w in self.edges))
+            edges = tuple(sorted([(index(s), index(t), index(w)) for s, t, w in self.edges]))
         except TypeError as exc:
             raise DiagramError(
                 f"edge entries must be integers, got {self.edges!r}"
             ) from exc
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edges)
+        div: dict[int, int] = {}
         for s, t, w in edges:
             if not (1 <= s < t <= d):
                 raise DiagramError(f"edge ({s},{t},{w}) must satisfy 1 <= src < tgt <= d")
             if w < 1:
                 raise DiagramError(f"edge ({s},{t},{w}) must have positive weight")
-        for v, dv in sorted(self._edge_divergences().items()):
-            if dv > 1:
-                raise DiagramError(f"divergence {dv} > 1 at vertex {v}")
+            div[s] = div.get(s, 0) + w
+            div[t] = div.get(t, 0) - w
+        if max(div.values(), default=0) > 1:
+            v = min(v for v, dv in div.items() if dv > 1)
+            raise DiagramError(f"divergence {div[v]} > 1 at vertex {v}")
 
     def _edge_divergences(self) -> dict[int, int]:
         """Divergence of every vertex that has an edge, in one pass over the
@@ -271,10 +274,12 @@ class FloorDiagram(Value):
     # -- canonical text / JSON forms ------------------------------------
 
     def text(self) -> str:
-        body = ";".join(f"({s},{t},{w})" for s, t, w in self.edges)
+        body = ";".join(["(%d,%d,%d)" % e for e in self.edges])
         return f"d={self.d}; edges={body}"
 
     def to_json(self) -> str:
+        import json  # here, so that importing the package leaves json unloaded
+
         return json.dumps({"d": self.d, "edges": [list(e) for e in self.edges]})
 
     @staticmethod
@@ -289,6 +294,8 @@ class FloorDiagram(Value):
 
     @staticmethod
     def from_json(text: str) -> "FloorDiagram":
+        import json
+
         try:
             obj = json.loads(text)
             return FloorDiagram(obj["d"], tuple(tuple(e) for e in obj["edges"]))

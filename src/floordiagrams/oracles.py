@@ -867,7 +867,8 @@ def reconstruct_oracle(
 
 def verify_curve_oracle(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
     """Balancing, endpoint slopes, unbounded-direction census, degree, genus,
-    and a failed check for each black point off its elevator."""
+    a failed check for each floor segment or anchor off the floor's slopes,
+    and one for each black point off its elevator."""
     checks: list[CurveCheck] = []
     for floor in sketch.floors:
         ok = floor.slopes[0] == 0 and floor.slopes[-1] == 1
@@ -880,6 +881,21 @@ def verify_curve_oracle(sketch: TropicalCurveSketch, d: int, g: int) -> CurveRep
         )
         bound_ok = all(abs(s) <= d for s in floor.slopes)
         checks.append(CurveCheck(f"floor {floor.vertex} slope bound", bound_ok))
+        pairs = zip(floor.breakpoints, floor.breakpoints[1:], floor.slopes[1:])
+        for (px, py), (bx, by), slope in pairs:
+            if by - py != slope * (bx - px):
+                checks.append(
+                    CurveCheck(
+                        f"floor {floor.vertex} segment to x={bx}",
+                        False,
+                        f"({px}, {py}) to ({bx}, {by}) off slope {slope}",
+                    )
+                )
+        ax, ay = floor.anchor
+        if floor.height(ax) != ay:
+            checks.append(
+                CurveCheck(f"floor {floor.vertex} anchor", False, f"({ax}, {ay}) off the floor")
+            )
     at_x: dict[Fraction, list[Elevator]] = {}
     for e in sketch.elevators:
         at_x.setdefault(e.x, []).append(e)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .core import DiagramError, FloorDiagram, Value, components, parse_tuples
+from .core import DiagramError, FloorDiagram, Value, parse_tuples
 from .enumeration import DiagramQuery, enumerate_diagrams
 
 
@@ -23,7 +23,7 @@ class LabeledTree(Value):
     __slots__ = ("d", "edges")
 
     def __init__(self, d: int, edges: frozenset[tuple[int, int]]):
-        edges = frozenset(tuple(sorted(e)) for e in edges)
+        edges = frozenset([(a, b) if a <= b else (b, a) for a, b in edges])
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edges)
         if d < 1:
@@ -33,8 +33,18 @@ class LabeledTree(Value):
         for a, b in edges:
             if not (1 <= a < b <= d):
                 raise DiagramError(f"tree edge ({a},{b}) out of range")
-        if len(components(range(1, d + 1), edges)) != 1:
-            raise DiagramError("tree must be connected")
+        # d - 1 edges that close no cycle span all of 1..d
+        root = list(range(d + 1))
+        for a, b in edges:
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            while root[b] != b:
+                root[b] = root[root[b]]
+                b = root[b]
+            if a == b:
+                raise DiagramError("tree must be connected")
+            root[b] = a
 
     def text(self) -> str:
         body = ";".join(f"({a},{b})" for a, b in sorted(self.edges))
@@ -155,7 +165,10 @@ def _join(v: int, roots, owner: list[int], members: dict[int, list[int]]) -> Non
     """Merge vertex v with the components under ``roots``.  ``owner`` maps
     each vertex seen so far to the largest vertex of its component, and
     ``members`` maps that vertex to the component's vertices in order."""
-    merged = sorted(x for r in roots for x in members.pop(r))
+    merged = []
+    for r in roots:
+        merged += members.pop(r)
+    merged.sort()  # a merge of sorted runs
     merged.append(v)
     members[v] = merged
     for x in merged:

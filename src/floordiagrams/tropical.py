@@ -11,7 +11,9 @@ integer, so each coordinate lies on the lattice (1/L)Z, where L is the lcm
 of the points' denominators.  ``reconstruct`` walks the floors in integers
 scaled by L and makes the sketch's Fraction fields only at the end, reusing
 the configuration's own points; ``verify_curve`` compares integer slopes as
-ints and checks that every black point stands on its elevator.  Arithmetic stays exact throughout, so every verification check is
+ints, checks every floor's heights against its slopes in the integers of
+``as_integer_ratio()`` and checks that every black point stands on its
+elevator.  Arithmetic stays exact throughout, so every verification check is
 an equality check.  The SVG sketch keeps it exact too: it writes every
 coordinate over one common denominator and rounds only the final integer
 quotient.
@@ -335,9 +337,46 @@ def reconstruct(
     return TropicalCurveSketch(diag.d, genus, tuple(floors), tuple(elevators), order)
 
 
+def _check_polyline(floor: FloorCurve, slopes: list, checks: list[CurveCheck]) -> None:
+    """Append a failed check for each segment between breakpoints that does
+    not rise by its slope times its run, and one if the anchor is off the
+    floor's polyline.  Each test is cross-multiplied in the integers of
+    ``as_integer_ratio()``."""
+    if not floor.breakpoints:
+        return  # the floor is the line through its anchor
+    ax, ay = floor.anchor
+    axn, axd = ax.as_integer_ratio()
+    # the anchor is read on the segment left of the first breakpoint at or
+    # right of it, as FloorCurve.height reads it, else right of the last one
+    anchor_at = None
+    for i, (bx, by) in enumerate(floor.breakpoints):
+        xn, xd = bx.as_integer_ratio()
+        yn, yd = by.as_integer_ratio()
+        # (y - py) / (x - px) == slope, both sides over the four denominators
+        if i and (yn * pyd - pyn * yd) * pxd * xd != slopes[i] * (xn * pxd - pxn * xd) * pyd * yd:
+            px, py = floor.breakpoints[i - 1]
+            checks.append(
+                CurveCheck(
+                    f"floor {floor.vertex} segment to x={bx}",
+                    False,
+                    f"({px}, {py}) to ({bx}, {by}) off slope {slopes[i]}",
+                )
+            )
+        if anchor_at is None and axn * xd <= xn * axd:
+            anchor_at = (xn, xd, yn, yd, slopes[i])
+        pxn, pxd, pyn, pyd = xn, xd, yn, yd
+    xn, xd, yn, yd, slope = anchor_at or (xn, xd, yn, yd, slopes[-1])
+    ayn, ayd = ay.as_integer_ratio()
+    if (ayn * yd - yn * ayd) * xd * axd != slope * (axn * xd - xn * axd) * yd * ayd:
+        checks.append(
+            CurveCheck(f"floor {floor.vertex} anchor", False, f"({ax}, {ay}) off the floor")
+        )
+
+
 def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
     """Balancing, endpoint slopes, unbounded-direction census, degree, genus,
-    and a failed check for each black point off its elevator.
+    a failed check for each floor segment or anchor off the floor's slopes,
+    and one for each black point off its elevator.
 
     Integer-valued slopes are compared as ints; any other slope keeps its
     exact Fraction arithmetic."""
@@ -357,6 +396,7 @@ def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
         )
         bound_ok = all(abs(s) <= d for s in slopes)
         checks.append(CurveCheck(f"floor {floor.vertex} slope bound", bound_ok))
+        _check_polyline(floor, slopes, checks)
     # keyed by the exact ratio, which hashes faster than a Fraction
     at_x: dict[tuple[int, int], list[Elevator]] = {}
     for e in sketch.elevators:

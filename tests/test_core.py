@@ -177,12 +177,25 @@ def test_constructors_reject_non_integers():
     # each was truncated (or accepted, failing later) by int()
     with pytest.raises(DiagramError):
         Partition((2.9, 1))
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError, match="edge entries must be integers"):
         FloorDiagram(3, ((1, 2.7, 1.9), (2, 3, 1)))
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError, match="edge entries must be integers"):
+        FloorDiagram(3, ((1, "2", 1),))
+    with pytest.raises(DiagramError, match="degree must be an integer"):
         FloorDiagram(3.5, ())
+    with pytest.raises(DiagramError, match="degree must be an integer"):
+        FloorDiagram("3", ())
     with pytest.raises(DiagramError):
         FloorDiagram.from_json('{"d": 3.5, "edges": []}')
+
+
+def test_validation_reports_the_first_error_in_order():
+    # vertices 1 and 3 both have divergence 2: the smaller one is named
+    with pytest.raises(DiagramError, match=r"^divergence 2 > 1 at vertex 1$"):
+        diagram(4, [(1, 2, 2), (3, 4, 2)])
+    # vertex 1 has divergence 2, but (2,4,1) leaving 1..3 is reported first
+    with pytest.raises(DiagramError, match=r"^edge \(2,4,1\) must satisfy"):
+        diagram(3, [(1, 2, 1), (1, 3, 1), (2, 4, 1)])
 
 
 def test_partition_rejects_bad_input():

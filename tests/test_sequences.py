@@ -190,5 +190,22 @@ def test_tree_validation():
         LabeledTree(4, frozenset({(1, 2), (3, 4), (1, 2)}))
     with pytest.raises(DiagramError):
         LabeledTree(2, frozenset({(1, 3)}))
+    # 1-2-3 is a cycle, but (4,6) leaving 1..5 is reported first
+    with pytest.raises(DiagramError, match=r"^tree edge \(4,6\) out of range$"):
+        LabeledTree(5, frozenset({(1, 2), (2, 3), (1, 3), (4, 6)}))
+    # a 3-cycle and the isolated vertex 4: d - 1 edges, all in range
+    with pytest.raises(DiagramError, match=r"^tree must be connected$"):
+        LabeledTree(4, frozenset({(1, 2), (2, 3), (1, 3)}))
+    assert LabeledTree(3, frozenset({(3, 1), (2, 3)})).edges == frozenset({(1, 3), (2, 3)})
     text = LabeledTree(3, frozenset({(1, 3), (2, 3)})).text()
     assert LabeledTree.from_text(text).edges == frozenset({(1, 3), (2, 3)})
+
+
+def test_every_degree_7_diagram_round_trips():
+    # past the frozen tables, which stop at d = 6
+    trees = set()
+    for diag_ in enumerate_diagrams(DiagramQuery(7, genus=0)):
+        tree = diagram_to_tree(diag_)
+        assert tree_to_diagram(tree) == diag_, diag_.text()
+        trees.add(tree.edges)
+    assert len(trees) == 7**5

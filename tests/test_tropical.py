@@ -156,6 +156,24 @@ def test_verify_curve_reads_the_black_points():
     assert failures == [f"elevator {ground.label} point"]
 
 
+def test_verify_curve_reads_the_floor_heights():
+    diag_ = diagram(3, [(1, 2, 1), (2, 3, 2)])
+    order = ordinary_markings(diag_)[0]
+    sketch = reconstruct(diag_, order, stretched_config(3, 0, 1))
+    floor = sketch.floors[1]
+    (ax, ay), ((bx, by), *rest) = floor.anchor, floor.breakpoints
+    raised_anchor = copy_with(floor, anchor=(ax, ay + Fraction(1, 13)))
+    raised_breakpoint = copy_with(floor, breakpoints=((bx, by + 1), *rest))
+    for bent, failed in [
+        (raised_anchor, "floor 2 anchor"),
+        (raised_breakpoint, f"floor 2 segment to x={rest[0][0]}"),
+    ]:
+        bad = copy_with(sketch, floors=(sketch.floors[0], bent, *sketch.floors[2:]))
+        report = verify_curve(bad, 3, 0)
+        assert [c.name for c in report.failures()] == [failed]
+        assert repr(report) == repr(verify_curve_oracle(bad, 3, 0))
+
+
 def test_verify_curve_reports_the_ground_census():
     sketch = readme_sketch()
     ground = next(i for i, e in enumerate(sketch.elevators) if e.lower_floor is None)

@@ -1,6 +1,6 @@
 """The value-class contract: repr, hash, equality, immutability and copying,
-and a package import that loads neither ``dataclasses`` nor ``inspect``, nor,
-to load a table, ``typing`` or ``importlib.resources``."""
+and a package import that loads neither ``dataclasses``, ``inspect`` nor
+``json``, nor, to load a table, ``typing`` or ``importlib.resources``."""
 
 import copy
 import os
@@ -128,3 +128,8 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 def test_table_load_needs_neither_typing_nor_importlib_resources():
     code = "import floordiagrams, floordiagrams.tables\nfloordiagrams.tables.gw_table()"
     assert loaded_in_a_cold_start(code, {"typing", "importlib.resources"}) == "[]"
+
+
+def test_package_import_leaves_json_unloaded():
+    # diagrams read and write JSON only when asked; the tables still load it
+    assert loaded_in_a_cold_start("import floordiagrams", {"json"}) == "[]"
