@@ -20,9 +20,9 @@ from .markings import check_listing_size, count_markings, count_relative_marking
 from .render import render_svg
 from .sequences import LabeledTree
 
-# the largest cogenus measured (N_8: 18 s, 50 MB on a 2-CPU x86-64 host);
-# the template count grows about 4x per cogenus, so larger values are
-# refused before any template is built
+# the largest cogenus measured (N_8: 1.5 s, 28 MB on a 2-CPU x86-64 host;
+# the template-group sweep grows about 3x per cogenus); larger values wait
+# for a Caporaso-Harris check past the threshold and are refused up front
 NODEPOLY_MAX_DELTA = 8
 
 # the largest degree measured for gw, severi, relative and welschinger (the

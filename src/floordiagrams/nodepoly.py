@@ -11,6 +11,13 @@ prefix that reaches a state before summing further.  It yields the node
 polynomials N_0, N_1, ..., of degree twice the cogenus, valid from the
 threshold onward.
 
+The program reads a template only through its length, k_min, epsilon and
+mu * P, and it is linear in mu * P, so it takes one sum per (length,
+k_min, epsilon) group.  ``_template_groups`` gets those sums from one sweep
+over template vertices that carries the open edges, without building any
+template; ``enumerate_templates`` and ``extension_polynomial`` serve the
+template census, the frozen figure rows and the oracles.
+
 Every polynomial inside the program counts orderings, so it is
 integer-valued and is stored as integer coefficients b in the binomial
 basis, p(x) = sum_m b_m C(x, m).  A product is taken pointwise on values,
@@ -23,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb, factorial, prod
 from operator import index, mul
 
@@ -363,18 +370,148 @@ def extension_polynomial(template: Template) -> RatPolynomial:
 
 
 @lru_cache(maxsize=None)
+def _openings(budget: int) -> tuple:
+    """Every multiset of template edges one vertex can open within budget.
+
+    Each is (cost, multiplicity, ((span, weight, count), ...)) with distinct
+    (span, weight) kinds; an edge of span s and weight w costs s*w - 1 >= 1
+    and carries w^2.  The empty multiset comes first.
+    """
+    kinds = [
+        (span, w)
+        for span in range(1, budget + 2)
+        for w in range(1, budget + 2)
+        if 1 <= span * w - 1 <= budget
+    ]
+    out = []
+
+    def rec(pos: int, left: int, acc: list, mu: int):
+        out.append((budget - left, mu, tuple(acc)))
+        for at in range(pos, len(kinds)):
+            span, w = kinds[at]
+            cost = span * w - 1
+            for count in range(1, left // cost + 1):
+                acc.append((span, w, count))
+                rec(at + 1, left - count * cost, acc, mu * w ** (2 * count))
+                acc.pop()
+
+    rec(0, budget, [], 1)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _gap_factor(shift: int, b: int, width: int) -> tuple:
+    """C(k + shift + b, b) at k = 0..width-1: the orderings of b template
+    midpoints among the s = k + shift short midpoints of one gap, divided
+    by b!."""
+    return tuple(_gbinom(k + shift + b, b) for k in range(width))
+
+
+def _add_into(table: dict, key, values: list) -> None:
+    old = table.get(key)
+    table[key] = values if old is None else [a + b for a, b in zip(old, values)]
+
+
+@lru_cache(maxsize=None)
 def _template_groups(cogenus: int) -> tuple:
     """Templates of one cogenus as (length, k_min, epsilon, sum of mu * P).
 
     The three keys fix everything the state DP does with a template except
-    its polynomial, and the DP is linear in that polynomial.
+    its polynomial, and the DP is linear in that polynomial.  The sums come
+    from one sweep over a template's vertices v = 0, 1, ..., so no template
+    is built.  A state is (cogenus used, open edges, k_min so far); each
+    open edge kind is (end j, weight w, midpoints pending, midpoints
+    placed), and its value is the sum of mu * P over the partial templates,
+    at k = 0..cogenus + 1.  Vertex v closes the edges ending there, ends
+    the template if none is left open, and otherwise opens new edges,
+    paying w^2 each.  Gap v, between v and v + 1, places some pending
+    midpoints (all of the edges ending at v + 1) among its k + v - kappa
+    short midpoints.  Pending midpoints of one kind are interchangeable;
+    that pays the parallel-edge symmetry exactly, provided m new edges that
+    join n pending ones of their kind pay C(n + m, m).  Every edge costs at
+    least 1, so each sum has degree at most the cogenus; the extra value at
+    k = cogenus + 1 checks that.
     """
+    width = cogenus + 2
     groups: dict = {}
-    for t in enumerate_templates(cogenus):
-        key = (t.length, t.k_min, t.epsilon)
-        scaled = tuple(t.multiplicity * c for c in _extension_newton(t))
-        groups[key] = _newton_add(groups.get(key, ()), scaled)
-    return tuple((*key, poly) for key, poly in groups.items())
+    # k_min may start at 0: gap 0 is crossed by an edge, so kappa_0 >= 1
+    layer = {(0, (), 0): [1] * width}
+    v = 0
+    while layer:
+        opened: dict = {}
+        for (used, edges, k_min), values in layer.items():
+            closing = 0
+            for j, _, pending, _ in edges:
+                if j != v:
+                    break
+                if pending:
+                    raise AssertionError(
+                        f"template sweep: an edge ending at v_{v} has an unplaced "
+                        f"midpoint ({pending} of its kind)"
+                    )
+                closing += 1
+            left = edges[closing:]
+            if v and not left:
+                if used == cogenus:
+                    eps = 1 if all(w == 1 for _, w, _, _ in edges) else 0
+                    _add_into(groups, (v, k_min, eps), values)
+                continue
+            for cost, mu, new in _openings(cogenus - used):
+                if not new:
+                    if v:  # v_0 opens at least one edge
+                        _add_into(opened, (used, left, k_min), values)
+                    continue
+                kinds = {(j, w): [pending, placed] for j, w, pending, placed in left}
+                scale = mu
+                for span, w, count in new:
+                    slot = kinds.setdefault((v + span, w), [0, 0])
+                    if slot[0]:
+                        scale *= comb(slot[0] + count, count)
+                    slot[0] += count
+                key = (
+                    used + cost,
+                    tuple(sorted((j, w, p, q) for (j, w), (p, q) in kinds.items())),
+                    k_min,
+                )
+                _add_into(opened, key, [scale * a for a in values])
+        layer = {}
+        for (used, edges, k_min), values in opened.items():
+            kappa = 0
+            choices = []
+            for j, w, pending, placed in edges:
+                kappa += w * (pending + placed)
+                choices.append((pending,) if j == v + 1 else range(pending + 1))
+            k_next = max(k_min, kappa - v)
+            for take in product(*choices):
+                b = 0
+                ways = 1  # the multinomial b! / prod(take!)
+                for t in take:
+                    if t:
+                        b += t
+                        ways *= comb(b, t)
+                if not b:
+                    _add_into(layer, (used, edges, k_next), values)
+                    continue
+                factor = _gap_factor(v - kappa, b, width)
+                moved = tuple(
+                    [(j, w, p - t, q + t) for (j, w, p, q), t in zip(edges, take)]
+                )
+                _add_into(
+                    layer,
+                    (used, moved, k_next),
+                    [ways * a * f for a, f in zip(values, factor)],
+                )
+        v += 1
+    out = []
+    for key in sorted(groups):
+        poly = _newton_from_values(groups[key])
+        if len(poly) > cogenus + 1:
+            raise AssertionError(
+                f"template sweep: group {key} has degree {len(poly) - 1} "
+                f"above the cogenus {cogenus}"
+            )
+        out.append((*key, poly))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

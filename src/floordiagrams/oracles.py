@@ -31,6 +31,9 @@ counts curves through three collinear points from two ``gw`` values.
 ``severi_numeric`` is the template master sum with explicit offsets, one
 template sequence at a time.  It shares the templates and extension
 polynomials with ``nodepoly`` but not the state DP or any discrete sum.
+``template_groups_oracle`` sums the extension polynomials per (length,
+k_min, epsilon) group one template at a time; ``nodepoly`` gets the same
+sums from one sweep over template vertices that builds no template.
 ``exp_series`` rebuilds the node-polynomial series from the A_j, and
 ``shift_argument`` shifts a polynomial's argument.
 
@@ -88,7 +91,13 @@ from .markings import (
     count_orderings,
     enumerate_distributions,
 )
-from .nodepoly import RatPolynomial, enumerate_templates, extension_polynomial
+from .nodepoly import (
+    RatPolynomial,
+    _extension_newton,
+    _newton_add,
+    enumerate_templates,
+    extension_polynomial,
+)
 from .render import ACCENT, DOT, MARGIN, SKETCH_SIZE, STROKE, _fmt, _svg
 from .sequences import LabeledTree
 from .tables import _load
@@ -380,6 +389,18 @@ def severi_numeric(d: int, delta: int) -> int:
 
         offsets(0, 1, 1)
     return total
+
+
+def template_groups_oracle(cogenus: int) -> dict:
+    """``nodepoly._template_groups`` one template at a time: each template's
+    extension polynomial, times its multiplicity, added to its (length,
+    k_min, epsilon) group."""
+    groups: dict = {}
+    for t in enumerate_templates(cogenus):
+        key = (t.length, t.k_min, t.epsilon)
+        scaled = tuple(t.multiplicity * c for c in _extension_newton(t))
+        groups[key] = _newton_add(groups.get(key, ()), scaled)
+    return groups
 
 
 def shift_argument(p: RatPolynomial, c) -> RatPolynomial:
@@ -868,8 +889,11 @@ def reconstruct_oracle(
 def verify_curve_oracle(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
     """Balancing, endpoint slopes, unbounded-direction census, degree, genus,
     a failed check for each floor segment or anchor off the floor's slopes,
-    and one for each black point off its elevator."""
+    one for each elevator end off ``FloorCurve.height`` of a floor it meets
+    (read only on floors with no failed segment or anchor), and one for
+    each black point off its elevator."""
     checks: list[CurveCheck] = []
+    bent: set[int] = set()
     for floor in sketch.floors:
         ok = floor.slopes[0] == 0 and floor.slopes[-1] == 1
         checks.append(
@@ -884,6 +908,7 @@ def verify_curve_oracle(sketch: TropicalCurveSketch, d: int, g: int) -> CurveRep
         pairs = zip(floor.breakpoints, floor.breakpoints[1:], floor.slopes[1:])
         for (px, py), (bx, by), slope in pairs:
             if by - py != slope * (bx - px):
+                bent.add(floor.vertex)
                 checks.append(
                     CurveCheck(
                         f"floor {floor.vertex} segment to x={bx}",
@@ -893,6 +918,7 @@ def verify_curve_oracle(sketch: TropicalCurveSketch, d: int, g: int) -> CurveRep
                 )
         ax, ay = floor.anchor
         if floor.height(ax) != ay:
+            bent.add(floor.vertex)
             checks.append(
                 CurveCheck(f"floor {floor.vertex} anchor", False, f"({ax}, {ay}) off the floor")
             )
@@ -924,6 +950,22 @@ def verify_curve_oracle(sketch: TropicalCurveSketch, d: int, g: int) -> CurveRep
                     f"balancing at floor {floor.vertex}, x={bx}",
                     balanced,
                     f"slopes {s_left}->{s_right}, elevator {e.label} ({vertical:+})",
+                )
+            )
+            if floor.vertex in bent:
+                continue
+            height = floor.height(e.x)
+            if floor.vertex == e.upper_floor and e.top != height:
+                end = e.top
+            elif floor.vertex == e.lower_floor and e.bottom != height:
+                end = e.bottom
+            else:
+                continue
+            checks.append(
+                CurveCheck(
+                    f"elevator {e.label} end at floor {floor.vertex}",
+                    False,
+                    f"y={end}, floor at y={height}",
                 )
             )
     left_rays = sum(1 for f in sketch.floors if f.slopes[0] == 0)

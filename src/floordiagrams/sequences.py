@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import index
 
 from .core import DiagramError, FloorDiagram, Value, parse_tuples
 from .enumeration import DiagramQuery, enumerate_diagrams
@@ -23,7 +24,18 @@ class LabeledTree(Value):
     __slots__ = ("d", "edges")
 
     def __init__(self, d: int, edges: frozenset[tuple[int, int]]):
-        edges = frozenset([(a, b) if a <= b else (b, a) for a, b in edges])
+        try:
+            d = index(d)
+        except TypeError as exc:
+            raise DiagramError(f"tree size must be an integer, got {d!r}") from exc
+        try:
+            edges = frozenset(
+                [(a, b) if (a := index(x)) <= (b := index(y)) else (b, a) for x, y in edges]
+            )
+        except (TypeError, ValueError) as exc:
+            raise DiagramError(
+                f"tree edges must be pairs of integers, got {edges!r}"
+            ) from exc
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edges)
         if d < 1:

@@ -376,7 +376,10 @@ def _check_polyline(floor: FloorCurve, slopes: list, checks: list[CurveCheck]) -
 def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
     """Balancing, endpoint slopes, unbounded-direction census, degree, genus,
     a failed check for each floor segment or anchor off the floor's slopes,
-    and one for each black point off its elevator.
+    one for each elevator end off the height of a floor it meets, and one
+    for each black point off its elevator.  Elevator ends are read only on
+    floors that pass their segment and anchor checks, since the height of
+    any other floor is not defined.
 
     Integer-valued slopes are compared as ints; any other slope keeps its
     exact Fraction arithmetic."""
@@ -385,6 +388,7 @@ def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
         [s.numerator if s.denominator == 1 else s for s in floor.slopes]
         for floor in sketch.floors
     ]
+    straight = []  # whether each floor passed its segment and anchor checks
     for floor, slopes in zip(sketch.floors, floor_slopes):
         ok = slopes[0] == 0 and slopes[-1] == 1
         checks.append(
@@ -396,13 +400,15 @@ def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
         )
         bound_ok = all(abs(s) <= d for s in slopes)
         checks.append(CurveCheck(f"floor {floor.vertex} slope bound", bound_ok))
+        before = len(checks)
         _check_polyline(floor, slopes, checks)
+        straight.append(len(checks) == before)
     # keyed by the exact ratio, which hashes faster than a Fraction
     at_x: dict[tuple[int, int], list[Elevator]] = {}
     for e in sketch.elevators:
         at_x.setdefault(e.x.as_integer_ratio(), []).append(e)
-    for floor, slopes in zip(sketch.floors, floor_slopes):
-        for i, (bx, _) in enumerate(floor.breakpoints):
+    for floor, slopes, read_ends in zip(sketch.floors, floor_slopes, straight):
+        for i, (bx, by) in enumerate(floor.breakpoints):
             s_left, s_right = slopes[i], slopes[i + 1]
             hit = [
                 e
@@ -428,6 +434,17 @@ def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
                     f"slopes {s_left}->{s_right}, elevator {e.label} ({vertical:+})",
                 )
             )
+            end = e.top if e.upper_floor == floor.vertex else e.bottom
+            # reconstruct gives an elevator end and its breakpoint one shared
+            # Fraction, so identity settles the comparison without arithmetic
+            if read_ends and end is not by and end != by:
+                checks.append(
+                    CurveCheck(
+                        f"elevator {e.label} end at floor {floor.vertex}",
+                        False,
+                        f"y={end}, floor at y={by}",
+                    )
+                )
     left_rays = sum(1 for slopes in floor_slopes if slopes[0] == 0)
     right_rays = sum(1 for slopes in floor_slopes if slopes[-1] == 1)
     floors = len(sketch.floors)

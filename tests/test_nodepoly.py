@@ -20,13 +20,19 @@ from floordiagrams.nodepoly import (
     _newton_shift,
     _newton_sum,
     _newton_values,
+    _template_groups,
     aj_polynomials,
     discrete_sum,
     enumerate_templates,
     extension_polynomial,
     node_polynomial,
 )
-from floordiagrams.oracles import exp_series, severi_numeric, shift_argument
+from floordiagrams.oracles import (
+    exp_series,
+    severi_numeric,
+    shift_argument,
+    template_groups_oracle,
+)
 from floordiagrams.tables import aj_reference, template_rows
 
 F = Fraction
@@ -220,14 +226,41 @@ def test_extension_symmetry_check_survives_optimize():
     # an edge symmetry off by a factor of two leaves a remainder in the values
     code = (
         "import math; from floordiagrams import nodepoly as np; "
-        "np.factorial = lambda n: 2 * math.factorial(n); np.node_polynomial(2)"
+        "np.factorial = lambda n: 2 * math.factorial(n); "
+        "np.extension_polynomial(np.Template(((0, 2, 1), (0, 2, 1))))"
     )
+    proc = run_optimized(code)
+    assert proc.returncode != 0 and "AssertionError: template" in proc.stderr
+
+
+def run_optimized(code):
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode != 0 and "AssertionError: template" in proc.stderr
+
+
+@pytest.mark.parametrize("cogenus", range(1, 7))
+def test_template_sweep_equals_one_template_at_a_time(cogenus):
+    swept = {(length, k_min, eps): poly for length, k_min, eps, poly in _template_groups(cogenus)}
+    assert swept == template_groups_oracle(cogenus)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        # gap factors that grow like 2^k are no polynomial of degree <= cogenus
+        ("np._gbinom = lambda c, i: 2 ** max(c, 0)", "has degree"),
+        # a sweep that never places a midpoint reaches an edge's end with it
+        ("np.product = lambda *choices: iter([(0,) * len(choices)])", "unplaced midpoint"),
+    ],
+)
+def test_template_sweep_checks_survive_optimize(fault, message):
+    code = f"from floordiagrams import nodepoly as np; {fault}; np.node_polynomial(3)"
+    proc = run_optimized(code)
+    assert proc.returncode != 0
+    assert "AssertionError: template sweep: " in proc.stderr and message in proc.stderr
 
 
 def test_node_polynomial_delta_1():

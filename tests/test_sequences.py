@@ -201,6 +201,26 @@ def test_tree_validation():
     assert LabeledTree.from_text(text).edges == frozenset({(1, 3), (2, 3)})
 
 
+@pytest.mark.parametrize("d", ["3", 3.0, None])
+def test_tree_size_must_be_an_integer(d):
+    with pytest.raises(DiagramError, match=r"^tree size must be an integer, got "):
+        LabeledTree(d, frozenset({(1, 2), (2, 3)}))
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [{(1, 2, 3)}, {(1,)}, {(1, 2.0)}, {("1", 2)}, {1}, [(1, 2), (2, 3, 1)]],
+)
+def test_tree_edges_must_be_integer_pairs(edges):
+    with pytest.raises(DiagramError, match=r"^tree edges must be pairs of integers, got "):
+        LabeledTree(2 if len(edges) == 1 else 3, edges)
+
+
+def test_tree_stores_plain_integers():
+    tree = LabeledTree(True, frozenset())
+    assert tree.d == 1 and type(tree.d) is int
+
+
 def test_every_degree_7_diagram_round_trips():
     # past the frozen tables, which stop at d = 6
     trees = set()

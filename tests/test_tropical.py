@@ -174,6 +174,45 @@ def test_verify_curve_reads_the_floor_heights():
         assert repr(report) == repr(verify_curve_oracle(bad, 3, 0))
 
 
+def test_verify_curve_reads_the_elevator_ends():
+    # floor 2 moved up bodily stays a straight polyline through its anchor,
+    # but both elevators that meet it now end off it
+    diag_ = diagram(3, [(1, 2, 1), (2, 3, 2)])
+    order = ordinary_markings(diag_)[0]
+    sketch = reconstruct(diag_, order, stretched_config(3, 0, 1))
+    floor = sketch.floors[1]
+    (ax, ay), breakpoints = floor.anchor, floor.breakpoints
+    moved = copy_with(
+        floor, anchor=(ax, ay + 1), breakpoints=tuple((x, y + 1) for x, y in breakpoints)
+    )
+    bad = copy_with(sketch, floors=(sketch.floors[0], moved, *sketch.floors[2:]))
+    report = verify_curve(bad, 3, 0)
+    ends = {e.label: (e.top, e.bottom) for e in sketch.elevators}
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        (
+            "elevator e2-3w2#0 end at floor 2",
+            f"y={ends['e2-3w2#0'][0]}, floor at y={ends['e2-3w2#0'][0] + 1}",
+        ),
+        (
+            "elevator e1-2w1#0 end at floor 2",
+            f"y={ends['e1-2w1#0'][1]}, floor at y={ends['e1-2w1#0'][1] + 1}",
+        ),
+    ]
+    assert repr(report) == repr(verify_curve_oracle(bad, 3, 0))
+    # a ground elevator's top is read on its floor too
+    at = next(i for i, e in enumerate(sketch.elevators) if e.lower_floor is None)
+    ground = sketch.elevators[at]
+    lowered = copy_with(ground, top=ground.top - 1, point=(ground.point[0], ground.top - 2))
+    bad = copy_with(
+        sketch, elevators=(*sketch.elevators[:at], lowered, *sketch.elevators[at + 1:])
+    )
+    report = verify_curve(bad, 3, 0)
+    assert [c.name for c in report.failures()] == [
+        f"elevator {ground.label} end at floor {ground.upper_floor}"
+    ]
+    assert repr(report) == repr(verify_curve_oracle(bad, 3, 0))
+
+
 def test_verify_curve_reports_the_ground_census():
     sketch = readme_sketch()
     ground = next(i for i, e in enumerate(sketch.elevators) if e.lower_floor is None)
