@@ -26,9 +26,9 @@ from .sequences import LabeledTree
 NODEPOLY_MAX_DELTA = 8
 
 # the largest degree measured for gw, severi, relative and welschinger (the
-# sweep over every tangency profile at d = 9: 10 s, 54 MB on a 2-CPU x86-64
-# host, about 5x per degree; welschinger(9): 1.8-2.7 s, 30 MB); larger
-# degrees are refused before any sweep
+# sweep over every tangency profile at d = 9: 2.5-4.9 s, 28 MB on a 2-CPU
+# x86-64 host, about 4x per degree; welschinger(9): 0.2-0.4 s, 16 MB);
+# larger degrees are refused before any sweep
 INVARIANT_MAX_D = 9
 
 # the largest degree measured for counts (closed_counts(8) holds all 262,144
@@ -233,16 +233,8 @@ def cmd_counts(args) -> int:
     _require(args.d >= 1, f"--d must be at least 1, got {args.d}")
     _require(args.d <= COUNTS_MAX_D, f"--d must be at most {COUNTS_MAX_D}, got {args.d}")
     report = sequences.closed_counts(args.d)
-    payload = {
-        "d": report.d,
-        "cayley": str(report.cayley),
-        "genus0_enumerated": str(report.genus0_enumerated),
-        "alternating_formula": str(report.alternating_formula),
-        "underlying_trees_enumerated": str(report.underlying_trees_enumerated),
-        "odd_formula": str(report.odd_formula),
-        "odd_enumerated": str(report.odd_enumerated),
-        "simple_enumerated": str(report.simple_enumerated),
-    }
+    payload = {name: str(getattr(report, name)) for name in sequences.CountReport.__slots__}
+    payload["d"] = report.d  # the one field that is not a count
     _emit(payload, args.format)
     return 0
 
@@ -445,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--d",
         type=int,
         help=f"degree, at most {INVARIANT_MAX_D} for gw, severi, relative and welschinger "
-        "(the largest measured; the sweep's cost grows about 5x per degree)",
+        "(the largest measured; the sweep's cost grows about 4x per degree)",
     )
     p.add_argument("--g", type=int)
     p.add_argument("--delta", type=int)
@@ -464,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         required=True,
         help=f"cogenus, at most {NODEPOLY_MAX_DELTA} (the largest measured; the "
-        "template count grows about 4x per cogenus)",
+        "template-group sweep grows about 3x per cogenus)",
     )
     p.add_argument("--evaluate", default=None, metavar="d=N")
     p.add_argument("--aj", action="store_true")

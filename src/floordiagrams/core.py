@@ -19,6 +19,14 @@ class DiagramError(ValueError):
     """A partition or diagram violates a structural invariant."""
 
 
+def as_int(value, what: str) -> int:
+    """``value`` as an int through ``operator.index``: a float or a string is refused."""
+    try:
+        return index(value)
+    except TypeError as exc:
+        raise DiagramError(f"{what} must be an integer, got {value!r}") from exc
+
+
 class Value:
     """Immutable record whose fields are its class's ``__slots__``, in order.
 
@@ -28,7 +36,15 @@ class Value:
     AttributeError, as with a frozen dataclass.  Plain slotted classes keep
     ``dataclasses`` out of the package import: it loads ``inspect`` and
     ``ast`` and executes generated code for every class, which cost more than
-    most solves.  An ``__init__`` stores its fields with ``object.__setattr__``.
+    most solves.
+
+    The shared ``__init__`` stores its positional and then its keyword
+    arguments in slot order, and raises TypeError for a missing, extra,
+    unknown or repeated field, as a dataclass does.  A class whose
+    constructor canonicalizes, validates or has a default (``Partition``,
+    ``FloorDiagram``, ``DiagramQuery``, ``Template``, ``RatPolynomial``,
+    ``LabeledTree``, ``StretchedConfig``, ``CurveCheck``) keeps its own
+    ``__init__``, which stores its fields with ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -38,6 +54,15 @@ class Value:
         # attrgetter gives a tuple only for two names or more
         astuple = get if len(cls.__slots__) > 1 else lambda obj: (get(obj),)
         cls._astuple = staticmethod(astuple)
+        # slot descriptors store a field without the refusing __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = _bind(type(self), args, kwargs)
+        for store, arg in zip(setters, args):
+            store(self, arg)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -60,6 +85,25 @@ class Value:
     def __reduce__(self):
         # copy and pickle rebuild through __init__, since assignment is refused
         return type(self), self._astuple(self)
+
+
+def _bind(cls: type, args: tuple, kwargs: dict) -> list:
+    """The fields of ``cls(*args, **kwargs)`` in slot order, or the
+    TypeError a dataclass constructor raises for the same call."""
+    names, call = cls.__slots__, f"{cls.__qualname__}()"
+    if len(args) > len(names):
+        raise TypeError(f"{call} takes {len(names)} arguments but {len(args)} were given")
+    fields = dict(zip(names, args))
+    for name, arg in kwargs.items():
+        if name not in names:
+            raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
+        if name in fields:
+            raise TypeError(f"{call} got multiple values for argument {name!r}")
+        fields[name] = arg
+    missing = [name for name in names if name not in fields]
+    if missing:
+        raise TypeError(f"{call} missing arguments: {', '.join(missing)}")
+    return [fields[name] for name in names]
 
 
 class Partition(Value):
@@ -152,15 +196,6 @@ def parse_tuples(body: str, arity: int) -> list[tuple[int, ...]]:
 class DiagramShape(Value):
     __slots__ = ("components", "degree", "genus", "cogenus", "connected")
 
-    def __init__(
-        self, components: int, degree: int, genus: int, cogenus: int, connected: bool
-    ):
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "cogenus", cogenus)
-        object.__setattr__(self, "connected", connected)
-
 
 class FloorDiagram(Value):
     """Degree-d labeled floor diagram; edges stored as a sorted multiset."""
@@ -176,10 +211,7 @@ class FloorDiagram(Value):
         """Canonicalize and validate in one pass over the sorted edges, so
         the cost is O(E) whatever d is; a separate method so that it can be
         counted once per diagram built."""
-        try:
-            d = index(self.d)
-        except TypeError as exc:
-            raise DiagramError(f"degree must be an integer, got {self.d!r}") from exc
+        d = as_int(self.d, "degree")
         if d < 1:
             raise DiagramError(f"degree must be positive, got {d}")
         try:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator
 
-from .core import DiagramError, Edge, FloorDiagram, Value, parse_tuples
+from .core import DiagramError, Edge, FloorDiagram, Value, as_int, parse_tuples
 
 
 def _generate_edge_sets(
@@ -148,11 +148,15 @@ class DiagramQuery(Value):
         connected: bool | None = None,
         filter: str | None = None,
     ):
+        d = as_int(d, "degree")
         if d < 1:
             raise DiagramError(f"degree must be positive, got {d}")
         if (genus is None) == (cogenus is None):
             raise DiagramError("exactly one of genus / cogenus must be set")
-        target = genus if genus is not None else cogenus
+        if genus is not None:
+            genus = target = as_int(genus, "genus")
+        else:
+            cogenus = target = as_int(cogenus, "cogenus")
         if target < 0:
             raise DiagramError("genus / cogenus must be nonnegative")
         if genus is not None and connected is False:
@@ -201,6 +205,7 @@ def count_connected(d: int, g: int) -> int:
     components below v and the edges used, so each such state is counted
     once, in a memo that lives for this call only.
     """
+    d, g = as_int(d, "degree"), as_int(g, "genus")
     if d < 1 or g < 0:
         raise DiagramError(f"need d >= 1 and g >= 0, got d={d}, g={g}")
     n_edges = d + g - 1

@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .core import DiagramError, Partition
+from .core import DiagramError, Partition, as_int
 from .enumeration import DiagramQuery, enumerate_diagrams
 # perfbench/tracing.py patches enumerate_diagrams and both marking counters here
 from .markings import count_markings, count_relative_markings
@@ -294,19 +294,21 @@ def _connected(d: int, edges: int, lam: Vector, rho: Vector, odd: bool = False) 
 # -- the invariants -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# typed here and below, so that gw(3.0, 0) misses the entry of gw(3, 0) and is refused
+@lru_cache(maxsize=None, typed=True)
 def gw(d: int, g: int) -> int:
     """Count of irreducible degree-d genus-g plane curves through 3d+g-1 points.
 
     The relative invariant with lambda empty and rho = 1^d: the connected
     sum of the sweep, 0 past the maximal genus (d-1)(d-2)/2.
     """
+    d, g = as_int(d, "degree"), as_int(g, "genus")
     if d < 1 or g < 0:
         raise DiagramError(f"need d >= 1 and g >= 0, got d={d}, g={g}")
     return relative_gw(d, g, Partition(()), Partition.ones(d))
 
 
-@lru_cache(maxsize=None)  # the row is memoized too; perfbench's warm pass clears this
+@lru_cache(maxsize=None, typed=True)  # the row is memoized too; perfbench's warm pass clears this
 def severi(d: int, delta: int) -> int:
     """Count of possibly reducible delta-nodal degree-d curves.
 
@@ -315,18 +317,20 @@ def severi(d: int, delta: int) -> int:
     d(d-1)/2 - delta edges, and the floor chain and the markings are
     global across components.
     """
+    d, delta = as_int(d, "degree"), as_int(delta, "cogenus")
     if d < 1 or delta < 0:
         raise DiagramError(f"need d >= 1 and delta >= 0, got d={d}, delta={delta}")
     return _row(d, (), (d,)).get(d * (d - 1) // 2 - delta, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def relative_gw(d: int, g: int, lam: Partition, rho: Partition) -> int:
     """Relative invariant: tangency lambda at fixed points, rho at moving ones.
 
     prod(rho) times the connected sum of mu * nu_{lambda,rho} over the
     diagrams with d - 1 + g edges, from the sweep by inversion.
     """
+    d, g = as_int(d, "degree"), as_int(g, "genus")
     if lam.size + rho.size != d:
         raise DiagramError(
             f"|lambda| + |rho| must equal d: {lam.size} + {rho.size} != {d}"
@@ -344,6 +348,7 @@ def welschinger(d: int) -> int:
     The connected genus-0 sum of the sweep with each edge weighing 1 when
     its weight is odd and 0 when it is even.
     """
+    d = as_int(d, "degree")
     if d < 1:
         raise DiagramError(f"degree must be positive, got {d}")
     return _connected(d, d - 1, (), (d,), True)

@@ -36,12 +36,6 @@ class Distribution(Value):
 
     __slots__ = ("lambda_sources", "rho_sinks")
 
-    def __init__(
-        self, lambda_sources: tuple[int, ...], rho_sinks: tuple[tuple[int, ...], ...]
-    ):
-        object.__setattr__(self, "lambda_sources", lambda_sources)
-        object.__setattr__(self, "rho_sinks", rho_sinks)
-
 
 class MarkingPoset(Value):
     """Derived ordered structure whose constrained linear orders are counted.
@@ -52,21 +46,13 @@ class MarkingPoset(Value):
     group fixing the floors.
     """
 
-    __slots__ = ("d", "midpoints", "sinks", "lambda_vertices", "symmetry")
-
-    def __init__(
-        self,
-        d: int,
-        midpoints: tuple[tuple[int, int, int, int], ...],  # (src, tgt, weight, copy)
-        sinks: tuple[tuple[int, int, int], ...],  # (floor, weight, copy)
-        lambda_vertices: tuple[tuple[int, int, int], ...],  # (index, source floor, weight)
-        symmetry: int,
-    ):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "midpoints", midpoints)
-        object.__setattr__(self, "sinks", sinks)
-        object.__setattr__(self, "lambda_vertices", lambda_vertices)
-        object.__setattr__(self, "symmetry", symmetry)
+    __slots__ = (
+        "d",
+        "midpoints",  # (src, tgt, weight, copy)
+        "sinks",  # (floor, weight, copy)
+        "lambda_vertices",  # (index, source floor, weight)
+        "symmetry",
+    )
 
     @property
     def element_count(self) -> int:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import index
 
-from .core import DiagramError, FloorDiagram, Value, parse_tuples
+from .core import DiagramError, FloorDiagram, Value, as_int, parse_tuples
 from .enumeration import DiagramQuery, enumerate_diagrams
 
 
@@ -24,10 +24,7 @@ class LabeledTree(Value):
     __slots__ = ("d", "edges")
 
     def __init__(self, d: int, edges: frozenset[tuple[int, int]]):
-        try:
-            d = index(d)
-        except TypeError as exc:
-            raise DiagramError(f"tree size must be an integer, got {d!r}") from exc
+        d = as_int(d, "tree size")
         try:
             edges = frozenset(
                 [(a, b) if (a := index(x)) <= (b := index(y)) else (b, a) for x, y in edges]
@@ -278,26 +275,6 @@ class CountReport(Value):
         "odd_enumerated",
         "simple_enumerated",
     )
-
-    def __init__(
-        self,
-        d: int,
-        cayley: int,
-        genus0_enumerated: int,
-        alternating_formula: int,
-        underlying_trees_enumerated: int,
-        odd_formula: int,
-        odd_enumerated: int,
-        simple_enumerated: int,
-    ):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "cayley", cayley)
-        object.__setattr__(self, "genus0_enumerated", genus0_enumerated)
-        object.__setattr__(self, "alternating_formula", alternating_formula)
-        object.__setattr__(self, "underlying_trees_enumerated", underlying_trees_enumerated)
-        object.__setattr__(self, "odd_formula", odd_formula)
-        object.__setattr__(self, "odd_enumerated", odd_enumerated)
-        object.__setattr__(self, "simple_enumerated", simple_enumerated)
 
 
 def cayley_count(d: int) -> int:

@@ -84,18 +84,6 @@ class FloorCurve(Value):
 
     __slots__ = ("vertex", "anchor", "breakpoints", "slopes")
 
-    def __init__(
-        self,
-        vertex: int,
-        anchor: tuple[Fraction, Fraction],
-        breakpoints: tuple[tuple[Fraction, Fraction], ...],
-        slopes: tuple[Fraction, ...],
-    ):
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "breakpoints", breakpoints)
-        object.__setattr__(self, "slopes", slopes)
-
     def height(self, x: Fraction) -> Fraction:
         if not self.breakpoints:
             return self.anchor[1] + self.slopes[0] * (x - self.anchor[0])
@@ -107,47 +95,14 @@ class FloorCurve(Value):
 
 
 class Elevator(Value):
+    # lower_floor and bottom are None for a ground elevator
     __slots__ = (
         "label", "x", "weight", "upper_floor", "lower_floor", "top", "bottom", "point"
     )
 
-    def __init__(
-        self,
-        label: str,
-        x: Fraction,
-        weight: int,
-        upper_floor: int,
-        lower_floor: int | None,  # None for a ground elevator
-        top: Fraction,
-        bottom: Fraction | None,
-        point: tuple[Fraction, Fraction],
-    ):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "upper_floor", upper_floor)
-        object.__setattr__(self, "lower_floor", lower_floor)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "point", point)
-
 
 class TropicalCurveSketch(Value):
     __slots__ = ("d", "g", "floors", "elevators", "marking")
-
-    def __init__(
-        self,
-        d: int,
-        g: int,
-        floors: tuple[FloorCurve, ...],
-        elevators: tuple[Elevator, ...],
-        marking: tuple[str, ...],
-    ):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "floors", floors)
-        object.__setattr__(self, "elevators", elevators)
-        object.__setattr__(self, "marking", marking)
 
 
 class CurveCheck(Value):
@@ -161,9 +116,6 @@ class CurveCheck(Value):
 
 class CurveReport(Value):
     __slots__ = ("checks",)
-
-    def __init__(self, checks: tuple[CurveCheck, ...]):
-        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

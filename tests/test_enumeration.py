@@ -211,6 +211,20 @@ def test_total_family_is_finite():
     assert total == 16 + 13 + 5 + 1
 
 
+NON_INTEGER_CALLS = {
+    "DiagramQuery(3, genus=0.5)": lambda: DiagramQuery(3, genus=0.5),
+    "DiagramQuery(3, cogenus=0.5)": lambda: DiagramQuery(3, cogenus=0.5),
+    "DiagramQuery('3', genus=0)": lambda: DiagramQuery("3", genus=0),
+    "count_connected(3, 0.5)": lambda: count_connected(3, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS.keys())
+def test_queries_reject_non_integer_arguments(call):
+    with pytest.raises(DiagramError, match="must be an integer"):
+        call()
+
+
 def test_query_validation():
     with pytest.raises(DiagramError):
         DiagramQuery(3)

@@ -171,6 +171,25 @@ def test_relative_matches_max_tangency_sequence():
         assert relative_gw(d, 0, P((d,)), P(())) == max_tangency_fixed(d)
 
 
+NON_INTEGER_CALLS = {
+    "gw(3, 0.5)": lambda: gw(3, 0.5),
+    "severi(3, 0.5)": lambda: severi(3, 0.5),
+    "relative_gw(3, 0.5, (), 1^3)": lambda: relative_gw(3, 0.5, P(()), P.ones(3)),
+    "severi(3.0, 1)": lambda: severi(3.0, 1),
+    "gw(3.0, 0)": lambda: gw(3.0, 0),
+    "welschinger(3.0)": lambda: welschinger(3.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS.keys())
+def test_invariants_reject_non_integer_arguments(call):
+    # the integer calls answer first, so a cache keyed by value alone would
+    # hand 3.0 the answer for 3
+    assert gw(3, 0) == relative_gw(3, 0, P(()), P.ones(3)) == severi(3, 1) == 12
+    with pytest.raises(DiagramError, match="must be an integer"):
+        call()
+
+
 def test_relative_rejects_size_mismatch():
     with pytest.raises(DiagramError):
         relative_gw(3, 0, P((2,)), P((2,)))
