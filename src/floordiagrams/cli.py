@@ -42,12 +42,20 @@ COUNTS_MAX_D = 8
 # larger degrees are refused before any edge set is built
 ENUMERATE_MAX_D = 7
 
-# the largest sizes measured for sequence (z --max-d 60: 4.9 s, ode-check
-# --order 60: 5.3 s, both 17 MB on a 2-CPU x86-64 host; z at 90 takes
-# about 36 s and ode-check at 80 about 21 s); larger values are refused
+# the largest sizes measured for sequence (z --max-d 60: 0.7 s, ode-check
+# --order 60: 0.8 s, both 16 MB on a 2-CPU x86-64 host; z up to 90 takes
+# about 2 s and ode-check at 80 about 1.6 s); larger values are refused
 # before any term is computed
 SEQUENCE_MAX_D = 60
 ODE_MAX_ORDER = 60
+
+# the largest degree measured for markings and tropical reconstruct --diagram
+# (the slowest degree-20 diagram a random search found counts its markings in
+# 1.5 s, 51 MB on a 2-CPU x86-64 host; reconstruct took at most 0.2 s; span-12
+# edges at d = 24 take 4.4 s, and the distribution sweep recurses once per
+# floor, so d = 400 overflowed the stack); larger degrees are refused before
+# any poset is built
+DIAGRAM_MAX_D = 20
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -80,8 +88,17 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _diagram_arg(text: str) -> FloorDiagram:
+    diag = FloorDiagram.from_text(text)
+    _require(
+        diag.d <= DIAGRAM_MAX_D,
+        f"--diagram degree must be at most {DIAGRAM_MAX_D}, got {diag.d}",
+    )
+    return diag
+
+
 def cmd_markings(args) -> int:
-    diag = FloorDiagram.from_text(args.diagram)
+    diag = _diagram_arg(args.diagram)
     if args.lam is None and args.rho is None:
         lam, rho = Partition(()), Partition.ones(diag.d)
     else:
@@ -243,7 +260,7 @@ def cmd_tropical(args) -> int:
     if args.which == "reconstruct":
         _require(args.diagram is not None, "reconstruct needs --diagram")
         _require(args.marking is not None, "reconstruct needs --marking")
-        diag = FloorDiagram.from_text(args.diagram)
+        diag = _diagram_arg(args.diagram)
         genus = diag.genus()
         config = tropical.stretched_config(diag.d, genus, args.config_seed)
         sketch = tropical.reconstruct(diag, tuple(args.marking.split()), config)

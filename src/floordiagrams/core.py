@@ -137,7 +137,7 @@ class Partition(Value):
 
     @staticmethod
     def ones(n: int) -> "Partition":
-        return Partition((1,) * n)
+        return Partition((1,) * as_int(n, "part count"))
 
     @staticmethod
     def parse(text: str) -> "Partition":
@@ -279,28 +279,17 @@ class FloorDiagram(Value):
     def classify(self) -> DiagramShape:
         """Component count, degree, genus and cogenus of the diagram.
 
-        For a connected diagram the cogenus is (d-1)(d-2)/2 - g.  For a
-        disconnected one it is the sum of the component cogenera plus the
-        sum of products of component degrees over unordered pairs.
+        Summing the component cogenera (d_j-1)(d_j-2)/2 - g_j and the products
+        of component degrees over unordered pairs leaves d(d-1)/2 - |E|,
+        whether the diagram is connected or not.
         """
-        comps = self.component_vertex_sets()
-        data = []
-        for vs in comps:
-            dj = len(vs)
-            ej = sum(1 for s, t, _ in self.edges if s in vs)
-            gj = ej - dj + 1
-            deltaj = (dj - 1) * (dj - 2) // 2 - gj
-            data.append((dj, deltaj))
-        cogenus = sum(dl for _, dl in data)
-        for i in range(len(data)):
-            for j in range(i + 1, len(data)):
-                cogenus += data[i][0] * data[j][0]
+        comps = self._component_count()
         return DiagramShape(
-            components=len(comps),
+            components=comps,
             degree=self.d,
-            genus=self.genus(),
-            cogenus=cogenus,
-            connected=len(comps) == 1,
+            genus=len(self.edges) - self.d + comps,
+            cogenus=self.d * (self.d - 1) // 2 - len(self.edges),
+            connected=comps == 1,
         )
 
     # -- canonical text / JSON forms ------------------------------------

@@ -34,7 +34,7 @@ from itertools import accumulate, product
 from math import comb, factorial, prod
 from operator import index, mul
 
-from .core import DiagramError, Value
+from .core import DiagramError, Value, as_int
 
 
 class RatPolynomial(Value):
@@ -282,9 +282,10 @@ class Template(Value):
         return (self.length, self.multiplicity, self.epsilon, self.kappa, self.k_min)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so that 1.0 misses the entry of 1 and is refused
 def enumerate_templates(delta: int) -> tuple[Template, ...]:
     """All templates of cogenus exactly delta, in canonical order."""
+    delta = as_int(delta, "cogenus")
     if delta < 0:
         raise DiagramError(f"cogenus must be nonnegative, got {delta}")
     if delta == 0:
@@ -550,6 +551,7 @@ def node_polynomial(delta: int) -> tuple[RatPolynomial, int]:
     theorem the returned threshold is twice the cogenus, and the internally
     tracked threshold is checked not to exceed it.
     """
+    delta = as_int(delta, "cogenus")
     if delta < 0:
         raise DiagramError(f"cogenus must be nonnegative, got {delta}")
     _, total, worst = _row(delta)
@@ -565,6 +567,7 @@ def aj_polynomials(delta_max: int) -> list[RatPolynomial]:
 
     A_j(d) = j * [t^j] log(sum_delta N_delta(d) t^delta), exact in Q[d].
     """
+    delta_max = as_int(delta_max, "cogenus")
     if delta_max < 1:
         raise DiagramError(f"need delta_max >= 1, got {delta_max}")
     series = [node_polynomial(delta)[0] for delta in range(delta_max + 1)]

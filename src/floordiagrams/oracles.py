@@ -47,7 +47,9 @@ a marking poset one element at a time, next to the gap DP.
 order of every distribution, each mapped to the minimum over the
 automorphism group; ``list_markings`` is tested against it, and
 ``brute_force_markings`` is its length, tested against the gap DP.
-``increasing_tree_oracle`` recomputes z(d) over increasing-tree diagrams.
+``increasing_tree_oracle`` recomputes z(d) over increasing-tree diagrams,
+and ``max_tangency_compositions_oracle`` from the paper's recurrence as a
+sum over compositions; ``sequences`` reads z(d) off the exponential e^y.
 
 ``diagram_to_tree_oracle`` and ``tree_to_diagram_oracle`` are the tree
 bijection as the paper defines it: root at the largest vertex, split the
@@ -62,9 +64,10 @@ and ``verify_curve_oracle`` rebuild and check a sketch with every height
 and slope a Fraction; ``tropical`` walks the floors in integers on the
 configuration's lattice and must give equal records.
 
-``copy_with`` copies a value record with some fields changed, and
-``perturb_elevator`` uses it to build faulty sketches that
-``tropical.verify_curve`` must reject.  ``distinct_orderings``,
+``extract_marking`` reads the diagram and the marking order back off a
+sketch, for the reconstruction round trip.  ``copy_with`` copies a value
+record with some fields changed, and ``perturb_elevator`` uses it to build
+faulty sketches that ``tropical.verify_curve`` must reject.  ``distinct_orderings``,
 ``severi_reducible_entries`` and ``appendix_counts`` are small readers of
 partitions and frozen tables that only the tests use.
 """
@@ -110,6 +113,7 @@ from .tropical import (
     TropicalCurveSketch,
     _ordinary_labels,
     _validated,
+    canonical_marking,
 )
 
 Vector = tuple[int, ...]
@@ -654,6 +658,41 @@ def increasing_tree_oracle(d: int) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def max_tangency_compositions_oracle(d: int) -> int:
+    """z(d) from the paper's recurrence, summed over compositions.
+
+    z(n+1) = sum_k (2n)!/k! sum over compositions of n into k positive parts
+    of prod a_i^2 z(a_i) / (2 a_i)!  with z(1) = 1.
+    """
+    if d < 1:
+        raise DiagramError(f"degree must be positive, got {d}")
+    if d == 1:
+        return 1
+    n = d - 1
+    terms = [Fraction(0)] + [
+        Fraction(a * a * max_tangency_compositions_oracle(a), factorial(2 * a))
+        for a in range(1, n + 1)
+    ]
+    # comp[k][m] = sum over ordered compositions of m into k parts of the product
+    comp = [Fraction(0)] * (n + 1)
+    comp[0] = Fraction(1)
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        nxt = [Fraction(0)] * (n + 1)
+        for m in range(1, n + 1):
+            acc = Fraction(0)
+            for a in range(1, m + 1):
+                if comp[m - a]:
+                    acc += comp[m - a] * terms[a]
+            nxt[m] = acc
+        comp = nxt
+        total += Fraction(factorial(2 * n), factorial(k)) * comp[n]
+    if total.denominator != 1:
+        raise AssertionError(f"z({d}) must be an integer, got {total}")
+    return int(total)
+
+
 # -- the recursive tree bijection ---------------------------------------------
 
 
@@ -1017,6 +1056,32 @@ def perturb_elevator(sketch: TropicalCurveSketch, index: int, delta: int) -> Tro
     elevators = list(sketch.elevators)
     elevators[index] = copy_with(elevators[index], weight=elevators[index].weight + delta)
     return copy_with(sketch, elevators=tuple(elevators))
+
+
+def extract_marking(sketch: TropicalCurveSketch) -> tuple[FloorDiagram, tuple[str, ...]]:
+    """Recover the diagram and marking order from a sketch (round trip)."""
+    floors = sorted(sketch.floors, key=lambda f: -f.anchor[1])
+    vertex_of = {f.vertex: i + 1 for i, f in enumerate(floors)}
+    edges = []
+    for e in sketch.elevators:
+        if e.lower_floor is not None:
+            edges.append((vertex_of[e.upper_floor], vertex_of[e.lower_floor], e.weight))
+    diag = FloorDiagram(len(floors), tuple(sorted(edges)))
+    entries: list[tuple[Fraction, str]] = []
+    for f in floors:
+        entries.append((f.anchor[1], f"v{vertex_of[f.vertex]}"))
+    for e in sketch.elevators:
+        if e.lower_floor is None:
+            entries.append((e.point[1], f"s{vertex_of[e.upper_floor]}w{e.weight}#0"))
+        else:
+            entries.append(
+                (
+                    e.point[1],
+                    f"e{vertex_of[e.upper_floor]}-{vertex_of[e.lower_floor]}w{e.weight}#0",
+                )
+            )
+    entries.sort(key=lambda t: -t[0])
+    return diag, canonical_marking(diag, tuple(label for _, label in entries))
 
 
 # -- frozen-table readers only the tests use ----------------------------------

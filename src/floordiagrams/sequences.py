@@ -4,7 +4,9 @@ Covers the maximal-tangency sequence z(d) with its ODE check, the
 bijection between genus-0 diagrams and labeled trees (recursive by
 definition, run here in one pass over the floors), and the closed
 counting formulas for Cayley, alternating-tree and odd-diagram
-numbers.
+numbers.  z(d) is read off e^y, so the ODE holds by algebra; z is checked
+against the composition sum and increasing-tree oracles, the frozen table
+and relative_gw(d, 0, (d), ()).
 """
 
 from __future__ import annotations
@@ -73,42 +75,27 @@ class LabeledTree(Value):
 # -- maximal tangency ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so that 3.0 misses the entry of 3 and is refused
 def max_tangency_fixed(d: int) -> int:
     """z(d): rational degree-d curves with order-d tangency at a fixed point.
 
-    Recurrence: z(n+1) = sum_k (2n)!/k! sum over compositions of n into k
-    positive parts of prod a_i^2 z(a_i) / (2 a_i)!  with z(1) = 1.
+    z(n+1) = (2n)! [x^n] e^y, y = sum a^2 z(a)/(2a)! x^a: the paper's sum over
+    compositions of n.  ``tangency_series`` fills the cache for z(1..d-1) in
+    increasing order, so the recursion stays one level deep.
     """
+    d = as_int(d, "degree")
     if d < 1:
         raise DiagramError(f"degree must be positive, got {d}")
-    if d == 1:
-        return 1
     n = d - 1
-    terms = [Fraction(0)] + [
-        Fraction(a * a * max_tangency_fixed(a), factorial(2 * a)) for a in range(1, n + 1)
-    ]
-    # comp[k][m] = sum over ordered compositions of m into k parts of the product
-    comp = [Fraction(0)] * (n + 1)
-    comp[0] = Fraction(1)
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        nxt = [Fraction(0)] * (n + 1)
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for a in range(1, m + 1):
-                if comp[m - a]:
-                    acc += comp[m - a] * terms[a]
-            nxt[m] = acc
-        comp = nxt
-        total += Fraction(factorial(2 * n), factorial(k)) * comp[n]
-    if total.denominator != 1:
-        raise AssertionError(f"z({d}) must be an integer, got {total}")
-    return int(total)
+    z = factorial(2 * n) * _series_exp([Fraction(0)] + tangency_series(n), n)[n]
+    if z.denominator != 1:
+        raise AssertionError(f"z({d}) must be an integer, got {z}")
+    return int(z)
 
 
 def max_tangency_free(d: int) -> int:
     """Order-d tangency at an unspecified point: d * z(d)."""
+    d = as_int(d, "degree")
     if d < 1:
         raise DiagramError(f"degree must be positive, got {d}")
     return d * max_tangency_fixed(d)
@@ -151,6 +138,7 @@ def ode_residual(order: int) -> list[Fraction]:
 
     All coefficients must vanish when y is built from the tangency series.
     """
+    order = as_int(order, "order")
     if order < 1:
         raise DiagramError(f"order must be positive, got {order}")
     y = [Fraction(0)] + tangency_series(order + 1)

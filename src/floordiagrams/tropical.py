@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .core import DiagramError, FloorDiagram, Partition, Value, components
+from .core import DiagramError, FloorDiagram, Partition, Value, as_int, components
 from .markings import _poset_elements, build_poset, enumerate_distributions
 
 
@@ -65,6 +65,7 @@ def _lcg(seed: int):
 
 def stretched_config(d: int, g: int, seed: int = 0) -> StretchedConfig:
     """Deterministic vertically stretched (d, g)-configuration."""
+    d, g, seed = as_int(d, "degree"), as_int(g, "genus"), as_int(seed, "seed")
     if d < 1 or g < 0:
         raise DiagramError(f"need d >= 1 and g >= 0, got d={d}, g={g}")
     n = 3 * d - 1 + g
@@ -431,29 +432,3 @@ def verify_curve(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
                 )
             )
     return CurveReport(tuple(checks))
-
-
-def extract_marking(sketch: TropicalCurveSketch) -> tuple[FloorDiagram, tuple[str, ...]]:
-    """Recover the diagram and marking order from a sketch (round trip)."""
-    floors = sorted(sketch.floors, key=lambda f: -f.anchor[1])
-    vertex_of = {f.vertex: i + 1 for i, f in enumerate(floors)}
-    edges = []
-    for e in sketch.elevators:
-        if e.lower_floor is not None:
-            edges.append((vertex_of[e.upper_floor], vertex_of[e.lower_floor], e.weight))
-    diag = FloorDiagram(len(floors), tuple(sorted(edges)))
-    entries: list[tuple[Fraction, str]] = []
-    for f in floors:
-        entries.append((f.anchor[1], f"v{vertex_of[f.vertex]}"))
-    for e in sketch.elevators:
-        if e.lower_floor is None:
-            entries.append((e.point[1], f"s{vertex_of[e.upper_floor]}w{e.weight}#0"))
-        else:
-            entries.append(
-                (
-                    e.point[1],
-                    f"e{vertex_of[e.upper_floor]}-{vertex_of[e.lower_floor]}w{e.weight}#0",
-                )
-            )
-    entries.sort(key=lambda t: -t[0])
-    return diag, canonical_marking(diag, tuple(label for _, label in entries))

@@ -33,6 +33,7 @@ from floordiagrams.oracles import (
     appendix_counts,
     brute_force_markings,
     count_orderings_downset,
+    extract_marking,
     increasing_tree_oracle,
     kontsevich_oracle,
     perturb_elevator,
@@ -58,7 +59,6 @@ from floordiagrams.tables import (
 )
 from floordiagrams.tropical import (
     canonical_marking,
-    extract_marking,
     reconstruct,
     stretched_config,
     verify_curve,

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from floordiagrams.cli import main
+from floordiagrams.cli import DIAGRAM_MAX_D, main
 
 
 def run(capsys, *argv):
@@ -291,3 +291,33 @@ def test_identical_invocations_identical_output(capsys):
     a = run(capsys, "enumerate", "--d", "4", "--genus", "1")
     b = run(capsys, "enumerate", "--d", "4", "--genus", "1")
     assert a == b
+
+
+def _chain(d):
+    """The genus-0 chain of degree d and one of its ordinary markings."""
+    diag = f"d={d}; edges=" + ";".join(f"({v},{v + 1},1)" for v in range(1, d))
+    marking = " ".join(f"v{v} e{v}-{v + 1}w1#0" for v in range(1, d))
+    marking += f" v{d} " + " ".join(f"s{v}w1#0" for v in range(2, d)) + f" s{d}w1#0 s{d}w1#1"
+    return diag, marking
+
+
+def test_diagram_degree_limit(capsys):
+    diag, marking = _chain(DIAGRAM_MAX_D)
+    assert run(capsys, "markings", "--diagram", diag) == (0, "19450408302904228249600000\n", "")
+    assert run(capsys, "tropical", "reconstruct", "--diagram", diag, "--marking", marking) == (
+        0, "verify: ok\n", ""
+    )
+    # the distribution sweep recursed once per floor: d = 400 was a RecursionError
+    for d in (DIAGRAM_MAX_D + 1, 400):
+        diag, marking = _chain(d)
+        for argv in (
+            ["markings", "--diagram", diag],
+            ["markings", "--diagram", f"d={d}; edges="],
+            ["tropical", "reconstruct", "--diagram", diag, "--marking", marking],
+            ["tropical", "reconstruct", "--diagram", f"d={d}; edges=", "--marking", "v1"],
+        ):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1, argv
+            assert (code, out) == (2, ""), argv
+            assert err == f"usage error: --diagram degree must be at most {DIAGRAM_MAX_D}, got {d}\n"

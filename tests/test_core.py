@@ -1,10 +1,15 @@
+import itertools
 import time
 
 import pytest
 from hypothesis import given
 
 from floordiagrams.core import DiagramError, FloorDiagram, Partition, diagram
+from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
+from floordiagrams.nodepoly import aj_polynomials, enumerate_templates, node_polynomial
 from floordiagrams.oracles import distinct_orderings
+from floordiagrams.sequences import max_tangency_fixed, max_tangency_free, ode_residual
+from floordiagrams.tropical import stretched_config
 
 from conftest import small_diagrams
 
@@ -189,6 +194,33 @@ def test_constructors_reject_non_integers():
         FloorDiagram.from_json('{"d": 3.5, "edges": []}')
 
 
+NON_INTEGER_SIZES = {
+    "node_polynomial(2.0)": lambda: node_polynomial(2.0),
+    "aj_polynomials(1.5)": lambda: aj_polynomials(1.5),
+    "aj_polynomials(2.0)": lambda: aj_polynomials(2.0),
+    "enumerate_templates(1.0)": lambda: enumerate_templates(1.0),
+    "max_tangency_fixed(3.0)": lambda: max_tangency_fixed(3.0),
+    "max_tangency_free(3.0)": lambda: max_tangency_free(3.0),
+    "ode_residual(2.0)": lambda: ode_residual(2.0),
+    "stretched_config(2.5, 0)": lambda: stretched_config(2.5, 0),
+    "stretched_config(2, 0.5)": lambda: stretched_config(2, 0.5),
+    "stretched_config(2, 0, 0.5)": lambda: stretched_config(2, 0, 0.5),
+    "Partition.ones(2.0)": lambda: Partition.ones(2.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_SIZES.values(), ids=NON_INTEGER_SIZES.keys())
+def test_sizes_reject_non_integers(call):
+    # the integer calls answer first, so a cache keyed by value alone would
+    # hand 2.0 the answer for 2
+    assert node_polynomial(2)[1] == 4 and len(aj_polynomials(2)) == 2
+    assert len(enumerate_templates(1)) == 2
+    assert max_tangency_fixed(3) == 7 and max_tangency_free(3) == 21
+    assert ode_residual(2) == [0, 0]
+    with pytest.raises(DiagramError, match="must be an integer"):
+        call()
+
+
 def test_validation_reports_the_first_error_in_order():
     # vertices 1 and 3 both have divergence 2: the smaller one is named
     with pytest.raises(DiagramError, match=r"^divergence 2 > 1 at vertex 1$"):
@@ -205,3 +237,26 @@ def test_partition_rejects_bad_input():
         Partition((0,))
     with pytest.raises(DiagramError, match="cannot parse partition"):
         Partition.parse("2,x")
+
+
+def test_classify_matches_the_per_component_formula():
+    # the sum of component cogenera plus the products of component degrees
+    # over unordered pairs, against classify's closed form d(d-1)/2 - |E|
+    seen = 0
+    for d in range(1, 7):
+        for cogenus in range(d * (d - 1) // 2 + 1):
+            for diag in enumerate_diagrams(DiagramQuery(d, cogenus=cogenus)):
+                seen += 1
+                comps = diag.component_vertex_sets()
+                sizes = [len(vs) for vs in comps]
+                genera = [
+                    sum(1 for s, _, _ in diag.edges if s in vs) - len(vs) + 1 for vs in comps
+                ]
+                expected = sum((dj - 1) * (dj - 2) // 2 - gj for dj, gj in zip(sizes, genera))
+                expected += sum(a * b for a, b in itertools.combinations(sizes, 2))
+                shape = diag.classify()
+                assert shape.cogenus == expected == cogenus, diag
+                assert shape.components == len(comps)
+                assert shape.connected == (len(comps) == 1)
+                assert shape.genus == sum(genera)
+    assert seen == 22239

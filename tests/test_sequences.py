@@ -17,7 +17,11 @@ from floordiagrams.sequences import (
     tangency_series,
     tree_to_diagram,
 )
-from floordiagrams.oracles import increasing_tree_diagrams, increasing_tree_oracle
+from floordiagrams.oracles import (
+    increasing_tree_diagrams,
+    increasing_tree_oracle,
+    max_tangency_compositions_oracle,
+)
 from floordiagrams.tables import appendix_rows, max_tangency_table
 
 F = Fraction
@@ -75,6 +79,11 @@ def test_increasing_tree_diagrams_are_valid_and_counted():
 def test_increasing_tree_oracle_matches_recurrence():
     for d in range(1, 7):
         assert increasing_tree_oracle(d) == max_tangency_fixed(d)
+
+
+def test_exponential_read_off_matches_the_composition_sum():
+    for d in range(1, 31):
+        assert max_tangency_compositions_oracle(d) == max_tangency_fixed(d), d
 
 
 def test_increasing_tree_oracle_guard():

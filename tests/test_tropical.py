@@ -6,12 +6,11 @@ import pytest
 from floordiagrams.core import DiagramError, Partition, diagram
 from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
 from floordiagrams.markings import list_markings
-from floordiagrams.oracles import copy_with, perturb_elevator, verify_curve_oracle
+from floordiagrams.oracles import copy_with, extract_marking, perturb_elevator, verify_curve_oracle
 from floordiagrams.render import diagram_svg, marking_svg, render_svg, sketch_svg
 from floordiagrams.tropical import (
     StretchedConfig,
     canonical_marking,
-    extract_marking,
     reconstruct,
     stretched_config,
     verify_curve,
