@@ -26,8 +26,8 @@ from .sequences import LabeledTree
 NODEPOLY_MAX_DELTA = 8
 
 # the largest degree measured for gw, severi, relative and welschinger (the
-# sweep over every tangency profile at d = 9: 2.5-4.9 s, 28 MB on a 2-CPU
-# x86-64 host, about 4x per degree; welschinger(9): 0.2-0.4 s, 16 MB);
+# sweep over every tangency profile at d = 9: 1.7-3.0 s, 28 MB on a 2-CPU
+# x86-64 host, about 4x per degree; welschinger(9): 0.15-0.3 s, 16 MB);
 # larger degrees are refused before any sweep
 INVARIANT_MAX_D = 9
 

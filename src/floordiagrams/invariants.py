@@ -8,14 +8,16 @@ one sweep, ``_relative_rows``, that reads marked diagrams in marking
 order: each position holds the next floor, an edge's midpoint or a sink,
 and an edge gets its target only when it lands on a floor (the Fock space
 reading of Block & Goettsche, IMRN 2016, and Cooper & Pandharipande,
-Proc. LMS 2017).  No diagram is built, and one sweep gives the sums over
-every (possibly disconnected) diagram of a degree, grouped by tangency
-profile and edge count, for every profile inside a cap.  ``_row`` picks
-the cap: lambda empty and rho = 1^d, the profile of ``gw`` and
-``severi``, has a sweep of its own, and every other profile reads the
-sweep over all profiles of its degree.  Severi degrees read a row; the
-connected sums behind ``relative_gw`` and ``gw`` come from the rows by
-one inversion over the component that holds floor 1.
+Proc. LMS 2017).  No diagram is built, and one sweep at degree d gives
+the sums over every (possibly disconnected) diagram of every degree up to
+d, grouped by tangency profile and edge count, for every profile inside
+a cap: any floor may be the last one.  ``_cap`` picks the sweep from the
+query: lambda empty and rho = 1^d, the profile of ``gw`` and ``severi``,
+has a sweep of its own, and every other profile reads the sweep over all
+profiles.  Severi degrees read a row; the connected sums behind
+``relative_gw`` and ``gw`` come from the rows by one inversion over the
+component that holds floor 1, whose lower-degree rows all come from the
+query's one sweep.
 
 Welschinger numbers are the connected genus-0 sum of the same sweep with
 the real multiplicity in place of mu: each edge weighs 1 when its weight
@@ -67,7 +69,6 @@ def _weight(vec: Vector) -> int:
 # -- the marking-order sweep --------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _midpoints(pending: Vector, placed: Vector) -> tuple:
     """Every way the next position holds a pending edge's midpoint:
     (pending, placed, ways), one edge of some weight k moved from pending
@@ -101,7 +102,6 @@ def _emissions(pending: Vector, budget: int, odd: bool) -> tuple:
     return tuple((_trim(vec), left, num, den) for vec, left, num, den in out)
 
 
-@lru_cache(maxsize=None)
 def _leftover_splits(left: int, lam: Vector, rho: Vector) -> tuple:
     """Every way a floor spends ``left`` units of unused budget on lambda
     parts and rho sinks, from the parts still unused; ``lam`` and ``rho``
@@ -134,24 +134,33 @@ def _leftover_splits(left: int, lam: Vector, rho: Vector) -> tuple:
 @lru_cache(maxsize=None)
 def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) -> dict:
     """{(lambda, rho): {edge count: sum of mu * nu_{lambda,rho}}} over every
-    degree-d diagram, connected or not, for every profile lambda <= lam_cap,
-    rho <= rho_cap with I(lambda) + I(rho) = d; all are trimmed
-    multiplicity vectors.
+    diagram of degree at most d, connected or not, for every profile
+    lambda <= lam_cap, rho <= rho_cap; all are trimmed multiplicity
+    vectors, and a profile's degree is its weight I(lambda) + I(rho).
 
     The sweep reads a marking one position at a time, breadth-first, so a
-    marked diagram has no symmetry left.  A state is (floors placed,
-    edges by weight whose midpoint is pending, edges by weight whose
-    midpoint is placed and whose target is not, sinks unplaced, lambda
-    parts left, rho parts left).  A position holds a pending midpoint, in
+    marked diagram has no symmetry left.  A state is (floors placed, the
+    edges by weight whose midpoint is pending and those whose midpoint is
+    placed and whose target is not, sinks unplaced, the lambda parts and
+    rho parts left).  A position holds a pending midpoint, in
     pending_k ways, an unplaced sink, or the next floor.  A floor, in
     three phases summed into dicts of their own, absorbs some placed
     edges, in prod C(placed_k, t_k) ways; emits outgoing edges into
     pending, divided by m_w! as the midpoints pick among them later; and
-    spends the rest of its budget through ``_leftover_splits``.  The last
-    floor absorbs every placed edge and emits nothing.  A state with
-    every floor and sink placed is final: at position n it has
-    n - d - |rho| edges, and it is multiplied by prod lambda_k! for the
-    labels of its lambda parts.
+    spends the rest of its budget through ``_leftover_splits``.
+
+    Any floor up to the d-th may be the last one, once nothing is
+    pending: it absorbs every placed edge and emits nothing.  Its s
+    unplaced sinks then fill the next s positions in s! ways, so the
+    diagram is final at position n = its position + s: it has
+    n - floors - |rho| edges, and it is multiplied by prod lambda_k! for
+    the labels of its lambda parts.  The floors' unused budgets add up to
+    the floor count, which is the profile's degree.
+
+    The two pairs in a state, (pending, placed) and (lambda left, rho
+    left), are each interned as a small int once per sweep, so a state is
+    a flat tuple of four ints, and the transitions of each id are
+    memoized for the length of the sweep.
 
     Values are integers scaled by N!, N = d(d-1)/2 + d: midpoints, sinks
     and lambda parts are at most that many disjoint items, so every
@@ -163,78 +172,142 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
     size = max(len(lam_cap), len(rho_cap))
     lam_cap += (0,) * (size - len(lam_cap))
     rho_cap += (0,) * (size - len(rho_cap))
-    states = {(0, (), (), 0, lam_cap, rho_cap): scale}
+    edge_ids: dict = {}  # (pending, placed) -> id
+    part_ids: dict = {}  # (lambda left, rho left) -> id
+    edge_pairs, part_pairs, closing = [], [], []
+
+    def edge_id(pending: Vector, placed: Vector) -> int:
+        key = pending, placed
+        if key not in edge_ids:
+            edge_ids[key] = len(edge_pairs)
+            edge_pairs.append(key)
+            # the budget of a last floor, which absorbs every placed edge
+            closing.append(None if pending else _weight(placed) + 1)
+        return edge_ids[key]
+
+    def part_id(lam_left: Vector, rho_left: Vector) -> int:
+        key = lam_left, rho_left
+        if key not in part_ids:
+            part_ids[key] = len(part_pairs)
+            part_pairs.append(key)
+        return part_ids[key]
+
+    @lru_cache(maxsize=None)
+    def midpoints(edges: int) -> tuple:
+        pending, placed = edge_pairs[edges]
+        return tuple(
+            (edge_id(pending_next, placed_next), ways)
+            for pending_next, placed_next, ways in _midpoints(pending, placed)
+        )
+
+    @lru_cache(maxsize=None)
+    def absorptions(edges: int) -> tuple:
+        pending, placed = edge_pairs[edges]
+        return tuple(
+            (edge_id(pending, rest), _weight(taken) + 1, ways)
+            for taken, rest, ways in _sub_vectors(placed)
+        )
+
+    @lru_cache(maxsize=None)
+    def emissions(edges: int, budget: int) -> tuple:
+        pending, placed = edge_pairs[edges]
+        return tuple(
+            (edge_id(pending_next, placed), left, weighs, parallel)
+            for pending_next, left, weighs, parallel in _emissions(pending, budget, odd)
+        )
+
+    @lru_cache(maxsize=None)
+    def splits(parts: int, left: int) -> tuple:
+        return tuple(
+            (part_id(lam_next, rho_next), sunk, symmetry)
+            for lam_next, rho_next, sunk, symmetry in _leftover_splits(left, *part_pairs[parts])
+        )
+
+    states = {(0, edge_id((), ()), 0, part_id(lam_cap, rho_cap)): scale}
     finals: dict = {}
     position = 0
     while states:
         position += 1
         moved, absorbed, emitted = {}, {}, {}
         for state, value in states.items():
-            floors, pending, placed, sinks, lam_left, rho_left = state
-            for pending_next, placed_next, ways in _midpoints(pending, placed):
-                key = (floors, pending_next, placed_next, sinks, lam_left, rho_left)
+            floors, edges, sinks, parts = state
+            for edges_next, ways in midpoints(edges):
+                key = (floors, edges_next, sinks, parts)
                 moved[key] = moved.get(key, 0) + value * ways
             if sinks:
-                key = (floors, pending, placed, sinks - 1, lam_left, rho_left)
+                key = (floors, edges, sinks - 1, parts)
                 moved[key] = moved.get(key, 0) + value * sinks
             if floors < d - 1:
-                for taken, rest, ways in _sub_vectors(placed):
-                    key = (floors, pending, rest, sinks, lam_left, rho_left, _weight(taken) + 1)
+                for rest, budget, ways in absorptions(edges):
+                    key = (floors, rest, sinks, parts, budget)
                     absorbed[key] = absorbed.get(key, 0) + value * ways
-            elif floors == d - 1 and not pending:
-                key = (d, (), (), sinks, lam_left, rho_left, _weight(placed) + 1)
+            budget = closing[edges]
+            if budget is not None:
+                # a last floor, marked by edges None
+                key = (floors + 1, None, sinks, parts, budget)
                 emitted[key] = emitted.get(key, 0) + value
-        for (floors, pending, placed, *parts, budget), value in absorbed.items():
-            for pending_next, left, weighs, parallel in _emissions(pending, budget, odd):
+        for (floors, edges, sinks, parts, budget), value in absorbed.items():
+            for edges_next, left, weighs, parallel in emissions(edges, budget):
                 share, rest = divmod(value * weighs, parallel)
                 if rest:
                     raise AssertionError(f"degree-{d} sweep: {parallel} leaves {rest} at a floor")
-                key = (floors + 1, pending_next, placed, *parts, left)
+                key = (floors + 1, edges_next, sinks, parts, left)
                 emitted[key] = emitted.get(key, 0) + share
-        for (floors, pending, placed, sinks, lam_left, rho_left, left), value in emitted.items():
-            for lam_next, rho_next, sunk, symmetry in _leftover_splits(left, lam_left, rho_left):
+        for (floors, edges, sinks, parts, left), value in emitted.items():
+            for parts_next, sunk, symmetry in splits(parts, left):
                 share, rest = divmod(value, symmetry)
                 if rest:
                     raise AssertionError(f"degree-{d} sweep: {symmetry} leaves {rest} at a floor")
-                key = (floors, pending, placed, sinks + sunk, lam_next, rho_next)
-                moved[key] = moved.get(key, 0) + share
-        states = {}
-        for state, value in moved.items():
-            if state[0] < d or state[3]:
-                states[state] = value
-            else:
-                finals.setdefault(state[4:], {})[position] = value
+                if edges is None:
+                    # the sinks fill the next positions, in (sinks + sunk)! ways
+                    last = position + sinks + sunk
+                    values = finals.setdefault((floors, parts_next), {})
+                    values[last] = values.get(last, 0) + share * factorial(sinks + sunk)
+                else:
+                    key = (floors, edges, sinks + sunk, parts_next)
+                    moved[key] = moved.get(key, 0) + share
+        states = moved
     rows = {}
-    for (lam_left, rho_left), values in finals.items():
+    for (floors, parts), values in finals.items():
+        lam_left, rho_left = part_pairs[parts]
         lam = _trim(c - r for c, r in zip(lam_cap, lam_left))
         rho = _trim(c - r for c, r in zip(rho_cap, rho_left))
-        # the floors' unused budgets add up to d
-        if _weight(lam) + _weight(rho) != d:
+        if _weight(lam) + _weight(rho) != floors:
             raise AssertionError(
-                f"degree-{d} sweep uses parts of weight other than {d}: lambda {lam}, rho {rho}"
+                f"degree-{d} sweep closes {floors} floors on parts of another weight: "
+                f"lambda {lam}, rho {rho}"
             )
         row = rows[lam, rho] = {}
         for position, value in values.items():
-            edges = position - d - sum(rho)
+            edges = position - floors - sum(rho)
             row[edges], rest = divmod(value * prod(map(factorial, lam)), scale)
             if rest:
                 raise AssertionError(f"degree-{d} sweep: {scale} leaves {rest} at {lam, rho}")
     return rows
 
 
-def _row(d: int, lam: Vector, rho: Vector, odd: bool = False) -> dict[int, int]:
+def _cap(d: int, lam: Vector, rho: Vector) -> tuple[int, Vector, Vector]:
+    """The sweep, as (degree, lambda cap, rho cap), that a degree-d query
+    with profile (lam, rho) reads, for its own row and every sub-row of
+    its inversion: lambda empty and rho = 1^d, the profile of ``gw`` and
+    ``severi``, has a sweep capped at it, and every other profile reads
+    the sweep over all profiles of degree at most d."""
+    if not lam and rho == (d,):
+        return d, (), rho
+    full = tuple(d // k for k in range(1, d + 1))
+    return d, full, full
+
+
+def _row(
+    d: int, lam: Vector, rho: Vector, odd: bool = False, cap: tuple | None = None
+) -> dict[int, int]:
     """{edge count: sum of mu * nu_{lambda,rho}} over every degree-d diagram.
 
-    lambda empty and rho = 1^d, the profile of ``gw`` and ``severi``, reads
-    the sweep capped at that one profile; every other profile reads its
-    degree's sweep over all profiles, so a grid of profiles costs one
-    sweep per degree.
+    The row comes from the sweep ``cap`` names, by default the one
+    ``_cap`` routes (d, lam, rho) to; a sweep at degree d holds the rows
+    of every lower degree too, so a grid of profiles costs one sweep.
     """
-    if not lam and rho == (d,):
-        cap = (), rho
-    else:
-        cap = (tuple(d // k for k in range(1, d + 1)),) * 2
-    return _relative_rows(d, *cap, odd).get((lam, rho), {})
+    return _relative_rows(*(cap or _cap(d, lam, rho)), odd).get((lam, rho), {})
 
 
 # -- connected sums by inversion ----------------------------------------------
@@ -256,7 +329,9 @@ def _sub_vectors(vec: Vector) -> tuple[tuple[Vector, Vector, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _connected(d: int, edges: int, lam: Vector, rho: Vector, odd: bool = False) -> int:
+def _connected(
+    d: int, edges: int, lam: Vector, rho: Vector, odd: bool = False, cap: tuple | None = None
+) -> int:
     """Sum of mu * nu_{lambda,rho} over the connected degree-d diagrams
     with ``edges`` edges; with ``odd``, of the real multiplicity in place
     of mu.
@@ -269,24 +344,26 @@ def _connected(d: int, edges: int, lam: Vector, rho: Vector, odd: bool = False) 
     C(lambda, lambda1) for its lambda indices, times its connected sum,
     times the row value of the rest.  With lambda empty and rho = 1^d this
     is the splitting formula for Severi degrees, with n the number of
-    points.  Every row is read through ``_row``, so the inversion for
-    lambda empty and rho = 1^d stays on the sweeps capped at that profile,
-    and any other profile's sub-rows come from the all-profile sweeps of
-    the lower degrees.
+    points.  The top query's sweep, ``cap`` (by default the one ``_cap``
+    routes it to), is carried to every sub-row and sub-sum, so the
+    inversion for lambda empty and rho = 1^d reads the one sweep capped at
+    that profile, and any other profile reads the one all-profile sweep at
+    its degree.
     """
-    total = _row(d, lam, rho, odd).get(edges, 0)
+    cap = cap or _cap(d, lam, rho)
+    total = _row(d, lam, rho, odd, cap).get(edges, 0)
     n = d + edges + sum(rho)
     for lam1, lam2, lam_ways in _sub_vectors(lam):
         for rho1, rho2, _ in _sub_vectors(rho):
             d1 = _weight(lam1) + _weight(rho1)
             if not 0 < d1 < d:
                 continue
-            rest = _row(d - d1, lam2, rho2, odd)
+            rest = _row(d - d1, lam2, rho2, odd, cap)
             for e1 in range(d1 - 1, d1 * (d1 - 1) // 2 + 1):
                 other = rest.get(edges - e1)
                 if other:
                     n1 = d1 + e1 + sum(rho1)
-                    part = _connected(d1, e1, lam1, rho1, odd)
+                    part = _connected(d1, e1, lam1, rho1, odd, cap)
                     total -= comb(n - 1, n1 - 1) * lam_ways * part * other
     return total
 

@@ -103,6 +103,7 @@ def max_tangency_free(d: int) -> int:
 
 def tangency_series(order: int) -> list[Fraction]:
     """Coefficients of x^1..x^order of y(x) = sum d^2 z(d)/(2d)! x^d."""
+    order = as_int(order, "order")
     return [
         Fraction(dd * dd * max_tangency_fixed(dd), factorial(2 * dd))
         for dd in range(1, order + 1)

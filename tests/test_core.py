@@ -8,7 +8,12 @@ from floordiagrams.core import DiagramError, FloorDiagram, Partition, diagram
 from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
 from floordiagrams.nodepoly import aj_polynomials, enumerate_templates, node_polynomial
 from floordiagrams.oracles import distinct_orderings
-from floordiagrams.sequences import max_tangency_fixed, max_tangency_free, ode_residual
+from floordiagrams.sequences import (
+    max_tangency_fixed,
+    max_tangency_free,
+    ode_residual,
+    tangency_series,
+)
 from floordiagrams.tropical import stretched_config
 
 from conftest import small_diagrams
@@ -202,6 +207,7 @@ NON_INTEGER_SIZES = {
     "max_tangency_fixed(3.0)": lambda: max_tangency_fixed(3.0),
     "max_tangency_free(3.0)": lambda: max_tangency_free(3.0),
     "ode_residual(2.0)": lambda: ode_residual(2.0),
+    "tangency_series(2.0)": lambda: tangency_series(2.0),
     "stretched_config(2.5, 0)": lambda: stretched_config(2.5, 0),
     "stretched_config(2, 0.5)": lambda: stretched_config(2, 0.5),
     "stretched_config(2, 0, 0.5)": lambda: stretched_config(2, 0, 0.5),

@@ -97,9 +97,11 @@ def test_recursion_equals_sweep_row(d):
 
 def test_log_of_the_recursion_equals_gw_at_every_genus():
     """The exponential formula read from Caporaso-Harris alone checks the
-    inversion behind gw at every genus, past the frozen degree-6 column."""
+    inversion behind gw at every genus, past the frozen degree-6 column,
+    and with it the lower-degree rows that each gw reads off its own
+    degree's sweep, up to the CLI's largest degree."""
     assert [gw_log_oracle(7, g) for g in (1, 2, 3)] == [60478511040, 122824720116, 153796445095]
-    for d in range(1, 9):
+    for d in range(1, 10):
         # below genus 0 the point count is under 3d - 1 and the log vanishes
         for g in range(1 - 3 * d, 0):
             assert gw_log_oracle(d, g) == 0, (d, g)
@@ -135,22 +137,27 @@ def full_cap(d):
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_recursion_equals_relative_sweep_rows(d):
-    top = d * (d - 1) // 2
+    """The all-profile sweep at d holds a row for every profile of every
+    degree up to d, and no other; each equals the recursion, as does the
+    row that profile's own query reads."""
     rows = _relative_rows(d, full_cap(d), full_cap(d))
-    assert len(rows) == len(list(profiles(d)))
-    for lam, rho in profiles(d):
+    every = [(lam, rho) for low in range(1, d + 1) for lam, rho in profiles(low)]
+    assert rows.keys() == {(multiplicities(lam), multiplicities(rho)) for lam, rho in every}
+    for lam, rho in every:
+        low = sum(lam) + sum(rho)
+        top = low * (low - 1) // 2
         alpha, beta = multiplicities(lam), multiplicities(rho)
-        # the routed row, and the same profile's row of the all-profile sweep
-        for row in (_row(d, alpha, beta), rows[alpha, beta]):
+        for row in (_row(low, alpha, beta), rows[alpha, beta]):
             for delta in range(top + 2):
-                expect = caporaso_harris(d, delta, alpha, beta)
-                assert prod(rho) * row.get(top - delta, 0) == expect, (d, delta, lam, rho)
+                expect = caporaso_harris(low, delta, alpha, beta)
+                assert prod(rho) * row.get(top - delta, 0) == expect, (d, low, delta, lam, rho)
 
 
 def test_gw_and_severi_never_run_the_all_profile_sweep():
     """The profile lambda empty, rho = 1^d reads the sweep capped at it;
-    every other profile reads its degree's sweep over all profiles, run
-    once per degree."""
+    every other profile reads the sweep over all profiles.  Either sweep
+    at the query's degree holds every lower-degree row its inversion
+    reads, so no lower degree is swept."""
     cached = (gw, severi, relative_gw, _connected, _relative_rows)
 
     def clear():
@@ -170,16 +177,14 @@ def test_gw_and_severi_never_run_the_all_profile_sweep():
             gw(6, g)
         for delta in range(17):
             severi(6, delta)
-        assert _relative_rows.cache_info().currsize == 6
-        assert all(swept(d, ((), (d,))) for d in range(1, 7))
+        assert _relative_rows.cache_info().currsize == 1
+        assert swept(6, ((), (6,)))
 
         clear()
         for lam, rho in profiles(5):
             relative_gw(5, 0, Partition(lam), Partition(rho))
-        run = _relative_rows.cache_info().currsize
-        assert all(swept(d, (full_cap(d),) * 2) for d in range(1, 6))
-        ones = sum(swept(d, ((), (d,))) for d in range(1, 6))
-        assert run == 5 + ones
+        assert _relative_rows.cache_info().currsize == 2
+        assert swept(5, (full_cap(5),) * 2) and swept(5, ((), (5,)))
     finally:
         clear()
 
