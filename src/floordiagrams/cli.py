@@ -32,14 +32,14 @@ NODEPOLY_MAX_DELTA = 8
 INVARIANT_MAX_D = 9
 
 # the largest degree measured for counts (closed_counts(8) holds all 262,144
-# genus-0 diagrams: 7.9 s, 227 MB on a 2-CPU x86-64 host); d = 9 has 9^7
+# genus-0 diagrams: 3.8-4.2 s, 195 MiB on a 2-CPU x86-64 host); d = 9 has 9^7
 # of them, so larger degrees are refused before any diagram is built
 COUNTS_MAX_D = 8
 
 # the largest degree measured for enumerate (degree 7 at its worst genus, 4,
-# and cogenus, 11: 5.3 s, 54 MiB and 5.4 s, 56 MiB on a 2-CPU x86-64 host;
-# degree 8 takes 9.7 s, 65 MiB at genus 0, and genus 7 ran past 100 s);
-# larger degrees are refused before any edge set is built
+# and cogenus, 11: 2.7-2.9 s and 2.5-2.7 s, 38 MiB each, on a 2-CPU x86-64
+# host; degree 8 takes 4.0 s, 45 MiB at genus 0 and 140 s, 1.3 GiB at genus
+# 7); larger degrees are refused before any edge set is built
 ENUMERATE_MAX_D = 7
 
 # the largest sizes measured for sequence (z --max-d 60: 0.7 s, ode-check
@@ -295,8 +295,8 @@ def cmd_tropical(args) -> int:
 
 
 def cmd_render(args) -> int:
-    diag = FloorDiagram.from_text(args.diagram)
     order = tuple(args.marking.split()) if args.marking else None
+    diag = FloorDiagram.from_text(args.diagram) if order is None else _diagram_arg(args.diagram)
     render_svg(diag, args.out, order=order)
     print(f"wrote {args.out}")
     return 0

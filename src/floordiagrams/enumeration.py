@@ -9,11 +9,13 @@ sorted; streams are then sorted into the canonical text order.
 
 A query's genus or cogenus fixes its edge count, and the sweep prunes
 branches that can no longer become connected.  Together these enforce the
-whole query, so no diagram is classified after it is built.  Nothing is
-cached between queries: each query runs its own sweep.  ``count_connected``
-walks the same sweep but only counts, memoizing the count of each state
-(incoming weights, component masks, edges used) for the length of one
-call, so it builds no edge set.
+whole query, so no diagram is classified after it is built.
+
+One memoized sweep, ``_sweep``, serves listing and counting alike:
+listing walks only the picks whose next state has a completion, and
+``count_connected`` reads the completion count of the start state
+without building any edge set.  Nothing is cached between queries: each
+query runs its own sweep.
 """
 
 from __future__ import annotations
@@ -24,32 +26,27 @@ from collections.abc import Callable, Iterator
 from .core import DiagramError, Edge, FloorDiagram, Value, as_int, parse_tuples
 
 
-def _generate_edge_sets(
-    d: int, n_edges: int, require_connected: bool = False
-) -> list[tuple[Edge, ...]]:
-    """All edge multisets on 1..d with n_edges edges, src < tgt and
-    divergence <= 1, each tuple sorted.
+def _sweep(d: int, n_edges: int, connected: bool):
+    """Start state, ``moves`` and ``count`` of the floor sweep over edge
+    multisets on 1..d with n_edges edges.
 
-    With require_connected, each component of the floors below v is kept
-    as the bitmask of its pending targets.  The components that target v
-    merge with v; if the merged component has no pending target left and
-    v < d, it can never meet the floors above, so the branch is pruned.
-    Everything reaching floor d is then connected.
+    A state is (floor v, incoming weights of floors v..d, components, edges
+    used); with ``connected``, components is the sorted tuple of the
+    pending-target bitmasks of the components below v, else it is empty.
+    ``moves(state)`` lists floor v's picks of outgoing edges, each with its
+    next state; ``count(state)``, memoized per sweep, counts its completions.
     """
-    out: list[tuple[Edge, ...]] = []
-    edges: list[Edge] = []
-    incoming = [0] * (d + 1)
+    memo: dict[tuple, int] = {}
 
-    def floor(v: int, components: list[int]) -> None:
-        if v == d:
-            if len(edges) == n_edges:
-                out.append(tuple(edges))
-            return
+    def moves(state: tuple) -> list[tuple[tuple[Edge, ...], tuple]]:
+        v, incoming, components, used = state
         # every edge from floors v..d-1 crosses a cut between u and u+1, and
         # each floor u raises the weight crossing by at most incoming[u] + 1
-        room = sum((d - u) * (incoming[u] + 1) for u in range(v, d))
-        if len(edges) + room < n_edges:
-            return
+        room = sum((d - u) * (w + 1) for u, w in zip(range(v, d), incoming))
+        if used + room < n_edges:
+            return []
+        # the components that target v merge with v; a pick that leaves the
+        # merged one no pending target can never meet the floors above
         merged, apart = 0, []
         for targets in components:
             if targets >> v & 1:
@@ -57,26 +54,62 @@ def _generate_edge_sets(
             else:
                 apart.append(targets)
         merged &= ~(1 << v)
+        out = []
+        rest = list(incoming[1:])
 
-        def pick(t0: int, w0: int, budget: int, targets: int) -> None:
+        def pick(t0: int, w0: int, budget: int, targets: int, picked: tuple) -> None:
             # edges (v, t, w) come in increasing (t, w) order from (t0, w0)
-            if not require_connected:
-                floor(v + 1, [])
+            total = used + len(picked)
+            if not connected:
+                out.append((picked, (v + 1, tuple(rest), (), total)))
             elif merged | targets:
-                floor(v + 1, apart + [merged | targets])
-            if len(edges) >= n_edges:
+                joined = tuple(sorted(apart + [merged | targets]))
+                out.append((picked, (v + 1, tuple(rest), joined, total)))
+            if total >= n_edges:
                 return
             for t in range(t0, d + 1):
                 for w in range(w0 if t == t0 else 1, budget + 1):
-                    edges.append((v, t, w))
-                    incoming[t] += w
-                    pick(t, w, budget - w, targets | 1 << t)
-                    incoming[t] -= w
-                    edges.pop()
+                    rest[t - v - 1] += w
+                    pick(t, w, budget - w, targets | 1 << t, picked + ((v, t, w),))
+                    rest[t - v - 1] -= w
 
-        pick(v + 1, 1, incoming[v] + 1, 0)
+        pick(v + 1, 1, incoming[0] + 1, 0, ())
+        return out
 
-    floor(1, [])
+    def count(state: tuple) -> int:
+        if state[0] == d:
+            return int(state[3] == n_edges)
+        total = memo.get(state)
+        if total is None:
+            memo[state] = total = sum(count(nxt) for _, nxt in moves(state))
+        return total
+
+    return (1, (0,) * d, (), 0), moves, count
+
+
+def _generate_edge_sets(
+    d: int, n_edges: int, require_connected: bool = False
+) -> list[tuple[Edge, ...]]:
+    """All edge multisets on 1..d with n_edges edges, src < tgt and
+    divergence <= 1, each tuple sorted (connected ones only, with
+    require_connected), in the sweep's order.  Each state's live picks,
+    those whose next state has a completion, are kept for the call."""
+    start, moves, count = _sweep(d, n_edges, require_connected)
+    live: dict[tuple, list] = {}
+    out: list[tuple[Edge, ...]] = []
+
+    def walk(state: tuple, edges: tuple[Edge, ...]) -> None:
+        if state[0] == d:
+            out.append(edges)
+            return
+        picks = live.get(state)
+        if picks is None:
+            live[state] = picks = [(p, nxt) for p, nxt in moves(state) if count(nxt)]
+        for picked, nxt in picks:
+            walk(nxt, edges + picked)
+
+    if count(start):
+        walk(start, ())
     return out
 
 
@@ -161,6 +194,7 @@ class DiagramQuery(Value):
             raise DiagramError("genus / cogenus must be nonnegative")
         if genus is not None and connected is False:
             raise DiagramError("genus queries require connected diagrams")
+        filter_predicate(filter)  # a malformed spec fails here, not at first next()
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "cogenus", cogenus)
@@ -197,55 +231,13 @@ def enumerate_diagrams(query: DiagramQuery) -> Iterator[FloorDiagram]:
 
 def count_connected(d: int, g: int) -> int:
     """Number of connected labeled floor diagrams of degree d, genus g: the
-    connected edge sets with d + g - 1 edges.
-
-    The sweep of ``_generate_edge_sets`` with counts in place of edge
-    tuples.  What is left to choose at floor v depends only on the
-    incoming weights of floors v..d, the pending-target bitmasks of the
-    components below v and the edges used, so each such state is counted
-    once, in a memo that lives for this call only.
-    """
+    connected edge sets with d + g - 1 edges, counted by the sweep's memo
+    without building any."""
     d, g = as_int(d, "degree"), as_int(g, "genus")
     if d < 1 or g < 0:
         raise DiagramError(f"need d >= 1 and g >= 0, got d={d}, g={g}")
-    n_edges = d + g - 1
-    incoming = [0] * (d + 1)
-    memo: dict[tuple, int] = {}
-
-    def floor(v: int, components: tuple[int, ...], used: int) -> int:
-        if v == d:
-            return int(used == n_edges)
-        room = sum((d - u) * (incoming[u] + 1) for u in range(v, d))
-        if used + room < n_edges:
-            return 0
-        key = (v, tuple(incoming[v:]), components, used)
-        if key in memo:
-            return memo[key]
-        merged, apart = 0, []
-        for targets in components:
-            if targets >> v & 1:
-                merged |= targets
-            else:
-                apart.append(targets)
-        merged &= ~(1 << v)
-
-        def pick(t0: int, w0: int, budget: int, targets: int, used: int) -> int:
-            total = 0
-            if merged | targets:
-                total += floor(v + 1, tuple(sorted(apart + [merged | targets])), used)
-            if used >= n_edges:
-                return total
-            for t in range(t0, d + 1):
-                for w in range(w0 if t == t0 else 1, budget + 1):
-                    incoming[t] += w
-                    total += pick(t, w, budget - w, targets | 1 << t, used + 1)
-                    incoming[t] -= w
-            return total
-
-        memo[key] = total = pick(v + 1, 1, incoming[v] + 1, 0, used)
-        return total
-
-    return floor(1, (), 0)
+    start, _, count = _sweep(d, d + g - 1, True)
+    return count(start)
 
 
 def count_filtered(d: int, g: int, filter_spec: str) -> int:

@@ -73,7 +73,7 @@ class MarkingPoset(Value):
         labels = [f"v{v}" for v in range(1, self.d + 1)]
         labels += [f"e{s}-{t}w{w}#{c}" for s, t, w, c in self.midpoints]
         labels += [f"s{v}w{w}#{c}" for v, w, c in self.sinks]
-        labels += [f"L{i}" for i, _, _ in self.lambda_vertices]
+        labels += [f"L{i}@v{src}" for i, src, _ in self.lambda_vertices]  # fed by floor src
         return tuple(labels)
 
 

@@ -37,7 +37,9 @@ sums from one sweep over template vertices that builds no template.
 ``exp_series`` rebuilds the node-polynomial series from the A_j, and
 ``shift_argument`` shifts a polynomial's argument.
 
-The rest count one diagram at a time.  ``kontsevich_oracle`` is
+The rest count one diagram at a time.  ``edge_sets_oracle`` lists edge
+sets by a depth-first floor sweep with no memo; ``enumeration`` lists
+and counts them from one memoized sweep.  ``kontsevich_oracle`` is
 Kontsevich's recursion for gw(d, 0).  ``welschinger_oracle`` sums the
 marking counts of the enumerated odd genus-0 diagrams, and
 ``tangency_at_point`` counts the markings whose top k elements are sinks
@@ -81,7 +83,7 @@ from itertools import permutations, product, zip_longest
 from math import comb, factorial, prod
 from typing import Iterable, Optional
 
-from .core import DiagramError, FloorDiagram, Partition, components
+from .core import DiagramError, Edge, FloorDiagram, Partition, components
 from .enumeration import DiagramQuery, enumerate_diagrams
 from .invariants import gw, relative_gw
 from .markings import (
@@ -436,6 +438,62 @@ def exp_series(aj: list[RatPolynomial]) -> list[RatPolynomial]:
 
 
 # -- one diagram at a time ----------------------------------------------------
+
+
+def edge_sets_oracle(
+    d: int, n_edges: int, require_connected: bool = False
+) -> list[tuple[Edge, ...]]:
+    """All edge multisets on 1..d with n_edges edges, src < tgt and
+    divergence <= 1, each tuple sorted, depth first with no memo.
+
+    With require_connected, each component of the floors below v is kept
+    as the bitmask of its pending targets.  The components that target v
+    merge with v; if the merged component has no pending target left and
+    v < d, it can never meet the floors above, so the branch is pruned.
+    Everything reaching floor d is then connected.
+    """
+    out: list[tuple[Edge, ...]] = []
+    edges: list[Edge] = []
+    incoming = [0] * (d + 1)
+
+    def floor(v: int, components: list[int]) -> None:
+        if v == d:
+            if len(edges) == n_edges:
+                out.append(tuple(edges))
+            return
+        # every edge from floors v..d-1 crosses a cut between u and u+1, and
+        # each floor u raises the weight crossing by at most incoming[u] + 1
+        room = sum((d - u) * (incoming[u] + 1) for u in range(v, d))
+        if len(edges) + room < n_edges:
+            return
+        merged, apart = 0, []
+        for targets in components:
+            if targets >> v & 1:
+                merged |= targets
+            else:
+                apart.append(targets)
+        merged &= ~(1 << v)
+
+        def pick(t0: int, w0: int, budget: int, targets: int) -> None:
+            # edges (v, t, w) come in increasing (t, w) order from (t0, w0)
+            if not require_connected:
+                floor(v + 1, [])
+            elif merged | targets:
+                floor(v + 1, apart + [merged | targets])
+            if len(edges) >= n_edges:
+                return
+            for t in range(t0, d + 1):
+                for w in range(w0 if t == t0 else 1, budget + 1):
+                    edges.append((v, t, w))
+                    incoming[t] += w
+                    pick(t, w, budget - w, targets | 1 << t)
+                    incoming[t] -= w
+                    edges.pop()
+
+        pick(v + 1, 1, incoming[v] + 1, 0)
+
+    floor(1, [])
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -301,12 +305,19 @@ def _chain(d):
     return diag, marking
 
 
-def test_diagram_degree_limit(capsys):
+def test_diagram_degree_limit(capsys, tmp_path):
+    svg = str(tmp_path / "chain.svg")
     diag, marking = _chain(DIAGRAM_MAX_D)
     assert run(capsys, "markings", "--diagram", diag) == (0, "19450408302904228249600000\n", "")
     assert run(capsys, "tropical", "reconstruct", "--diagram", diag, "--marking", marking) == (
         0, "verify: ok\n", ""
     )
+    assert run(capsys, "render", "--diagram", diag, "--marking", marking, "--out", svg) == (
+        0, f"wrote {svg}\n", ""
+    )
+    # without a marking, render draws a diagram of any degree
+    diag, _ = _chain(400)
+    assert run(capsys, "render", "--diagram", diag, "--out", svg) == (0, f"wrote {svg}\n", "")
     # the distribution sweep recursed once per floor: d = 400 was a RecursionError
     for d in (DIAGRAM_MAX_D + 1, 400):
         diag, marking = _chain(d)
@@ -315,9 +326,23 @@ def test_diagram_degree_limit(capsys):
             ["markings", "--diagram", f"d={d}; edges="],
             ["tropical", "reconstruct", "--diagram", diag, "--marking", marking],
             ["tropical", "reconstruct", "--diagram", f"d={d}; edges=", "--marking", "v1"],
+            ["render", "--diagram", diag, "--marking", marking, "--out", svg],
+            ["render", "--diagram", f"d={d}; edges=", "--marking", "v1", "--out", svg],
         ):
             start = time.perf_counter()
             code, out, err = run(capsys, *argv)
             assert time.perf_counter() - start < 1, argv
             assert (code, out) == (2, ""), argv
             assert err == f"usage error: --diagram degree must be at most {DIAGRAM_MAX_D}, got {d}\n"
+
+
+def test_package_runs_as_a_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "floordiagrams", "verify-tables", "--suite", "relative"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "OK\n", "")

@@ -8,7 +8,9 @@ threshold.  The enumerate-then-count sum in turn checks the sweep's
 connected sums, and its odd-weight rows behind ``welschinger``.  The
 recursive tree bijection checks the one-pass one in both directions, the
 listing by automorphism orbits checks the marking listing, and the
-per-Fraction sketch renderer checks the integer one byte for byte.
+per-Fraction sketch renderer checks the integer one byte for byte.  The
+depth-first edge-set generator checks the memoized floor sweep, whose
+listing and count share every transition.
 """
 
 import ast
@@ -22,7 +24,13 @@ import pytest
 import floordiagrams
 from floordiagrams.cli import main
 from floordiagrams.core import DiagramError, FloorDiagram, Partition, diagram
-from floordiagrams.enumeration import DiagramQuery, all_diagrams, enumerate_diagrams
+from floordiagrams.enumeration import (
+    DiagramQuery,
+    _generate_edge_sets,
+    all_diagrams,
+    count_connected,
+    enumerate_diagrams,
+)
 from floordiagrams.invariants import (
     _connected,
     _relative_rows,
@@ -44,6 +52,7 @@ from floordiagrams.oracles import (
     caporaso_harris,
     copy_with,
     diagram_to_tree_oracle,
+    edge_sets_oracle,
     gw_log_oracle,
     marking_orbits_oracle,
     perturb_elevator,
@@ -237,6 +246,23 @@ def test_welschinger_equals_enumerated_odd_diagrams():
     assert welschinger(8) == 359935488000
 
 
+def test_memoized_sweep_equals_the_depth_first_oracle():
+    # the listing and the count run through the same sweep transitions, so
+    # both are checked against a generator that shares none of them
+    for d in range(1, 7):
+        for n_edges in range(d * (d - 1) // 2 + 2):
+            for connected in (False, True):
+                assert _generate_edge_sets(d, n_edges, connected) == edge_sets_oracle(
+                    d, n_edges, connected
+                ), (d, n_edges, connected)
+    for d in range(1, 8):
+        for g in range(2):
+            want = edge_sets_oracle(d, d + g - 1, True)
+            if d == 7:
+                assert _generate_edge_sets(d, d + g - 1, True) == want, g
+            assert count_connected(d, g) == len(want), (d, g)
+
+
 def test_production_modules_never_import_the_oracles():
     package = Path(floordiagrams.__file__).parent
     for path in sorted(package.glob("*.py")):
@@ -268,6 +294,21 @@ def test_marking_listing_equals_the_orbit_minimum_small():
                     ), (diag.text(), lam, rho)
                     listings += 1
     assert listings == 747
+
+
+def test_marking_listing_lines_are_distinct_small():
+    # the tangency labels name their source floor, so distributions that
+    # differ only in which floor feeds which tangency vertex differ in print
+    assert list_markings(diagram(2), Partition((1, 1)), Partition(())) == [
+        ("v1", "v2", "L2@v2", "L1@v1"),
+        ("v1", "v2", "L2@v1", "L1@v2"),
+    ]
+    for d in range(1, 5):
+        for g in range((d - 1) * (d - 2) // 2 + 1):
+            for diag in enumerate_diagrams(DiagramQuery(d, genus=g)):
+                for lam, rho in profiles(d):
+                    lines = list_markings(diag, Partition(lam), Partition(rho))
+                    assert len(set(lines)) == len(lines), (diag.text(), lam, rho)
 
 
 def symmetry(diag):
