@@ -27,6 +27,14 @@ def as_int(value, what: str) -> int:
         raise DiagramError(f"{what} must be an integer, got {value!r}") from exc
 
 
+def trim(vec) -> tuple:
+    """``vec`` as a tuple without its trailing zeros."""
+    vec = list(vec)
+    while vec and not vec[-1]:
+        vec.pop()
+    return tuple(vec)
+
+
 class Value:
     """Immutable record whose fields are its class's ``__slots__``, in order.
 

@@ -143,6 +143,8 @@ def filter_predicate(spec: str | None) -> Callable[[FloorDiagram], bool]:
     """
     if spec is None or spec == "":
         return lambda diag: True
+    if not isinstance(spec, str):
+        raise DiagramError(f"malformed filter {spec!r}: not a string")
     if spec == "odd":
         return lambda diag: all(w % 2 == 1 for _, _, w in diag.edges)
     if spec == "simple":

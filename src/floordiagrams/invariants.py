@@ -6,12 +6,14 @@ count over floor diagrams.
 Gromov-Witten numbers, Severi degrees and relative invariants come from
 one sweep, ``_relative_rows``, that reads marked diagrams in marking
 order: each position holds the next floor, an edge's midpoint or a sink,
-and an edge gets its target only when it lands on a floor (the Fock space
-reading of Block & Goettsche, IMRN 2016, and Cooper & Pandharipande,
-Proc. LMS 2017).  No diagram is built, and one sweep at degree d gives
-the sums over every (possibly disconnected) diagram of every degree up to
-d, grouped by tangency profile and edge count, for every profile inside
-a cap: any floor may be the last one.  ``_cap`` picks the sweep from the
+and an edge gets its target only when it lands on a floor (the Fock
+space reading of Block & Goettsche, IMRN 2016, and Cooper &
+Pandharipande, Proc. LMS 2017).  No diagram is built, and one sweep at
+degree d gives the sums over every (possibly disconnected) diagram of
+every degree up to d, grouped by tangency profile and edge count, for
+every profile inside a cap: any floor may be the last one.  Each floor
+spends what is left of its budget through ``markings.floor_splits``, the
+split the marking counter runs.  ``_cap`` picks the sweep from the
 query: lambda empty and rho = 1^d, the profile of ``gw`` and ``severi``,
 has a sweep of its own, and every other profile reads the sweep over all
 profiles.  Severi degrees read a row; the connected sums behind
@@ -32,12 +34,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .core import DiagramError, Partition, as_int
+from .core import DiagramError, Partition, as_int, trim
 from .enumeration import DiagramQuery, enumerate_diagrams
 # perfbench/tracing.py patches enumerate_diagrams and both marking counters here
-from .markings import count_markings, count_relative_markings
-
-Vector = tuple[int, ...]  # multiplicity vector: entry k-1 counts the parts equal to k
+from .markings import Vector, check_profile, count_markings, count_relative_markings, floor_splits
 
 
 def _weighted_marking_sum(query: DiagramQuery, lam: Partition, rho: Partition) -> int:
@@ -52,13 +52,6 @@ def _weighted_marking_sum(query: DiagramQuery, lam: Partition, rho: Partition) -
 
 def _vector(parts: tuple[int, ...]) -> Vector:
     return tuple(parts.count(k) for k in range(1, max(parts, default=0) + 1))
-
-
-def _trim(vec) -> Vector:
-    vec = list(vec)
-    while vec and not vec[-1]:
-        vec.pop()
-    return tuple(vec)
 
 
 def _weight(vec: Vector) -> int:
@@ -79,7 +72,7 @@ def _midpoints(pending: Vector, placed: Vector) -> tuple:
             left, moved = list(pending), list(placed) + [0] * len(pending)
             left[k] -= 1
             moved[k] += 1
-            out.append((_trim(left), _trim(moved), c))
+            out.append((trim(left), trim(moved), c))
     return tuple(out)
 
 
@@ -99,36 +92,7 @@ def _emissions(pending: Vector, budget: int, odd: bool) -> tuple:
             for m in range(left // w + 1)
             if weigh or not m
         ]
-    return tuple((_trim(vec), left, num, den) for vec, left, num, den in out)
-
-
-def _leftover_splits(left: int, lam: Vector, rho: Vector) -> tuple:
-    """Every way a floor spends ``left`` units of unused budget on lambda
-    parts and rho sinks, from the parts still unused; ``lam`` and ``rho``
-    have the same length.
-
-    Each way is (lambda left, rho left, sinks placed, symmetry).  The t
-    lambda parts and the u sinks of size k that one floor takes are each
-    interchangeable, so the symmetry is t! u!; the labels of the lambda
-    parts are paid once per final state, by prod lambda_k! over the parts
-    used.
-    """
-    out = []
-
-    def split(k: int, left: int, lam_left: tuple, rho_left: tuple, placed: int, symmetry: int):
-        if not left:
-            out.append((lam_left + lam[k - 1:], rho_left + rho[k - 1:], placed, symmetry))
-            return
-        if k > len(lam):
-            return
-        r, q = lam[k - 1], rho[k - 1]
-        for t in range(min(r, left // k) + 1):
-            for u in range(min(q, left // k - t) + 1):
-                split(k + 1, left - k * (t + u), lam_left + (r - t,), rho_left + (q - u,),
-                      placed + u, symmetry * factorial(t) * factorial(u))
-
-    split(1, left, (), (), 0, 1)
-    return tuple(out)
+    return tuple((trim(vec), left, num, den) for vec, left, num, den in out)
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +111,8 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
     three phases summed into dicts of their own, absorbs some placed
     edges, in prod C(placed_k, t_k) ways; emits outgoing edges into
     pending, divided by m_w! as the midpoints pick among them later; and
-    spends the rest of its budget through ``_leftover_splits``.
+    spends the rest of its budget through ``markings.floor_splits``, whose
+    t! u! it divides by.
 
     Any floor up to the d-th may be the last one, once nothing is
     pending: it absorbs every placed edge and emits nothing.  Its s
@@ -220,7 +185,7 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
     def splits(parts: int, left: int) -> tuple:
         return tuple(
             (part_id(lam_next, rho_next), sunk, symmetry)
-            for lam_next, rho_next, sunk, symmetry in _leftover_splits(left, *part_pairs[parts])
+            for lam_next, rho_next, _, _, sunk, symmetry in floor_splits(left, *part_pairs[parts])
         )
 
     states = {(0, edge_id((), ()), 0, part_id(lam_cap, rho_cap)): scale}
@@ -270,8 +235,8 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
     rows = {}
     for (floors, parts), values in finals.items():
         lam_left, rho_left = part_pairs[parts]
-        lam = _trim(c - r for c, r in zip(lam_cap, lam_left))
-        rho = _trim(c - r for c, r in zip(rho_cap, rho_left))
+        lam = trim(c - r for c, r in zip(lam_cap, lam_left))
+        rho = trim(c - r for c, r in zip(rho_cap, rho_left))
         if _weight(lam) + _weight(rho) != floors:
             raise AssertionError(
                 f"degree-{d} sweep closes {floors} floors on parts of another weight: "
@@ -325,7 +290,7 @@ def _sub_vectors(vec: Vector) -> tuple[tuple[Vector, Vector, int], ...]:
             for sub, rest, ways in out
             for t in range(c + 1)
         ]
-    return tuple((_trim(sub), _trim(rest), ways) for sub, rest, ways in out)
+    return tuple((trim(sub), trim(rest), ways) for sub, rest, ways in out)
 
 
 @lru_cache(maxsize=None)
@@ -408,10 +373,7 @@ def relative_gw(d: int, g: int, lam: Partition, rho: Partition) -> int:
     diagrams with d - 1 + g edges, from the sweep by inversion.
     """
     d, g = as_int(d, "degree"), as_int(g, "genus")
-    if lam.size + rho.size != d:
-        raise DiagramError(
-            f"|lambda| + |rho| must equal d: {lam.size} + {rho.size} != {d}"
-        )
+    check_profile(d, lam, rho)
     if g < 0:
         raise DiagramError(f"genus must be nonnegative, got {g}")
     if d < 1:

@@ -8,6 +8,12 @@ floor chain.  Markings are counted modulo automorphisms that fix the
 floors, which on this structure means: permutations of equal-weight sinks
 at the same floor and of midpoints of parallel equal-weight edges.
 
+Each floor spends its unused budget exactly on lambda parts and rho
+sinks, by ``floor_splits``, which the relative sweep in ``invariants``
+reads too.  A floor plan, what every floor takes, stands for prod
+lambda_k! / prod t! distributions that differ only in which floor feeds
+which tangency vertex and share one poset, so the count orders it once.
+
 Orderings are counted by a polynomial-time DP over the gaps of the floor
 chain.  ``list_markings`` lists one linear order per orbit explicitly,
 for small diagrams: the one whose interchangeable copies appear in copy
@@ -19,11 +25,14 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from heapq import merge
 from math import comb, factorial, prod
 
 from .core import DiagramError, FloorDiagram, Partition, Value
 
 BRUTE_FORCE_LIMIT = 14
+
+Vector = tuple[int, ...]  # multiplicity vector: entry k-1 counts the parts equal to k
 
 
 class Distribution(Value):
@@ -77,8 +86,83 @@ class MarkingPoset(Value):
         return tuple(labels)
 
 
-def _budgets(diag: FloorDiagram) -> list[int]:
-    return [1 - dv for dv in diag.divergences()]
+def check_profile(d: int, lam: Partition, rho: Partition) -> None:
+    """Refuse a tangency profile whose sizes do not add up to the degree."""
+    if lam.size + rho.size != d:
+        raise DiagramError(f"|lambda| + |rho| must equal d: {lam.size} + {rho.size} != {d}")
+
+
+def floor_splits(left: int, lam: Vector, rho: Vector) -> tuple:
+    """Every way a floor spends ``left`` units of unused budget on the
+    lambda parts and rho sinks still unused; ``lam`` and ``rho`` are
+    multiplicity vectors of one length.
+
+    Each way is (lambda left, rho left, t, u, sinks placed, t! u!): the
+    floor takes t_k lambda parts and u_k sinks of size k, so it places
+    sum(u) sinks, and its t_k parts and u_k sinks of one size are each
+    interchangeable, which t! u! = prod t_k! u_k! counts.
+    """
+    out = []
+
+    def split(k: int, left: int, lam_left: tuple, rho_left: tuple, t: tuple, u: tuple,
+              placed: int, symmetry: int):
+        if not left:
+            zeros = (0,) * (len(lam) - k + 1)
+            out.append((lam_left + lam[k - 1:], rho_left + rho[k - 1:], t + zeros, u + zeros,
+                        placed, symmetry))
+            return
+        if k > min(left, len(lam)):  # parts of size k and up cannot spend what is left
+            return
+        r, q = lam[k - 1], rho[k - 1]
+        for tk in range(min(r, left // k) + 1):
+            for uk in range(min(q, left // k - tk) + 1):
+                split(k + 1, left - k * (tk + uk), lam_left + (r - tk,), rho_left + (q - uk,),
+                      t + (tk,), u + (uk,), placed + uk, symmetry * factorial(tk) * factorial(uk))
+
+    split(1, left, (), (), (), (), 0, 1)
+    return tuple(out)
+
+
+def _floor_plans(diag: FloorDiagram, lam: Partition, rho: Partition):
+    """Every floor plan, as (t per floor, sinks per floor), from one pass
+    over the budgets 1 - divergence; they add up to |lambda| + |rho| = d,
+    so a plan that reaches floor d has used every part."""
+    check_profile(diag.d, lam, rho)
+    size = max(lam.parts + rho.parts)
+    budgets = [1 - dv for dv in diag.divergences()]
+    lam_vec, rho_vec = (tuple(p.parts.count(k) for k in range(1, size + 1)) for p in (lam, rho))
+    stack = [((), (), lam_vec, rho_vec)]
+    while stack:
+        taken, sinks, lam_left, rho_left = stack.pop()
+        if len(taken) == diag.d:
+            yield taken, sinks
+            continue
+        splits = floor_splits(budgets[len(taken)], lam_left, rho_left)
+        for lam_next, rho_next, t, u, _, _ in splits:
+            sunk = tuple(k for k, c in enumerate(u, start=1) for _ in range(c))
+            stack.append((taken + (t,), sinks + (sunk,), lam_next, rho_next))
+
+
+def _spread(taken: tuple, sinks: tuple, lam: Partition):
+    """Every distribution with these sinks whose lambda_sources give floor
+    v taken[v-1][k-1] of the lambda parts of size k, in lexicographic order."""
+    room = [list(t) for t in taken]
+    sources: list[int] = []
+
+    def place(i: int):
+        if i == lam.length:
+            yield Distribution(tuple(sources), sinks)
+            return
+        k = lam.parts[i] - 1
+        for v, left in enumerate(room, start=1):
+            if left[k]:
+                left[k] -= 1
+                sources.append(v)
+                yield from place(i + 1)
+                sources.pop()
+                left[k] += 1
+
+    return place(0)
 
 
 def enumerate_distributions(diag: FloorDiagram, lam: Partition, rho: Partition):
@@ -86,62 +170,13 @@ def enumerate_distributions(diag: FloorDiagram, lam: Partition, rho: Partition):
 
     Sink placements are multisets per floor; the assignment of lambda
     indices to source floors is ordered (feeding a different tangency
-    vertex is a different distribution).  Emission order is lexicographic
-    on (lambda_sources, per-floor sink multisets).
+    vertex is a different distribution).  The floor plans' streams are
+    merged in lexicographic order on (lambda_sources, per-floor sinks).
     """
-    d = diag.d
-    if lam.size + rho.size != d:
-        raise DiagramError(
-            f"|lambda| + |rho| must equal d: {lam.size} + {rho.size} != {d}"
-        )
-    budgets = _budgets(diag)
-
-    def assign_lambda(i: int, remaining: list[int], chosen: list[int]):
-        if i == lam.length:
-            yield tuple(chosen), tuple(remaining)
-            return
-        for v in range(1, d + 1):
-            if remaining[v - 1] >= lam.parts[i]:
-                remaining[v - 1] -= lam.parts[i]
-                chosen.append(v)
-                yield from assign_lambda(i + 1, remaining, chosen)
-                chosen.pop()
-                remaining[v - 1] += lam.parts[i]
-
-    def sink_splits(v: int, pool: Counter, residual: tuple[int, ...], acc: list):
-        if v > d:
-            if not +pool:
-                yield tuple(acc)
-            return
-        need = residual[v - 1]
-        parts = sorted(+pool)
-
-        def pick(idx: int, left: int, take: list[int]):
-            if left == 0:
-                for p in take:
-                    pool[p] -= 1
-                acc.append(tuple(sorted(take)))
-                yield from sink_splits(v + 1, pool, residual, acc)
-                acc.pop()
-                for p in take:
-                    pool[p] += 1
-                return
-            if idx == len(parts) or parts[idx] > left:
-                return
-            p = parts[idx]
-            avail = pool[p] - sum(1 for q in take if q == p)
-            if avail > 0:
-                take.append(p)
-                yield from pick(idx, left - p, take)
-                take.pop()
-            yield from pick(idx + 1, left, take)
-
-        yield from pick(0, need, [])
-
-    for sources, residual in assign_lambda(0, list(budgets), []):
-        pool = Counter(rho.parts)
-        for sinks in sink_splits(1, pool, residual, []):
-            yield Distribution(sources, sinks)
+    yield from merge(
+        *(_spread(taken, sinks, lam) for taken, sinks in _floor_plans(diag, lam, rho)),
+        key=lambda dist: (dist.lambda_sources, dist.rho_sinks),
+    )
 
 
 def build_poset(diag: FloorDiagram, dist: Distribution, lam: Partition) -> MarkingPoset:
@@ -157,12 +192,8 @@ def build_poset(diag: FloorDiagram, dist: Distribution, lam: Partition) -> Marki
         for w in weights:
             sinks.append((v, w, sink_counts[(v, w)]))
             sink_counts[(v, w)] += 1
-    lam_vertices = tuple(
-        (i + 1, dist.lambda_sources[i], lam.parts[i]) for i in range(lam.length)
-    )
-    symmetry = prod(factorial(c) for c in mid_counts.values()) * prod(
-        factorial(c) for c in sink_counts.values()
-    )
+    lam_vertices = tuple(zip(range(1, lam.length + 1), dist.lambda_sources, lam.parts))
+    symmetry = prod(map(factorial, [*mid_counts.values(), *sink_counts.values()]))
     return MarkingPoset(diag.d, tuple(midpoints), tuple(sinks), lam_vertices, symmetry)
 
 
@@ -239,16 +270,16 @@ def count_orderings(poset: MarkingPoset) -> int:
 
 
 def count_relative_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> int:
-    """nu_{lambda,rho}: sum over distributions of orderings / symmetry."""
+    """nu_{lambda,rho}: per floor plan, orderings / symmetry of one of its
+    distributions, times their number prod lambda_k! / prod t!."""
+    labels = prod(factorial(lam.count(k)) for k in set(lam.parts))
     total = 0
-    for dist in enumerate_distributions(diag, lam, rho):
-        poset = build_poset(diag, dist, lam)
+    for taken, sinks in _floor_plans(diag, lam, rho):
+        poset = build_poset(diag, next(_spread(taken, sinks, lam)), lam)
         raw = count_orderings(poset)
         if raw % poset.symmetry:
-            raise AssertionError(
-                f"symmetry {poset.symmetry} does not divide ordering count {raw}"
-            )
-        total += raw // poset.symmetry
+            raise AssertionError(f"symmetry {poset.symmetry} does not divide ordering count {raw}")
+        total += labels // prod(factorial(c) for t in taken for c in t) * (raw // poset.symmetry)
     return total
 
 

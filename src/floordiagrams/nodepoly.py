@@ -34,7 +34,7 @@ from itertools import accumulate, product
 from math import comb, factorial, prod
 from operator import index, mul
 
-from .core import DiagramError, Value, as_int
+from .core import DiagramError, Value, as_int, trim
 
 
 class RatPolynomial(Value):
@@ -118,13 +118,6 @@ class RatPolynomial(Value):
         return RatPolynomial((Fraction(0), Fraction(1)))
 
 
-def _trim(b) -> tuple:
-    b = list(b)
-    while b and not b[-1]:
-        b.pop()
-    return tuple(b)
-
-
 def _gbinom(c: int, i: int) -> int:
     """C(c, i) = c (c-1) ... (c-i+1) / i! for any integer c."""
     return comb(c, i) if c >= 0 else (-1) ** i * comb(i - c - 1, i)
@@ -153,13 +146,13 @@ def _newton_from_values(values) -> tuple:
     while row:
         out.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
-    return _trim(out)
+    return trim(out)
 
 
 def _newton_add(p, q) -> tuple:
     if len(p) < len(q):
         p, q = q, p
-    return _trim([a + b for a, b in zip(p, q)] + list(p[len(q):]))
+    return trim([a + b for a, b in zip(p, q)] + list(p[len(q):]))
 
 
 def _newton_mul(p, q) -> tuple:
@@ -191,7 +184,7 @@ def _newton_sum(b, a: int, shift: int) -> tuple:
     partial = (0, *b)
     q = list(_newton_shift(partial, 1 - shift))
     q[0] -= sum(t * _gbinom(a, m) for m, t in enumerate(partial))
-    return _trim(q)
+    return trim(q)
 
 
 def _from_newton(b) -> RatPolynomial:
@@ -544,38 +537,39 @@ def _row(delta: int) -> tuple:
     return tuple(sorted(states.items())), total, worst
 
 
-def node_polynomial(delta: int) -> tuple[RatPolynomial, int]:
-    """Symbolic Severi-degree polynomial in d and its validity threshold.
+def _total(delta: int) -> tuple:
+    """N_delta in the binomial basis, its tracked threshold checked not to
+    exceed twice the cogenus, the threshold of the polynomiality theorem."""
+    _, total, worst = _row(delta)
+    if worst > 2 * delta:
+        raise AssertionError(f"validity threshold {worst} exceeds 2*delta = {2 * delta}")
+    return total
 
-    Read from the state DP over template sequences; per the polynomiality
-    theorem the returned threshold is twice the cogenus, and the internally
-    tracked threshold is checked not to exceed it.
-    """
+
+def node_polynomial(delta: int) -> tuple[RatPolynomial, int]:
+    """Symbolic Severi-degree polynomial in d and its validity threshold,
+    twice the cogenus, read from the state DP over template sequences."""
     delta = as_int(delta, "cogenus")
     if delta < 0:
         raise DiagramError(f"cogenus must be nonnegative, got {delta}")
-    _, total, worst = _row(delta)
-    if worst > 2 * delta:
-        raise AssertionError(
-            f"validity threshold {worst} exceeds 2*delta = {2 * delta}"
-        )
-    return _from_newton(total), 2 * delta
+    return _from_newton(_total(delta)), 2 * delta
 
 
 def aj_polynomials(delta_max: int) -> list[RatPolynomial]:
     """Quadratic-looking coefficients of the log of the node-polynomial series.
 
     A_j(d) = j * [t^j] log(sum_delta N_delta(d) t^delta), exact in Q[d].
+    With N_0 = 1, the logarithmic derivative gives the integer recurrence
+    A_j = j N_j - sum_{i<j} A_i N_{j-i}, taken in the binomial basis.
     """
     delta_max = as_int(delta_max, "cogenus")
     if delta_max < 1:
         raise DiagramError(f"need delta_max >= 1, got {delta_max}")
-    series = [node_polynomial(delta)[0] for delta in range(delta_max + 1)]
-    logs: list[RatPolynomial] = []
+    series = [_total(delta) for delta in range(delta_max + 1)]
+    aj: list[tuple] = []
     for j in range(1, delta_max + 1):
-        acc = series[j].scale(j)
+        acc = tuple(j * c for c in series[j])
         for i in range(1, j):
-            acc = acc - logs[i - 1].scale(i) * series[j - i]
-        logs.append(acc.scale(Fraction(1, j)))
-    return [logs[j - 1].scale(j) for j in range(1, delta_max + 1)]
-
+            acc = _newton_add(acc, tuple(-c for c in _newton_mul(aj[i - 1], series[j - i])))
+        aj.append(acc)
+    return [_from_newton(a) for a in aj]

@@ -43,10 +43,13 @@ and counts them from one memoized sweep.  ``kontsevich_oracle`` is
 Kontsevich's recursion for gw(d, 0).  ``welschinger_oracle`` sums the
 marking counts of the enumerated odd genus-0 diagrams, and
 ``tangency_at_point`` counts the markings whose top k elements are sinks
-of one floor, against ``relative_gw``.  ``count_orderings_downset`` orders
+of one floor, against ``relative_gw``.  ``distributions_oracle`` lists the
+distributions of a (lambda, rho)-marking one lambda index and one sink at
+a time; ``markings`` splits each floor's budget once and spreads the
+lambda indices over each split.  ``count_orderings_downset`` orders
 a marking poset one element at a time, next to the gap DP.
 ``marking_orbits_oracle`` lists marking orbits explicitly: every linear
-order of every distribution, each mapped to the minimum over the
+order of every oracle distribution, each mapped to the minimum over the
 automorphism group; ``list_markings`` is tested against it, and
 ``brute_force_markings`` is its length, tested against the gap DP.
 ``increasing_tree_oracle`` recomputes z(d) over increasing-tree diagrams,
@@ -88,13 +91,13 @@ from .enumeration import DiagramQuery, enumerate_diagrams
 from .invariants import gw, relative_gw
 from .markings import (
     BRUTE_FORCE_LIMIT,
+    Distribution,
     MarkingPoset,
     _linear_extensions,
     _poset_elements,
     build_poset,
     count_markings,
     count_orderings,
-    enumerate_distributions,
 )
 from .nodepoly import (
     RatPolynomial,
@@ -531,7 +534,7 @@ def ordering_count_with_pinned_sinks(diag: FloorDiagram, floor: int, k: int) -> 
 
     Counts ordinary markings whose top k elements are sinks of ``floor``.
     """
-    dist = next(enumerate_distributions(diag, Partition(()), Partition.ones(diag.d)))
+    dist = next(distributions_oracle(diag, Partition(()), Partition.ones(diag.d)))
     poset = build_poset(diag, dist, Partition(()))
     b = sum(1 for v, w, _ in poset.sinks if v == floor and w == 1)
     if b < k:
@@ -574,6 +577,70 @@ def tangency_at_point(d: int, g: int, k: int) -> int:
             f"{filtered} != {direct}"
         )
     return direct
+
+
+def distributions_oracle(diag: FloorDiagram, lam: Partition, rho: Partition):
+    """Yield every distribution of new edges, each exactly once, placing
+    the lambda indices one at a time and then each floor's sinks.
+
+    Sink placements are multisets per floor; the assignment of lambda
+    indices to source floors is ordered (feeding a different tangency
+    vertex is a different distribution).  Emission order is lexicographic
+    on (lambda_sources, per-floor sink multisets).
+    """
+    d = diag.d
+    if lam.size + rho.size != d:
+        raise DiagramError(
+            f"|lambda| + |rho| must equal d: {lam.size} + {rho.size} != {d}"
+        )
+    budgets = [1 - dv for dv in diag.divergences()]
+
+    def assign_lambda(i: int, remaining: list[int], chosen: list[int]):
+        if i == lam.length:
+            yield tuple(chosen), tuple(remaining)
+            return
+        for v in range(1, d + 1):
+            if remaining[v - 1] >= lam.parts[i]:
+                remaining[v - 1] -= lam.parts[i]
+                chosen.append(v)
+                yield from assign_lambda(i + 1, remaining, chosen)
+                chosen.pop()
+                remaining[v - 1] += lam.parts[i]
+
+    def sink_splits(v: int, pool: Counter, residual: tuple[int, ...], acc: list):
+        if v > d:
+            if not +pool:
+                yield tuple(acc)
+            return
+        need = residual[v - 1]
+        parts = sorted(+pool)
+
+        def pick(idx: int, left: int, take: list[int]):
+            if left == 0:
+                for p in take:
+                    pool[p] -= 1
+                acc.append(tuple(sorted(take)))
+                yield from sink_splits(v + 1, pool, residual, acc)
+                acc.pop()
+                for p in take:
+                    pool[p] += 1
+                return
+            if idx == len(parts) or parts[idx] > left:
+                return
+            p = parts[idx]
+            avail = pool[p] - sum(1 for q in take if q == p)
+            if avail > 0:
+                take.append(p)
+                yield from pick(idx, left - p, take)
+                take.pop()
+            yield from pick(idx + 1, left, take)
+
+        yield from pick(0, need, [])
+
+    for sources, residual in assign_lambda(0, list(budgets), []):
+        pool = Counter(rho.parts)
+        for sinks in sink_splits(1, pool, residual, []):
+            yield Distribution(sources, sinks)
 
 
 def count_orderings_downset(poset: MarkingPoset) -> int:
@@ -660,7 +727,7 @@ def marking_orbits_oracle(
             f"brute force limited to {BRUTE_FORCE_LIMIT} elements, got {n_elements}"
         )
     reps: list[tuple[str, ...]] = []
-    for dist in enumerate_distributions(diag, lam, rho):
+    for dist in distributions_oracle(diag, lam, rho):
         poset = build_poset(diag, dist, lam)
         elements, constraints = _poset_elements(poset)
         label = dict(zip(elements, poset.element_labels()))

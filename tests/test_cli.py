@@ -305,6 +305,16 @@ def _chain(d):
     return diag, marking
 
 
+def test_markings_lambda_labels_at_the_degree_limit(capsys):
+    # 20! labellings of one floor plan, counted once
+    ones = ",".join(["1"] * 20)
+    start = time.perf_counter()
+    assert run(capsys, "markings", "--diagram", "d=20; edges=", "--lambda", ones, "--rho", "") == (
+        0, "2432902008176640000\n", ""
+    )
+    assert time.perf_counter() - start < 1
+
+
 def test_diagram_degree_limit(capsys, tmp_path):
     svg = str(tmp_path / "chain.svg")
     diag, marking = _chain(DIAGRAM_MAX_D)

@@ -124,7 +124,9 @@ def test_unknown_filter_rejected():
         count_filtered(3, 0, "bogus")
 
 
-@pytest.mark.parametrize("spec,message", [("bogus", "unknown"), ("max-weight=x", "malformed")])
+@pytest.mark.parametrize(
+    "spec,message", [("bogus", "unknown"), ("max-weight=x", "malformed"), (5, "malformed")]
+)
 def test_query_checks_its_filter_when_built(spec, message):
     with pytest.raises(DiagramError, match=f"{message} filter {spec!r}"):
         DiagramQuery(3, genus=0, filter=spec)

@@ -3,9 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 
+from floordiagrams import markings
 from floordiagrams.core import DiagramError, Partition, diagram
 from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
 from floordiagrams.markings import (
@@ -62,6 +65,20 @@ def test_distribution_requires_matching_sizes():
         list(enumerate_distributions(CHAIN3, P((1,)), P((3,))))
     with pytest.raises(DiagramError):
         count_relative_markings(CHAIN3, P((1,)), P((3,)))
+
+
+def test_lambda_labels_share_one_poset(monkeypatch):
+    # every labelling of one floor plan's lambda parts has the same poset
+    # windows and symmetry, so 8! labellings cost one ordering count
+    posets = []
+
+    def counted(poset):
+        posets.append(poset)
+        return count_orderings(poset)
+
+    monkeypatch.setattr(markings, "count_orderings", counted)
+    assert count_relative_markings(diagram(8), P.ones(8), P(())) == factorial(8)
+    assert len(posets) == 1
 
 
 def test_distributions_are_deterministic():

@@ -44,6 +44,8 @@ from floordiagrams.invariants import (
 from floordiagrams.markings import (
     build_poset,
     count_markings,
+    count_orderings,
+    count_relative_markings,
     enumerate_distributions,
     list_markings,
 )
@@ -52,6 +54,7 @@ from floordiagrams.oracles import (
     caporaso_harris,
     copy_with,
     diagram_to_tree_oracle,
+    distributions_oracle,
     edge_sets_oracle,
     gw_log_oracle,
     marking_orbits_oracle,
@@ -309,6 +312,29 @@ def test_marking_listing_lines_are_distinct_small():
                 for lam, rho in profiles(d):
                     lines = list_markings(diag, Partition(lam), Partition(rho))
                     assert len(set(lines)) == len(lines), (diag.text(), lam, rho)
+
+
+def test_distributions_equal_the_oracle_in_order():
+    """The floor plans, their spread lambda indices and the merge give the
+    oracle's distributions in its order, and the count that pays each
+    plan's lambda labels at once equals the sum over the oracle's
+    distributions, for every diagram with d <= 5 and g <= 2."""
+    cases = 0
+    for d in range(1, 6):
+        for g in range(3):
+            for diag in enumerate_diagrams(DiagramQuery(d, genus=g)):
+                for lam, rho in profiles(d):
+                    lam, rho = Partition(lam), Partition(rho)
+                    dists = list(distributions_oracle(diag, lam, rho))
+                    assert list(enumerate_distributions(diag, lam, rho)) == dists, (
+                        diag.text(), lam, rho
+                    )
+                    posets = [build_poset(diag, dist, lam) for dist in dists]
+                    assert count_relative_markings(diag, lam, rho) == sum(
+                        count_orderings(poset) // poset.symmetry for poset in posets
+                    ), (diag.text(), lam, rho)
+                    cases += 1
+    assert cases == 17323
 
 
 def symmetry(diag):
