@@ -50,12 +50,11 @@ SEQUENCE_MAX_D = 60
 ODE_MAX_ORDER = 60
 
 # the largest degree measured for markings and tropical reconstruct --diagram
-# (the slowest degree-20 diagram a random search found counts its markings in
-# 1.5 s, 51 MB on a 2-CPU x86-64 host, the edgeless one at lambda = 1^20 in
-# 1 ms; reconstruct took at most 0.2 s; span-12 edges at d = 24 take 4.4 s;
-# a mixed profile orders one poset per floor plan, and lambda = rho = 1^8 on
-# the edgeless d = 16 takes 8 s); larger degrees are refused before any poset
-# is built
+# (the slowest degree-20 diagrams hill climbs found count their markings in
+# 0.04-0.07 s, 16 MB on a 2-CPU x86-64 host, the edgeless one at lambda = 1^20
+# in 1 ms and at lambda = rho = 1^10 in 5 ms; reconstruct took at most 0.2 s;
+# span-12 edges at d = 24 take 0.3 s); larger degrees are refused before any
+# poset is built
 DIAGRAM_MAX_D = 20
 
 

@@ -10,15 +10,14 @@ at the same floor and of midpoints of parallel equal-weight edges.
 
 Each floor spends its unused budget exactly on lambda parts and rho
 sinks, by ``floor_splits``, which the relative sweep in ``invariants``
-reads too.  A floor plan, what every floor takes, stands for prod
-lambda_k! / prod t! distributions that differ only in which floor feeds
-which tangency vertex and share one poset, so the count orders it once.
-
-Orderings are counted by a polynomial-time DP over the gaps of the floor
-chain.  ``list_markings`` lists one linear order per orbit explicitly,
-for small diagrams: the one whose interchangeable copies appear in copy
-order.  ``oracles`` holds the independent counters the DP and the listing
-are tested against.
+reads too.  The count reads a marking one position at a time: each
+position holds the next floor or one of the open midpoints and sinks,
+and each floor spends its budget as it is placed, so one DP covers every
+way the floors take their parts.  ``list_markings`` walks the same
+positions for small diagrams, one distribution at a time, and lists one
+linear order per orbit: the one whose interchangeable copies appear in
+copy order.  ``oracles`` holds the independent counters the DP and the
+listing are tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from heapq import merge
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .core import DiagramError, FloorDiagram, Partition, Value
 
@@ -87,7 +86,10 @@ class MarkingPoset(Value):
 
 
 def check_profile(d: int, lam: Partition, rho: Partition) -> None:
-    """Refuse a tangency profile whose sizes do not add up to the degree."""
+    """Refuse a tangency profile that is not two partitions whose sizes add
+    up to the degree."""
+    if not (isinstance(lam, Partition) and isinstance(rho, Partition)):
+        raise DiagramError(f"lambda and rho must be Partitions, got {lam!r} and {rho!r}")
     if lam.size + rho.size != d:
         raise DiagramError(f"|lambda| + |rho| must equal d: {lam.size} + {rho.size} != {d}")
 
@@ -123,14 +125,19 @@ def floor_splits(left: int, lam: Vector, rho: Vector) -> tuple:
     return tuple(out)
 
 
-def _floor_plans(diag: FloorDiagram, lam: Partition, rho: Partition):
-    """Every floor plan, as (t per floor, sinks per floor), from one pass
-    over the budgets 1 - divergence; they add up to |lambda| + |rho| = d,
-    so a plan that reaches floor d has used every part."""
+def _budgets(diag: FloorDiagram, lam: Partition, rho: Partition) -> tuple:
+    """Check the profile, then the floors' budgets 1 - divergence, which
+    add up to |lambda| + |rho| = d, and lambda's and rho's multiplicity vectors."""
     check_profile(diag.d, lam, rho)
     size = max(lam.parts + rho.parts)
-    budgets = [1 - dv for dv in diag.divergences()]
-    lam_vec, rho_vec = (tuple(p.parts.count(k) for k in range(1, size + 1)) for p in (lam, rho))
+    vectors = (tuple(p.count(k) for k in range(1, size + 1)) for p in (lam, rho))
+    return tuple(1 - dv for dv in diag.divergences()), *vectors
+
+
+def _floor_plans(diag: FloorDiagram, lam: Partition, rho: Partition):
+    """Every floor plan, as (t per floor, sinks per floor); one that
+    reaches floor d has used every part."""
+    budgets, lam_vec, rho_vec = _budgets(diag, lam, rho)
     stack = [((), (), lam_vec, rho_vec)]
     while stack:
         taken, sinks, lam_left, rho_left = stack.pop()
@@ -200,67 +207,57 @@ def build_poset(diag: FloorDiagram, dist: Distribution, lam: Partition) -> Marki
 # -- ordering counters ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def gap_choices(mandatory: int, counts: tuple[int, ...]) -> tuple:
-    """The transfer of one gap: every way to fill it from pending classes.
-
-    ``mandatory`` items must be placed in this gap; from a class of c
-    interchangeable pending items any k may join them, in C(c, k) ways.
-    Returns (counts left per class, ways) pairs, where ways also counts
-    the (gap size)! arrangements of the distinguishable items in the gap.
-    """
-    out = []
-
-    def choose(idx: int, taken: int, mult: int, rest: list):
-        if idx == len(counts):
-            out.append((tuple(rest), mult * factorial(mandatory + taken)))
-            return
-        c = counts[idx]
-        for k in range(c + 1):
-            rest.append(c - k)
-            choose(idx + 1, taken + k, mult * comb(c, k), rest)
-            rest.pop()
-
-    choose(0, 0, 1, [])
-    return tuple(out)
-
-
 @lru_cache(maxsize=200_000)
-def _gap_dp(d: int, windows: tuple[tuple[int, int], ...]) -> int:
-    """Number of linear orders: items assigned to gaps within their windows,
-    summed over assignments with a factorial per within-gap arrangement.
+def _gap_dp(d: int, windows: tuple[tuple[int, int], ...], budgets: Vector = (),
+            lam: Vector = (), rho: Vector = ()) -> int:
+    """Number of linear orders of floors 1..d and of items that lie in the
+    gaps of their windows, read one position at a time; with ``budgets``,
+    summed over every way the floors spend them on lambda parts and sinks.
 
-    DP over gaps; multi-gap items pending in the state are keyed only by
-    their deadline gap (items of equal deadline are interchangeable, which
-    the binomial factors account for).  Each gap is one ``gap_choices``
-    transfer.
+    Gap j sits between floors j and j+1, so an item of window (lo, hi)
+    opens with floor lo and is due before floor hi + 1.  A state is (floors
+    placed, open items per deadline, lambda left, rho left).  A position
+    holds one of the c open items of some deadline, in c ways, or the next
+    floor once no open item is due before it.  Floor v opens the items
+    whose windows start there and spends budgets[v-1] through
+    ``floor_splits``: its sinks open with deadline d and the value is
+    divided by t! u!.  Starting from (number of sinks)! prod lambda_k!
+    keeps every division exact; the first factor is divided out at the end.
     """
-    forced = [0] * (d + 1)
-    arrivals: dict[int, list[int]] = {}
-    for lo, hi in windows:
-        if lo == hi:
-            forced[lo] += 1
-        else:
-            arrivals.setdefault(lo, []).append(hi)
-
-    states: dict[tuple[tuple[int, int], ...], int] = {(): 1}
-    for j in range(1, d + 1):
-        new_states: dict[tuple[tuple[int, int], ...], int] = {}
-        arriving = arrivals.get(j, ())
-        for pend, coeff in states.items():
-            pools = Counter(dict(pend))
-            for h in arriving:
-                pools[h] += 1
-            mandatory = pools.pop(j, 0) + forced[j]
-            deadlines = sorted(pools)
-            counts = tuple(pools[h] for h in deadlines)
-            for rest, ways in gap_choices(mandatory, counts):
-                key = tuple((h, c) for h, c in zip(deadlines, rest) if c)
-                new_states[key] = new_states.get(key, 0) + coeff * ways
+    opening = [[hi for lo, hi in windows if lo == v] for v in range(d + 1)]
+    spent: dict = {}  # floor_splits by (budget, lambda left, rho left)
+    sinks = factorial(sum(rho))
+    states = {(0, (0,) * (d + 1), lam, rho): sinks * prod(map(factorial, lam))}
+    total = 0
+    while states:
+        new_states: dict = {}
+        for (v, due, lam_left, rho_left), value in states.items():
+            if v == d:  # the c items left open fill the last c positions
+                total += factorial(due[d]) * value
+                continue
+            for h, c in enumerate(due):
+                if c:
+                    key = (v, due[:h] + (c - 1,) + due[h + 1:], lam_left, rho_left)
+                    new_states[key] = new_states.get(key, 0) + c * value
+            if due[v]:  # an item due before floor v+1 is still open
+                continue
+            opened = list(due)
+            for hi in opening[v + 1]:
+                if not v + 1 <= hi <= d:
+                    raise AssertionError(f"item opened at floor {v + 1} is due at gap {hi}")
+                opened[hi] += 1
+            spend = (budgets[v] if budgets else 0, lam_left, rho_left)
+            if (splits := spent.get(spend)) is None:
+                splits = spent[spend] = floor_splits(*spend)
+            for lam_next, rho_next, _, _, placed, symmetry in splits:
+                if value % symmetry:
+                    raise AssertionError(f"t! u! = {symmetry} does not divide {value}")
+                key = (v + 1, (*opened[:d], opened[d] + placed), lam_next, rho_next)
+                new_states[key] = new_states.get(key, 0) + value // symmetry
         states = new_states
-    if set(states) - {()}:
-        raise AssertionError(f"items left pending past gap {d}: {sorted(states)}")
-    return states.get((), 0)
+    if total % sinks:
+        raise AssertionError(f"{sinks} does not divide the order count {total}")
+    return total // sinks
 
 
 def count_orderings(poset: MarkingPoset) -> int:
@@ -270,17 +267,14 @@ def count_orderings(poset: MarkingPoset) -> int:
 
 
 def count_relative_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> int:
-    """nu_{lambda,rho}: per floor plan, orderings / symmetry of one of its
-    distributions, times their number prod lambda_k! / prod t!."""
-    labels = prod(factorial(lam.count(k)) for k in set(lam.parts))
-    total = 0
-    for taken, sinks in _floor_plans(diag, lam, rho):
-        poset = build_poset(diag, next(_spread(taken, sinks, lam)), lam)
-        raw = count_orderings(poset)
-        if raw % poset.symmetry:
-            raise AssertionError(f"symmetry {poset.symmetry} does not divide ordering count {raw}")
-        total += labels // prod(factorial(c) for t in taken for c in t) * (raw // poset.symmetry)
-    return total
+    """nu_{lambda,rho}: the orders of every floor plan of the budgets
+    1 - divergence, divided by the symmetry of parallel equal-weight edges."""
+    windows = tuple((s, t - 1) for s, t, _ in diag.edges)
+    raw = _gap_dp(diag.d, windows, *_budgets(diag, lam, rho))
+    symmetry = prod(map(factorial, Counter(diag.edges).values()))
+    if raw % symmetry:
+        raise AssertionError(f"symmetry {symmetry} does not divide ordering count {raw}")
+    return raw // symmetry
 
 
 def count_markings(diag: FloorDiagram) -> int:
@@ -291,58 +285,10 @@ def count_markings(diag: FloorDiagram) -> int:
 # -- explicit listing -----------------------------------------------------
 
 
-def _poset_elements(poset: MarkingPoset):
-    """Element ids, in the order of ``poset.element_labels()``, plus strict
-    order constraints (a must precede b)."""
-    floors = [("F", v) for v in range(1, poset.d + 1)]
-    mids = [("M", s, t, w, c) for s, t, w, c in poset.midpoints]
-    sinks = [("S", v, w, c) for v, w, c in poset.sinks]
-    lams = [("L", i) for i, _, _ in poset.lambda_vertices]
-    elements = floors + mids + sinks + lams
-    constraints = []
-    for v in range(1, poset.d):
-        constraints.append((("F", v), ("F", v + 1)))
-    for s, t, w, c in poset.midpoints:
-        constraints.append((("F", s), ("M", s, t, w, c)))
-        constraints.append((("M", s, t, w, c), ("F", t)))
-    for v, w, c in poset.sinks:
-        constraints.append((("F", v), ("S", v, w, c)))
-    non_lambda = floors + mids + sinks
-    for i, _, _ in poset.lambda_vertices:
-        for e in non_lambda:
-            constraints.append((e, ("L", i)))
-    for (i, _, _), (j, _, _) in zip(poset.lambda_vertices, poset.lambda_vertices[1:]):
-        constraints.append((("L", j), ("L", i)))  # v_1 is maximal, v_2 next, ...
-    return elements, constraints
-
-
-def _linear_extensions(elements, constraints):
-    succ: dict = {e: set() for e in elements}
-    indeg: dict = {e: 0 for e in elements}
-    for a, b in constraints:
-        if b not in succ[a]:
-            succ[a].add(b)
-            indeg[b] += 1
-    order: list = []
-
-    def rec():
-        if len(order) == len(elements):
-            yield tuple(order)
-            return
-        for e in elements:
-            if indeg[e] == 0 and e not in placed:
-                placed.add(e)
-                order.append(e)
-                for s in succ[e]:
-                    indeg[s] -= 1
-                yield from rec()
-                for s in succ[e]:
-                    indeg[s] += 1
-                order.pop()
-                placed.discard(e)
-
-    placed: set = set()
-    yield from rec()
+def _poset_elements(poset: MarkingPoset) -> list[tuple]:
+    """Element ids, in the order of ``poset.element_labels()``."""
+    return ([("F", v) for v in range(1, poset.d + 1)] + [("M", *m) for m in poset.midpoints]
+            + [("S", *s) for s in poset.sinks] + [("L", i) for i, _, _ in poset.lambda_vertices])
 
 
 def check_listing_size(n_elements: int) -> None:
@@ -358,19 +304,53 @@ def list_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> list[tu
 
     The automorphisms fixing the floors permute interchangeable copies, so
     each orbit holds exactly one linear order in which the copies of every
-    class appear in copy order; chaining copy c-1 before copy c lists that
-    one.  Intended for small-d inspection, gallery rendering and the CLI
+    class appear in copy order.  Each distribution's orders are walked one
+    position at a time, trying the next floor first and then every open
+    midpoint and sink in element-id order, copy c only once copy c-1 is
+    placed; the lambda vertices close every order.  So the orders come out
+    sorted.  Intended for small-d inspection, gallery rendering and the CLI
     --list flag; posets above BRUTE_FORCE_LIMIT elements are refused.
     """
     check_listing_size(diag.d + len(diag.edges) + lam.length + rho.length)
     reps: list[tuple[str, ...]] = []
     for dist in enumerate_distributions(diag, lam, rho):
         poset = build_poset(diag, dist, lam)
-        elements, constraints = _poset_elements(poset)
+        elements = _poset_elements(poset)
         label = dict(zip(elements, poset.element_labels()))
-        constraints += [
-            (e[:-1] + (e[-1] - 1,), e) for e in elements if e[0] in "MS" and e[-1]
-        ]
-        for ext in sorted(_linear_extensions(elements, constraints)):
-            reps.append(tuple(label[e] for e in ext))
+        top = tuple(label[e] for e in reversed(elements) if e[0] == "L")
+        items = sorted(e for e in elements if e[0] in "MS")
+        reps.extend(order + top for order in _walk(poset.d, items, label))
     return reps
+
+
+def _walk(d: int, items: list[tuple], label: dict) -> list[tuple[str, ...]]:
+    """Every order of floors 1..d and the sorted midpoints and sinks
+    ``items`` that puts each item after its floor, each midpoint before its
+    target and each copy after the one before it, in lexicographic order."""
+    before = [items.index(e[:-1] + (e[-1] - 1,)) if e[-1] else None for e in items]
+    target = [e[2] if e[0] == "M" else 0 for e in items]  # a sink holds up no floor
+    due = Counter(target)  # unplaced midpoints per target floor
+    placed = [False] * len(items)
+    order: list[str] = []
+    out: list[tuple[str, ...]] = []
+
+    def walk(v: int):
+        if len(order) == d + len(items):
+            out.append(tuple(order))
+            return
+        if v < d and not due[v + 1]:
+            order.append(label["F", v + 1])
+            walk(v + 1)
+            order.pop()
+        for i, e in enumerate(items):
+            if e[1] <= v and not placed[i] and (before[i] is None or placed[before[i]]):
+                placed[i] = True
+                due[target[i]] -= 1
+                order.append(label[e])
+                walk(v)
+                order.pop()
+                due[target[i]] += 1
+                placed[i] = False
+
+    walk(0)
+    return out

@@ -46,12 +46,15 @@ marking counts of the enumerated odd genus-0 diagrams, and
 of one floor, against ``relative_gw``.  ``distributions_oracle`` lists the
 distributions of a (lambda, rho)-marking one lambda index and one sink at
 a time; ``markings`` splits each floor's budget once and spreads the
-lambda indices over each split.  ``count_orderings_downset`` orders
-a marking poset one element at a time, next to the gap DP.
-``marking_orbits_oracle`` lists marking orbits explicitly: every linear
-order of every oracle distribution, each mapped to the minimum over the
+lambda indices over each split.  ``gap_dp_oracle`` orders a marking
+poset one gap at a time, filling each gap from the pending items by one
+``_gap_choices`` transfer, and ``count_orderings_downset`` one element
+at a time; ``markings`` counts every floor plan at once, one position at
+a time.  ``marking_orbits_oracle`` lists marking orbits explicitly: every
+linear order of every oracle distribution (``_linear_extensions`` under
+the ``_poset_constraints``), each mapped to the minimum over the
 automorphism group; ``list_markings`` is tested against it, and
-``brute_force_markings`` is its length, tested against the gap DP.
+``brute_force_markings`` is its length, tested against the marking count.
 ``increasing_tree_oracle`` recomputes z(d) over increasing-tree diagrams,
 and ``max_tangency_compositions_oracle`` from the paper's recurrence as a
 sum over compositions; ``sequences`` reads z(d) off the exponential e^y.
@@ -93,7 +96,6 @@ from .markings import (
     BRUTE_FORCE_LIMIT,
     Distribution,
     MarkingPoset,
-    _linear_extensions,
     _poset_elements,
     build_poset,
     count_markings,
@@ -643,8 +645,71 @@ def distributions_oracle(diag: FloorDiagram, lam: Partition, rho: Partition):
             yield Distribution(sources, sinks)
 
 
+@lru_cache(maxsize=None)
+def _gap_choices(mandatory: int, counts: tuple[int, ...]) -> tuple:
+    """The transfer of one gap: every way to fill it from pending classes.
+
+    ``mandatory`` items must be placed in this gap; from a class of c
+    interchangeable pending items any k may join them, in C(c, k) ways.
+    Returns (counts left per class, ways) pairs, where ways also counts
+    the (gap size)! arrangements of the distinguishable items in the gap.
+    """
+    out = []
+
+    def choose(idx: int, taken: int, mult: int, rest: list):
+        if idx == len(counts):
+            out.append((tuple(rest), mult * factorial(mandatory + taken)))
+            return
+        c = counts[idx]
+        for k in range(c + 1):
+            rest.append(c - k)
+            choose(idx + 1, taken + k, mult * comb(c, k), rest)
+            rest.pop()
+
+    choose(0, 0, 1, [])
+    return tuple(out)
+
+
+@lru_cache(maxsize=200_000)
+def gap_dp_oracle(d: int, windows: tuple[tuple[int, int], ...]) -> int:
+    """Number of linear orders: items assigned to gaps within their windows,
+    summed over assignments with a factorial per within-gap arrangement.
+
+    DP over gaps; multi-gap items pending in the state are keyed only by
+    their deadline gap (items of equal deadline are interchangeable, which
+    the binomial factors account for).  Each gap is one ``_gap_choices``
+    transfer.
+    """
+    forced = [0] * (d + 1)
+    arrivals: dict[int, list[int]] = {}
+    for lo, hi in windows:
+        if lo == hi:
+            forced[lo] += 1
+        else:
+            arrivals.setdefault(lo, []).append(hi)
+
+    states: dict[tuple[tuple[int, int], ...], int] = {(): 1}
+    for j in range(1, d + 1):
+        new_states: dict[tuple[tuple[int, int], ...], int] = {}
+        arriving = arrivals.get(j, ())
+        for pend, coeff in states.items():
+            pools = Counter(dict(pend))
+            for h in arriving:
+                pools[h] += 1
+            mandatory = pools.pop(j, 0) + forced[j]
+            deadlines = sorted(pools)
+            counts = tuple(pools[h] for h in deadlines)
+            for rest, ways in _gap_choices(mandatory, counts):
+                key = tuple((h, c) for h, c in zip(deadlines, rest) if c)
+                new_states[key] = new_states.get(key, 0) + coeff * ways
+        states = new_states
+    if set(states) - {()}:
+        raise AssertionError(f"items left pending past gap {d}: {sorted(states)}")
+    return states.get((), 0)
+
+
 def count_orderings_downset(poset: MarkingPoset) -> int:
-    """Independent sequential counter used as a safety net for the gap DP."""
+    """Independent sequential counter used as a safety net for ``count_orderings``."""
     d = poset.d
     classes = sorted(Counter(poset.windows()).items())
     counts = tuple(c for _, c in classes)
@@ -713,6 +778,58 @@ def _automorphisms(poset: MarkingPoset):
     return autos
 
 
+def _poset_constraints(poset: MarkingPoset) -> list:
+    """Strict order constraints (a must precede b) between the element ids
+    of ``markings._poset_elements``."""
+    floors = [("F", v) for v in range(1, poset.d + 1)]
+    mids = [("M", s, t, w, c) for s, t, w, c in poset.midpoints]
+    sinks = [("S", v, w, c) for v, w, c in poset.sinks]
+    constraints = []
+    for v in range(1, poset.d):
+        constraints.append((("F", v), ("F", v + 1)))
+    for s, t, w, c in poset.midpoints:
+        constraints.append((("F", s), ("M", s, t, w, c)))
+        constraints.append((("M", s, t, w, c), ("F", t)))
+    for v, w, c in poset.sinks:
+        constraints.append((("F", v), ("S", v, w, c)))
+    non_lambda = floors + mids + sinks
+    for i, _, _ in poset.lambda_vertices:
+        for e in non_lambda:
+            constraints.append((e, ("L", i)))
+    for (i, _, _), (j, _, _) in zip(poset.lambda_vertices, poset.lambda_vertices[1:]):
+        constraints.append((("L", j), ("L", i)))  # v_1 is maximal, v_2 next, ...
+    return constraints
+
+
+def _linear_extensions(elements, constraints):
+    succ: dict = {e: set() for e in elements}
+    indeg: dict = {e: 0 for e in elements}
+    for a, b in constraints:
+        if b not in succ[a]:
+            succ[a].add(b)
+            indeg[b] += 1
+    order: list = []
+
+    def rec():
+        if len(order) == len(elements):
+            yield tuple(order)
+            return
+        for e in elements:
+            if indeg[e] == 0 and e not in placed:
+                placed.add(e)
+                order.append(e)
+                for s in succ[e]:
+                    indeg[s] -= 1
+                yield from rec()
+                for s in succ[e]:
+                    indeg[s] += 1
+                order.pop()
+                placed.discard(e)
+
+    placed: set = set()
+    yield from rec()
+
+
 def marking_orbits_oracle(
     diag: FloorDiagram, lam: Partition, rho: Partition
 ) -> list[tuple[str, ...]]:
@@ -729,11 +846,11 @@ def marking_orbits_oracle(
     reps: list[tuple[str, ...]] = []
     for dist in distributions_oracle(diag, lam, rho):
         poset = build_poset(diag, dist, lam)
-        elements, constraints = _poset_elements(poset)
+        elements = _poset_elements(poset)
         label = dict(zip(elements, poset.element_labels()))
         autos = _automorphisms(poset)
         seen = set()
-        for ext in _linear_extensions(elements, constraints):
+        for ext in _linear_extensions(elements, _poset_constraints(poset)):
             canon = min(tuple(a.get(e, e) for e in ext) for a in autos)
             seen.add(canon)
         reps.extend(tuple(label[e] for e in canon) for canon in sorted(seen))

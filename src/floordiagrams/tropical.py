@@ -136,7 +136,7 @@ def _ordinary_labels(diag: FloorDiagram) -> dict[str, tuple]:
         enumerate_distributions(diag, Partition(()), Partition.ones(diag.d))
     )
     poset = build_poset(diag, dist, Partition(()))
-    elements, _ = _poset_elements(poset)
+    elements = _poset_elements(poset)
     return dict(zip(poset.element_labels(), elements))
 
 

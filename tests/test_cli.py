@@ -315,6 +315,24 @@ def test_markings_lambda_labels_at_the_degree_limit(capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_markings_mixed_profile_at_the_degree_limit():
+    # C(20, 10) floor plans; ordered one poset per plan, this ran for minutes,
+    # so it runs in its own process under a timeout
+    ones = ",".join(["1"] * 10)
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["markings", "--diagram", "d=20; edges=", "--lambda", ones, "--rho", ones]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "floordiagrams", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "71383376298044210400000\n", "")
+
+
 def test_diagram_degree_limit(capsys, tmp_path):
     svg = str(tmp_path / "chain.svg")
     diag, marking = _chain(DIAGRAM_MAX_D)

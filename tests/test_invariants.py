@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from floordiagrams.core import DiagramError, Partition
+from floordiagrams.core import DiagramError, Partition, diagram
 from floordiagrams.enumeration import DiagramQuery
 from floordiagrams.invariants import (
     _weighted_marking_sum,
@@ -15,6 +15,7 @@ from floordiagrams.invariants import (
     severi,
     welschinger,
 )
+from floordiagrams.markings import count_relative_markings
 from floordiagrams.oracles import (
     closed_form_gmax,
     closed_form_uninodal,
@@ -193,6 +194,11 @@ def test_invariants_reject_non_integer_arguments(call):
 def test_relative_rejects_size_mismatch():
     with pytest.raises(DiagramError):
         relative_gw(3, 0, P((2,)), P((2,)))
+    # a tuple is not a profile, whatever its size
+    with pytest.raises(DiagramError, match="must be Partitions"):
+        relative_gw(3, 0, (2,), (1,))
+    with pytest.raises(DiagramError, match="must be Partitions"):
+        count_relative_markings(diagram(2, [(1, 2, 1)]), (), (1, 1))
 
 
 def test_welschinger():

@@ -16,7 +16,7 @@ listing and count share every transition.
 import ast
 import random
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -56,6 +56,7 @@ from floordiagrams.oracles import (
     diagram_to_tree_oracle,
     distributions_oracle,
     edge_sets_oracle,
+    gap_dp_oracle,
     gw_log_oracle,
     marking_orbits_oracle,
     perturb_elevator,
@@ -335,6 +336,119 @@ def test_distributions_equal_the_oracle_in_order():
                     ), (diag.text(), lam, rho)
                     cases += 1
     assert cases == 17323
+
+
+# one diagram per degree 7..20; the last is the slowest degree-20 diagram a
+# hill climb found for the gap-at-a-time DP, which ordered one poset per plan
+GAP_DP_DIAGRAMS = (
+    "d=7; edges=(1,2,1);(2,5,1);(3,4,1);(4,5,1);(4,6,1);(5,6,1);(5,6,1);(5,7,1);(6,7,1);"
+    "(6,7,1);(6,7,2)",
+    "d=8; edges=(1,2,1);(2,3,1);(2,4,1);(3,4,1);(3,7,1);(4,5,1);(4,7,1);(5,6,1);(5,7,1);"
+    "(6,7,1);(7,8,1);(7,8,1);(7,8,1);(7,8,1);(7,8,1)",
+    "d=9; edges=(1,3,1);(2,4,1);(3,4,2);(4,5,1);(4,6,1);(4,6,1);(5,6,1);(5,7,1);(6,8,1);"
+    "(6,8,1);(7,9,1);(7,9,1);(8,9,1);(8,9,1)",
+    "d=10; edges=(1,2,1);(2,3,1);(2,3,1);(3,5,1);(3,6,2);(5,6,1);(5,6,1);(6,8,1);(7,8,1);"
+    "(8,9,1);(8,9,1);(9,10,1);(9,10,2)",
+    "d=11; edges=(1,3,1);(2,4,1);(3,5,2);(4,5,1);(5,6,1);(5,6,2);(5,7,1);(6,9,1);(6,11,1);"
+    "(6,11,2);(7,8,1);(8,9,1);(8,9,1);(9,10,1);(9,10,1);(10,11,1);(10,11,1)",
+    "d=12; edges=(1,2,1);(2,4,1);(2,7,1);(3,5,1);(4,12,1);(6,8,1);(7,8,1);(7,8,1);(8,9,1);"
+    "(8,9,2);(9,10,1);(9,11,2);(10,12,1);(11,12,1);(11,12,1);(11,12,1)",
+    "d=13; edges=(1,2,1);(2,3,1);(2,4,1);(3,4,1);(4,5,1);(4,12,1);(5,7,1);(6,7,1);(7,8,1);"
+    "(8,9,1);(8,10,1);(9,10,1);(9,10,1);(10,11,1);(10,11,2);(11,13,1);(11,13,1);(11,13,2);"
+    "(12,13,2)",
+    "d=14; edges=(1,2,1);(2,8,1);(3,4,1);(4,5,1);(4,5,1);(5,9,1);(5,14,2);(6,7,1);(8,9,1);"
+    "(8,12,1);(9,10,1);(9,10,2);(11,13,1);(12,13,1)",
+    "d=15; edges=(1,2,1);(2,7,1);(2,9,1);(3,14,1);(4,6,1);(5,6,1);(6,7,1);(6,9,2);(7,8,1);"
+    "(7,8,1);(7,11,1);(8,9,1);(8,12,1);(8,15,1);(9,10,1);(9,10,1);(9,10,1);(9,11,2);"
+    "(10,11,1);(10,11,1);(10,11,1);(11,12,1);(11,13,1);(11,15,1);(12,14,1);(12,14,2);"
+    "(14,15,1);(14,15,1);(14,15,1);(14,15,1)",
+    "d=16; edges=(2,10,1);(3,9,1);(4,6,1);(5,8,1);(6,7,1);(7,8,1);(7,8,1);(8,9,1);(8,9,1);"
+    "(8,9,1);(9,10,1);(9,10,1);(9,10,1);(9,13,1);(9,13,1);(10,11,2);(10,12,1);(10,13,1);"
+    "(11,12,1);(12,13,1);(12,13,1);(12,14,1);(13,14,1);(13,14,1);(13,15,1);(13,16,1);"
+    "(14,15,1);(14,15,1);(14,16,1);(15,16,1);(15,16,1);(15,16,2)",
+    "d=17; edges=(2,17,1);(3,4,1);(4,5,1);(4,10,1);(5,7,1);(5,7,1);(6,9,1);(7,8,1);(7,8,1);"
+    "(7,11,1);(8,9,2);(9,11,1);(9,12,2);(9,15,1);(10,11,1);(10,11,1);(11,13,2);(11,14,1);"
+    "(11,15,1);(11,17,1);(12,13,1);(12,13,1);(12,16,1);(13,14,1);(13,14,1);(14,15,1);"
+    "(14,16,1);(15,16,1);(15,16,1);(15,17,2);(16,17,1);(16,17,1);(16,17,1);(16,17,2)",
+    "d=18; edges=(1,2,1);(2,3,1);(2,4,1);(3,4,1);(4,5,1);(4,8,2);(5,6,1);(5,9,1);(6,8,1);"
+    "(6,9,1);(7,10,1);(8,9,2);(8,13,1);(9,10,1);(9,10,1);(9,11,1);(9,11,1);(9,12,1);"
+    "(10,11,1);(10,11,1);(10,14,1);(11,12,1);(11,15,1);(11,16,1);(12,13,1);(12,13,1);"
+    "(13,15,1);(13,15,1);(14,15,1);(15,16,1);(15,16,1);(15,16,1);(15,16,1);(15,17,1);"
+    "(16,18,1);(17,18,1)",
+    "d=19; edges=(1,2,1);(2,16,1);(3,4,1);(4,5,1);(4,12,1);(5,6,1);(5,16,1);(6,13,1);"
+    "(6,16,1);(7,8,1);(8,10,2);(9,10,1);(10,12,1);(10,13,1);(10,17,2);(11,14,1);(12,13,1);"
+    "(12,13,1);(12,13,1);(13,14,1);(13,14,1);(13,15,1);(13,15,1);(13,15,1);(13,15,1);"
+    "(14,17,1);(15,16,1);(15,17,1);(16,18,1);(16,18,2);(17,18,1);(17,18,1);(17,19,1);"
+    "(17,19,2);(18,19,1);(18,19,1);(18,19,2);(18,19,2)",
+    "d=20; edges=(1,16,1);(2,9,1);(3,6,1);(4,13,1);(5,15,1);(6,12,1);(6,17,1);(7,11,1);"
+    "(8,18,1);(9,18,1);(9,20,1);(10,17,1);(11,12,1);(11,16,1);(12,18,1);(12,18,1);(12,20,1);"
+    "(13,19,1);(13,19,1);(14,20,1);(15,19,2);(16,17,1);(16,18,1);(16,18,1);(17,19,1);"
+    "(17,19,1);(17,20,1);(17,20,1);(18,19,1);(18,19,1);(18,19,1);(18,19,2);(18,20,1);"
+    "(18,20,1);(19,20,1);(19,20,1);(19,20,1);(19,20,1);(19,20,1);(19,20,1);(19,20,2);"
+    "(19,20,2);(19,20,2)",
+)
+
+
+def gap_dp_markings(diag, lam, rho):
+    """nu from the gap-at-a-time DP: one poset per oracle distribution."""
+    total = 0
+    for dist in distributions_oracle(diag, lam, rho):
+        poset = build_poset(diag, dist, lam)
+        total += gap_dp_oracle(poset.d, poset.windows()) // poset.symmetry
+    return total
+
+
+def hook_length_markings(d, a):
+    """nu of the edgeless degree-d diagram at lambda = 1^a, rho = 1^(d-a).
+
+    Each floor takes one tangency vertex or one sink, so every element but
+    floor 1 lies above exactly one floor: each plan's poset is a rooted
+    tree with n!/prod(hooks) orders, the hook of floor v being floors
+    v..d and their sinks, and stands for a! distributions."""
+    n, total = 2 * d - a, 0
+
+    def walk(v, tangents, sinks, hooks):
+        nonlocal total
+        if v == 0:
+            total += factorial(n) // hooks
+            return
+        if tangents:
+            walk(v - 1, tangents - 1, sinks, hooks * (d - v + 1 + sinks))
+        if sinks < d - a:
+            walk(v - 1, tangents, sinks + 1, hooks * (d - v + 2 + sinks))
+
+    walk(d, a, 0, 1)
+    return factorial(a) * total
+
+
+def test_position_dp_equals_the_gap_dp_past_degree_6():
+    """The position DP against the gap-at-a-time DP summed over the
+    oracle's distributions, on every connected degree-6 diagram and one
+    diagram of each degree 7..20 (at every profile up to degree 8, else
+    the ordinary one), and against the hook-length formula on the
+    edgeless diagrams up to degree 16 at every lambda = 1^a, rho = 1^(d-a)."""
+    no_tangency, ones = Partition(()), Partition.ones(6)
+    for g in range(11):
+        for diag in enumerate_diagrams(DiagramQuery(6, genus=g)):
+            assert count_relative_markings(diag, no_tangency, ones) == gap_dp_markings(
+                diag, no_tangency, ones
+            ), diag.text()
+    for text in GAP_DP_DIAGRAMS:
+        diag = FloorDiagram.from_text(text)
+        cases = profiles(diag.d) if diag.d <= 8 else [((), (1,) * diag.d)]
+        for lam, rho in cases:
+            lam, rho = Partition(lam), Partition(rho)
+            assert count_relative_markings(diag, lam, rho) == gap_dp_markings(
+                diag, lam, rho
+            ), (text, lam, rho)
+    assert count_markings(FloorDiagram.from_text(GAP_DP_DIAGRAMS[-1])) == (
+        161491263418410355160379384321600
+    )
+    for d in range(1, 17):
+        for a in range(d + 1):
+            assert count_relative_markings(
+                diagram(d), Partition.ones(a), Partition.ones(d - a)
+            ) == hook_length_markings(d, a), (d, a)
 
 
 def symmetry(diag):
