@@ -53,8 +53,8 @@ ODE_MAX_ORDER = 60
 # (the slowest degree-20 diagrams hill climbs found count their markings in
 # 0.04-0.07 s, 16 MB on a 2-CPU x86-64 host, the edgeless one at lambda = 1^20
 # in 1 ms and at lambda = rho = 1^10 in 5 ms; reconstruct took at most 0.2 s;
-# span-12 edges at d = 24 take 0.3 s); larger degrees are refused before any
-# poset is built
+# span-12 edges at d = 24 take 0.3 s); a larger degree is refused as
+# --diagram is read, before any marking is counted, listed or drawn
 DIAGRAM_MAX_D = 20
 
 

@@ -20,7 +20,9 @@ class DiagramError(ValueError):
 
 
 def as_int(value, what: str) -> int:
-    """``value`` as an int through ``operator.index``: a float or a string is refused."""
+    """``value`` as an int through ``operator.index``: a bool, a float or a string is refused."""
+    if isinstance(value, bool):
+        raise DiagramError(f"{what} must be an integer, got {value!r}")
     try:
         return index(value)
     except TypeError as exc:
@@ -190,11 +192,15 @@ def components(
 def parse_tuples(body: str, arity: int) -> list[tuple[int, ...]]:
     """Parse ``(a,b,...);(a,b,...)`` into integer tuples of the given arity.
 
-    An empty body is the empty list; a malformed one raises ValueError.
+    An empty body is the empty list; a malformed one, including a part that
+    is not one parenthesised tuple, raises ValueError.
     """
     out = []
     for part in body.split(";") if body.strip() else ():
-        fields = part.strip().lstrip("(").rstrip(")").split(",")
+        part = part.strip()
+        if not (part.startswith("(") and part.endswith(")")):
+            raise ValueError(f"expected one (...) in {part!r}")
+        fields = part[1:-1].split(",")
         if len(fields) != arity:
             raise ValueError(f"expected {arity} integers in {part!r}")
         out.append(tuple(int(f) for f in fields))

@@ -194,6 +194,8 @@ class DiagramQuery(Value):
             cogenus = target = as_int(cogenus, "cogenus")
         if target < 0:
             raise DiagramError("genus / cogenus must be nonnegative")
+        if not (connected is None or isinstance(connected, bool)):
+            raise DiagramError(f"connected must be None, True or False, got {connected!r}")
         if genus is not None and connected is False:
             raise DiagramError("genus queries require connected diagrams")
         filter_predicate(filter)  # a malformed spec fails here, not at first next()

@@ -16,15 +16,21 @@ and each floor spends its budget as it is placed, so one DP covers every
 way the floors take their parts.  ``list_markings`` walks the same
 positions for small diagrams, one distribution at a time, and lists one
 linear order per orbit: the one whose interchangeable copies appear in
-copy order.  ``oracles`` holds the independent counters the DP and the
-listing are tested against.
+copy order.  ``element_labels`` names each distribution's elements, for
+the listing and for ``tropical``; no marking poset is built here.
+
+``oracles`` holds the marking-poset layer and the independent counters
+the DP and the listing are tested against.  Only oracles and tests call
+``count_orderings``, the DP on a poset's ``d`` and ``windows()``; it stays
+here because the benchmark's tracer (``perfbench/tracing.py``) patches
+it and ``enumerate_distributions`` by name and reads
+``_gap_dp.cache_info()``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from heapq import merge
 from math import factorial, prod
 
 from .core import DiagramError, FloorDiagram, Partition, Value
@@ -43,46 +49,6 @@ class Distribution(Value):
     """
 
     __slots__ = ("lambda_sources", "rho_sinks")
-
-
-class MarkingPoset(Value):
-    """Derived ordered structure whose constrained linear orders are counted.
-
-    Element inventory: floors 1..d (pinned in order), one midpoint per
-    original edge, sinks per the distribution, and lambda vertices pinned
-    to the top positions.  ``symmetry`` is the order of the automorphism
-    group fixing the floors.
-    """
-
-    __slots__ = (
-        "d",
-        "midpoints",  # (src, tgt, weight, copy)
-        "sinks",  # (floor, weight, copy)
-        "lambda_vertices",  # (index, source floor, weight)
-        "symmetry",
-    )
-
-    @property
-    def element_count(self) -> int:
-        return self.d + len(self.midpoints) + len(self.sinks) + len(self.lambda_vertices)
-
-    def windows(self) -> tuple[tuple[int, int], ...]:
-        """Admissible gap interval for each non-floor, non-lambda element.
-
-        Gap j sits between floor j and floor j+1 (gap d is after floor d).
-        A midpoint of edge (s, t) may occupy gaps s..t-1; a sink of floor v
-        may occupy gaps v..d.
-        """
-        wins = [(s, t - 1) for s, t, _, _ in self.midpoints]
-        wins += [(v, self.d) for v, _, _ in self.sinks]
-        return tuple(sorted(wins))
-
-    def element_labels(self) -> tuple[str, ...]:
-        labels = [f"v{v}" for v in range(1, self.d + 1)]
-        labels += [f"e{s}-{t}w{w}#{c}" for s, t, w, c in self.midpoints]
-        labels += [f"s{v}w{w}#{c}" for v, w, c in self.sinks]
-        labels += [f"L{i}@v{src}" for i, src, _ in self.lambda_vertices]  # fed by floor src
-        return tuple(labels)
 
 
 def check_profile(d: int, lam: Partition, rho: Partition) -> None:
@@ -134,74 +100,46 @@ def _budgets(diag: FloorDiagram, lam: Partition, rho: Partition) -> tuple:
     return tuple(1 - dv for dv in diag.divergences()), *vectors
 
 
-def _floor_plans(diag: FloorDiagram, lam: Partition, rho: Partition):
-    """Every floor plan, as (t per floor, sinks per floor); one that
-    reaches floor d has used every part."""
-    budgets, lam_vec, rho_vec = _budgets(diag, lam, rho)
-    stack = [((), (), lam_vec, rho_vec)]
-    while stack:
-        taken, sinks, lam_left, rho_left = stack.pop()
-        if len(taken) == diag.d:
-            yield taken, sinks
-            continue
-        splits = floor_splits(budgets[len(taken)], lam_left, rho_left)
-        for lam_next, rho_next, t, u, _, _ in splits:
-            sunk = tuple(k for k, c in enumerate(u, start=1) for _ in range(c))
-            stack.append((taken + (t,), sinks + (sunk,), lam_next, rho_next))
-
-
-def _spread(taken: tuple, sinks: tuple, lam: Partition):
-    """Every distribution with these sinks whose lambda_sources give floor
-    v taken[v-1][k-1] of the lambda parts of size k, in lexicographic order."""
-    room = [list(t) for t in taken]
+def enumerate_distributions(diag: FloorDiagram, lam: Partition, rho: Partition):
+    """Yield every distribution of new edges once, in lexicographic order
+    on (lambda_sources, rho_sinks): each lambda index takes a floor with
+    room for its part, in ascending floor order, then each floor takes a
+    sorted multiset of the sinks left, in ascending order, that spends the
+    rest of its budget 1 - divergence exactly."""
+    left = list(_budgets(diag, lam, rho)[0])
+    pool = Counter(rho.parts)
     sources: list[int] = []
+    sinks: list[tuple[int, ...]] = []
 
     def place(i: int):
-        if i == lam.length:
-            yield Distribution(tuple(sources), sinks)
+        if i < lam.length:
+            for v, room in enumerate(left):
+                if room >= lam.parts[i]:
+                    left[v] -= lam.parts[i]
+                    sources.append(v + 1)
+                    yield from place(i + 1)
+                    sources.pop()
+                    left[v] += lam.parts[i]
+        else:
+            yield from sink(0, ())
+
+    def sink(v: int, taken: tuple[int, ...]):
+        if v == diag.d:
+            yield Distribution(tuple(sources), tuple(sinks))
             return
-        k = lam.parts[i] - 1
-        for v, left in enumerate(room, start=1):
-            if left[k]:
-                left[k] -= 1
-                sources.append(v)
-                yield from place(i + 1)
-                sources.pop()
-                left[k] += 1
+        if not left[v]:
+            sinks.append(taken)
+            yield from sink(v + 1, ())
+            sinks.pop()
+        for w in range(taken[-1] if taken else 1, left[v] + 1):
+            if pool[w]:
+                pool[w] -= 1
+                left[v] -= w
+                yield from sink(v, taken + (w,))
+                left[v] += w
+                pool[w] += 1
 
-    return place(0)
-
-
-def enumerate_distributions(diag: FloorDiagram, lam: Partition, rho: Partition):
-    """Yield every distribution of new edges, each exactly once.
-
-    Sink placements are multisets per floor; the assignment of lambda
-    indices to source floors is ordered (feeding a different tangency
-    vertex is a different distribution).  The floor plans' streams are
-    merged in lexicographic order on (lambda_sources, per-floor sinks).
-    """
-    yield from merge(
-        *(_spread(taken, sinks, lam) for taken, sinks in _floor_plans(diag, lam, rho)),
-        key=lambda dist: (dist.lambda_sources, dist.rho_sinks),
-    )
-
-
-def build_poset(diag: FloorDiagram, dist: Distribution, lam: Partition) -> MarkingPoset:
-    """Assemble the marking poset for one distribution."""
-    mid_counts: Counter = Counter()
-    midpoints = []
-    for s, t, w in diag.edges:
-        midpoints.append((s, t, w, mid_counts[(s, t, w)]))
-        mid_counts[(s, t, w)] += 1
-    sink_counts: Counter = Counter()
-    sinks = []
-    for v, weights in enumerate(dist.rho_sinks, start=1):
-        for w in weights:
-            sinks.append((v, w, sink_counts[(v, w)]))
-            sink_counts[(v, w)] += 1
-    lam_vertices = tuple(zip(range(1, lam.length + 1), dist.lambda_sources, lam.parts))
-    symmetry = prod(map(factorial, [*mid_counts.values(), *sink_counts.values()]))
-    return MarkingPoset(diag.d, tuple(midpoints), tuple(sinks), lam_vertices, symmetry)
+    yield from place(0)
 
 
 # -- ordering counters ----------------------------------------------------
@@ -260,9 +198,8 @@ def _gap_dp(d: int, windows: tuple[tuple[int, int], ...], budgets: Vector = (),
     return total // sinks
 
 
-def count_orderings(poset: MarkingPoset) -> int:
-    """Linear extensions of the marking poset, all elements distinguishable,
-    lambda vertices pinned to the top block in their fixed order."""
+def count_orderings(poset) -> int:
+    """Linear orders of a marking poset's floors, midpoints and sinks, all distinguishable."""
     return _gap_dp(poset.d, poset.windows())
 
 
@@ -285,14 +222,27 @@ def count_markings(diag: FloorDiagram) -> int:
 # -- explicit listing -----------------------------------------------------
 
 
-def _poset_elements(poset: MarkingPoset) -> list[tuple]:
-    """Element ids, in the order of ``poset.element_labels()``."""
-    return ([("F", v) for v in range(1, poset.d + 1)] + [("M", *m) for m in poset.midpoints]
-            + [("S", *s) for s in poset.sinks] + [("L", i) for i, _, _ in poset.lambda_vertices])
+def element_labels(diag: FloorDiagram, dist: Distribution) -> dict[tuple, str]:
+    """The label of every element id of a marking with this distribution, in
+    element order: floors ("F", v), midpoints ("M", s, t, w, copy), sinks
+    ("S", v, w, copy) and lambda vertices ("L", i), copies of one edge or
+    of one sink weight at one floor numbered from 0."""
+    copies: Counter = Counter()
+    labels = {("F", v): f"v{v}" for v in range(1, diag.d + 1)}
+    for s, t, w in diag.edges:
+        labels["M", s, t, w, copies[s, t, w]] = f"e{s}-{t}w{w}#{copies[s, t, w]}"
+        copies[s, t, w] += 1
+    for v, weights in enumerate(dist.rho_sinks, start=1):
+        for w in weights:
+            labels["S", v, w, copies[v, w]] = f"s{v}w{w}#{copies[v, w]}"
+            copies[v, w] += 1
+    for i, src in enumerate(dist.lambda_sources, start=1):
+        labels["L", i] = f"L{i}@v{src}"  # fed by floor src
+    return labels
 
 
 def check_listing_size(n_elements: int) -> None:
-    """Refuse to list the markings of a poset above BRUTE_FORCE_LIMIT elements."""
+    """Refuse to list markings of more than BRUTE_FORCE_LIMIT elements."""
     if n_elements > BRUTE_FORCE_LIMIT:
         raise DiagramError(
             f"marking listing limited to {BRUTE_FORCE_LIMIT} elements, got {n_elements}"
@@ -309,17 +259,15 @@ def list_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> list[tu
     midpoint and sink in element-id order, copy c only once copy c-1 is
     placed; the lambda vertices close every order.  So the orders come out
     sorted.  Intended for small-d inspection, gallery rendering and the CLI
-    --list flag; posets above BRUTE_FORCE_LIMIT elements are refused.
+    --list flag; markings above BRUTE_FORCE_LIMIT elements are refused.
     """
     check_listing_size(diag.d + len(diag.edges) + lam.length + rho.length)
     reps: list[tuple[str, ...]] = []
     for dist in enumerate_distributions(diag, lam, rho):
-        poset = build_poset(diag, dist, lam)
-        elements = _poset_elements(poset)
-        label = dict(zip(elements, poset.element_labels()))
-        top = tuple(label[e] for e in reversed(elements) if e[0] == "L")
-        items = sorted(e for e in elements if e[0] in "MS")
-        reps.extend(order + top for order in _walk(poset.d, items, label))
+        label = element_labels(diag, dist)
+        top = tuple(label[e] for e in reversed(label) if e[0] == "L")
+        items = sorted(e for e in label if e[0] in "MS")
+        reps.extend(order + top for order in _walk(diag.d, items, label))
     return reps
 
 

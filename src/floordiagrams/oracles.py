@@ -1,6 +1,8 @@
 """Reference computations the tests compare the engine against.
 
-No production module imports this one; the tests do.
+No production module imports this one; the tests do.  It also holds the
+marking-poset layer (``MarkingPoset``, ``build_poset``), which only the
+oracles and the tests use.
 
 ``caporaso_harris`` is the Caporaso-Harris recursion (Caporaso & Harris,
 Counting plane curves of any genus, Invent. Math. 131, 1998; tropical
@@ -45,16 +47,21 @@ marking counts of the enumerated odd genus-0 diagrams, and
 ``tangency_at_point`` counts the markings whose top k elements are sinks
 of one floor, against ``relative_gw``.  ``distributions_oracle`` lists the
 distributions of a (lambda, rho)-marking one lambda index and one sink at
-a time; ``markings`` splits each floor's budget once and spreads the
-lambda indices over each split.  ``gap_dp_oracle`` orders a marking
-poset one gap at a time, filling each gap from the pending items by one
-``_gap_choices`` transfer, and ``count_orderings_downset`` one element
-at a time; ``markings`` counts every floor plan at once, one position at
-a time.  ``marking_orbits_oracle`` lists marking orbits explicitly: every
-linear order of every oracle distribution (``_linear_extensions`` under
-the ``_poset_constraints``), each mapped to the minimum over the
-automorphism group; ``list_markings`` is tested against it, and
-``brute_force_markings`` is its length, tested against the marking count.
+a time; ``markings`` takes the same order in one pass with the sinks of
+each floor as one multiset, so ``list_markings``, which reads it, is
+checked against the orbit lister below as well.  ``MarkingPoset`` is the
+marking poset of one distribution, built by ``build_poset`` with element
+ids from ``_poset_elements``; ``markings.element_labels`` names the same
+elements without it and is tested against it.  ``gap_dp_oracle`` orders
+a marking poset one gap at a time, filling each gap from the pending
+items by one ``_gap_choices`` transfer, and ``count_orderings_downset``
+one element at a time; ``markings`` counts every floor plan at once, one
+position at a time.  ``marking_orbits_oracle`` lists marking orbits
+explicitly: every linear order of every oracle distribution
+(``_linear_extensions`` under the ``_poset_constraints``), each mapped to
+the minimum over the automorphism group; ``list_markings`` is tested
+against it, and ``brute_force_markings`` is its length, tested against
+the marking count.
 ``increasing_tree_oracle`` recomputes z(d) over increasing-tree diagrams,
 and ``max_tangency_compositions_oracle`` from the paper's recurrence as a
 sum over compositions; ``sequences`` reads z(d) off the exponential e^y.
@@ -89,15 +96,12 @@ from itertools import permutations, product, zip_longest
 from math import comb, factorial, prod
 from typing import Iterable, Optional
 
-from .core import DiagramError, Edge, FloorDiagram, Partition, components
+from .core import DiagramError, Edge, FloorDiagram, Partition, Value, components
 from .enumeration import DiagramQuery, enumerate_diagrams
 from .invariants import gw, relative_gw
 from .markings import (
     BRUTE_FORCE_LIMIT,
     Distribution,
-    MarkingPoset,
-    _poset_elements,
-    build_poset,
     count_markings,
     count_orderings,
 )
@@ -530,6 +534,70 @@ def welschinger_oracle(d: int) -> int:
     return total
 
 
+class MarkingPoset(Value):
+    """Derived ordered structure whose constrained linear orders are counted.
+
+    Element inventory: floors 1..d (pinned in order), one midpoint per
+    original edge, sinks per the distribution, and lambda vertices pinned
+    to the top positions.  ``symmetry`` is the order of the automorphism
+    group fixing the floors.
+    """
+
+    __slots__ = (
+        "d",
+        "midpoints",  # (src, tgt, weight, copy)
+        "sinks",  # (floor, weight, copy)
+        "lambda_vertices",  # (index, source floor, weight)
+        "symmetry",
+    )
+
+    @property
+    def element_count(self) -> int:
+        return self.d + len(self.midpoints) + len(self.sinks) + len(self.lambda_vertices)
+
+    def windows(self) -> tuple[tuple[int, int], ...]:
+        """Admissible gap interval for each non-floor, non-lambda element.
+
+        Gap j sits between floor j and floor j+1 (gap d is after floor d).
+        A midpoint of edge (s, t) may occupy gaps s..t-1; a sink of floor v
+        may occupy gaps v..d.
+        """
+        wins = [(s, t - 1) for s, t, _, _ in self.midpoints]
+        wins += [(v, self.d) for v, _, _ in self.sinks]
+        return tuple(sorted(wins))
+
+    def element_labels(self) -> tuple[str, ...]:
+        labels = [f"v{v}" for v in range(1, self.d + 1)]
+        labels += [f"e{s}-{t}w{w}#{c}" for s, t, w, c in self.midpoints]
+        labels += [f"s{v}w{w}#{c}" for v, w, c in self.sinks]
+        labels += [f"L{i}@v{src}" for i, src, _ in self.lambda_vertices]  # fed by floor src
+        return tuple(labels)
+
+
+def build_poset(diag: FloorDiagram, dist: Distribution, lam: Partition) -> MarkingPoset:
+    """Assemble the marking poset for one distribution."""
+    mid_counts: Counter = Counter()
+    midpoints = []
+    for s, t, w in diag.edges:
+        midpoints.append((s, t, w, mid_counts[(s, t, w)]))
+        mid_counts[(s, t, w)] += 1
+    sink_counts: Counter = Counter()
+    sinks = []
+    for v, weights in enumerate(dist.rho_sinks, start=1):
+        for w in weights:
+            sinks.append((v, w, sink_counts[(v, w)]))
+            sink_counts[(v, w)] += 1
+    lam_vertices = tuple(zip(range(1, lam.length + 1), dist.lambda_sources, lam.parts))
+    symmetry = prod(map(factorial, [*mid_counts.values(), *sink_counts.values()]))
+    return MarkingPoset(diag.d, tuple(midpoints), tuple(sinks), lam_vertices, symmetry)
+
+
+def _poset_elements(poset: MarkingPoset) -> list[tuple]:
+    """Element ids, in the order of ``poset.element_labels()``."""
+    return ([("F", v) for v in range(1, poset.d + 1)] + [("M", *m) for m in poset.midpoints]
+            + [("S", *s) for s in poset.sinks] + [("L", i) for i, _, _ in poset.lambda_vertices])
+
+
 def ordering_count_with_pinned_sinks(diag: FloorDiagram, floor: int, k: int) -> int:
     """Orderings of the ordinary poset with k weight-1 sinks of ``floor``
     removed and pinned above everything, divided by the reduced symmetry.
@@ -780,7 +848,7 @@ def _automorphisms(poset: MarkingPoset):
 
 def _poset_constraints(poset: MarkingPoset) -> list:
     """Strict order constraints (a must precede b) between the element ids
-    of ``markings._poset_elements``."""
+    of ``_poset_elements``."""
     floors = [("F", v) for v in range(1, poset.d + 1)]
     mids = [("M", s, t, w, c) for s, t, w, c in poset.midpoints]
     sinks = [("S", v, w, c) for v, w, c in poset.sinks]

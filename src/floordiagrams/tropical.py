@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .core import DiagramError, FloorDiagram, Partition, Value, as_int, components
-from .markings import _poset_elements, build_poset, enumerate_distributions
+from .core import DiagramError, FloorDiagram, Value, as_int, components
+from .markings import Distribution, element_labels
 
 
 class StretchedConfig(Value):
@@ -128,16 +128,13 @@ class CurveReport(Value):
 
 @lru_cache(maxsize=64)
 def _ordinary_labels(diag: FloorDiagram) -> dict[str, tuple]:
-    """Element id of every label of the diagram's ordinary marking poset.
+    """Element id of every label of the diagram's ordinary markings, whose
+    one distribution hangs 1 - divergence weight-1 sinks from each floor.
 
     A gallery draws every marking of one diagram in turn, so the map is
     built once per diagram; callers only read it."""
-    dist = next(
-        enumerate_distributions(diag, Partition(()), Partition.ones(diag.d))
-    )
-    poset = build_poset(diag, dist, Partition(()))
-    elements = _poset_elements(poset)
-    return dict(zip(poset.element_labels(), elements))
+    ordinary = Distribution((), tuple((1,) * (1 - dv) for dv in diag.divergences()))
+    return {label: e for e, label in element_labels(diag, ordinary).items()}
 
 
 # the Fraction of an integer slope, one per value, shared by every floor

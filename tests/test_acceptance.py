@@ -14,7 +14,6 @@ from floordiagrams.enumeration import (
 )
 from floordiagrams.invariants import gw, relative_gw, severi, welschinger
 from floordiagrams.markings import (
-    build_poset,
     count_markings,
     count_orderings,
     count_relative_markings,
@@ -32,6 +31,7 @@ from floordiagrams.nodepoly import (
 from floordiagrams.oracles import (
     appendix_counts,
     brute_force_markings,
+    build_poset,
     count_orderings_downset,
     extract_marking,
     increasing_tree_oracle,

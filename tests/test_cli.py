@@ -95,6 +95,10 @@ def test_domain_error_exit_code(capsys):
         for spec in ["contains=garbage", "contains=(1,2)", "has-weight=x"]
     ]
     cases += [
+        ["markings", "--diagram", f"d=3; edges={edges}", "--list"]
+        for edges in ["(1,2,1);(2,3,1", "1,2,1;2,3,1", "((1,2,1));(2,3,1)"]
+    ]
+    cases += [
         ["markings", "--diagram", "d=3; edges=(1,2,1)", "--lambda", "x", "--rho", "1"],
         ["invariant", "relative", "--d", "3", "--g", "0", "--lambda", "a", "--rho", "1"],
         ["sequence", "ode-check", "--order", "0"],

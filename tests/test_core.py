@@ -6,9 +6,11 @@ from hypothesis import given
 
 from floordiagrams.core import DiagramError, FloorDiagram, Partition, diagram
 from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
+from floordiagrams.invariants import gw, severi
 from floordiagrams.nodepoly import aj_polynomials, enumerate_templates, node_polynomial
 from floordiagrams.oracles import distinct_orderings
 from floordiagrams.sequences import (
+    LabeledTree,
     max_tangency_fixed,
     max_tangency_free,
     ode_residual,
@@ -225,6 +227,40 @@ def test_sizes_reject_non_integers(call):
     assert ode_residual(2) == [0, 0]
     with pytest.raises(DiagramError, match="must be an integer"):
         call()
+
+
+BOOL_SIZES = {
+    "gw(True, 0)": lambda: gw(True, 0),
+    "severi(True, 0)": lambda: severi(True, 0),
+    "stretched_config(True, 0)": lambda: stretched_config(True, 0),
+}
+
+
+@pytest.mark.parametrize("call", BOOL_SIZES.values(), ids=BOOL_SIZES.keys())
+def test_sizes_reject_bools(call):
+    # True == 1, but the typed caches keep the entry for 1 from True
+    assert gw(1, 0) == 1 and severi(1, 0) == 1
+    with pytest.raises(DiagramError, match="must be an integer, got True"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "edges, tree",
+    [
+        ("(1,2,1", "(1,3"),
+        ("1,2,1)", "1,3)"),
+        ("1,2,1", "1,3"),
+        ("((1,2,1))", "((1,3))"),
+        ("(1,2,1);2,3,1", "(1,3);2,3"),
+    ],
+)
+def test_each_tuple_is_one_parenthesised_group(edges, tree):
+    with pytest.raises(DiagramError, match="cannot parse diagram text"):
+        FloorDiagram.from_text(f"d=3; edges={edges}")
+    with pytest.raises(DiagramError, match="cannot parse tree text"):
+        LabeledTree.from_text(f"d=3; edges={tree}")
+    with pytest.raises(DiagramError, match="malformed filter"):
+        DiagramQuery(3, genus=0, filter=f"contains={edges}")
 
 
 def test_validation_reports_the_first_error_in_order():

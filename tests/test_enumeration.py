@@ -233,6 +233,13 @@ def test_queries_reject_non_integer_arguments(call):
         call()
 
 
+@pytest.mark.parametrize("connected", [1, "yes"])
+def test_query_refuses_a_non_bool_connected(connected):
+    # truthy, but not True: such a query would stream disconnected diagrams
+    with pytest.raises(DiagramError, match="connected must be None, True or False"):
+        DiagramQuery(4, cogenus=3, connected=connected)
+
+
 def test_query_validation():
     with pytest.raises(DiagramError):
         DiagramQuery(3)

@@ -12,7 +12,6 @@ from floordiagrams import markings
 from floordiagrams.core import DiagramError, Partition, diagram
 from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
 from floordiagrams.markings import (
-    build_poset,
     count_markings,
     count_orderings,
     count_relative_markings,
@@ -21,6 +20,7 @@ from floordiagrams.markings import (
 )
 from floordiagrams.oracles import (
     brute_force_markings,
+    build_poset,
     count_orderings_downset,
     ordering_count_with_pinned_sinks,
 )

@@ -42,7 +42,6 @@ from floordiagrams.invariants import (
     welschinger,
 )
 from floordiagrams.markings import (
-    build_poset,
     count_markings,
     count_orderings,
     count_relative_markings,
@@ -51,6 +50,7 @@ from floordiagrams.markings import (
 )
 from floordiagrams.nodepoly import node_polynomial
 from floordiagrams.oracles import (
+    build_poset,
     caporaso_harris,
     copy_with,
     diagram_to_tree_oracle,

@@ -15,8 +15,8 @@ import pytest
 
 import floordiagrams
 from floordiagrams.core import DiagramShape, Partition, Value, diagram
-from floordiagrams.markings import build_poset, enumerate_distributions
-from floordiagrams.oracles import copy_with
+from floordiagrams.markings import enumerate_distributions
+from floordiagrams.oracles import build_poset, copy_with
 from floordiagrams.sequences import closed_counts
 from floordiagrams.tropical import reconstruct, stretched_config, verify_curve
 

@@ -226,8 +226,13 @@ def test_tree_edges_must_be_integer_pairs(edges):
 
 
 def test_tree_stores_plain_integers():
-    tree = LabeledTree(True, frozenset())
+    class Size(int):
+        pass
+
+    tree = LabeledTree(Size(1), frozenset())
     assert tree.d == 1 and type(tree.d) is int
+    with pytest.raises(DiagramError, match="tree size must be an integer, got True"):
+        LabeledTree(True, frozenset())
 
 
 def test_every_degree_7_diagram_round_trips():

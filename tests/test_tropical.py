@@ -6,10 +6,19 @@ import pytest
 from floordiagrams.core import DiagramError, Partition, diagram
 from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
 from floordiagrams.markings import list_markings
-from floordiagrams.oracles import copy_with, extract_marking, perturb_elevator, verify_curve_oracle
+from floordiagrams.oracles import (
+    _poset_elements,
+    build_poset,
+    copy_with,
+    distributions_oracle,
+    extract_marking,
+    perturb_elevator,
+    verify_curve_oracle,
+)
 from floordiagrams.render import diagram_svg, marking_svg, render_svg, sketch_svg
 from floordiagrams.tropical import (
     StretchedConfig,
+    _ordinary_labels,
     canonical_marking,
     reconstruct,
     stretched_config,
@@ -305,3 +314,15 @@ def test_gallery_svgs_reproduce_appendix_count(tmp_path):
             render_svg(sketch, tmp_path / f"curve-{count:03d}.svg")
     assert count == 9
     assert len(list(tmp_path.glob("curve-*.svg"))) == 9
+
+
+def test_ordinary_labels_equal_the_oracle_poset():
+    # markings.element_labels against oracles.build_poset: two builders of
+    # the element ids that share no code, on every diagram with d <= 5
+    for d in range(1, 6):
+        for delta in range(d - 1 + (d - 1) * (d - 2) // 2 + 1):
+            for diag in enumerate_diagrams(DiagramQuery(d, cogenus=delta)):
+                dist = next(distributions_oracle(diag, P(()), P.ones(d)))
+                poset = build_poset(diag, dist, P(()))
+                expected = dict(zip(poset.element_labels(), _poset_elements(poset)))
+                assert _ordinary_labels(diag) == expected, diag
