@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import invariants, nodepoly, sequences, tables, tropical
 from .core import DiagramError, FloorDiagram, Partition
@@ -20,15 +21,17 @@ from .markings import check_listing_size, count_markings, count_relative_marking
 from .render import render_svg
 from .sequences import LabeledTree
 
-# the largest cogenus measured (N_8: 1.5 s, 28 MB on a 2-CPU x86-64 host;
-# the template-group sweep grows about 3x per cogenus); larger values wait
-# for a Caporaso-Harris check past the threshold and are refused up front
+# the largest cogenus measured (N_8: 1.0-1.3 s, 28 MB in a fresh process on a
+# 2-CPU x86-64 host; the template-group sweep grows about 3x per cogenus);
+# larger values wait for a Caporaso-Harris check past the threshold and are
+# refused up front
 NODEPOLY_MAX_DELTA = 8
 
 # the largest degree measured for gw, severi, relative and welschinger (the
-# sweep over every tangency profile at d = 9: 1.7-3.0 s, 28 MB on a 2-CPU
-# x86-64 host, about 4x per degree; welschinger(9): 0.15-0.3 s, 16 MB);
-# larger degrees are refused before any sweep
+# sweep over every tangency profile at d = 9, which relative runs: 2.0-2.5 s,
+# 26 MB in a fresh process on a 2-CPU x86-64 host, about 4x per degree;
+# gw(9, 0) and severi(9, 10): 0.35-0.46 s, 18 MB; welschinger(9): 0.25 s,
+# 17 MB); larger degrees are refused before any sweep
 INVARIANT_MAX_D = 9
 
 # the largest degree measured for counts (closed_counts(8) holds all 262,144
@@ -57,6 +60,13 @@ ODE_MAX_ORDER = 60
 # --diagram is read, before any marking is counted, listed or drawn
 DIAGRAM_MAX_D = 20
 
+# the largest degree measured for render without --marking (a degree-1000
+# chain: 0.12 s, 17 MB and a 194 KB SVG on a 2-CPU x86-64 host; 9,870 unit
+# edges, about as many as one 128 KiB argument holds, 0.19 s, 23 MB, 1.1 MB;
+# d = 10^6 wrote 91 MB at a 335 MB peak); a larger degree is refused as
+# --diagram is read, before anything is drawn
+RENDER_MAX_D = 1000
+
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
@@ -70,10 +80,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    _require(args.d >= 1, f"--d must be at least 1, got {args.d}")
-    _require(
-        args.d <= ENUMERATE_MAX_D, f"--d must be at most {ENUMERATE_MAX_D}, got {args.d}"
-    )
+    _bound("--d", args.d, 1, ENUMERATE_MAX_D)
     target = args.genus if args.genus is not None else args.cogenus
     _require(target >= 0, "genus / cogenus must be nonnegative")
     query = DiagramQuery(
@@ -88,12 +95,9 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _diagram_arg(text: str) -> FloorDiagram:
+def _diagram_arg(text: str, max_d: int = DIAGRAM_MAX_D) -> FloorDiagram:
     diag = FloorDiagram.from_text(text)
-    _require(
-        diag.d <= DIAGRAM_MAX_D,
-        f"--diagram degree must be at most {DIAGRAM_MAX_D}, got {diag.d}",
-    )
+    _bound("--diagram degree", diag.d, high=max_d)
     return diag
 
 
@@ -112,65 +116,53 @@ def cmd_markings(args) -> int:
     return 0
 
 
+def _relative(args) -> int:
+    lam, rho = Partition.parse(args.lam or ""), Partition.parse(args.rho or "")
+    return invariants.relative_gw(args.d, args.g, lam, rho)
+
+
+# kind -> (the flags it needs, its value from the parsed arguments)
+INVARIANTS = {
+    "gw": (("d", "g"), lambda args: invariants.gw(args.d, args.g)),
+    "severi": (("d", "delta"), lambda args: invariants.severi(args.d, args.delta)),
+    "relative": (("d", "g"), _relative),
+    "welschinger": (("d",), lambda args: invariants.welschinger(args.d)),
+}
+
+
 def cmd_invariant(args) -> int:
+    flags, call = INVARIANTS[args.kind]
     if args.table:
-        _require_max_d(args.max_d)
-        _require(
-            args.max_d is None or args.max_d <= INVARIANT_MAX_D,
-            f"--max-d must be at most {INVARIANT_MAX_D}, got {args.max_d}",
-        )
-        return _invariant_table(args)
-    if args.d is not None:
-        _require(args.d >= 1, f"--d must be at least 1, got {args.d}")
-        _require(
-            args.d <= INVARIANT_MAX_D,
-            f"--d must be at most {INVARIANT_MAX_D} for {args.kind}, got {args.d}",
-        )
-    if args.g is not None:
-        _require(args.g >= 0, f"--g must be nonnegative, got {args.g}")
-    if args.delta is not None:
-        _require(args.delta >= 0, f"--delta must be nonnegative, got {args.delta}")
-    if args.kind == "gw":
-        _require(args.d is not None and args.g is not None, "gw needs --d and --g")
-        value = invariants.gw(args.d, args.g)
-    elif args.kind == "severi":
-        _require(args.d is not None and args.delta is not None, "severi needs --d and --delta")
-        value = invariants.severi(args.d, args.delta)
-    elif args.kind == "relative":
-        _require(args.d is not None and args.g is not None, "relative needs --d and --g")
-        lam = Partition.parse(args.lam or "")
-        rho = Partition.parse(args.rho or "")
-        value = invariants.relative_gw(args.d, args.g, lam, rho)
-    else:
-        _require(args.d is not None, "welschinger needs --d")
-        value = invariants.welschinger(args.d)
-    _emit({"value": str(value)}, args.format)
-    return 0
-
-
-def _invariant_table(args) -> int:
-    max_d = 5 if args.max_d is None else args.max_d
-    if args.kind == "gw":
-        print("d,g,value")
-        for d in range(1, max_d + 1):
-            for g in range(0, 7):
-                print(f"{d},{g},{invariants.gw(d, g)}")
-    elif args.kind == "severi":
-        print("d,delta,value")
-        for d in range(1, max_d + 1):
-            for delta in range(0, 7):
-                print(f"{d},{delta},{invariants.severi(d, delta)}")
-    else:
-        raise DiagramError(f"--table supports gw and severi, not {args.kind}")
+        _bound("--max-d", args.max_d, 1, INVARIANT_MAX_D)
+        if args.kind not in ("gw", "severi"):
+            raise DiagramError(f"--table supports gw and severi, not {args.kind}")
+        # one CSV row for each d = 1..--max-d (default 5) and second flag 0..6
+        print(",".join(flags) + ",value")
+        for d in range(1, (5 if args.max_d is None else args.max_d) + 1):
+            for x in range(7):
+                print(f"{d},{x},{call(argparse.Namespace(d=d, **{flags[1]: x}))}")
+        return 0
+    _bound("--d", args.d, 1, INVARIANT_MAX_D, f" for {args.kind}")
+    _bound("--g", args.g, 0)
+    _bound("--delta", args.delta, 0)
+    _require(
+        all(getattr(args, flag) is not None for flag in flags),
+        f"{args.kind} needs " + " and ".join(f"--{flag}" for flag in flags),
+    )
+    _emit({"value": str(call(args))}, args.format)
     return 0
 
 
 def cmd_nodepoly(args) -> int:
-    _require(args.delta >= 0, f"--delta must be nonnegative, got {args.delta}")
-    _require(
-        args.delta <= NODEPOLY_MAX_DELTA,
-        f"--delta must be at most {NODEPOLY_MAX_DELTA}, got {args.delta}",
-    )
+    _bound("--delta", args.delta, 0, NODEPOLY_MAX_DELTA)
+    if args.evaluate:
+        key, _, raw = args.evaluate.partition("=")
+        _require(key == "d" and raw.isascii() and raw.isdigit(), "--evaluate expects d=<int>")
+        # N_delta(d) has degree 2 delta <= 16 and its coefficients' absolute
+        # values sum to under 10^10 (1.6e9 at delta = 8), so a d of at most k
+        # digits gives a value of at most 16k + 10 digits: k <= 256 stays within
+        # the 4,300 digits Python converts between int and text by default
+        _bound("--evaluate digit count", len(raw), high=256)
     poly, threshold = nodepoly.node_polynomial(args.delta)
     payload = {
         "delta": args.delta,
@@ -179,8 +171,6 @@ def cmd_nodepoly(args) -> int:
         "threshold": threshold,
     }
     if args.evaluate:
-        key, _, raw = args.evaluate.partition("=")
-        _require(key == "d" and raw.isdigit(), "--evaluate expects d=<int>")
         payload["evaluation"] = {raw: str(poly.eval_int(int(raw)))}
     if args.aj:
         ajs = nodepoly.aj_polynomials(args.delta)
@@ -209,20 +199,13 @@ def cmd_nodepoly(args) -> int:
 
 def cmd_sequence(args) -> int:
     if args.which == "z":
-        _require_max_d(args.max_d)
-        _require(
-            args.max_d <= SEQUENCE_MAX_D,
-            f"--max-d must be at most {SEQUENCE_MAX_D}, got {args.max_d}",
-        )
+        _bound("--max-d", args.max_d, 1, SEQUENCE_MAX_D)
         print("d,fixed_point,free_point")
         for d in range(1, args.max_d + 1):
             z = sequences.max_tangency_fixed(d)
             print(f"{d},{z},{sequences.max_tangency_free(d)}")
     else:
-        _require(
-            args.order <= ODE_MAX_ORDER,
-            f"--order must be at most {ODE_MAX_ORDER}, got {args.order}",
-        )
+        _bound("--order", args.order, high=ODE_MAX_ORDER)
         residual = sequences.ode_residual(args.order)
         ok = all(c == 0 for c in residual)
         series = sequences.tangency_series(min(args.order, 8))
@@ -247,8 +230,7 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_counts(args) -> int:
-    _require(args.d >= 1, f"--d must be at least 1, got {args.d}")
-    _require(args.d <= COUNTS_MAX_D, f"--d must be at most {COUNTS_MAX_D}, got {args.d}")
+    _bound("--d", args.d, 1, COUNTS_MAX_D)
     report = sequences.closed_counts(args.d)
     payload = {name: str(getattr(report, name)) for name in sequences.CountReport.__slots__}
     payload["d"] = report.d  # the one field that is not a count
@@ -296,113 +278,113 @@ def cmd_tropical(args) -> int:
 
 def cmd_render(args) -> int:
     order = tuple(args.marking.split()) if args.marking else None
-    diag = FloorDiagram.from_text(args.diagram) if order is None else _diagram_arg(args.diagram)
+    diag = _diagram_arg(args.diagram, RENDER_MAX_D if order is None else DIAGRAM_MAX_D)
     render_svg(diag, args.out, order=order)
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_verify_tables(args) -> int:
-    _require_max_d(args.max_d)
-    failures = []
-    suites = (
-        ["gw", "severi", "relative", "tangency", "appendix", "nodepoly", "counts"]
-        if args.suite == "all"
-        else [args.suite]
-    )
-    _require(
-        "counts" not in suites or args.max_d is None or args.max_d <= COUNTS_MAX_D,
-        f"--max-d must be at most {COUNTS_MAX_D} for the counts suite, got {args.max_d}",
-    )
-    for suite in suites:
-        failures.extend(_verify_suite(suite, args.max_d))
-    if failures:
-        for f in failures:
-            print(f"MISMATCH {f}")
-        return 1
-    print("OK")
-    return 0
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    counts_max_d = COUNTS_MAX_D if "counts" in suites else None
+    _bound("--max-d", args.max_d, 1, counts_max_d, " for the counts suite")
+    failures = [f"MISMATCH {f}" for suite in suites for f in SUITES[suite](args.max_d)]
+    print("\n".join(failures) if failures else "OK")
+    return 1 if failures else 0
 
 
-def _verify_suite(suite: str, max_d: int | None) -> list[str]:
-    bad: list[str] = []
-    if suite == "gw":
-        limit = 5 if max_d is None else max_d
-        for (d, g), expect in sorted(tables.gw_table().items()):
-            if d > limit:
-                continue
-            got = invariants.gw(d, g)
-            if got != expect:
-                bad.append(f"gw({d},{g}) = {got}, table says {expect}")
-    elif suite == "severi":
-        limit = 5 if max_d is None else max_d
-        for (d, delta), expect in sorted(tables.severi_table().items()):
-            if d > limit:
-                continue
-            got = invariants.severi(d, delta)
-            if got != expect:
-                bad.append(f"severi({d},{delta}) = {got}, table says {expect}")
-    elif suite == "relative":
-        ref = tables.relative_table()
-        for (lam_text, rho_text), expect in [
-            (tuple(col), value)
-            for col, value in zip(ref["columns"], ref["totals"])
-        ]:
+def _check_frozen(name: str, table, value, max_d: int | None) -> list[str]:
+    """``value(d, x)`` against each entry of ``table()`` with d at most max_d (default 5)."""
+    limit = 5 if max_d is None else max_d
+    return [
+        f"{name}({d},{x}) = {got}, table says {expect}"
+        for (d, x), expect in sorted(table().items())
+        if d <= limit and (got := value(d, x)) != expect
+    ]
+
+
+def _check_relative(max_d: int | None) -> list[str]:
+    ref = tables.relative_table()
+    genus0 = zip(ref["columns"], ref["totals"])
+    bad = []
+    for d, g, rows in [(ref["d"], ref["g"], genus0), (ref["d"], 1, ref["genus1"])]:
+        for (lam_text, rho_text), expect in rows:
             lam, rho = Partition.parse(lam_text), Partition.parse(rho_text)
-            got = invariants.relative_gw(ref["d"], ref["g"], lam, rho)
+            got = invariants.relative_gw(d, g, lam, rho)
             if got != expect:
-                bad.append(f"relative(3,0,{lam_text!r},{rho_text!r}) = {got} != {expect}")
-        for (lam_text, rho_text), expect in ref["genus1"]:
-            lam, rho = Partition.parse(lam_text), Partition.parse(rho_text)
-            got = invariants.relative_gw(3, 1, lam, rho)
-            if got != expect:
-                bad.append(f"relative(3,1,{lam_text!r},{rho_text!r}) = {got} != {expect}")
-    elif suite == "tangency":
-        limit = 10 if max_d is None else max_d
-        for d, fixed, free in tables.max_tangency_table():
-            if d > limit:
-                continue
-            if sequences.max_tangency_fixed(d) != fixed:
-                bad.append(f"z({d}) != {fixed}")
-            if sequences.max_tangency_free(d) != free:
-                bad.append(f"d*z({d}) != {free}")
-    elif suite == "appendix":
-        for row in tables.appendix_rows():
-            diag = FloorDiagram(row["d"], tuple(tuple(e) for e in row["edges"]))
-            if diag.multiplicity() != row["mu"]:
-                bad.append(f"mu({diag.text()}) != {row['mu']}")
-            if count_markings(diag) != row["nu"]:
-                bad.append(f"nu({diag.text()}) != {row['nu']}")
-            if row["tree"] is not None:
-                tree = sequences.diagram_to_tree(diag)
-                if tree.edges != frozenset(tuple(e) for e in row["tree"]):
-                    bad.append(f"tree({diag.text()}) != {row['tree']}")
-    elif suite == "nodepoly":
-        for row in tables.template_rows():
-            template = nodepoly.Template(tuple(tuple(e) for e in row["edges"]))
-            stats = template.stats()
-            expect = (row["ell"], row["mu"], row["eps"], tuple(row["kappa"]), row["k_min"])
-            if stats != expect:
-                bad.append(f"template {row['edges']} stats {stats} != {expect}")
-            poly = nodepoly.extension_polynomial(template)
-            ref = nodepoly.RatPolynomial(tuple(Fraction(c) for c in row["P"]))
-            if poly != ref:
-                bad.append(f"P for {row['edges']}: {poly} != {ref}")
-        for j, coeffs in enumerate(tables.aj_reference(3), start=1):
-            got = nodepoly.aj_polynomials(3)[j - 1]
-            if got != nodepoly.RatPolynomial(coeffs):
-                bad.append(f"A_{j} = {got} != {list(coeffs)}")
-    elif suite == "counts":
-        limit = 6 if max_d is None else max_d
-        for d in range(1, limit + 1):
-            report = sequences.closed_counts(d)
-            if report.cayley != report.genus0_enumerated:
-                bad.append(f"cayley mismatch at d={d}")
-            if report.odd_formula != report.odd_enumerated:
-                bad.append(f"odd-count mismatch at d={d}")
-    else:
-        raise DiagramError(f"unknown suite {suite!r}")
+                bad.append(f"relative({d},{g},{lam_text!r},{rho_text!r}) = {got} != {expect}")
     return bad
+
+
+def _check_tangency(max_d: int | None) -> list[str]:
+    limit = 10 if max_d is None else max_d
+    bad = []
+    for d, fixed, free in tables.max_tangency_table():
+        if d > limit:
+            continue
+        if sequences.max_tangency_fixed(d) != fixed:
+            bad.append(f"z({d}) != {fixed}")
+        if sequences.max_tangency_free(d) != free:
+            bad.append(f"d*z({d}) != {free}")
+    return bad
+
+
+def _check_appendix(max_d: int | None) -> list[str]:
+    bad = []
+    for row in tables.appendix_rows():
+        diag = FloorDiagram(row["d"], tuple(tuple(e) for e in row["edges"]))
+        if diag.multiplicity() != row["mu"]:
+            bad.append(f"mu({diag.text()}) != {row['mu']}")
+        if count_markings(diag) != row["nu"]:
+            bad.append(f"nu({diag.text()}) != {row['nu']}")
+        if row["tree"] is not None:
+            tree = sequences.diagram_to_tree(diag)
+            if tree.edges != frozenset(tuple(e) for e in row["tree"]):
+                bad.append(f"tree({diag.text()}) != {row['tree']}")
+    return bad
+
+
+def _check_nodepoly(max_d: int | None) -> list[str]:
+    bad = []
+    for row in tables.template_rows():
+        template = nodepoly.Template(tuple(tuple(e) for e in row["edges"]))
+        stats = template.stats()
+        expect = (row["ell"], row["mu"], row["eps"], tuple(row["kappa"]), row["k_min"])
+        if stats != expect:
+            bad.append(f"template {row['edges']} stats {stats} != {expect}")
+        poly = nodepoly.extension_polynomial(template)
+        ref = nodepoly.RatPolynomial(tuple(Fraction(c) for c in row["P"]))
+        if poly != ref:
+            bad.append(f"P for {row['edges']}: {poly} != {ref}")
+    for j, coeffs in enumerate(tables.aj_reference(3), start=1):
+        got = nodepoly.aj_polynomials(3)[j - 1]
+        if got != nodepoly.RatPolynomial(coeffs):
+            bad.append(f"A_{j} = {got} != {list(coeffs)}")
+    return bad
+
+
+def _check_counts(max_d: int | None) -> list[str]:
+    bad = []
+    for d in range(1, (6 if max_d is None else max_d) + 1):
+        report = sequences.closed_counts(d)
+        if report.cayley != report.genus0_enumerated:
+            bad.append(f"cayley mismatch at d={d}")
+        if report.odd_formula != report.odd_enumerated:
+            bad.append(f"odd-count mismatch at d={d}")
+    return bad
+
+
+# suite -> check(--max-d) listing its mismatches, in the order --suite all
+# runs them; relative, appendix and nodepoly check every row whatever --max-d
+SUITES = {
+    "gw": partial(_check_frozen, "gw", tables.gw_table, invariants.gw),
+    "severi": partial(_check_frozen, "severi", tables.severi_table, invariants.severi),
+    "relative": _check_relative,
+    "tangency": _check_tangency,
+    "appendix": _check_appendix,
+    "nodepoly": _check_nodepoly,
+    "counts": _check_counts,
+}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -410,8 +392,13 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _require_max_d(max_d: int | None) -> None:
-    _require(max_d is None or max_d >= 1, f"--max-d must be at least 1, got {max_d}")
+def _bound(flag: str, value: int | None, low=None, high=None, note: str = "") -> None:
+    """Refuse ``value`` below ``low`` or above ``high``; None, a flag not given, passes."""
+    if value is None:
+        return
+    least = "nonnegative" if low == 0 else f"at least {low}"
+    _require(low is None or value >= low, f"{flag} must be {least}, got {value}")
+    _require(high is None or value <= high, f"{flag} must be at most {high}{note}, got {value}")
 
 
 class UsageError(Exception):
@@ -449,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_markings)
 
     p = sub.add_parser("invariant", help="compute an enumerative invariant")
-    p.add_argument("kind", choices=["gw", "severi", "relative", "welschinger"])
+    p.add_argument("kind", choices=list(INVARIANTS))
     p.add_argument(
         "--d",
         type=int,
@@ -525,11 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("verify-tables", help="recompute and diff the golden tables")
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=["all", "gw", "severi", "relative", "tangency", "appendix", "nodepoly", "counts"],
-    )
+    p.add_argument("--suite", default="all", choices=["all", *SUITES])
     p.add_argument("--max-d", type=int, default=None)
     p.set_defaults(func=cmd_verify_tables)
 
@@ -547,7 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DiagramError as exc:
+    except (DiagramError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,12 +19,17 @@ class DiagramError(ValueError):
     """A partition or diagram violates a structural invariant."""
 
 
+def strict_index(value) -> int:
+    """``operator.index(value)``, raising its TypeError for a bool, which it passes as 0 or 1."""
+    if value.__class__ is bool:
+        raise TypeError(f"a bool is not an integer: {value!r}")
+    return index(value)
+
+
 def as_int(value, what: str) -> int:
-    """``value`` as an int through ``operator.index``: a bool, a float or a string is refused."""
-    if isinstance(value, bool):
-        raise DiagramError(f"{what} must be an integer, got {value!r}")
+    """``value`` as an int through ``strict_index``: a bool, a float or a string is refused."""
     try:
-        return index(value)
+        return strict_index(value)
     except TypeError as exc:
         raise DiagramError(f"{what} must be an integer, got {value!r}") from exc
 
@@ -123,7 +128,7 @@ class Partition(Value):
 
     def __init__(self, parts: tuple[int, ...] = ()):
         try:
-            parts = tuple(map(index, parts))
+            parts = tuple(map(strict_index, parts))
         except TypeError as exc:
             raise DiagramError(f"partition parts must be integers, got {parts!r}") from exc
         object.__setattr__(self, "parts", parts)
@@ -229,7 +234,14 @@ class FloorDiagram(Value):
         if d < 1:
             raise DiagramError(f"degree must be positive, got {d}")
         try:
-            edges = tuple(sorted([(index(s), index(t), index(w)) for s, t, w in self.edges]))
+            # index passes a bool as 0 or 1: a False fails the checks below and
+            # strict_index refuses a True
+            edges = tuple(sorted([
+                (index(s), index(t), index(w))
+                if s is not True and t is not True and w is not True
+                else (strict_index(s), strict_index(t), strict_index(w))
+                for s, t, w in self.edges
+            ]))
         except TypeError as exc:
             raise DiagramError(
                 f"edge entries must be integers, got {self.edges!r}"

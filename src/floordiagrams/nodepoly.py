@@ -32,9 +32,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, factorial, prod
-from operator import index, mul
+from operator import mul
 
-from .core import DiagramError, Value, as_int, trim
+from .core import DiagramError, Value, as_int, strict_index, trim
 
 
 class RatPolynomial(Value):
@@ -221,7 +221,7 @@ class Template(Value):
 
     def __init__(self, edges: tuple[tuple[int, int, int], ...]):  # (i, j, weight), i < j
         try:
-            edges = tuple(sorted(tuple(map(index, e)) for e in edges))
+            edges = tuple(sorted(tuple(map(strict_index, e)) for e in edges))
         except TypeError as exc:
             raise DiagramError(
                 f"template edge entries must be integers, got {edges!r}"

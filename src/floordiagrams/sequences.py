@@ -14,9 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from operator import index
 
-from .core import DiagramError, FloorDiagram, Value, as_int, parse_tuples
+from .core import DiagramError, FloorDiagram, Value, as_int, parse_tuples, strict_index
 from .enumeration import DiagramQuery, enumerate_diagrams
 
 
@@ -28,9 +27,10 @@ class LabeledTree(Value):
     def __init__(self, d: int, edges: frozenset[tuple[int, int]]):
         d = as_int(d, "tree size")
         try:
-            edges = frozenset(
-                [(a, b) if (a := index(x)) <= (b := index(y)) else (b, a) for x, y in edges]
-            )
+            edges = frozenset([
+                (a, b) if (a := strict_index(x)) <= (b := strict_index(y)) else (b, a)
+                for x, y in edges
+            ])
         except (TypeError, ValueError) as exc:
             raise DiagramError(
                 f"tree edges must be pairs of integers, got {edges!r}"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from floordiagrams.cli import DIAGRAM_MAX_D, main
+from floordiagrams.cli import DIAGRAM_MAX_D, RENDER_MAX_D, main
 
 
 def run(capsys, *argv):
@@ -77,6 +77,50 @@ def test_usage_error_exit_code(capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+
+
+# one case per usage-error message: the argv and the exact message
+USAGE_ERRORS = [
+    (["enumerate", "--d", "0", "--genus", "0"], "--d must be at least 1, got 0"),
+    (["enumerate", "--d", "8", "--genus", "0"], "--d must be at most 7, got 8"),
+    (["enumerate", "--d", "3", "--cogenus", "-1"], "genus / cogenus must be nonnegative"),
+    (["markings", "--diagram", "d=21; edges="], "--diagram degree must be at most 20, got 21"),
+    (["invariant", "gw", "--table", "--max-d", "0"], "--max-d must be at least 1, got 0"),
+    (["invariant", "severi", "--table", "--max-d", "10"], "--max-d must be at most 9, got 10"),
+    # the bound on --d is reported before the missing --g
+    (["invariant", "gw", "--d", "0"], "--d must be at least 1, got 0"),
+    (["invariant", "welschinger", "--d", "10"], "--d must be at most 9 for welschinger, got 10"),
+    (["invariant", "relative", "--g", "-1"], "--g must be nonnegative, got -1"),
+    (["invariant", "severi", "--d", "3", "--delta", "-1"], "--delta must be nonnegative, got -1"),
+    (["invariant", "gw", "--d", "3"], "gw needs --d and --g"),
+    (["invariant", "severi", "--d", "3", "--g", "0"], "severi needs --d and --delta"),
+    (["invariant", "relative", "--g", "0"], "relative needs --d and --g"),
+    (["invariant", "welschinger", "--g", "0"], "welschinger needs --d"),
+    (["nodepoly", "--delta", "-1"], "--delta must be nonnegative, got -1"),
+    (["nodepoly", "--delta", "9"], "--delta must be at most 8, got 9"),
+    (["nodepoly", "--delta", "2", "--evaluate", "x=3"], "--evaluate expects d=<int>"),
+    (["sequence", "z", "--max-d", "0"], "--max-d must be at least 1, got 0"),
+    (["sequence", "z", "--max-d", "61"], "--max-d must be at most 60, got 61"),
+    (["sequence", "ode-check", "--order", "61"], "--order must be at most 60, got 61"),
+    (["bijection", "to-tree"], "to-tree needs --diagram"),
+    (["bijection", "to-diagram"], "to-diagram needs --tree"),
+    (["counts", "--d", "0"], "--d must be at least 1, got 0"),
+    (["counts", "--d", "9"], "--d must be at most 8, got 9"),
+    (["tropical", "reconstruct", "--marking", "v1"], "reconstruct needs --diagram"),
+    (["tropical", "reconstruct", "--diagram", "d=2; edges=(1,2,1)"], "reconstruct needs --marking"),
+    (["verify-tables", "--max-d", "0"], "--max-d must be at least 1, got 0"),
+    (
+        ["verify-tables", "--suite", "counts", "--max-d", "9"],
+        "--max-d must be at most 8 for the counts suite, got 9",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in USAGE_ERRORS]
+)
+def test_usage_error_message(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
 
 
 def test_unknown_command_exit_code(capsys):
@@ -272,6 +316,53 @@ def test_render_command(tmp_path, capsys):
             assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_render_degree_limit(capsys, tmp_path):
+    svg = tmp_path / "chain.svg"
+    diag, _ = _chain(RENDER_MAX_D)
+    assert run(capsys, "render", "--diagram", diag, "--out", str(svg)) == (0, f"wrote {svg}\n", "")
+    svg.unlink()
+    d = RENDER_MAX_D + 1
+    for diag in [_chain(d)[0], f"d={d}; edges="]:
+        assert run(capsys, "render", "--diagram", diag, "--out", str(svg)) == (
+            2, "", f"usage error: --diagram degree must be at most {RENDER_MAX_D}, got {d}\n"
+        )
+        assert not svg.exists()
+
+
+def test_output_path_under_a_file_is_one_error_line(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    diag, marking = _chain(3)
+    for argv in [
+        ["tropical", "gallery", "--d", "2", "--g", "0", "--out", str(blocker)],
+        ["tropical", "reconstruct", "--diagram", diag, "--marking", marking,
+         "--svg", str(blocker / "c.svg")],
+        ["render", "--diagram", diag, "--out", str(blocker / "x.svg")],
+        ["render", "--diagram", diag, "--marking", marking, "--out", str(blocker / "x.svg")],
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and str(blocker) in err and len(err.splitlines()) == 1
+    assert blocker.read_text() == ""
+
+
+def test_nodepoly_evaluate_points(capsys):
+    # N_8 at the largest point of the digit limit prints in full
+    nines = "9" * 256
+    code, out, err = run(capsys, "nodepoly", "--delta", "8", "--evaluate", f"d={nines}")
+    assert (code, err) == (0, "")
+    head, value = out.splitlines()[2].split(": ")
+    assert head == f"value at d={nines}" and 4000 < len(value) < 4300
+    for raw in ["\u00b2", "\u0663", "3\u00b2", "+3", " 3", "3.0", ""]:
+        assert run(capsys, "nodepoly", "--delta", "2", "--evaluate", f"d={raw}") == (
+            2, "", "usage error: --evaluate expects d=<int>\n"
+        ), raw
+    for digits in [257, 1000]:
+        assert run(capsys, "nodepoly", "--delta", "8", "--evaluate", "d=" + "9" * digits) == (
+            2, "", f"usage error: --evaluate digit count must be at most 256, got {digits}\n"
+        ), digits
+
+
 def test_invariant_table_csv(capsys):
     code, out, _ = run(
         capsys, "invariant", "gw", "--table", "--max-d", "3"
@@ -347,7 +438,7 @@ def test_diagram_degree_limit(capsys, tmp_path):
     assert run(capsys, "render", "--diagram", diag, "--marking", marking, "--out", svg) == (
         0, f"wrote {svg}\n", ""
     )
-    # without a marking, render draws a diagram of any degree
+    # without a marking, render draws a diagram past DIAGRAM_MAX_D (up to RENDER_MAX_D)
     diag, _ = _chain(400)
     assert run(capsys, "render", "--diagram", diag, "--out", svg) == (0, f"wrote {svg}\n", "")
     # the distribution sweep recursed once per floor: d = 400 was a RecursionError

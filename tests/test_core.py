@@ -7,7 +7,12 @@ from hypothesis import given
 from floordiagrams.core import DiagramError, FloorDiagram, Partition, diagram
 from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
 from floordiagrams.invariants import gw, severi
-from floordiagrams.nodepoly import aj_polynomials, enumerate_templates, node_polynomial
+from floordiagrams.nodepoly import (
+    Template,
+    aj_polynomials,
+    enumerate_templates,
+    node_polynomial,
+)
 from floordiagrams.oracles import distinct_orderings
 from floordiagrams.sequences import (
     LabeledTree,
@@ -241,6 +246,25 @@ def test_sizes_reject_bools(call):
     # True == 1, but the typed caches keep the entry for 1 from True
     assert gw(1, 0) == 1 and severi(1, 0) == 1
     with pytest.raises(DiagramError, match="must be an integer, got True"):
+        call()
+
+
+# a bool entry of a value class, in each place where it would pass as 0 or 1
+BOOL_ENTRIES = {
+    "partition part": lambda: Partition((2, True)),
+    "diagram source": lambda: diagram(3, [(1, 2, 1), (True, 3, 1)]),
+    "diagram target": lambda: diagram(3, [(1, True, 1)]),
+    "diagram weight": lambda: diagram(2, [(1, 2, True)]),
+    "tree vertex": lambda: LabeledTree(2, {(True, 2)}),
+    "template start": lambda: Template(((False, 2, 2),)),
+    "template end": lambda: Template(((0, True, 2),)),
+    "template weight": lambda: Template(((0, 2, True),)),
+}
+
+
+@pytest.mark.parametrize("call", BOOL_ENTRIES.values(), ids=BOOL_ENTRIES.keys())
+def test_entries_reject_bools(call):
+    with pytest.raises(DiagramError, match=r"must be (pairs of )?integers, got .*(True|False)"):
         call()
 
 
