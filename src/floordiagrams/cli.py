@@ -1,15 +1,18 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (invalid mathematical input or a
-failed table verification), 2 usage error.  JSON output serializes all
-counts as decimal strings so arbitrary-precision values survive parsers
-that assume doubles.
+failed table verification), 2 usage error.  A reader that closes stdout
+early, as ``| head`` does, ends the run quietly with exit 1, as Python's
+SIGPIPE recipe does: nothing on stderr and no traceback.  JSON output
+serializes all counts as decimal strings so arbitrary-precision values
+survive parsers that assume doubles.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -288,6 +291,10 @@ def cmd_verify_tables(args) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     counts_max_d = COUNTS_MAX_D if "counts" in suites else None
     _bound("--max-d", args.max_d, 1, counts_max_d, " for the counts suite")
+    _require(
+        args.suite != "nodepoly" or args.max_d is None,
+        "--max-d does not apply to the nodepoly suite: template rows have no degree",
+    )
     failures = [f"MISMATCH {f}" for suite in suites for f in SUITES[suite](args.max_d)]
     print("\n".join(failures) if failures else "OK")
     return 1 if failures else 0
@@ -308,6 +315,8 @@ def _check_relative(max_d: int | None) -> list[str]:
     genus0 = zip(ref["columns"], ref["totals"])
     bad = []
     for d, g, rows in [(ref["d"], ref["g"], genus0), (ref["d"], 1, ref["genus1"])]:
+        if max_d is not None and d > max_d:
+            continue
         for (lam_text, rho_text), expect in rows:
             lam, rho = Partition.parse(lam_text), Partition.parse(rho_text)
             got = invariants.relative_gw(d, g, lam, rho)
@@ -332,6 +341,8 @@ def _check_tangency(max_d: int | None) -> list[str]:
 def _check_appendix(max_d: int | None) -> list[str]:
     bad = []
     for row in tables.appendix_rows():
+        if max_d is not None and row["d"] > max_d:
+            continue
         diag = FloorDiagram(row["d"], tuple(tuple(e) for e in row["edges"]))
         if diag.multiplicity() != row["mu"]:
             bad.append(f"mu({diag.text()}) != {row['mu']}")
@@ -375,7 +386,9 @@ def _check_counts(max_d: int | None) -> list[str]:
 
 
 # suite -> check(--max-d) listing its mismatches, in the order --suite all
-# runs them; relative, appendix and nodepoly check every row whatever --max-d
+# runs them; every suite but nodepoly skips the rows above --max-d, and
+# nodepoly, whose template rows have no degree, checks every row under
+# --suite all and refuses --max-d on its own
 SUITES = {
     "gw": partial(_check_frozen, "gw", tables.gw_table, invariants.gw),
     "severi": partial(_check_frozen, "severi", tables.severi_table, invariants.severi),
@@ -526,10 +539,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at shutdown
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout goes to devnull, so that the flush at shutdown cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DiagramError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

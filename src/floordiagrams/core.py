@@ -9,6 +9,7 @@ every vertex is at most 1.  All quantities are exact integers.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import lru_cache, wraps
 from math import prod
 from operator import attrgetter, index
 
@@ -32,6 +33,24 @@ def as_int(value, what: str) -> int:
         return strict_index(value)
     except TypeError as exc:
         raise DiagramError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def memoize(fn):
+    """``lru_cache(maxsize=None, typed=True)`` for a function that checks its
+    own arguments: 3.0 misses the entry of 3, and a list skips the cache,
+    so both meet those checks rather than a stale answer or a TypeError."""
+    cached = lru_cache(maxsize=None, typed=True)(fn)
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        try:
+            hash((args, *kwargs.items()))
+        except TypeError:
+            return fn(*args, **kwargs)
+        return cached(*args, **kwargs)
+
+    call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
+    return call
 
 
 def trim(vec) -> tuple:
@@ -212,6 +231,17 @@ def parse_tuples(body: str, arity: int) -> list[tuple[int, ...]]:
     return out
 
 
+def parse_text(text: str, arity: int, what: str) -> tuple[int, list[tuple[int, ...]]]:
+    """The degree and edges of ``d=<n>; edges=(a,b,...);...``, each edge
+    ``arity`` integers; a malformed text is refused as ``what`` text."""
+    try:
+        head, body = text.split(";", 1)
+        d = int(head.strip().removeprefix("d="))
+        return d, parse_tuples(body.strip().removeprefix("edges="), arity)
+    except ValueError as exc:
+        raise DiagramError(f"cannot parse {what} text {text!r}") from exc
+
+
 class DiagramShape(Value):
     __slots__ = ("components", "degree", "genus", "cogenus", "connected")
 
@@ -331,12 +361,7 @@ class FloorDiagram(Value):
 
     @staticmethod
     def from_text(text: str) -> "FloorDiagram":
-        try:
-            head, body = text.split(";", 1)
-            d = int(head.strip().removeprefix("d="))
-            edges = parse_tuples(body.strip().removeprefix("edges="), 3)
-        except ValueError as exc:
-            raise DiagramError(f"cannot parse diagram text {text!r}") from exc
+        d, edges = parse_text(text, 3, "diagram")
         return FloorDiagram(d, tuple(edges))
 
     @staticmethod

@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .core import DiagramError, Partition, as_int, trim
+from .core import DiagramError, Partition, as_int, memoize, trim
 from .enumeration import DiagramQuery, enumerate_diagrams
 # perfbench/tracing.py patches enumerate_diagrams and both marking counters here
 from .markings import Vector, check_profile, count_markings, count_relative_markings, floor_splits
@@ -336,8 +336,7 @@ def _connected(
 # -- the invariants -----------------------------------------------------------
 
 
-# typed here and below, so that gw(3.0, 0) misses the entry of gw(3, 0) and is refused
-@lru_cache(maxsize=None, typed=True)
+@memoize
 def gw(d: int, g: int) -> int:
     """Count of irreducible degree-d genus-g plane curves through 3d+g-1 points.
 
@@ -350,7 +349,7 @@ def gw(d: int, g: int) -> int:
     return relative_gw(d, g, Partition(()), Partition.ones(d))
 
 
-@lru_cache(maxsize=None, typed=True)  # the row is memoized too; perfbench's warm pass clears this
+@memoize  # the row is memoized too; perfbench's warm pass clears this
 def severi(d: int, delta: int) -> int:
     """Count of possibly reducible delta-nodal degree-d curves.
 
@@ -365,7 +364,7 @@ def severi(d: int, delta: int) -> int:
     return _row(d, (), (d,)).get(d * (d - 1) // 2 - delta, 0)
 
 
-@lru_cache(maxsize=None, typed=True)
+@memoize
 def relative_gw(d: int, g: int, lam: Partition, rho: Partition) -> int:
     """Relative invariant: tangency lambda at fixed points, rho at moving ones.
 

@@ -16,8 +16,15 @@ and each floor spends its budget as it is placed, so one DP covers every
 way the floors take their parts.  ``list_markings`` walks the same
 positions for small diagrams, one distribution at a time, and lists one
 linear order per orbit: the one whose interchangeable copies appear in
-copy order.  ``element_labels`` names each distribution's elements, for
-the listing and for ``tropical``; no marking poset is built here.
+copy order.  No marking poset is built here.
+
+A marking is written as one label per element, in order: floor v is
+``v<v>``, copy c of edge (s, t, w)'s midpoint ``e<s>-<t>w<w>#<c>``, copy c
+of floor v's weight-w sink ``s<v>w<w>#<c>`` and the i-th tangency vertex,
+fed by floor v, ``L<i>@v<v>``; copies count from 0.  ``element_labels``
+writes these labels; ``ordinary_labels``, ``canonical_marking`` and
+``checked_order`` read an ordinary marking back for ``tropical`` and
+``render``.
 
 ``oracles`` holds the marking-poset layer and the independent counters
 the DP and the listing are tested against.  Only oracles and tests call
@@ -239,6 +246,59 @@ def element_labels(diag: FloorDiagram, dist: Distribution) -> dict[tuple, str]:
     for i, src in enumerate(dist.lambda_sources, start=1):
         labels["L", i] = f"L{i}@v{src}"  # fed by floor src
     return labels
+
+
+@lru_cache(maxsize=64)
+def ordinary_labels(diag: FloorDiagram) -> tuple[tuple[str, ...], dict[str, tuple]]:
+    """Floor v's label at index v - 1, and (upper floor, lower floor or None,
+    weight) for each midpoint and sink label of the diagram's ordinary
+    markings, in element order; read once per diagram, since a gallery
+    draws every marking of one diagram in turn."""
+    ordinary = Distribution((), tuple((1,) * (1 - dv) for dv in diag.divergences()))
+    floors, items = [], {}
+    for e, label in element_labels(diag, ordinary).items():
+        if e[0] == "F":
+            floors.append(label)
+        else:  # a midpoint ("M", s, t, w, copy) or a sink ("S", v, w, copy)
+            items[label] = e[1:4] if e[0] == "M" else (e[1], None, e[2])
+    return tuple(floors), items
+
+
+def canonical_marking(order: tuple[str, ...]) -> tuple[str, ...]:
+    """Renumber interchangeable copies, the part of a label after ``#``, in
+    order of appearance."""
+    copies: Counter = Counter()
+    out = []
+    for label in order:
+        base, copy, _ = label.partition("#")
+        if copy:
+            label = f"{base}#{copies[base]}"
+            copies[base] += 1
+        out.append(label)
+    return tuple(out)
+
+
+def checked_order(diag: FloorDiagram, order: tuple[str, ...]) -> tuple[tuple[str, ...], dict]:
+    """An ordinary marking of the diagram made canonical and each label's
+    position in it, once it is checked to be a permutation of the labels
+    with each midpoint between its floors, each sink after its floor and
+    the floors ascending."""
+    floors, items = ordinary_labels(diag)
+    order = canonical_marking(tuple(order))
+    labels = (*floors, *items)
+    if set(order) != set(labels) or len(order) != len(labels):
+        raise DiagramError(f"marking must be a permutation of {sorted(labels)}, got {list(order)}")
+    pos = {label: i for i, label in enumerate(order)}
+    for label in sorted(items, key=pos.get):  # the first offender in the order is reported
+        upper, lower, _ = items[label]
+        if lower is None:
+            if pos[label] < pos[floors[upper - 1]]:
+                raise DiagramError(f"sink {label} must come after floor {upper}")
+        elif not pos[floors[upper - 1]] < pos[label] < pos[floors[lower - 1]]:
+            raise DiagramError(f"midpoint {label} must sit between floors {upper} and {lower}")
+    if any(pos[a] > pos[b] for a, b in zip(floors, floors[1:])):
+        raise DiagramError("floors must appear in increasing order")
+    return order, pos
 
 
 def check_listing_size(n_elements: int) -> None:

@@ -34,7 +34,7 @@ from itertools import accumulate, product
 from math import comb, factorial, prod
 from operator import mul
 
-from .core import DiagramError, Value, as_int, strict_index, trim
+from .core import DiagramError, Value, as_int, memoize, strict_index, trim
 
 
 class RatPolynomial(Value):
@@ -275,7 +275,7 @@ class Template(Value):
         return (self.length, self.multiplicity, self.epsilon, self.kappa, self.k_min)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed, so that 1.0 misses the entry of 1 and is refused
+@memoize
 def enumerate_templates(delta: int) -> tuple[Template, ...]:
     """All templates of cogenus exactly delta, in canonical order."""
     delta = as_int(delta, "cogenus")

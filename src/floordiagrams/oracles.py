@@ -52,7 +52,8 @@ each floor as one multiset, so ``list_markings``, which reads it, is
 checked against the orbit lister below as well.  ``MarkingPoset`` is the
 marking poset of one distribution, built by ``build_poset`` with element
 ids from ``_poset_elements``; ``markings.element_labels`` names the same
-elements without it and is tested against it.  ``gap_dp_oracle`` orders
+elements without it, and ``markings.ordinary_labels``, which reads those
+names back, is tested against it.  ``gap_dp_oracle`` orders
 a marking poset one gap at a time, filling each gap from the pending
 items by one ``_gap_choices`` transfer, and ``count_orderings_downset``
 one element at a time; ``markings`` counts every floor plan at once, one
@@ -102,8 +103,11 @@ from .invariants import gw, relative_gw
 from .markings import (
     BRUTE_FORCE_LIMIT,
     Distribution,
+    canonical_marking,
+    checked_order,
     count_markings,
     count_orderings,
+    ordinary_labels,
 )
 from .nodepoly import (
     RatPolynomial,
@@ -122,9 +126,6 @@ from .tropical import (
     FloorCurve,
     StretchedConfig,
     TropicalCurveSketch,
-    _ordinary_labels,
-    _validated,
-    canonical_marking,
 )
 
 Vector = tuple[int, ...]
@@ -1151,27 +1152,22 @@ def reconstruct_oracle(
             f"configuration is for (d,g)=({config.d},{config.g}), "
             f"diagram has ({diag.d},{genus})"
         )
-    kinds = _ordinary_labels(diag)
-    order = _validated(diag, order, kinds)
+    floor_labels, items = ordinary_labels(diag)
+    order, pos = checked_order(diag, order)
     n = len(order)
-    pos = {label: i for i, label in enumerate(order)}
     point_of = {label: config.points[n - 1 - pos[label]] for label in order}
 
     # black neighbors per floor: (position, label, signed weight); sign +w for
     # an elevator from above (incoming edge), -w from below (outgoing or sink)
     neighbors: dict[int, list[tuple[int, str, int]]] = {v: [] for v in range(1, diag.d + 1)}
-    for label, kind in kinds.items():
-        if kind[0] == "M":
-            _, s, t, w, _ = kind
-            neighbors[t].append((pos[label], label, +w))
-            neighbors[s].append((pos[label], label, -w))
-        elif kind[0] == "S":
-            _, v, w, _ = kind
-            neighbors[v].append((pos[label], label, -w))
+    for label, (upper, lower, w) in items.items():
+        neighbors[upper].append((pos[label], label, -w))
+        if lower is not None:
+            neighbors[lower].append((pos[label], label, +w))
 
     floors: list[FloorCurve] = []
     height_at: dict[tuple[int, str], Fraction] = {}  # (floor, label) -> y
-    for v in range(1, diag.d + 1):
+    for v, floor_label in enumerate(floor_labels, start=1):
         nbrs = sorted(neighbors[v])  # ascending position = right to left
         slope = Fraction(1)
         right_to_left = []  # (x, slope left of this breakpoint)
@@ -1183,7 +1179,7 @@ def reconstruct_oracle(
         labels = [label for _, label, _ in reversed(nbrs)]
         breaks_x = [x for x, _ in reversed(right_to_left)]
         slopes = [s for _, s in reversed(right_to_left)] + [Fraction(1)]
-        ax, ay = point_of[f"v{v}"]
+        ax, ay = point_of[floor_label]
         region = sum(1 for x in breaks_x if x < ax)
         ys: list[Optional[Fraction]] = [None] * len(breaks_x)
         y = ay
@@ -1212,26 +1208,20 @@ def reconstruct_oracle(
     # the walk above already has the elevator's ends
     elevators = []
     for label in order:
-        kind = kinds[label]
-        if kind[0] == "M":
-            _, s, t, w, _ = kind
-            x, y = point_of[label]
-            top = height_at[(s, label)]
-            bottom = height_at[(t, label)]
-            if not bottom < y < top:
-                raise AssertionError(
-                    f"black point of {label} must lie on its elevator"
-                )
-            elevators.append(Elevator(label, x, w, s, t, top, bottom, (x, y)))
-        elif kind[0] == "S":
-            _, v, w, _ = kind
-            x, y = point_of[label]
-            top = height_at[(v, label)]
+        if label not in items:
+            continue
+        upper, lower, w = items[label]
+        x, y = point_of[label]
+        top = height_at[(upper, label)]
+        if lower is None:
+            bottom = None
             if not y < top:
-                raise AssertionError(
-                    f"black point of {label} must lie below floor {v}"
-                )
-            elevators.append(Elevator(label, x, w, v, None, top, None, (x, y)))
+                raise AssertionError(f"black point of {label} must lie below floor {upper}")
+        else:
+            bottom = height_at[(lower, label)]
+            if not bottom < y < top:
+                raise AssertionError(f"black point of {label} must lie on its elevator")
+        elevators.append(Elevator(label, x, w, upper, lower, top, bottom, (x, y)))
     return TropicalCurveSketch(diag.d, genus, tuple(floors), tuple(elevators), order)
 
 
@@ -1391,7 +1381,7 @@ def extract_marking(sketch: TropicalCurveSketch) -> tuple[FloorDiagram, tuple[st
                 )
             )
     entries.sort(key=lambda t: -t[0])
-    return diag, canonical_marking(diag, tuple(label for _, label in entries))
+    return diag, canonical_marking(tuple(label for _, label in entries))
 
 
 # -- frozen-table readers only the tests use ----------------------------------

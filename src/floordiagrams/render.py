@@ -11,7 +11,8 @@ from math import lcm
 from pathlib import Path
 
 from .core import FloorDiagram
-from .tropical import TropicalCurveSketch, _ordinary_labels, _validated
+from .markings import checked_order, ordinary_labels
+from .tropical import TropicalCurveSketch
 
 
 UNIT = 80  # horizontal pitch between diagram vertices
@@ -75,9 +76,8 @@ def diagram_svg(diag: FloorDiagram) -> str:
 
 def marking_svg(diag: FloorDiagram, order: tuple[str, ...]) -> str:
     """Marked diagram: every element on a row, decorated-graph edges as arcs."""
-    kinds = _ordinary_labels(diag)
-    order = _validated(diag, order, kinds)
-    pos = {label: i for i, label in enumerate(order)}
+    floors, items = ordinary_labels(diag)
+    order, pos = checked_order(diag, order)
     y = HEIGHT / 2
     pitch = UNIT // 2
     width = 2 * MARGIN + pitch * (len(order) - 1)
@@ -86,15 +86,11 @@ def marking_svg(diag: FloorDiagram, order: tuple[str, ...]) -> str:
         return MARGIN + pitch * pos[label]
 
     arcs: list[tuple[str, str, int]] = []
-    for label in order:
-        kind = kinds[label]
-        if kind[0] == "M":
-            _, s, t, w, _ = kind
-            arcs.append((f"v{s}", label, w))
-            arcs.append((label, f"v{t}", w))
-        elif kind[0] == "S":
-            _, v, w, _ = kind
-            arcs.append((f"v{v}", label, w))
+    for label in sorted(items, key=pos.get):
+        upper, lower, w = items[label]
+        arcs.append((floors[upper - 1], label, w))
+        if lower is not None:
+            arcs.append((label, floors[lower - 1], w))
     body = []
     for a, b, w in arcs:
         span = abs(pos[b] - pos[a])
@@ -107,7 +103,7 @@ def marking_svg(diag: FloorDiagram, order: tuple[str, ...]) -> str:
                 f'font-size="12" text-anchor="middle">{w}</text>'
             )
     for label in order:
-        if label.startswith("v"):
+        if label not in items:
             body.append(
                 f'<circle cx="{_fmt(px(label))}" cy="{_fmt(y)}" r="{RADIUS}" '
                 f'fill="white" stroke="{STROKE}" stroke-width="2"/>'

@@ -12,10 +12,9 @@ and relative_gw(d, 0, (d), ()).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
-from .core import DiagramError, FloorDiagram, Value, as_int, parse_tuples, strict_index
+from .core import DiagramError, FloorDiagram, Value, as_int, memoize, parse_text, strict_index
 from .enumeration import DiagramQuery, enumerate_diagrams
 
 
@@ -63,19 +62,14 @@ class LabeledTree(Value):
 
     @staticmethod
     def from_text(text: str) -> "LabeledTree":
-        try:
-            head, body = text.split(";", 1)
-            d = int(head.strip().removeprefix("d="))
-            edges = parse_tuples(body.strip().removeprefix("edges="), 2)
-        except ValueError as exc:
-            raise DiagramError(f"cannot parse tree text {text!r}") from exc
+        d, edges = parse_text(text, 2, "tree")
         return LabeledTree(d, frozenset(edges))
 
 
 # -- maximal tangency ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None, typed=True)  # typed, so that 3.0 misses the entry of 3 and is refused
+@memoize
 def max_tangency_fixed(d: int) -> int:
     """z(d): rational degree-d curves with order-d tangency at a fixed point.
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import lcm
 
 from .core import DiagramError, FloorDiagram, Value, as_int, components
-from .markings import Distribution, element_labels
+from .markings import checked_order, ordinary_labels
 
 
 class StretchedConfig(Value):
@@ -126,61 +126,8 @@ class CurveReport(Value):
         return [c for c in self.checks if not c.ok]
 
 
-@lru_cache(maxsize=64)
-def _ordinary_labels(diag: FloorDiagram) -> dict[str, tuple]:
-    """Element id of every label of the diagram's ordinary markings, whose
-    one distribution hangs 1 - divergence weight-1 sinks from each floor.
-
-    A gallery draws every marking of one diagram in turn, so the map is
-    built once per diagram; callers only read it."""
-    ordinary = Distribution((), tuple((1,) * (1 - dv) for dv in diag.divergences()))
-    return {label: e for e, label in element_labels(diag, ordinary).items()}
-
-
 # the Fraction of an integer slope, one per value, shared by every floor
 _whole = lru_cache(maxsize=64)(Fraction)
-
-
-def canonical_marking(diag: FloorDiagram, order: tuple[str, ...]) -> tuple[str, ...]:
-    """Relabel interchangeable copies in order of appearance."""
-    counters: dict[tuple, int] = {}
-    out = []
-    for label in order:
-        base, _, _ = label.partition("#")
-        if "#" in label:
-            idx = counters.get(base, 0)
-            counters[base] = idx + 1
-            out.append(f"{base}#{idx}")
-        else:
-            out.append(label)
-    return tuple(out)
-
-
-def _validated(
-    diag: FloorDiagram, order: tuple[str, ...], kinds: dict[str, tuple]
-) -> tuple[str, ...]:
-    """Check the order is a constrained linear extension of the poset whose
-    element ids ``kinds`` maps labels to; return it canonicalized."""
-    order = canonical_marking(diag, tuple(order))
-    if set(order) != set(kinds) or len(order) != len(kinds):
-        raise DiagramError(
-            f"marking must be a permutation of {sorted(kinds)}, got {list(order)}"
-        )
-    pos = {label: i for i, label in enumerate(order)}
-    for label in order:
-        kind = kinds[label]
-        if kind[0] == "M":
-            _, s, t, _, _ = kind
-            if not pos[f"v{s}"] < pos[label] < pos[f"v{t}"]:
-                raise DiagramError(f"midpoint {label} must sit between floors {s} and {t}")
-        elif kind[0] == "S":
-            _, v, _, _ = kind
-            if pos[label] < pos[f"v{v}"]:
-                raise DiagramError(f"sink {label} must come after floor {v}")
-    for v in range(1, diag.d):
-        if pos[f"v{v}"] > pos[f"v{v+1}"]:
-            raise DiagramError("floors must appear in increasing order")
-    return order
 
 
 def reconstruct(
@@ -194,10 +141,9 @@ def reconstruct(
             f"configuration is for (d,g)=({config.d},{config.g}), "
             f"diagram has ({diag.d},{genus})"
         )
-    kinds = _ordinary_labels(diag)
-    order = _validated(diag, order, kinds)
+    floor_labels, items = ordinary_labels(diag)
+    order, pos = checked_order(diag, order)
     n = len(order)
-    pos = {label: i for i, label in enumerate(order)}
     point_of = {label: config.points[n - 1 - i] for label, i in pos.items()}
     # a floor starts at a point and moves by integer slopes times differences
     # of the points' x, so every height lies on the points' lattice (1/scale)Z
@@ -210,19 +156,15 @@ def reconstruct(
     # black neighbors per floor: (position, label, signed weight); sign +w for
     # an elevator from above (incoming edge), -w from below (outgoing or sink)
     neighbors: dict[int, list[tuple[int, str, int]]] = {v: [] for v in range(1, diag.d + 1)}
-    for label, kind in kinds.items():
-        if kind[0] == "M":
-            _, s, t, w, _ = kind
-            neighbors[t].append((pos[label], label, +w))
-            neighbors[s].append((pos[label], label, -w))
-        elif kind[0] == "S":
-            _, v, w, _ = kind
-            neighbors[v].append((pos[label], label, -w))
+    for label, (upper, lower, w) in items.items():
+        neighbors[upper].append((pos[label], label, -w))
+        if lower is not None:
+            neighbors[lower].append((pos[label], label, +w))
 
     floors: list[FloorCurve] = []
     # (floor, label) -> the breakpoint's y, scaled to an integer and as a Fraction
     height_at: dict[tuple[int, str], tuple[int, Fraction]] = {}
-    for v in range(1, diag.d + 1):
+    for v, floor_label in enumerate(floor_labels, start=1):
         nbrs = sorted(neighbors[v])  # ascending position = right to left
         slope = 1
         slopes = []  # the slope left of each breakpoint, right to left
@@ -234,28 +176,23 @@ def reconstruct(
         labels = [label for _, label, _ in reversed(nbrs)]
         slopes = slopes[::-1] + [1]
         breaks_x = [lattice_of[label][0] for label in labels]
-        ax, ay = lattice_of[f"v{v}"]
+        ax, ay = lattice_of[floor_label]
+        # one walk from the left, shifted through the anchor, which lies left of
+        # breakpoint `region` (or right of the last) on a segment of slopes[region]
+        ys = [0]
+        for i in range(1, len(breaks_x)):
+            ys.append(ys[-1] + slopes[i] * (breaks_x[i] - breaks_x[i - 1]))
         region = sum(1 for x in breaks_x if x < ax)
-        ys = [0] * len(breaks_x)
-        y = ay
-        x_cur = ax
-        for i in range(region - 1, -1, -1):  # walk left from the anchor
-            y += slopes[i + 1] * (breaks_x[i] - x_cur)
-            x_cur = breaks_x[i]
-            ys[i] = y
-        y = ay
-        x_cur = ax
-        for i in range(region, len(breaks_x)):  # walk right
-            y += slopes[i] * (breaks_x[i] - x_cur)
-            x_cur = breaks_x[i]
-            ys[i] = y
+        k = min(region, len(breaks_x) - 1)
+        shift = ay + slopes[region] * (breaks_x[k] - ax) - ys[k]
+        ys = [y + shift for y in ys]
         heights = [Fraction(y, scale) for y in ys]
         for label, y, height in zip(labels, ys, heights):
             height_at[(v, label)] = (y, height)
         floors.append(
             FloorCurve(
                 v,
-                point_of[f"v{v}"],
+                point_of[floor_label],
                 tuple((point_of[label][0], h) for label, h in zip(labels, heights)),
                 tuple(map(_whole, slopes)),
             )
@@ -264,26 +201,19 @@ def reconstruct(
     # each black point is a breakpoint of the floors its elevator meets, so
     # the walk above already has the elevator's ends
     elevators = []
-    for label in order:
-        kind = kinds[label]
+    for label in sorted(items, key=pos.get):
+        upper, lower, w = items[label]
         point, y = point_of[label], lattice_of[label][1]
-        if kind[0] == "M":
-            _, s, t, w, _ = kind
-            top_y, top = height_at[(s, label)]
-            bottom_y, bottom = height_at[(t, label)]
-            if not bottom_y < y < top_y:
-                raise AssertionError(
-                    f"black point of {label} must lie on its elevator"
-                )
-            elevators.append(Elevator(label, point[0], w, s, t, top, bottom, point))
-        elif kind[0] == "S":
-            _, v, w, _ = kind
-            top_y, top = height_at[(v, label)]
+        top_y, top = height_at[(upper, label)]
+        if lower is None:
+            bottom = None
             if not y < top_y:
-                raise AssertionError(
-                    f"black point of {label} must lie below floor {v}"
-                )
-            elevators.append(Elevator(label, point[0], w, v, None, top, None, point))
+                raise AssertionError(f"black point of {label} must lie below floor {upper}")
+        else:
+            bottom_y, bottom = height_at[(lower, label)]
+            if not bottom_y < y < top_y:
+                raise AssertionError(f"black point of {label} must lie on its elevator")
+        elevators.append(Elevator(label, point[0], w, upper, lower, top, bottom, point))
     return TropicalCurveSketch(diag.d, genus, tuple(floors), tuple(elevators), order)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from floordiagrams import cli, invariants
 from floordiagrams.cli import DIAGRAM_MAX_D, RENDER_MAX_D, main
 
 
@@ -109,6 +110,10 @@ USAGE_ERRORS = [
     (["tropical", "reconstruct", "--marking", "v1"], "reconstruct needs --diagram"),
     (["tropical", "reconstruct", "--diagram", "d=2; edges=(1,2,1)"], "reconstruct needs --marking"),
     (["verify-tables", "--max-d", "0"], "--max-d must be at least 1, got 0"),
+    (
+        ["verify-tables", "--suite", "nodepoly", "--max-d", "3"],
+        "--max-d does not apply to the nodepoly suite: template rows have no degree",
+    ),
     (
         ["verify-tables", "--suite", "counts", "--max-d", "9"],
         "--max-d must be at most 8 for the counts suite, got 9",
@@ -380,6 +385,24 @@ def test_verify_tables_small_suites(capsys):
         assert out.strip() == "OK"
 
 
+def test_verify_tables_max_d_skips_higher_rows(capsys, monkeypatch):
+    # relative's rows are all of degree 3, appendix's of degree 1 to 4
+    seen = []
+    relative_gw, count_markings = invariants.relative_gw, cli.count_markings
+    monkeypatch.setattr(
+        invariants, "relative_gw", lambda d, *rest: seen.append(d) or relative_gw(d, *rest)
+    )
+    monkeypatch.setattr(
+        cli, "count_markings", lambda diag: seen.append(diag.d) or count_markings(diag)
+    )
+    for max_d, degrees in [("2", {1, 2}), ("3", {1, 2, 3}), (None, {1, 2, 3, 4})]:
+        seen.clear()
+        flag = [] if max_d is None else ["--max-d", max_d]
+        for suite in ("relative", "appendix"):
+            assert run(capsys, "verify-tables", "--suite", suite, *flag) == (0, "OK\n", "")
+        assert set(seen) == degrees, max_d
+
+
 def test_verify_tables_gw_low_degree(capsys):
     code, out, _ = run(capsys, "verify-tables", "--suite", "gw", "--max-d", "4")
     assert code == 0
@@ -469,3 +492,21 @@ def test_package_runs_as_a_module():
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "OK\n", "")
+
+
+def test_closed_stdout_ends_quietly():
+    # 265 KB of diagrams overflow the pipe, so the writer meets the closed
+    # end mid-stream; the flush at shutdown must not report it either
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "floordiagrams", "enumerate", "--d", "6", "--genus", "2"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline().startswith("d=6; edges=")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, "")

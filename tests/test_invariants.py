@@ -16,6 +16,7 @@ from floordiagrams.invariants import (
     welschinger,
 )
 from floordiagrams.markings import count_relative_markings
+from floordiagrams.nodepoly import enumerate_templates
 from floordiagrams.oracles import (
     closed_form_gmax,
     closed_form_uninodal,
@@ -24,6 +25,7 @@ from floordiagrams.oracles import (
     severi_split_oracle,
     tangency_at_point,
 )
+from floordiagrams.sequences import max_tangency_fixed
 from floordiagrams.tables import gw_table, relative_table, severi_table
 
 P = Partition
@@ -166,8 +168,6 @@ def test_relative_fixed_vs_free_tangency():
 
 
 def test_relative_matches_max_tangency_sequence():
-    from floordiagrams.sequences import max_tangency_fixed
-
     for d in range(1, 6):
         assert relative_gw(d, 0, P((d,)), P(())) == max_tangency_fixed(d)
 
@@ -188,6 +188,23 @@ def test_invariants_reject_non_integer_arguments(call):
     # hand 3.0 the answer for 3
     assert gw(3, 0) == relative_gw(3, 0, P(()), P.ones(3)) == severi(3, 1) == 12
     with pytest.raises(DiagramError, match="must be an integer"):
+        call()
+
+
+UNHASHABLE_CALLS = {
+    "gw([3], 0)": lambda: gw([3], 0),
+    "severi(3, [0])": lambda: severi(3, [0]),
+    "relative_gw(3, 0, [2], (1))": lambda: relative_gw(3, 0, [2], P((1,))),
+    "max_tangency_fixed([3])": lambda: max_tangency_fixed([3]),
+    "enumerate_templates([1])": lambda: enumerate_templates([1]),
+}
+
+
+@pytest.mark.parametrize("call", UNHASHABLE_CALLS.values(), ids=UNHASHABLE_CALLS.keys())
+def test_memoized_entry_points_refuse_unhashable_arguments(call):
+    # a list skips the cache, whose key it cannot be, and meets the
+    # function's own checks instead of a raw TypeError
+    with pytest.raises(DiagramError, match="must be an integer|must be Partitions"):
         call()
 
 

@@ -286,6 +286,20 @@ def test_production_modules_never_import_the_oracles():
             )
 
 
+def test_production_modules_import_no_private_name_of_another_module():
+    # a module's underscore names are its own; oracles, which checks them, may read them
+    package = Path(floordiagrams.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "floordiagrams"
+            ):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, (path.name, node.lineno, private)
+
+
 def test_marking_listing_equals_the_orbit_minimum_small():
     listings = 0
     for d in range(1, 5):

@@ -5,7 +5,7 @@ import pytest
 
 from floordiagrams.core import DiagramError, Partition, diagram
 from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
-from floordiagrams.markings import list_markings
+from floordiagrams.markings import canonical_marking, list_markings, ordinary_labels
 from floordiagrams.oracles import (
     _poset_elements,
     build_poset,
@@ -18,8 +18,6 @@ from floordiagrams.oracles import (
 from floordiagrams.render import diagram_svg, marking_svg, render_svg, sketch_svg
 from floordiagrams.tropical import (
     StretchedConfig,
-    _ordinary_labels,
-    canonical_marking,
     reconstruct,
     stretched_config,
     verify_curve,
@@ -112,7 +110,7 @@ def test_round_trip_markings():
                 sketch = reconstruct(diag_, order, cfg)
                 diag_back, order_back = extract_marking(sketch)
                 assert diag_back == diag_
-                assert order_back == canonical_marking(diag_, order)
+                assert order_back == canonical_marking(order)
 
 
 def test_fault_injection_fails_balancing():
@@ -317,12 +315,20 @@ def test_gallery_svgs_reproduce_appendix_count(tmp_path):
 
 
 def test_ordinary_labels_equal_the_oracle_poset():
-    # markings.element_labels against oracles.build_poset: two builders of
-    # the element ids that share no code, on every diagram with d <= 5
+    # markings.ordinary_labels against oracles.build_poset: two readers of
+    # the labels that share no code, on every diagram with d <= 5
     for d in range(1, 6):
         for delta in range(d - 1 + (d - 1) * (d - 2) // 2 + 1):
             for diag in enumerate_diagrams(DiagramQuery(d, cogenus=delta)):
                 dist = next(distributions_oracle(diag, P(()), P.ones(d)))
                 poset = build_poset(diag, dist, P(()))
-                expected = dict(zip(poset.element_labels(), _poset_elements(poset)))
-                assert _ordinary_labels(diag) == expected, diag
+                floors, items = [], {}
+                for label, e in zip(poset.element_labels(), _poset_elements(poset)):
+                    if e[0] == "F":
+                        floors.append(label)
+                    elif e[0] == "M":
+                        items[label] = e[1:4]
+                    else:
+                        items[label] = (e[1], None, e[2])
+                assert ordinary_labels(diag) == (tuple(floors), items), diag
+                assert list(ordinary_labels(diag)[1]) == list(items), diag
