@@ -27,12 +27,17 @@ def strict_index(value) -> int:
     return index(value)
 
 
-def as_int(value, what: str) -> int:
-    """``value`` as an int through ``strict_index``: a bool, a float or a string is refused."""
+def as_int(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int through ``strict_index``: a bool, a float or a
+    string is refused, and so is a value below ``least``, 1 for a size that
+    must be positive (a degree) and 0 for one that must be nonnegative."""
     try:
-        return strict_index(value)
+        v = strict_index(value)
     except TypeError as exc:
         raise DiagramError(f"{what} must be an integer, got {value!r}") from exc
+    if least is not None and v < least:
+        raise DiagramError(f"{what} must be {'positive' if least else 'nonnegative'}, got {v}")
+    return v
 
 
 def memoize(fn):
@@ -171,7 +176,7 @@ class Partition(Value):
 
     @staticmethod
     def ones(n: int) -> "Partition":
-        return Partition((1,) * as_int(n, "part count"))
+        return Partition((1,) * as_int(n, "part count", 0))
 
     @staticmethod
     def parse(text: str) -> "Partition":
@@ -260,9 +265,7 @@ class FloorDiagram(Value):
         """Canonicalize and validate in one pass over the sorted edges, so
         the cost is O(E) whatever d is; a separate method so that it can be
         counted once per diagram built."""
-        d = as_int(self.d, "degree")
-        if d < 1:
-            raise DiagramError(f"degree must be positive, got {d}")
+        d = as_int(self.d, "degree", 1)
         try:
             # index passes a bool as 0 or 1: a False fails the checks below and
             # strict_index refuses a True

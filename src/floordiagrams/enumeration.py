@@ -118,8 +118,7 @@ def all_diagrams(
 ) -> list[tuple[Edge, ...]]:
     """Edge multisets of degree d with exactly n_edges edges (connected ones
     only, with require_connected), in canonical text order."""
-    if d < 1:
-        raise DiagramError(f"degree must be positive, got {d}")
+    d = as_int(d, "degree", 1)
     result = _generate_edge_sets(d, n_edges, require_connected)
     # for d <= 9 every number in the text form is a single digit, so plain
     # tuple order coincides with lexicographic order on the canonical text
@@ -183,17 +182,13 @@ class DiagramQuery(Value):
         connected: bool | None = None,
         filter: str | None = None,
     ):
-        d = as_int(d, "degree")
-        if d < 1:
-            raise DiagramError(f"degree must be positive, got {d}")
+        d = as_int(d, "degree", 1)
         if (genus is None) == (cogenus is None):
             raise DiagramError("exactly one of genus / cogenus must be set")
         if genus is not None:
-            genus = target = as_int(genus, "genus")
+            genus = as_int(genus, "genus", 0)
         else:
-            cogenus = target = as_int(cogenus, "cogenus")
-        if target < 0:
-            raise DiagramError("genus / cogenus must be nonnegative")
+            cogenus = as_int(cogenus, "cogenus", 0)
         if not (connected is None or isinstance(connected, bool)):
             raise DiagramError(f"connected must be None, True or False, got {connected!r}")
         if genus is not None and connected is False:
@@ -237,9 +232,7 @@ def count_connected(d: int, g: int) -> int:
     """Number of connected labeled floor diagrams of degree d, genus g: the
     connected edge sets with d + g - 1 edges, counted by the sweep's memo
     without building any."""
-    d, g = as_int(d, "degree"), as_int(g, "genus")
-    if d < 1 or g < 0:
-        raise DiagramError(f"need d >= 1 and g >= 0, got d={d}, g={g}")
+    d, g = as_int(d, "degree", 1), as_int(g, "genus", 0)
     start, _, count = _sweep(d, d + g - 1, True)
     return count(start)
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .core import DiagramError, Partition, as_int, memoize, trim
+from .core import Partition, as_int, memoize, trim
 from .enumeration import DiagramQuery, enumerate_diagrams
 # perfbench/tracing.py patches enumerate_diagrams and both marking counters here
 from .markings import Vector, check_profile, count_markings, count_relative_markings, floor_splits
@@ -343,9 +343,7 @@ def gw(d: int, g: int) -> int:
     The relative invariant with lambda empty and rho = 1^d: the connected
     sum of the sweep, 0 past the maximal genus (d-1)(d-2)/2.
     """
-    d, g = as_int(d, "degree"), as_int(g, "genus")
-    if d < 1 or g < 0:
-        raise DiagramError(f"need d >= 1 and g >= 0, got d={d}, g={g}")
+    d, g = as_int(d, "degree", 1), as_int(g, "genus", 0)
     return relative_gw(d, g, Partition(()), Partition.ones(d))
 
 
@@ -358,9 +356,7 @@ def severi(d: int, delta: int) -> int:
     d(d-1)/2 - delta edges, and the floor chain and the markings are
     global across components.
     """
-    d, delta = as_int(d, "degree"), as_int(delta, "cogenus")
-    if d < 1 or delta < 0:
-        raise DiagramError(f"need d >= 1 and delta >= 0, got d={d}, delta={delta}")
+    d, delta = as_int(d, "degree", 1), as_int(delta, "cogenus", 0)
     return _row(d, (), (d,)).get(d * (d - 1) // 2 - delta, 0)
 
 
@@ -371,12 +367,8 @@ def relative_gw(d: int, g: int, lam: Partition, rho: Partition) -> int:
     prod(rho) times the connected sum of mu * nu_{lambda,rho} over the
     diagrams with d - 1 + g edges, from the sweep by inversion.
     """
-    d, g = as_int(d, "degree"), as_int(g, "genus")
+    d, g = as_int(d, "degree", 1), as_int(g, "genus", 0)
     check_profile(d, lam, rho)
-    if g < 0:
-        raise DiagramError(f"genus must be nonnegative, got {g}")
-    if d < 1:
-        raise DiagramError(f"degree must be positive, got {d}")
     return prod(rho.parts) * _connected(d, d - 1 + g, _vector(lam.parts), _vector(rho.parts))
 
 
@@ -386,7 +378,5 @@ def welschinger(d: int) -> int:
     The connected genus-0 sum of the sweep with each edge weighing 1 when
     its weight is odd and 0 when it is even.
     """
-    d = as_int(d, "degree")
-    if d < 1:
-        raise DiagramError(f"degree must be positive, got {d}")
+    d = as_int(d, "degree", 1)
     return _connected(d, d - 1, (), (d,), True)

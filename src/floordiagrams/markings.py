@@ -321,6 +321,7 @@ def list_markings(diag: FloorDiagram, lam: Partition, rho: Partition) -> list[tu
     sorted.  Intended for small-d inspection, gallery rendering and the CLI
     --list flag; markings above BRUTE_FORCE_LIMIT elements are refused.
     """
+    check_profile(diag.d, lam, rho)
     check_listing_size(diag.d + len(diag.edges) + lam.length + rho.length)
     reps: list[tuple[str, ...]] = []
     for dist in enumerate_distributions(diag, lam, rho):

@@ -278,9 +278,7 @@ class Template(Value):
 @memoize
 def enumerate_templates(delta: int) -> tuple[Template, ...]:
     """All templates of cogenus exactly delta, in canonical order."""
-    delta = as_int(delta, "cogenus")
-    if delta < 0:
-        raise DiagramError(f"cogenus must be nonnegative, got {delta}")
+    delta = as_int(delta, "cogenus", 0)
     if delta == 0:
         return ()
     span_cap = delta + 1
@@ -549,9 +547,7 @@ def _total(delta: int) -> tuple:
 def node_polynomial(delta: int) -> tuple[RatPolynomial, int]:
     """Symbolic Severi-degree polynomial in d and its validity threshold,
     twice the cogenus, read from the state DP over template sequences."""
-    delta = as_int(delta, "cogenus")
-    if delta < 0:
-        raise DiagramError(f"cogenus must be nonnegative, got {delta}")
+    delta = as_int(delta, "cogenus", 0)
     return _from_newton(_total(delta)), 2 * delta
 
 
@@ -562,9 +558,7 @@ def aj_polynomials(delta_max: int) -> list[RatPolynomial]:
     With N_0 = 1, the logarithmic derivative gives the integer recurrence
     A_j = j N_j - sum_{i<j} A_i N_{j-i}, taken in the binomial basis.
     """
-    delta_max = as_int(delta_max, "cogenus")
-    if delta_max < 1:
-        raise DiagramError(f"need delta_max >= 1, got {delta_max}")
+    delta_max = as_int(delta_max, "cogenus", 1)
     series = [_total(delta) for delta in range(delta_max + 1)]
     aj: list[tuple] = []
     for j in range(1, delta_max + 1):

@@ -78,7 +78,8 @@ mapped as its own Fraction; ``render.sketch_svg`` maps integers over one
 common denominator and must give the same bytes.  ``reconstruct_oracle``
 and ``verify_curve_oracle`` rebuild and check a sketch with every height
 and slope a Fraction; ``tropical`` walks the floors in integers on the
-configuration's lattice and must give equal records.
+configuration's lattice and must give equal records.  ``floor_height``
+reads a floor's y at any x for the drawing and the check.
 
 ``extract_marking`` reads the diagram and the marking order back off a
 sketch, for the reconstruction round trip.  ``copy_with`` copies a value
@@ -1082,6 +1083,18 @@ def tree_to_diagram_oracle(tree: LabeledTree) -> FloorDiagram:
     return FloorDiagram(tree.d, _tree_to_diag_edges(vertices, tree.edges))
 
 
+def floor_height(floor: FloorCurve, x: Fraction) -> Fraction:
+    """The floor's y at ``x``, read on the segment left of the first
+    breakpoint at or right of ``x``, else on the segment right of the last."""
+    if not floor.breakpoints:
+        return floor.anchor[1] + floor.slopes[0] * (x - floor.anchor[0])
+    for i, (bx, by) in enumerate(floor.breakpoints):
+        if x <= bx:
+            return by + floor.slopes[i] * (x - bx)
+    bx, by = floor.breakpoints[-1]
+    return by + floor.slopes[-1] * (x - bx)
+
+
 def sketch_svg_oracle(sketch: TropicalCurveSketch) -> str:
     """Floors as polylines with rays, elevators as vertical strokes."""
     xs: list[Fraction] = []
@@ -1109,8 +1122,8 @@ def sketch_svg_oracle(sketch: TropicalCurveSketch) -> str:
         pts = list(f.breakpoints)
         if not pts:
             pts = [f.anchor]
-        left = (x_lo, f.height(x_lo))
-        right = (x_hi, f.height(x_hi))
+        left = (x_lo, floor_height(f, x_lo))
+        right = (x_hi, floor_height(f, x_hi))
         chain = [left, *pts, right]
         path = "M " + " L ".join(f"{_fmt(sx(x))} {_fmt(sy(y))}" for x, y in chain)
         body.append(
@@ -1228,7 +1241,7 @@ def reconstruct_oracle(
 def verify_curve_oracle(sketch: TropicalCurveSketch, d: int, g: int) -> CurveReport:
     """Balancing, endpoint slopes, unbounded-direction census, degree, genus,
     a failed check for each floor segment or anchor off the floor's slopes,
-    one for each elevator end off ``FloorCurve.height`` of a floor it meets
+    one for each elevator end off ``floor_height`` of a floor it meets
     (read only on floors with no failed segment or anchor), and one for
     each black point off its elevator."""
     checks: list[CurveCheck] = []
@@ -1256,7 +1269,7 @@ def verify_curve_oracle(sketch: TropicalCurveSketch, d: int, g: int) -> CurveRep
                     )
                 )
         ax, ay = floor.anchor
-        if floor.height(ax) != ay:
+        if floor_height(floor, ax) != ay:
             bent.add(floor.vertex)
             checks.append(
                 CurveCheck(f"floor {floor.vertex} anchor", False, f"({ax}, {ay}) off the floor")
@@ -1293,7 +1306,7 @@ def verify_curve_oracle(sketch: TropicalCurveSketch, d: int, g: int) -> CurveRep
             )
             if floor.vertex in bent:
                 continue
-            height = floor.height(e.x)
+            height = floor_height(floor, e.x)
             if floor.vertex == e.upper_floor and e.top != height:
                 end = e.top
             elif floor.vertex == e.lower_floor and e.bottom != height:

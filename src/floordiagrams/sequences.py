@@ -24,7 +24,7 @@ class LabeledTree(Value):
     __slots__ = ("d", "edges")
 
     def __init__(self, d: int, edges: frozenset[tuple[int, int]]):
-        d = as_int(d, "tree size")
+        d = as_int(d, "tree size", 1)
         try:
             edges = frozenset([
                 (a, b) if (a := strict_index(x)) <= (b := strict_index(y)) else (b, a)
@@ -36,8 +36,6 @@ class LabeledTree(Value):
             ) from exc
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edges)
-        if d < 1:
-            raise DiagramError(f"tree needs at least one vertex, got d={d}")
         if len(edges) != d - 1:
             raise DiagramError(f"a tree on {d} vertices needs {d - 1} edges")
         for a, b in edges:
@@ -77,9 +75,7 @@ def max_tangency_fixed(d: int) -> int:
     compositions of n.  ``tangency_series`` fills the cache for z(1..d-1) in
     increasing order, so the recursion stays one level deep.
     """
-    d = as_int(d, "degree")
-    if d < 1:
-        raise DiagramError(f"degree must be positive, got {d}")
+    d = as_int(d, "degree", 1)
     n = d - 1
     z = factorial(2 * n) * _series_exp([Fraction(0)] + tangency_series(n), n)[n]
     if z.denominator != 1:
@@ -89,15 +85,13 @@ def max_tangency_fixed(d: int) -> int:
 
 def max_tangency_free(d: int) -> int:
     """Order-d tangency at an unspecified point: d * z(d)."""
-    d = as_int(d, "degree")
-    if d < 1:
-        raise DiagramError(f"degree must be positive, got {d}")
+    d = as_int(d, "degree", 1)
     return d * max_tangency_fixed(d)
 
 
 def tangency_series(order: int) -> list[Fraction]:
     """Coefficients of x^1..x^order of y(x) = sum d^2 z(d)/(2d)! x^d."""
-    order = as_int(order, "order")
+    order = as_int(order, "order", 0)
     return [
         Fraction(dd * dd * max_tangency_fixed(dd), factorial(2 * dd))
         for dd in range(1, order + 1)
@@ -133,9 +127,7 @@ def ode_residual(order: int) -> list[Fraction]:
 
     All coefficients must vanish when y is built from the tangency series.
     """
-    order = as_int(order, "order")
-    if order < 1:
-        raise DiagramError(f"order must be positive, got {order}")
+    order = as_int(order, "order", 1)
     y = [Fraction(0)] + tangency_series(order + 1)
     n = order + 1
     yprime = [Fraction(k + 1) * y[k + 1] if k + 1 < len(y) else Fraction(0) for k in range(n + 1)]
@@ -289,8 +281,7 @@ def closed_counts(d: int) -> CountReport:
     The alternating-tree comparison is a report (the underlying-tree
     equinumerosity is open), the others are exact identities.
     """
-    if d < 1:
-        raise DiagramError(f"degree must be positive, got {d}")
+    d = as_int(d, "degree", 1)
     genus0 = list(enumerate_diagrams(DiagramQuery(d, genus=0)))
     underlying = {frozenset((s, t) for s, t, _ in diag.edges) for diag in genus0}
     odd = sum(1 for diag in genus0 if all(w % 2 for _, _, w in diag.edges))

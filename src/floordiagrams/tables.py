@@ -23,22 +23,21 @@ def _load(name: str) -> dict:
         return json.load(f)
 
 
-def gw_table() -> dict[tuple[int, int], int]:
-    raw = _load("gw_table.json")
+def _by_degree(name: str) -> dict[tuple[int, int], int]:
+    """A table's rows, one list per degree, as {(d, column): value}."""
     return {
-        (int(d), g): value
-        for d, row in raw["rows"].items()
-        for g, value in enumerate(row)
+        (int(d), col): value
+        for d, row in _load(name)["rows"].items()
+        for col, value in enumerate(row)
     }
+
+
+def gw_table() -> dict[tuple[int, int], int]:
+    return _by_degree("gw_table.json")
 
 
 def severi_table() -> dict[tuple[int, int], int]:
-    raw = _load("severi_table.json")
-    return {
-        (int(d), delta): value
-        for d, row in raw["rows"].items()
-        for delta, value in enumerate(row)
-    }
+    return _by_degree("severi_table.json")
 
 
 def relative_table() -> dict:

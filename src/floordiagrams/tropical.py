@@ -65,9 +65,7 @@ def _lcg(seed: int):
 
 def stretched_config(d: int, g: int, seed: int = 0) -> StretchedConfig:
     """Deterministic vertically stretched (d, g)-configuration."""
-    d, g, seed = as_int(d, "degree"), as_int(g, "genus"), as_int(seed, "seed")
-    if d < 1 or g < 0:
-        raise DiagramError(f"need d >= 1 and g >= 0, got d={d}, g={g}")
+    d, g, seed = as_int(d, "degree", 1), as_int(g, "genus", 0), as_int(seed, "seed")
     n = 3 * d - 1 + g
     rng = _lcg(seed)
     gap = (d**3 + d) * (n + 2) + 1
@@ -84,15 +82,6 @@ class FloorCurve(Value):
     (one more slope than breakpoints; 0 at the far left, 1 at the far right)."""
 
     __slots__ = ("vertex", "anchor", "breakpoints", "slopes")
-
-    def height(self, x: Fraction) -> Fraction:
-        if not self.breakpoints:
-            return self.anchor[1] + self.slopes[0] * (x - self.anchor[0])
-        for i, (bx, by) in enumerate(self.breakpoints):
-            if x <= bx:
-                return by + self.slopes[i] * (x - bx)
-        bx, by = self.breakpoints[-1]
-        return by + self.slopes[-1] * (x - bx)
 
 
 class Elevator(Value):
@@ -134,13 +123,20 @@ def reconstruct(
     diag: FloorDiagram, order: tuple[str, ...], config: StretchedConfig
 ) -> TropicalCurveSketch:
     """Build the unique tropical curve through the configuration realizing
-    the given marking (highest point corresponds to the smallest element)."""
-    genus = diag.genus()
+    the given marking (highest point corresponds to the smallest element).
+    A disconnected diagram is refused: its marking has fewer elements than
+    the configuration has points."""
+    # one component count gives the genus and connectedness; classify would
+    # also build a DiagramShape on every call
+    comps = len(diag.component_vertex_sets())
+    genus = len(diag.edges) - diag.d + comps
     if (config.d, config.g) != (diag.d, genus):
         raise DiagramError(
             f"configuration is for (d,g)=({config.d},{config.g}), "
             f"diagram has ({diag.d},{genus})"
         )
+    if comps != 1:
+        raise DiagramError(f"diagram must be connected, got {comps} components")
     floor_labels, items = ordinary_labels(diag)
     order, pos = checked_order(diag, order)
     n = len(order)
@@ -227,7 +223,7 @@ def _check_polyline(floor: FloorCurve, slopes: list, checks: list[CurveCheck]) -
     ax, ay = floor.anchor
     axn, axd = ax.as_integer_ratio()
     # the anchor is read on the segment left of the first breakpoint at or
-    # right of it, as FloorCurve.height reads it, else right of the last one
+    # right of it, else on the segment right of the last one
     anchor_at = None
     for i, (bx, by) in enumerate(floor.breakpoints):
         xn, xd = bx.as_integer_ratio()

@@ -264,6 +264,19 @@ def test_tropical_reconstruct_command(tmp_path, capsys):
     assert svg.exists()
 
 
+def test_tropical_reconstruct_refuses_a_disconnected_diagram(tmp_path, capsys):
+    # the marking's four elements would leave the (2, 0)-configuration's
+    # top point on no floor or elevator; drawing the marking needs no curve
+    diag, marking = "d=2; edges=", "v1 s1w1#0 v2 s2w1#0"
+    assert run(capsys, "tropical", "reconstruct", "--diagram", diag, "--marking", marking) == (
+        1, "", "error: diagram must be connected, got 2 components\n"
+    )
+    svg = tmp_path / "m.svg"
+    assert run(
+        capsys, "render", "--diagram", diag, "--marking", marking, "--out", str(svg)
+    ) == (0, f"wrote {svg}\n", "")
+
+
 def test_tropical_gallery_command(tmp_path, capsys):
     code, out, _ = run(
         capsys, "tropical", "gallery", "--d", "3", "--g", "0",

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given
 
 from floordiagrams.core import DiagramError, FloorDiagram, Partition, diagram
-from floordiagrams.enumeration import DiagramQuery, enumerate_diagrams
-from floordiagrams.invariants import gw, severi
+from floordiagrams.enumeration import (
+    DiagramQuery,
+    all_diagrams,
+    count_connected,
+    enumerate_diagrams,
+)
+from floordiagrams.invariants import gw, relative_gw, severi, welschinger
 from floordiagrams.nodepoly import (
     Template,
     aj_polynomials,
@@ -16,6 +21,7 @@ from floordiagrams.nodepoly import (
 from floordiagrams.oracles import distinct_orderings
 from floordiagrams.sequences import (
     LabeledTree,
+    closed_counts,
     max_tangency_fixed,
     max_tangency_free,
     ode_residual,
@@ -247,6 +253,68 @@ def test_sizes_reject_bools(call):
     assert gw(1, 0) == 1 and severi(1, 0) == 1
     with pytest.raises(DiagramError, match="must be an integer, got True"):
         call()
+
+
+# every entry point and size argument below its least value, with the one
+# message of each form that core.as_int gives
+BELOW_RANGE = {
+    "FloorDiagram(0)": (lambda: FloorDiagram(0), "degree must be positive, got 0"),
+    "Partition.ones(-1)": (lambda: Partition.ones(-1), "part count must be nonnegative, got -1"),
+    "all_diagrams(0, 0)": (lambda: all_diagrams(0, 0), "degree must be positive, got 0"),
+    "DiagramQuery(0, genus=0)": (
+        lambda: DiagramQuery(0, genus=0), "degree must be positive, got 0"
+    ),
+    "DiagramQuery(3, genus=-1)": (
+        lambda: DiagramQuery(3, genus=-1), "genus must be nonnegative, got -1"
+    ),
+    "DiagramQuery(3, cogenus=-1)": (
+        lambda: DiagramQuery(3, cogenus=-1), "cogenus must be nonnegative, got -1"
+    ),
+    "count_connected(0, 0)": (lambda: count_connected(0, 0), "degree must be positive, got 0"),
+    "count_connected(3, -1)": (
+        lambda: count_connected(3, -1), "genus must be nonnegative, got -1"
+    ),
+    "gw(0, 0)": (lambda: gw(0, 0), "degree must be positive, got 0"),
+    "gw(3, -1)": (lambda: gw(3, -1), "genus must be nonnegative, got -1"),
+    "severi(0, 0)": (lambda: severi(0, 0), "degree must be positive, got 0"),
+    "severi(3, -1)": (lambda: severi(3, -1), "cogenus must be nonnegative, got -1"),
+    "relative_gw(0, 0, (), ())": (
+        lambda: relative_gw(0, 0, Partition(()), Partition(())),
+        "degree must be positive, got 0",
+    ),
+    "relative_gw(3, -1, (), 1^3)": (
+        lambda: relative_gw(3, -1, Partition(()), Partition.ones(3)),
+        "genus must be nonnegative, got -1",
+    ),
+    "welschinger(0)": (lambda: welschinger(0), "degree must be positive, got 0"),
+    "enumerate_templates(-1)": (
+        lambda: enumerate_templates(-1), "cogenus must be nonnegative, got -1"
+    ),
+    "node_polynomial(-1)": (lambda: node_polynomial(-1), "cogenus must be nonnegative, got -1"),
+    "aj_polynomials(0)": (lambda: aj_polynomials(0), "cogenus must be positive, got 0"),
+    "LabeledTree(0)": (lambda: LabeledTree(0, frozenset()), "tree size must be positive, got 0"),
+    "max_tangency_fixed(0)": (lambda: max_tangency_fixed(0), "degree must be positive, got 0"),
+    "max_tangency_free(0)": (lambda: max_tangency_free(0), "degree must be positive, got 0"),
+    "tangency_series(-1)": (lambda: tangency_series(-1), "order must be nonnegative, got -1"),
+    "ode_residual(0)": (lambda: ode_residual(0), "order must be positive, got 0"),
+    "closed_counts(0)": (lambda: closed_counts(0), "degree must be positive, got 0"),
+    "stretched_config(0, 0)": (lambda: stretched_config(0, 0), "degree must be positive, got 0"),
+    "stretched_config(2, -1)": (
+        lambda: stretched_config(2, -1), "genus must be nonnegative, got -1"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", BELOW_RANGE.values(), ids=BELOW_RANGE.keys())
+def test_sizes_reject_values_below_range(call, message):
+    with pytest.raises(DiagramError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_least_sizes_are_accepted():
+    assert Partition.ones(0) == Partition(()) and tangency_series(0) == []
+    assert enumerate_templates(0) == () and node_polynomial(0)[1] == 0
 
 
 # a bool entry of a value class, in each place where it would pass as 0 or 1

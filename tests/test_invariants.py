@@ -15,7 +15,7 @@ from floordiagrams.invariants import (
     severi,
     welschinger,
 )
-from floordiagrams.markings import count_relative_markings
+from floordiagrams.markings import count_relative_markings, list_markings
 from floordiagrams.nodepoly import enumerate_templates
 from floordiagrams.oracles import (
     closed_form_gmax,
@@ -197,13 +197,15 @@ UNHASHABLE_CALLS = {
     "relative_gw(3, 0, [2], (1))": lambda: relative_gw(3, 0, [2], P((1,))),
     "max_tangency_fixed([3])": lambda: max_tangency_fixed([3]),
     "enumerate_templates([1])": lambda: enumerate_templates([1]),
+    "list_markings(d=2, [], [1, 1])": lambda: list_markings(diagram(2), [], [1, 1]),
 }
 
 
 @pytest.mark.parametrize("call", UNHASHABLE_CALLS.values(), ids=UNHASHABLE_CALLS.keys())
 def test_memoized_entry_points_refuse_unhashable_arguments(call):
     # a list skips the cache, whose key it cannot be, and meets the
-    # function's own checks instead of a raw TypeError
+    # function's own checks instead of a raw TypeError; list_markings has no
+    # cache and checks its profile before it reads a length off lambda or rho
     with pytest.raises(DiagramError, match="must be an integer|must be Partitions"):
         call()
 
@@ -216,6 +218,8 @@ def test_relative_rejects_size_mismatch():
         relative_gw(3, 0, (2,), (1,))
     with pytest.raises(DiagramError, match="must be Partitions"):
         count_relative_markings(diagram(2, [(1, 2, 1)]), (), (1, 1))
+    with pytest.raises(DiagramError, match="must be Partitions"):
+        list_markings(diagram(2, [(1, 2, 1)]), (), (1, 1))
 
 
 def test_welschinger():
