@@ -139,9 +139,12 @@ def cmd_invariant(args) -> int:
         _bound("--max-d", args.max_d, 1, INVARIANT_MAX_D)
         if args.kind not in ("gw", "severi"):
             raise DiagramError(f"--table supports gw and severi, not {args.kind}")
-        # one CSV row for each d = 1..--max-d (default 5) and second flag 0..6
+        # one CSV row for each d = 1..--max-d (default 5) and second flag 0..6;
+        # the top degree runs first, so every row reads its one sweep
+        top = 5 if args.max_d is None else args.max_d
+        call(argparse.Namespace(d=top, **{flags[1]: 0}))
         print(",".join(flags) + ",value")
-        for d in range(1, (5 if args.max_d is None else args.max_d) + 1):
+        for d in range(1, top + 1):
             for x in range(7):
                 print(f"{d},{x},{call(argparse.Namespace(d=d, **{flags[1]: x}))}")
         return 0
@@ -301,12 +304,16 @@ def cmd_verify_tables(args) -> int:
 
 
 def _check_frozen(name: str, table, value, max_d: int | None) -> list[str]:
-    """``value(d, x)`` against each entry of ``table()`` with d at most max_d (default 5)."""
+    """``value(d, x)`` against each entry of ``table()`` with d at most max_d
+    (default 5); the last entry, of the top degree, runs first, so every
+    entry reads its one sweep."""
     limit = 5 if max_d is None else max_d
+    rows = sorted((key, expect) for key, expect in table().items() if key[0] <= limit)
+    value(*rows[-1][0])
     return [
         f"{name}({d},{x}) = {got}, table says {expect}"
-        for (d, x), expect in sorted(table().items())
-        if d <= limit and (got := value(d, x)) != expect
+        for (d, x), expect in rows
+        if (got := value(d, x)) != expect
     ]
 
 

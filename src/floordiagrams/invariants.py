@@ -13,13 +13,15 @@ degree d gives the sums over every (possibly disconnected) diagram of
 every degree up to d, grouped by tangency profile and edge count, for
 every profile inside a cap: any floor may be the last one.  Each floor
 spends what is left of its budget through ``markings.floor_splits``, the
-split the marking counter runs.  ``_cap`` picks the sweep from the
-query: lambda empty and rho = 1^d, the profile of ``gw`` and ``severi``,
-has a sweep of its own, and every other profile reads the sweep over all
-profiles.  Severi degrees read a row; the connected sums behind
-``relative_gw`` and ``gw`` come from the rows by one inversion over the
-component that holds floor 1, whose lower-degree rows all come from the
-query's one sweep.
+split the marking counter runs.  Every sweep run is kept, and ``_cap``
+routes a query to the first one that covers it: degree at least the
+query's and caps at least its profile.  Only a query that none covers
+runs a sweep of its own: lambda empty and rho = 1^d, the profile of
+``gw`` and ``severi``, a sweep capped at it, and every other profile the
+sweep over all profiles.  Severi degrees read a row; the connected sums
+behind ``relative_gw`` and ``gw`` come from the rows by one inversion
+over the component that holds floor 1, whose lower-degree rows all come
+from the query's one sweep.
 
 Welschinger numbers are the connected genus-0 sum of the same sweep with
 the real multiplicity in place of mu: each edge weighs 1 when its weight
@@ -95,7 +97,12 @@ def _emissions(pending: Vector, budget: int, odd: bool) -> tuple:
     return tuple((trim(vec), left, num, den) for vec, left, num, den in out)
 
 
-@lru_cache(maxsize=None)
+# every sweep run so far, {(degree, lambda cap, rho cap, odd): its rows}, in
+# the order they ran: the cache of _relative_rows, which its cache_clear
+# empties, and the table _cap routes by
+_SWEEPS: dict = {}
+
+
 def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) -> dict:
     """{(lambda, rho): {edge count: sum of mu * nu_{lambda,rho}}} over every
     diagram of degree at most d, connected or not, for every profile
@@ -133,6 +140,9 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
     division is exact, and a remainder raises AssertionError.  ``odd``
     weighs the edges as ``_emissions`` does.
     """
+    sweep = d, lam_cap, rho_cap, odd
+    if sweep in _SWEEPS:
+        return _SWEEPS[sweep]
     scale = factorial(d * (d - 1) // 2 + d)
     size = max(len(lam_cap), len(rho_cap))
     lam_cap += (0,) * (size - len(lam_cap))
@@ -185,7 +195,7 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
     def splits(parts: int, left: int) -> tuple:
         return tuple(
             (part_id(lam_next, rho_next), sunk, symmetry)
-            for lam_next, rho_next, _, _, sunk, symmetry in floor_splits(left, *part_pairs[parts])
+            for lam_next, rho_next, sunk, symmetry in floor_splits(left, *part_pairs[parts])
         )
 
     states = {(0, edge_id((), ()), 0, part_id(lam_cap, rho_cap)): scale}
@@ -248,15 +258,34 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
             row[edges], rest = divmod(value * prod(map(factorial, lam)), scale)
             if rest:
                 raise AssertionError(f"degree-{d} sweep: {scale} leaves {rest} at {lam, rho}")
+    _SWEEPS[sweep] = rows
     return rows
 
 
-def _cap(d: int, lam: Vector, rho: Vector) -> tuple[int, Vector, Vector]:
+_relative_rows.cache_clear = _SWEEPS.clear
+
+
+def _within(vec: Vector, cap: Vector) -> bool:
+    """True if every component of ``vec`` is at most that of ``cap``."""
+    return len(vec) <= len(cap) and all(map(int.__le__, vec, cap))
+
+
+def _cap(d: int, lam: Vector, rho: Vector, odd: bool = False) -> tuple[int, Vector, Vector]:
     """The sweep, as (degree, lambda cap, rho cap), that a degree-d query
     with profile (lam, rho) reads, for its own row and every sub-row of
-    its inversion: lambda empty and rho = 1^d, the profile of ``gw`` and
-    ``severi``, has a sweep capped at it, and every other profile reads
-    the sweep over all profiles of degree at most d."""
+    its inversion.
+
+    A sweep holds the row of every profile inside its caps at every degree
+    up to its own, so the query takes the first sweep run with degree at
+    least d, the same ``odd`` and caps at least lam and rho, component by
+    component.  Only when none covers it does a new sweep run, the one the
+    query picks alone: lambda empty and rho = 1^d, the profile of ``gw``
+    and ``severi``, a sweep capped at it, and every other profile the
+    sweep over all profiles of degree at most d.
+    """
+    for top, lam_cap, rho_cap, swept_odd in _SWEEPS:
+        if top >= d and swept_odd == odd and _within(lam, lam_cap) and _within(rho, rho_cap):
+            return top, lam_cap, rho_cap
     if not lam and rho == (d,):
         return d, (), rho
     full = tuple(d // k for k in range(1, d + 1))
@@ -269,10 +298,12 @@ def _row(
     """{edge count: sum of mu * nu_{lambda,rho}} over every degree-d diagram.
 
     The row comes from the sweep ``cap`` names, by default the one
-    ``_cap`` routes (d, lam, rho) to; a sweep at degree d holds the rows
-    of every lower degree too, so a grid of profiles costs one sweep.
+    ``_cap`` routes (d, lam, rho) to: a sweep already run that covers it,
+    else the query's own.  A sweep holds the rows of every lower degree
+    too, so a grid of profiles, or a table of degrees read top degree
+    first, costs one sweep.
     """
-    return _relative_rows(*(cap or _cap(d, lam, rho)), odd).get((lam, rho), {})
+    return _relative_rows(*(cap or _cap(d, lam, rho, odd)), odd).get((lam, rho), {})
 
 
 # -- connected sums by inversion ----------------------------------------------
@@ -310,12 +341,11 @@ def _connected(
     times the row value of the rest.  With lambda empty and rho = 1^d this
     is the splitting formula for Severi degrees, with n the number of
     points.  The top query's sweep, ``cap`` (by default the one ``_cap``
-    routes it to), is carried to every sub-row and sub-sum, so the
-    inversion for lambda empty and rho = 1^d reads the one sweep capped at
-    that profile, and any other profile reads the one all-profile sweep at
-    its degree.
+    routes it to), is carried to every sub-row and sub-sum: every
+    sub-profile lies inside the caps of a sweep that covers the query, at
+    a lower degree, so the whole inversion reads that one sweep.
     """
-    cap = cap or _cap(d, lam, rho)
+    cap = cap or _cap(d, lam, rho, odd)
     total = _row(d, lam, rho, odd, cap).get(edges, 0)
     n = d + edges + sum(rho)
     for lam1, lam2, lam_ways in _sub_vectors(lam):

@@ -72,19 +72,16 @@ def floor_splits(left: int, lam: Vector, rho: Vector) -> tuple:
     lambda parts and rho sinks still unused; ``lam`` and ``rho`` are
     multiplicity vectors of one length.
 
-    Each way is (lambda left, rho left, t, u, sinks placed, t! u!): the
-    floor takes t_k lambda parts and u_k sinks of size k, so it places
-    sum(u) sinks, and its t_k parts and u_k sinks of one size are each
+    Each way is (lambda left, rho left, sinks placed, t! u!): the floor
+    takes t_k lambda parts and u_k sinks of size k, so it places sum(u)
+    sinks, and its t_k parts and u_k sinks of one size are each
     interchangeable, which t! u! = prod t_k! u_k! counts.
     """
     out = []
 
-    def split(k: int, left: int, lam_left: tuple, rho_left: tuple, t: tuple, u: tuple,
-              placed: int, symmetry: int):
+    def split(k: int, left: int, lam_left: tuple, rho_left: tuple, placed: int, symmetry: int):
         if not left:
-            zeros = (0,) * (len(lam) - k + 1)
-            out.append((lam_left + lam[k - 1:], rho_left + rho[k - 1:], t + zeros, u + zeros,
-                        placed, symmetry))
+            out.append((lam_left + lam[k - 1:], rho_left + rho[k - 1:], placed, symmetry))
             return
         if k > min(left, len(lam)):  # parts of size k and up cannot spend what is left
             return
@@ -92,9 +89,9 @@ def floor_splits(left: int, lam: Vector, rho: Vector) -> tuple:
         for tk in range(min(r, left // k) + 1):
             for uk in range(min(q, left // k - tk) + 1):
                 split(k + 1, left - k * (tk + uk), lam_left + (r - tk,), rho_left + (q - uk,),
-                      t + (tk,), u + (uk,), placed + uk, symmetry * factorial(tk) * factorial(uk))
+                      placed + uk, symmetry * factorial(tk) * factorial(uk))
 
-    split(1, left, (), (), (), (), 0, 1)
+    split(1, left, (), (), 0, 1)
     return tuple(out)
 
 
@@ -194,7 +191,7 @@ def _gap_dp(d: int, windows: tuple[tuple[int, int], ...], budgets: Vector = (),
             spend = (budgets[v] if budgets else 0, lam_left, rho_left)
             if (splits := spent.get(spend)) is None:
                 splits = spent[spend] = floor_splits(*spend)
-            for lam_next, rho_next, _, _, placed, symmetry in splits:
+            for lam_next, rho_next, placed, symmetry in splits:
                 if value % symmetry:
                     raise AssertionError(f"t! u! = {symmetry} does not divide {value}")
                 key = (v + 1, (*opened[:d], opened[d] + placed), lam_next, rho_next)

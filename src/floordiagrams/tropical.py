@@ -36,6 +36,7 @@ class StretchedConfig(Value):
     __slots__ = ("d", "g", "points")
 
     def __init__(self, d: int, g: int, points: tuple[tuple[Fraction, Fraction], ...]):
+        d, g = as_int(d, "degree", 1), as_int(g, "genus", 0)
         pts = tuple((Fraction(x), Fraction(y)) for x, y in points)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "g", g)

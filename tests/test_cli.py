@@ -422,6 +422,32 @@ def test_verify_tables_gw_low_degree(capsys):
     assert out.strip() == "OK"
 
 
+@pytest.mark.parametrize(
+    "argv, top",
+    [
+        (["invariant", "gw", "--table", "--max-d", "6"], 6),
+        (["invariant", "severi", "--table"], 5),
+        (["verify-tables", "--suite", "gw", "--max-d", "9"], 6),
+        (["verify-tables", "--suite", "severi", "--max-d", "4"], 4),
+    ],
+)
+def test_gw_and_severi_tables_run_one_sweep(capsys, argv, top):
+    # the top degree runs first, so every lower row reads its sweep; the
+    # frozen tables stop at degree 6
+    cached = (
+        invariants.gw, invariants.severi, invariants.relative_gw,
+        invariants._connected, invariants._relative_rows,
+    )
+    for fn in cached:
+        fn.cache_clear()
+    try:
+        assert run(capsys, *argv)[0] == 0
+        assert list(invariants._SWEEPS) == [(top, (), (top,), False)]
+    finally:
+        for fn in cached:
+            fn.cache_clear()
+
+
 def test_identical_invocations_identical_output(capsys):
     a = run(capsys, "enumerate", "--d", "4", "--genus", "1")
     b = run(capsys, "enumerate", "--d", "4", "--genus", "1")

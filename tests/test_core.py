@@ -27,7 +27,7 @@ from floordiagrams.sequences import (
     ode_residual,
     tangency_series,
 )
-from floordiagrams.tropical import stretched_config
+from floordiagrams.tropical import StretchedConfig, stretched_config
 
 from conftest import small_diagrams
 
@@ -301,6 +301,12 @@ BELOW_RANGE = {
     "stretched_config(0, 0)": (lambda: stretched_config(0, 0), "degree must be positive, got 0"),
     "stretched_config(2, -1)": (
         lambda: stretched_config(2, -1), "genus must be nonnegative, got -1"
+    ),
+    "StretchedConfig(0, 1, ())": (
+        lambda: StretchedConfig(0, 1, ()), "degree must be positive, got 0"
+    ),
+    "StretchedConfig(1, -1, ())": (
+        lambda: StretchedConfig(1, -1, ()), "genus must be nonnegative, got -1"
     ),
 }
 

@@ -32,6 +32,7 @@ from floordiagrams.enumeration import (
     enumerate_diagrams,
 )
 from floordiagrams.invariants import (
+    _SWEEPS,
     _connected,
     _relative_rows,
     _row,
@@ -166,40 +167,84 @@ def test_recursion_equals_relative_sweep_rows(d):
                 assert prod(rho) * row.get(top - delta, 0) == expect, (d, low, delta, lam, rho)
 
 
+def clear_sweeps():
+    """Empty the sweep table and every cache of a value read from it."""
+    for fn in (gw, severi, relative_gw, _connected, _relative_rows):
+        fn.cache_clear()
+
+
+def relative_grid(d, genera=(0,)):
+    return {
+        (g, lam, rho): relative_gw(d, g, Partition(lam), Partition(rho))
+        for lam, rho in profiles(d)
+        for g in genera
+    }
+
+
 def test_gw_and_severi_never_run_the_all_profile_sweep():
     """The profile lambda empty, rho = 1^d reads the sweep capped at it;
-    every other profile reads the sweep over all profiles.  Either sweep
-    at the query's degree holds every lower-degree row its inversion
-    reads, so no lower degree is swept."""
-    cached = (gw, severi, relative_gw, _connected, _relative_rows)
-
-    def clear():
-        for fn in cached:
-            fn.cache_clear()
-
-    def swept(d, cap):
-        # True if the sweep (d, cap) is cached already; runs it otherwise.
-        # The engine passes the edge weight, so it is part of the cache key.
-        misses = _relative_rows.cache_info().misses
-        _relative_rows(d, *cap, False)
-        return _relative_rows.cache_info().misses == misses
-
-    clear()
+    every other profile reads the sweep over all profiles.  A query reads
+    the first sweep run that covers it, so a lower degree or a profile
+    inside a swept cap runs no sweep of its own."""
+    gw_sweep = (6, (), (6,), False)
+    grid_sweep = (5, full_cap(5), full_cap(5), False)
+    clear_sweeps()
     try:
         for g in range(7):
             gw(6, g)
         for delta in range(17):
             severi(6, delta)
-        assert _relative_rows.cache_info().currsize == 1
-        assert swept(6, ((), (6,)))
+        assert list(_SWEEPS) == [gw_sweep]
+        for g in range(7):
+            gw(5, g)
+        assert list(_SWEEPS) == [gw_sweep]
 
-        clear()
-        for lam, rho in profiles(5):
-            relative_gw(5, 0, Partition(lam), Partition(rho))
-        assert _relative_rows.cache_info().currsize == 2
-        assert swept(5, (full_cap(5),) * 2) and swept(5, ((), (5,)))
+        # the grid's first profile, rho = (5), lies outside the gw sweep's
+        # cap; lambda empty, rho = 1^5 reads the gw sweep
+        clear_sweeps()
+        for delta in range(17):
+            severi(6, delta)
+        relative_grid(5)
+        assert list(_SWEEPS) == [gw_sweep, grid_sweep]
+
+        clear_sweeps()
+        relative_grid(5)
+        assert list(_SWEEPS) == [grid_sweep]
     finally:
-        clear()
+        clear_sweeps()
+
+
+def test_a_covering_sweep_gives_every_cold_value():
+    """Every profile with d <= 5 and g <= 2, and every Welschinger number
+    with d <= 6, read through a sweep of a higher degree that covers it
+    equals its value from its own sweep, with nothing else cached."""
+    clear_sweeps()
+    try:
+        cold = {}
+        for d in range(1, 6):
+            for lam, rho in profiles(d):
+                clear_sweeps()
+                for g in range(3):
+                    cold[d, g, lam, rho] = relative_gw(d, g, Partition(lam), Partition(rho))
+        clear_sweeps()
+        _relative_rows(6, full_cap(6), full_cap(6))
+        covered = {
+            (d, g, lam, rho): relative_gw(d, g, Partition(lam), Partition(rho))
+            for d, g, lam, rho in cold
+        }
+        assert list(_SWEEPS) == [(6, full_cap(6), full_cap(6), False)]
+        assert covered == cold and len(cold) == 219
+
+        cold = {}
+        for d in range(1, 7):
+            clear_sweeps()
+            cold[d] = welschinger(d)
+        clear_sweeps()
+        _relative_rows(7, (), (7,), True)
+        assert {d: welschinger(d) for d in cold} == cold
+        assert list(_SWEEPS) == [(7, (), (7,), True)]
+    finally:
+        clear_sweeps()
 
 
 def test_relative_gw_equals_connected_diagram_sums():
