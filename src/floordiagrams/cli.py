@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import partial
 
 from . import invariants, nodepoly, sequences, tables, tropical
@@ -363,17 +362,23 @@ def _check_appendix(max_d: int | None) -> list[str]:
 
 
 def _check_nodepoly(max_d: int | None) -> list[str]:
-    bad = []
+    # the frozen templates' mu * P, summed per (cogenus, length, k_min,
+    # epsilon), against the group sums node_polynomial's state DP reads
+    frozen: dict = {}
     for row in tables.template_rows():
-        template = nodepoly.Template(tuple(tuple(e) for e in row["edges"]))
-        stats = template.stats()
-        expect = (row["ell"], row["mu"], row["eps"], tuple(row["kappa"]), row["k_min"])
-        if stats != expect:
-            bad.append(f"template {row['edges']} stats {stats} != {expect}")
-        poly = nodepoly.extension_polynomial(template)
-        ref = nodepoly.RatPolynomial(tuple(Fraction(c) for c in row["P"]))
-        if poly != ref:
-            bad.append(f"P for {row['edges']}: {poly} != {ref}")
+        key = (row["delta"], row["ell"], row["k_min"], row["eps"])
+        poly = nodepoly.RatPolynomial(row["P"]).scale(row["mu"])
+        frozen[key] = frozen.get(key, nodepoly.RatPolynomial()) + poly
+    swept = {
+        (cogenus, length, k_min, eps): nodepoly._from_newton(sums)
+        for cogenus in {key[0] for key in frozen}
+        for length, k_min, eps, sums in nodepoly._template_groups(cogenus)
+    }
+    bad = [
+        f"template group {key} = {swept.get(key)}, table says {frozen.get(key)}"
+        for key in sorted(frozen.keys() | swept.keys())
+        if swept.get(key) != frozen.get(key)
+    ]
     for j, coeffs in enumerate(tables.aj_reference(3), start=1):
         got = nodepoly.aj_polynomials(3)[j - 1]
         if got != nodepoly.RatPolynomial(coeffs):

@@ -275,7 +275,7 @@ class FloorDiagram(Value):
                 else (strict_index(s), strict_index(t), strict_index(w))
                 for s, t, w in self.edges
             ]))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise DiagramError(
                 f"edge entries must be integers, got {self.edges!r}"
             ) from exc
@@ -383,4 +383,4 @@ class FloorDiagram(Value):
 
 def diagram(d: int, edges: Iterable[Sequence[int]] = ()) -> FloorDiagram:
     """Convenience constructor from any iterable of (src, tgt, weight)."""
-    return FloorDiagram(d, tuple(tuple(e) for e in edges))
+    return FloorDiagram(d, edges)

@@ -13,15 +13,16 @@ degree d gives the sums over every (possibly disconnected) diagram of
 every degree up to d, grouped by tangency profile and edge count, for
 every profile inside a cap: any floor may be the last one.  Each floor
 spends what is left of its budget through ``markings.floor_splits``, the
-split the marking counter runs.  Every sweep run is kept, and ``_cap``
-routes a query to the first one that covers it: degree at least the
-query's and caps at least its profile.  Only a query that none covers
-runs a sweep of its own: lambda empty and rho = 1^d, the profile of
-``gw`` and ``severi``, a sweep capped at it, and every other profile the
-sweep over all profiles.  Severi degrees read a row; the connected sums
-behind ``relative_gw`` and ``gw`` come from the rows by one inversion
-over the component that holds floor 1, whose lower-degree rows all come
-from the query's one sweep.
+split the marking counter runs.  Every sweep run is kept in ``_SWEEPS``
+under one key, (degree, lambda cap, rho cap, odd), and ``_route`` gives a
+query the key of the first one that covers it: degree at least the
+query's, the same edge weights and caps at least its profile.  Only a
+query that none covers gets a key of its own, and its sweep runs: lambda
+empty and rho = 1^d, the profile of ``gw`` and ``severi``, a sweep capped
+at it, and every other profile the sweep over all profiles.  Severi
+degrees read a row of the key's sweep; the connected sums behind
+``relative_gw`` and ``gw`` come from its rows by one inversion over the
+component that holds floor 1, which carries the key to every sub-sum.
 
 Welschinger numbers are the connected genus-0 sum of the same sweep with
 the real multiplicity in place of mu: each edge weighs 1 when its weight
@@ -99,7 +100,7 @@ def _emissions(pending: Vector, budget: int, odd: bool) -> tuple:
 
 # every sweep run so far, {(degree, lambda cap, rho cap, odd): its rows}, in
 # the order they ran: the cache of _relative_rows, which its cache_clear
-# empties, and the table _cap routes by
+# empties, and the table _route picks a key from
 _SWEEPS: dict = {}
 
 
@@ -138,7 +139,8 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
     and lambda parts are at most that many disjoint items, so every
     product of parallel-edge, sink and lambda factorials divides it, each
     division is exact, and a remainder raises AssertionError.  ``odd``
-    weighs the edges as ``_emissions`` does.
+    weighs the edges as ``_emissions`` does.  The four arguments are the
+    sweep's key in ``_SWEEPS``, which ``_route`` gives a query.
     """
     sweep = d, lam_cap, rho_cap, odd
     if sweep in _SWEEPS:
@@ -270,40 +272,28 @@ def _within(vec: Vector, cap: Vector) -> bool:
     return len(vec) <= len(cap) and all(map(int.__le__, vec, cap))
 
 
-def _cap(d: int, lam: Vector, rho: Vector, odd: bool = False) -> tuple[int, Vector, Vector]:
-    """The sweep, as (degree, lambda cap, rho cap), that a degree-d query
-    with profile (lam, rho) reads, for its own row and every sub-row of
-    its inversion.
+def _route(d: int, lam: Vector, rho: Vector, odd: bool = False) -> tuple:
+    """The key in ``_SWEEPS``, (degree, lambda cap, rho cap, odd), of the
+    sweep that a degree-d query with profile (lam, rho) reads, for its own
+    row and every sub-row of its inversion.
 
     A sweep holds the row of every profile inside its caps at every degree
     up to its own, so the query takes the first sweep run with degree at
     least d, the same ``odd`` and caps at least lam and rho, component by
-    component.  Only when none covers it does a new sweep run, the one the
-    query picks alone: lambda empty and rho = 1^d, the profile of ``gw``
-    and ``severi``, a sweep capped at it, and every other profile the
-    sweep over all profiles of degree at most d.
+    component; a grid of profiles, or a table of degrees read top degree
+    first, costs one sweep.  Only when none covers it does the key name a
+    new sweep, the one the query picks alone: lambda empty and rho = 1^d,
+    the profile of ``gw`` and ``severi``, a sweep capped at it, and every
+    other profile the sweep over all profiles of degree at most d.
     """
-    for top, lam_cap, rho_cap, swept_odd in _SWEEPS:
+    for sweep in _SWEEPS:
+        top, lam_cap, rho_cap, swept_odd = sweep
         if top >= d and swept_odd == odd and _within(lam, lam_cap) and _within(rho, rho_cap):
-            return top, lam_cap, rho_cap
+            return sweep
     if not lam and rho == (d,):
-        return d, (), rho
+        return d, (), rho, odd
     full = tuple(d // k for k in range(1, d + 1))
-    return d, full, full
-
-
-def _row(
-    d: int, lam: Vector, rho: Vector, odd: bool = False, cap: tuple | None = None
-) -> dict[int, int]:
-    """{edge count: sum of mu * nu_{lambda,rho}} over every degree-d diagram.
-
-    The row comes from the sweep ``cap`` names, by default the one
-    ``_cap`` routes (d, lam, rho) to: a sweep already run that covers it,
-    else the query's own.  A sweep holds the rows of every lower degree
-    too, so a grid of profiles, or a table of degrees read top degree
-    first, costs one sweep.
-    """
-    return _relative_rows(*(cap or _cap(d, lam, rho, odd)), odd).get((lam, rho), {})
+    return d, full, full, odd
 
 
 # -- connected sums by inversion ----------------------------------------------
@@ -325,12 +315,11 @@ def _sub_vectors(vec: Vector) -> tuple[tuple[Vector, Vector, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _connected(
-    d: int, edges: int, lam: Vector, rho: Vector, odd: bool = False, cap: tuple | None = None
-) -> int:
+def _connected(d: int, edges: int, lam: Vector, rho: Vector, sweep: tuple | None = None) -> int:
     """Sum of mu * nu_{lambda,rho} over the connected degree-d diagrams
-    with ``edges`` edges; with ``odd``, of the real multiplicity in place
-    of mu.
+    with ``edges`` edges, read off the sweep whose ``_SWEEPS`` key is
+    ``sweep``, by default the one ``_route`` gives the query; with an odd
+    key, of the real multiplicity in place of mu.
 
     A marked diagram splits into marked components and a shuffle of their
     n items (d floors, the edges' midpoints and one sink per rho part),
@@ -340,25 +329,25 @@ def _connected(
     C(lambda, lambda1) for its lambda indices, times its connected sum,
     times the row value of the rest.  With lambda empty and rho = 1^d this
     is the splitting formula for Severi degrees, with n the number of
-    points.  The top query's sweep, ``cap`` (by default the one ``_cap``
-    routes it to), is carried to every sub-row and sub-sum: every
-    sub-profile lies inside the caps of a sweep that covers the query, at
-    a lower degree, so the whole inversion reads that one sweep.
+    points.  Every sub-profile lies inside the caps of a sweep that covers
+    the query, at a lower degree, so the key is carried to every sub-sum
+    and the whole inversion reads that one sweep's rows.
     """
-    cap = cap or _cap(d, lam, rho, odd)
-    total = _row(d, lam, rho, odd, cap).get(edges, 0)
+    sweep = sweep or _route(d, lam, rho)
+    rows = _relative_rows(*sweep)
+    total = rows.get((lam, rho), {}).get(edges, 0)
     n = d + edges + sum(rho)
     for lam1, lam2, lam_ways in _sub_vectors(lam):
         for rho1, rho2, _ in _sub_vectors(rho):
             d1 = _weight(lam1) + _weight(rho1)
             if not 0 < d1 < d:
                 continue
-            rest = _row(d - d1, lam2, rho2, odd, cap)
+            rest = rows.get((lam2, rho2), {})
             for e1 in range(d1 - 1, d1 * (d1 - 1) // 2 + 1):
                 other = rest.get(edges - e1)
                 if other:
                     n1 = d1 + e1 + sum(rho1)
-                    part = _connected(d1, e1, lam1, rho1, odd, cap)
+                    part = _connected(d1, e1, lam1, rho1, sweep)
                     total -= comb(n - 1, n1 - 1) * lam_ways * part * other
     return total
 
@@ -387,7 +376,8 @@ def severi(d: int, delta: int) -> int:
     global across components.
     """
     d, delta = as_int(d, "degree", 1), as_int(delta, "cogenus", 0)
-    return _row(d, (), (d,)).get(d * (d - 1) // 2 - delta, 0)
+    rows = _relative_rows(*_route(d, (), (d,)))
+    return rows.get(((), (d,)), {}).get(d * (d - 1) // 2 - delta, 0)
 
 
 @memoize
@@ -409,4 +399,4 @@ def welschinger(d: int) -> int:
     its weight is odd and 0 when it is even.
     """
     d = as_int(d, "degree", 1)
-    return _connected(d, d - 1, (), (d,), True)
+    return _connected(d, d - 1, (), (d,), _route(d, (), (d,), True))

@@ -221,8 +221,8 @@ class Template(Value):
 
     def __init__(self, edges: tuple[tuple[int, int, int], ...]):  # (i, j, weight), i < j
         try:
-            edges = tuple(sorted(tuple(map(strict_index, e)) for e in edges))
-        except TypeError as exc:
+            edges = tuple(sorted(tuple(map(strict_index, (i, j, w))) for i, j, w in edges))
+        except (TypeError, ValueError) as exc:
             raise DiagramError(
                 f"template edge entries must be integers, got {edges!r}"
             ) from exc

@@ -25,6 +25,9 @@ splitting enumerator, not the sweep.  ``gw_log_oracle`` runs the same
 formula the other way from ``caporaso_harris`` alone: gw at every genus as
 the log of the Severi degrees' exponential series in the point count, so
 it checks the inversion in ``invariants._connected``.
+``welschinger_log_oracle`` takes the same log of the recursion refined at
+y = -1, and so checks ``welschinger`` and the odd-weight sweep's connected
+sums at every genus.
 
 ``closed_form_gmax`` and ``closed_form_uninodal`` give relative invariants
 at and one below the maximal genus in closed form; ``collinear_triple``
@@ -212,21 +215,61 @@ def caporaso_harris(d: int, delta: int, alpha: Vector = (), beta: Vector | None 
     return _ch(d, delta, _trim(alpha), _trim(beta))
 
 
-def _severi_points(d: int) -> list[int]:
-    """F_d[n] = N^{d,delta} with n = d(d+3)/2 - delta points, n = 0..d(d+3)/2."""
-    top = d * (d + 3) // 2
-    return [caporaso_harris(d, top - n) for n in range(top + 1)]
+def _real(k: int) -> int:
+    """The quantum number [k]_y = (y^(k/2) - y^(-k/2)) / (y^(1/2) - y^(-1/2))
+    at y = -1: 0 for even k and (-1)^((k-1)/2) for odd k."""
+    return (-1) ** (k // 2) if k % 2 else 0
 
 
 @lru_cache(maxsize=None)
-def _severi_log(d: int) -> tuple[int, ...]:
+def _ch_real(d: int, delta: int, alpha: Vector, beta: Vector) -> int:
+    """``_ch`` refined at y = -1: every k the recursion multiplies by, in
+    its first term and in its tangency product, is [k]_{-1}, so a term
+    with an even tangency vanishes."""
+    if delta < 0 or _weight(alpha) + _weight(beta) != d:
+        return 0
+    if d == 0:
+        return 1 if delta == 0 else 0
+    total = 0
+    for k, b in enumerate(beta, start=1):
+        if b and k % 2:
+            total += _real(k) * _ch_real(d, delta, _shift(alpha, k, 1), _shift(beta, k, -1))
+    for sub in product(*(range(a + 1) for a in alpha)):
+        alpha_p = _trim(sub)
+        free = d - 1 - _weight(alpha_p) - _weight(beta)
+        if free < 0:
+            continue
+        choose_alpha = prod(comb(a, ap) for a, ap in zip(alpha, sub))
+        for gamma in _vectors_of_weight(free, free):
+            delta_p = delta - (d - 1) + sum(gamma)
+            tangency = prod(_real(k) ** g for k, g in enumerate(gamma, start=1))
+            if delta_p < 0 or not tangency:
+                continue
+            beta_p = _add(beta, gamma)
+            choose_beta = prod(comb(bp, b) for bp, b in zip(beta_p, beta))
+            total += (
+                tangency * choose_alpha * choose_beta * _ch_real(d - 1, delta_p, alpha_p, beta_p)
+            )
+    return total
+
+
+def _severi_points(d: int, real: bool = False) -> list[int]:
+    """F_d[n] = N^{d,delta} with n = d(d+3)/2 - delta points, n = 0..d(d+3)/2;
+    with ``real``, the recursion refined at y = -1."""
+    top = d * (d + 3) // 2
+    ch = _ch_real if real else _ch
+    return [ch(d, top - n, (), (d,)) for n in range(top + 1)]
+
+
+@lru_cache(maxsize=None)
+def _severi_log(d: int, real: bool = False) -> tuple[int, ...]:
     """G_d[n], n = 0..d(d+3)/2: the degree-d part of the log of the Severi
     degrees' exponential series in the point count, from
     d G_d = d F_d - sum_{k<d} k G_k (*) F_{d-k}, where (*) is the binomial
-    convolution in n."""
-    total = [d * f for f in _severi_points(d)]
+    convolution in n; with ``real``, of the refined recursion's series."""
+    total = [d * f for f in _severi_points(d, real)]
     for k in range(1, d):
-        low, rest = _severi_log(k), _severi_points(d - k)
+        low, rest = _severi_log(k, real), _severi_points(d - k, real)
         for n in range(len(total)):
             total[n] -= k * sum(
                 comb(n, i) * low[i] * rest[n - i]
@@ -253,6 +296,23 @@ def gw_log_oracle(d: int, g: int) -> int:
     be checked to vanish below genus 0; past d(d+3)/2 points it is 0.
     """
     log = _severi_log(d)
+    n = 3 * d + g - 1
+    return log[n] if n < len(log) else 0
+
+
+def welschinger_log_oracle(d: int, g: int = 0) -> int:
+    """welschinger(d) from the Caporaso-Harris recursion alone.
+
+    Block & Goettsche (Refined curve counting with tropical geometry,
+    Compositio Math. 152, 2016) replace each k in the recursion by the
+    quantum number [k]_y; at y = -1 a tropical curve counts with its real
+    multiplicity, 1 when every edge weight is odd and 0 otherwise, so the
+    refined Severi degrees are the odd-weight diagram sums.  The log of
+    their exponential series, taken as ``gw_log_oracle`` takes it, gives
+    the connected sums: W(d) at genus 0, n = 3d - 1, and at genus g the
+    connected odd-weight sum through 3d - 1 + g points.
+    """
+    log = _severi_log(d, True)
     n = 3 * d + g - 1
     return log[n] if n < len(log) else 0
 

@@ -37,7 +37,10 @@ class StretchedConfig(Value):
 
     def __init__(self, d: int, g: int, points: tuple[tuple[Fraction, Fraction], ...]):
         d, g = as_int(d, "degree", 1), as_int(g, "genus", 0)
-        pts = tuple((Fraction(x), Fraction(y)) for x, y in points)
+        try:
+            pts = tuple((Fraction(x), Fraction(y)) for x, y in points)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DiagramError(f"points must be pairs of rationals, got {points!r}") from exc
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "points", pts)

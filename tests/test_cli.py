@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,9 +6,10 @@ import sys
 import time
 from pathlib import Path
 
+import cli_transcript
 import pytest
 
-from floordiagrams import cli, invariants
+from floordiagrams import cli, invariants, tables
 from floordiagrams.cli import DIAGRAM_MAX_D, RENDER_MAX_D, main
 
 
@@ -398,6 +400,22 @@ def test_verify_tables_small_suites(capsys):
         assert out.strip() == "OK"
 
 
+def test_verify_tables_nodepoly_reports_a_corrupted_template(capsys, monkeypatch):
+    # one coefficient of P for the template with two parallel weight-2
+    # edges, 3 - 5/2 d + 1/2 d^2 times mu = 16, read as 4: its (cogenus,
+    # length, k_min, epsilon) group's sum no longer equals the sweep's
+    rows = copy.deepcopy(tables.template_rows())
+    assert rows[3]["edges"] == [[0, 1, 2], [0, 1, 2]] and rows[3]["P"][0] == "3"
+    rows[3]["P"][0] = "4"
+    monkeypatch.setattr(tables, "template_rows", lambda: rows)
+    assert run(capsys, "verify-tables", "--suite", "nodepoly") == (
+        1,
+        "MISMATCH template group (2, 1, 4, 0) = 8*x^2 - 40*x + 48, "
+        "table says 8*x^2 - 40*x + 64\n",
+        "",
+    )
+
+
 def test_verify_tables_max_d_skips_higher_rows(capsys, monkeypatch):
     # relative's rows are all of degree 3, appendix's of degree 1 to 4
     seen = []
@@ -446,6 +464,18 @@ def test_gw_and_severi_tables_run_one_sweep(capsys, argv, top):
     finally:
         for fn in cached:
             fn.cache_clear()
+
+
+def test_cli_replays_its_transcript():
+    # every case of tests/cli_transcript.py gives the exit code, stdout,
+    # stderr and written files it gave when the transcript was recorded;
+    # argparse's own help and usage layout differs between Python versions,
+    # so those cases are compared only on the recording's version
+    transcript = json.loads(cli_transcript.TRANSCRIPT.read_text())
+    same_python = transcript["python"] == "%d.%d" % sys.version_info[:2]
+    for case in transcript["cases"]:
+        if same_python or "usage: " not in case["stdout"] + case["stderr"]:
+            assert cli_transcript.run(case["argv"], main) == case, case["argv"]
 
 
 def test_identical_invocations_identical_output(capsys):

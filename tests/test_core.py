@@ -210,6 +210,21 @@ def test_constructors_reject_non_integers():
         FloorDiagram("3", ())
     with pytest.raises(DiagramError):
         FloorDiagram.from_json('{"d": 3.5, "edges": []}')
+    # malformed entries: an edge of two or four entries or of none, edges
+    # that are no iterable, a template edge of two, a point of three
+    # coordinates or not a number
+    edge = "edge entries must be integers"
+    for make, message in [
+        (lambda: diagram(3, [(1, 2)]), edge),
+        (lambda: diagram(3, [(1, 2, 1, 1)]), edge),
+        (lambda: diagram(3, [5]), edge),
+        (lambda: diagram(3, 5), edge),
+        (lambda: Template(((0, 1),)), f"template {edge}"),
+        (lambda: StretchedConfig(1, 0, ((1, 2, 3), (4, 5, 6))), "points must be pairs of rationals"),
+        (lambda: StretchedConfig(1, 0, (("a", 1), (2, 3))), "points must be pairs of rationals"),
+    ]:
+        with pytest.raises(DiagramError, match=f"^{message}, got "):
+            make()
 
 
 NON_INTEGER_SIZES = {

@@ -35,7 +35,7 @@ from floordiagrams.invariants import (
     _SWEEPS,
     _connected,
     _relative_rows,
-    _row,
+    _route,
     _weighted_marking_sum,
     gw,
     relative_gw,
@@ -65,6 +65,7 @@ from floordiagrams.oracles import (
     sketch_svg_oracle,
     tree_to_diagram_oracle,
     verify_curve_oracle,
+    welschinger_log_oracle,
     welschinger_oracle,
 )
 from floordiagrams.render import sketch_svg
@@ -161,7 +162,8 @@ def test_recursion_equals_relative_sweep_rows(d):
         low = sum(lam) + sum(rho)
         top = low * (low - 1) // 2
         alpha, beta = multiplicities(lam), multiplicities(rho)
-        for row in (_row(low, alpha, beta), rows[alpha, beta]):
+        own = _relative_rows(*_route(low, alpha, beta))
+        for row in (own[alpha, beta], rows[alpha, beta]):
             for delta in range(top + 2):
                 expect = caporaso_harris(low, delta, alpha, beta)
                 assert prod(rho) * row.get(top - delta, 0) == expect, (d, low, delta, lam, rho)
@@ -279,13 +281,14 @@ def test_odd_weight_rows_equal_odd_diagram_sums(d):
     """Every row and connected sum of the odd-weight sweep, disconnected
     and higher-genus ones too, which welschinger does not read."""
     top = d * (d - 1) // 2
-    row = _row(d, (), (d,), True)
+    sweep = _route(d, (), (d,), True)
+    row = _relative_rows(*sweep)[(), (d,)]
     for delta in range(top + 1):
         query = DiagramQuery(d, cogenus=delta, filter="odd")
         assert row.get(top - delta, 0) == odd_marking_sum(query), (d, delta)
     for g in range((d - 1) * (d - 2) // 2 + 1):
         query = DiagramQuery(d, genus=g, filter="odd")
-        assert _connected(d, d - 1 + g, (), (d,), True) == odd_marking_sum(query), (d, g)
+        assert _connected(d, d - 1 + g, (), (d,), sweep) == odd_marking_sum(query), (d, g)
 
 
 def test_welschinger_equals_enumerated_odd_diagrams():
@@ -293,6 +296,23 @@ def test_welschinger_equals_enumerated_odd_diagrams():
         assert welschinger(d) == welschinger_oracle(d), d
     # welschinger_oracle(8) gives the same value, in about 30 s
     assert welschinger(8) == 359935488000
+
+
+def test_refined_recursion_equals_the_odd_weight_sweep():
+    """The Caporaso-Harris recursion refined at y = -1 shares no code with
+    floor diagrams; its log checks welschinger past the enumerated
+    oracle's reach, and every genus of the odd-weight sweep's connected
+    sums, each read through the odd key its query is routed to."""
+    published = [1, 1, 8, 240, 18264, 2845440, 792731520, 359935488000]
+    assert [welschinger_log_oracle(d) for d in range(1, 9)] == published
+    for d in range(1, 11):
+        assert welschinger_log_oracle(d) == welschinger(d), d
+    for d in range(1, 9):
+        sweep = _route(d, (), (d,), True)
+        assert sweep[3] is True
+        for g in range((d - 1) * (d - 2) // 2 + 2):
+            expect = welschinger_log_oracle(d, g)
+            assert _connected(d, d - 1 + g, (), (d,), sweep) == expect, (d, g)
 
 
 def test_memoized_sweep_equals_the_depth_first_oracle():
