@@ -30,9 +30,9 @@ from .sequences import LabeledTree
 NODEPOLY_MAX_DELTA = 8
 
 # the largest degree measured for gw, severi, relative and welschinger (the
-# sweep over every tangency profile at d = 9, which relative runs: 2.0-2.5 s,
-# 26 MB in a fresh process on a 2-CPU x86-64 host, about 4x per degree;
-# gw(9, 0) and severi(9, 10): 0.35-0.46 s, 18 MB; welschinger(9): 0.25 s,
+# sweep over every tangency profile at d = 9, which relative runs: 1.1 s,
+# 27 MB in a fresh process on a 2-CPU x86-64 host, about 3x per degree;
+# gw(9, 0) and severi(9, 10): 0.18-0.19 s, 18 MB; welschinger(9): 0.12-0.13 s,
 # 17 MB); larger degrees are refused before any sweep
 INVARIANT_MAX_D = 9
 

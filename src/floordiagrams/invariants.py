@@ -13,13 +13,15 @@ degree d gives the sums over every (possibly disconnected) diagram of
 every degree up to d, grouped by tangency profile and edge count, for
 every profile inside a cap: any floor may be the last one.  Each floor
 spends what is left of its budget through ``markings.floor_splits``, the
-split the marking counter runs.  Every sweep run is kept in ``_SWEEPS``
-under one key, (degree, lambda cap, rho cap, odd), and ``_route`` gives a
-query the key of the first one that covers it: degree at least the
-query's, the same edge weights and caps at least its profile.  Only a
-query that none covers gets a key of its own, and its sweep runs: lambda
-empty and rho = 1^d, the profile of ``gw`` and ``severi``, a sweep capped
-at it, and every other profile the sweep over all profiles.  Severi
+split the marking counter runs; where that split is forced, as it always
+is with lambda empty and rho = 1^d, it is taken in the same step as the
+floor's emission.  Every sweep run is kept in ``_SWEEPS`` under one key,
+(degree, lambda cap, rho cap, odd), and ``_route`` gives a query the key
+of the first one that covers it: degree at least the query's, the same
+edge weights and caps at least its profile.  Only a query that none
+covers gets a key of its own, and its sweep runs: lambda empty and
+rho = 1^d, the profile of ``gw`` and ``severi``, a sweep capped at it,
+and every other profile the sweep over all profiles.  Severi
 degrees read a row of the key's sweep; the connected sums behind
 ``relative_gw`` and ``gw`` come from its rows by one inversion over the
 component that holds floor 1, which carries the key to every sub-sum.
@@ -115,12 +117,18 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
     edges by weight whose midpoint is pending and those whose midpoint is
     placed and whose target is not, sinks unplaced, the lambda parts and
     rho parts left).  A position holds a pending midpoint, in
-    pending_k ways, an unplaced sink, or the next floor.  A floor, in
-    three phases summed into dicts of their own, absorbs some placed
-    edges, in prod C(placed_k, t_k) ways; emits outgoing edges into
-    pending, divided by m_w! as the midpoints pick among them later; and
-    spends the rest of its budget through ``markings.floor_splits``, whose
-    t! u! it divides by.
+    pending_k ways, an unplaced sink, or the next floor.  A floor absorbs
+    some placed edges, in prod C(placed_k, t_k) ways, summed into a dict
+    of its own; emits outgoing edges into pending, divided by m_w! as the
+    midpoints pick among them later; and spends the rest of its budget
+    through ``markings.floor_splits``, whose t! u! it divides by.
+    ``spend`` gives the last two steps of an absorbed state at once.  An
+    emission whose rest splits one way only, as every one does with
+    lambda empty and rho = 1^d, takes that split along and goes straight
+    to the next position's states, divided by m! t! u! in one step.  The
+    others are summed into a dict of emissions first, so that the split
+    fans out once per distinct state, and an emission whose rest has no
+    split is dropped.  A last floor joins that dict too.
 
     Any floor up to the d-th may be the last one, once nothing is
     pending: it absorbs every placed edge and emits nothing.  Its s
@@ -138,9 +146,10 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
     Values are integers scaled by N!, N = d(d-1)/2 + d: midpoints, sinks
     and lambda parts are at most that many disjoint items, so every
     product of parallel-edge, sink and lambda factorials divides it, each
-    division is exact, and a remainder raises AssertionError.  ``odd``
-    weighs the edges as ``_emissions`` does.  The four arguments are the
-    sweep's key in ``_SWEEPS``, which ``_route`` gives a query.
+    division is exact (one by 1 is skipped), and a remainder raises
+    AssertionError.  ``odd`` weighs the edges as ``_emissions`` does.  The
+    four arguments are the sweep's key in ``_SWEEPS``, which ``_route``
+    gives a query.
     """
     sweep = d, lam_cap, rho_cap, odd
     if sweep in _SWEEPS:
@@ -186,19 +195,30 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
         )
 
     @lru_cache(maxsize=None)
-    def emissions(edges: int, budget: int) -> tuple:
-        pending, placed = edge_pairs[edges]
-        return tuple(
-            (edge_id(pending_next, placed), left, weighs, parallel)
-            for pending_next, left, weighs, parallel in _emissions(pending, budget, odd)
-        )
-
-    @lru_cache(maxsize=None)
     def splits(parts: int, left: int) -> tuple:
         return tuple(
             (part_id(lam_next, rho_next), sunk, symmetry)
             for lam_next, rho_next, sunk, symmetry in floor_splits(left, *part_pairs[parts])
         )
+
+    @lru_cache(maxsize=None)
+    def spend(edges: int, budget: int, parts: int) -> tuple:
+        # (folded, unfolded): an emission whose rest splits one way only
+        # takes that split along; the others meet in emitted first
+        pending, placed = edge_pairs[edges]
+        folded, unfolded = [], []
+        for pending_next, left, weighs, parallel in _emissions(pending, budget, odd):
+            edges_next = edge_id(pending_next, placed)
+            ways = splits(parts, left)
+            if len(ways) == 1:
+                (parts_next, sunk, symmetry), = ways
+                folded.append((edges_next, sunk, parts_next, weighs, parallel * symmetry))
+            elif ways:
+                unfolded.append((edges_next, left, weighs, parallel))
+        return tuple(folded), tuple(unfolded)
+
+    def inexact(divisor: int, rest: int) -> AssertionError:
+        return AssertionError(f"degree-{d} sweep: {divisor} leaves {rest} at a floor")
 
     states = {(0, edge_id((), ()), 0, part_id(lam_cap, rho_cap)): scale}
     finals: dict = {}
@@ -224,17 +244,30 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
                 key = (floors + 1, None, sinks, parts, budget)
                 emitted[key] = emitted.get(key, 0) + value
         for (floors, edges, sinks, parts, budget), value in absorbed.items():
-            for edges_next, left, weighs, parallel in emissions(edges, budget):
-                share, rest = divmod(value * weighs, parallel)
-                if rest:
-                    raise AssertionError(f"degree-{d} sweep: {parallel} leaves {rest} at a floor")
+            folded, unfolded = spend(edges, budget, parts)
+            for edges_next, sunk, parts_next, weighs, divisor in folded:
+                share = value * weighs
+                if divisor != 1:
+                    share, rest = divmod(share, divisor)
+                    if rest:
+                        raise inexact(divisor, rest)
+                key = (floors + 1, edges_next, sinks + sunk, parts_next)
+                moved[key] = moved.get(key, 0) + share
+            for edges_next, left, weighs, parallel in unfolded:
+                share = value * weighs
+                if parallel != 1:
+                    share, rest = divmod(share, parallel)
+                    if rest:
+                        raise inexact(parallel, rest)
                 key = (floors + 1, edges_next, sinks, parts, left)
                 emitted[key] = emitted.get(key, 0) + share
         for (floors, edges, sinks, parts, left), value in emitted.items():
             for parts_next, sunk, symmetry in splits(parts, left):
-                share, rest = divmod(value, symmetry)
-                if rest:
-                    raise AssertionError(f"degree-{d} sweep: {symmetry} leaves {rest} at a floor")
+                share = value
+                if symmetry != 1:
+                    share, rest = divmod(value, symmetry)
+                    if rest:
+                        raise inexact(symmetry, rest)
                 if edges is None:
                     # the sinks fill the next positions, in (sinks + sunk)! ways
                     last = position + sinks + sunk

@@ -11,6 +11,7 @@ and relative_gw(d, 0, (d), ()).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, factorial
 
@@ -23,17 +24,21 @@ class LabeledTree(Value):
 
     __slots__ = ("d", "edges")
 
-    def __init__(self, d: int, edges: frozenset[tuple[int, int]]):
+    def __init__(self, d: int, edges: Iterable[tuple[int, int]]):
         d = as_int(d, "tree size", 1)
         try:
-            edges = frozenset([
+            pairs = [
                 (a, b) if (a := strict_index(x)) <= (b := strict_index(y)) else (b, a)
                 for x, y in edges
-            ])
+            ]
         except (TypeError, ValueError) as exc:
             raise DiagramError(
                 f"tree edges must be pairs of integers, got {edges!r}"
             ) from exc
+        edges = frozenset(pairs)
+        if len(edges) < len(pairs):
+            a, b = next(pair for i, pair in enumerate(pairs) if pair in pairs[:i])
+            raise DiagramError(f"tree edge ({a},{b}) is repeated")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edges)
         if len(edges) != d - 1:
@@ -61,7 +66,7 @@ class LabeledTree(Value):
     @staticmethod
     def from_text(text: str) -> "LabeledTree":
         d, edges = parse_text(text, 2, "tree")
-        return LabeledTree(d, frozenset(edges))
+        return LabeledTree(d, edges)
 
 
 # -- maximal tangency ---------------------------------------------------------

@@ -112,6 +112,36 @@ def test_sweep_integrality_check_survives_optimize():
     assert proc.returncode != 0 and "AssertionError: degree-4 sweep" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        # rho = 1^4: every split is folded into its emission
+        pytest.param("inv.severi(4, 2)", id="folded"),
+        # every profile: a split with a choice waits in the emitted dict
+        pytest.param("inv.relative_gw(4, 0, P((2,)), P((1, 1)))", id="split-pass"),
+    ],
+)
+def test_sweep_parallel_edge_check_survives_optimize(query):
+    # a parallel-edge factor off by a prime past N, so that no scaled value
+    # absorbs it, on every emission that leaves budget for a split; the
+    # message names the prime, so the emission's own check caught it
+    code = (
+        "from floordiagrams import invariants as inv; "
+        "from floordiagrams.core import Partition as P; "
+        "emissions = inv._emissions; "
+        "inv._emissions = lambda *key: tuple("
+        "(vec, left, weighs, parallel * 10007 if left else parallel) "
+        "for vec, left, weighs, parallel in emissions(*key)); "
+        + query
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0 and "AssertionError: degree-4 sweep: 10007 leaves " in proc.stderr
+
+
 def test_split_oracle_examples():
     """gw inverts the sweep over the component holding floor 1, which is
     the splitting formula in exponential form, so these agree with severi

@@ -150,7 +150,7 @@ def full_cap(d):
     return tuple(d // k for k in range(1, d + 1))
 
 
-@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("d", range(1, 9))
 def test_recursion_equals_relative_sweep_rows(d):
     """The all-profile sweep at d holds a row for every profile of every
     degree up to d, and no other; each equals the recursion, as does the

@@ -205,6 +205,10 @@ def test_tree_validation():
     # a 3-cycle and the isolated vertex 4: d - 1 edges, all in range
     with pytest.raises(DiagramError, match=r"^tree must be connected$"):
         LabeledTree(4, frozenset({(1, 2), (2, 3), (1, 3)}))
+    # two edges on 3 vertices, the same one twice: named before the count
+    for text in ("d=3; edges=(1,2);(2,1)", "d=3; edges=(1,2);(1,2)"):
+        with pytest.raises(DiagramError, match=r"^tree edge \(1,2\) is repeated$"):
+            LabeledTree.from_text(text)
     assert LabeledTree(3, frozenset({(3, 1), (2, 3)})).edges == frozenset({(1, 3), (2, 3)})
     text = LabeledTree(3, frozenset({(1, 3), (2, 3)})).text()
     assert LabeledTree.from_text(text).edges == frozenset({(1, 3), (2, 3)})
