@@ -32,8 +32,8 @@ NODEPOLY_MAX_DELTA = 8
 # the largest degree measured for gw, severi, relative and welschinger (the
 # sweep over every tangency profile at d = 9, which relative runs: 1.1 s,
 # 27 MB in a fresh process on a 2-CPU x86-64 host, about 3x per degree;
-# gw(9, 0) and severi(9, 10): 0.18-0.19 s, 18 MB; welschinger(9): 0.12-0.13 s,
-# 17 MB); larger degrees are refused before any sweep
+# gw(9, 0) and severi(9, 10): 0.10-0.13 s, 17 MB; welschinger(9): 0.07-0.10 s,
+# 16 MB); larger degrees are refused before any sweep
 INVARIANT_MAX_D = 9
 
 # the largest degree measured for counts (closed_counts(8) holds all 262,144

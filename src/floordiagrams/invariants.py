@@ -5,23 +5,30 @@ count over floor diagrams.
 
 Gromov-Witten numbers, Severi degrees and relative invariants come from
 one sweep, ``_relative_rows``, that reads marked diagrams in marking
-order: each position holds the next floor, an edge's midpoint or a sink,
-and an edge gets its target only when it lands on a floor (the Fock
-space reading of Block & Goettsche, IMRN 2016, and Cooper &
+order: each position holds a floor, an edge's midpoint or a sink (the
+Fock space reading of Block & Goettsche, IMRN 2016, and Cooper &
 Pandharipande, Proc. LMS 2017).  No diagram is built, and one sweep at
 degree d gives the sums over every (possibly disconnected) diagram of
 every degree up to d, grouped by tangency profile and edge count, for
-every profile inside a cap: any floor may be the last one.  Each floor
-spends what is left of its budget through ``markings.floor_splits``, the
-split the marking counter runs; where that split is forced, as it always
-is with lambda empty and rho = 1^d, it is taken in the same step as the
-floor's emission.  Every sweep run is kept in ``_SWEEPS`` under one key,
-(degree, lambda cap, rho cap, odd), and ``_route`` gives a query the key
-of the first one that covers it: degree at least the query's, the same
-edge weights and caps at least its profile.  Only a query that none
-covers gets a key of its own, and its sweep runs: lambda empty and
-rho = 1^d, the profile of ``gw`` and ``severi``, a sweep capped at it,
-and every other profile the sweep over all profiles.  Severi
+every profile inside a cap.  It has two readings of one marking.  With
+lambda empty and rho = 1^d, the profile of ``gw``, ``severi`` and
+``welschinger``, ``_ones_rows`` reads it from the last position back: a
+floor emits its incoming edges, an edge gets its source only when it
+lands on a floor, and the floor's sinks, which follow it, go among the
+items already read at once, so no state carries a sink; any floor after
+which no edge is open may be floor 1.  Every other profile is read from
+the first position on by ``_forward_rows``: a floor emits its outgoing
+edges, an edge gets its target only when it lands on a floor, and any
+floor may be the last one.  There each floor spends what is left of its
+budget through ``markings.floor_splits``, the split the marking counter
+runs, in the same step as its emission where that split is forced.
+
+Every sweep run is kept in ``_SWEEPS`` under one key, (degree, lambda
+cap, rho cap, odd), and ``_route`` gives a query the key of the first one
+that covers it: degree at least the query's, the same edge weights and
+caps at least its profile.  Only a query that none covers gets a key of
+its own, and its sweep runs: lambda empty and rho = 1^d, a sweep capped
+at it, and every other profile the sweep over all profiles.  Severi
 degrees read a row of the key's sweep; the connected sums behind
 ``relative_gw`` and ``gw`` come from its rows by one inversion over the
 component that holds floor 1, which carries the key to every sub-sum.
@@ -100,6 +107,10 @@ def _emissions(pending: Vector, budget: int, odd: bool) -> tuple:
     return tuple((trim(vec), left, num, den) for vec, left, num, den in out)
 
 
+def _inexact(d: int, divisor: int, rest: int) -> AssertionError:
+    return AssertionError(f"degree-{d} sweep: {divisor} leaves {rest} at a floor")
+
+
 # every sweep run so far, {(degree, lambda cap, rho cap, odd): its rows}, in
 # the order they ran: the cache of _relative_rows, which its cache_clear
 # empties, and the table _route picks a key from
@@ -110,21 +121,48 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
     """{(lambda, rho): {edge count: sum of mu * nu_{lambda,rho}}} over every
     diagram of degree at most d, connected or not, for every profile
     lambda <= lam_cap, rho <= rho_cap; all are trimmed multiplicity
-    vectors, and a profile's degree is its weight I(lambda) + I(rho).
+    vectors, and a profile's degree is its weight I(lambda) + I(rho).  With
+    ``odd``, the sum is of the real multiplicity in place of mu.
 
-    The sweep reads a marking one position at a time, breadth-first, so a
-    marked diagram has no symmetry left.  A state is (floors placed, the
-    edges by weight whose midpoint is pending and those whose midpoint is
-    placed and whose target is not, sinks unplaced, the lambda parts and
-    rho parts left).  A position holds a pending midpoint, in
-    pending_k ways, an unplaced sink, or the next floor.  A floor absorbs
-    some placed edges, in prod C(placed_k, t_k) ways, summed into a dict
-    of its own; emits outgoing edges into pending, divided by m_w! as the
-    midpoints pick among them later; and spends the rest of its budget
-    through ``markings.floor_splits``, whose t! u! it divides by.
-    ``spend`` gives the last two steps of an absorbed state at once.  An
-    emission whose rest splits one way only, as every one does with
-    lambda empty and rho = 1^d, takes that split along and goes straight
+    The four arguments are the sweep's key in ``_SWEEPS``, which ``_route``
+    gives a query, and a key's rows are computed once.  Both kernels read
+    marked diagrams in marking order, one position at a time, so a marked
+    diagram has no symmetry left; they differ in the end they read from.
+    The key (d, (), (d,), odd), lambda empty and rho = 1^d, the ordinary
+    and the odd sweep, is read from the last position back by
+    ``_ones_rows``: a floor's sinks follow it, so they are placed with it
+    and leave the state.  Every other key is read from the first position
+    by ``_forward_rows``.  Read from the end, the sweep over all profiles
+    costs far more, as its top floors pick large parts first and that
+    choice fans out through every later layer; and no odd key has any
+    other profile.
+    """
+    sweep = d, lam_cap, rho_cap, odd
+    if sweep not in _SWEEPS:
+        if not lam_cap and rho_cap == (d,):
+            _SWEEPS[sweep] = _ones_rows(d, odd)
+        elif odd:
+            raise AssertionError(f"no odd sweep reads the caps {lam_cap}, {rho_cap}")
+        else:
+            _SWEEPS[sweep] = _forward_rows(d, lam_cap, rho_cap)
+    return _SWEEPS[sweep]
+
+
+def _forward_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
+    """The rows of the sweep key (d, lam_cap, rho_cap, False), read from
+    the first position of a marking on.
+
+    A state is (floors placed, the edges by weight whose midpoint is
+    pending and those whose midpoint is placed and whose target is not,
+    sinks unplaced, the lambda parts and rho parts left).  A position
+    holds a pending midpoint, in pending_k ways, an unplaced sink, or the
+    next floor.  A floor absorbs some placed edges, in prod C(placed_k,
+    t_k) ways, summed into a dict of its own; emits outgoing edges into
+    pending, divided by m_w! as the midpoints pick among them later; and
+    spends the rest of its budget through ``markings.floor_splits``, whose
+    t! u! it divides by.  ``spend`` gives the last two steps of an absorbed
+    state at once.  An emission whose rest splits one way only, as one that
+    leaves no budget always does, takes that split along and goes straight
     to the next position's states, divided by m! t! u! in one step.  The
     others are summed into a dict of emissions first, so that the split
     fans out once per distinct state, and an emission whose rest has no
@@ -147,13 +185,8 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
     and lambda parts are at most that many disjoint items, so every
     product of parallel-edge, sink and lambda factorials divides it, each
     division is exact (one by 1 is skipped), and a remainder raises
-    AssertionError.  ``odd`` weighs the edges as ``_emissions`` does.  The
-    four arguments are the sweep's key in ``_SWEEPS``, which ``_route``
-    gives a query.
+    AssertionError.
     """
-    sweep = d, lam_cap, rho_cap, odd
-    if sweep in _SWEEPS:
-        return _SWEEPS[sweep]
     scale = factorial(d * (d - 1) // 2 + d)
     size = max(len(lam_cap), len(rho_cap))
     lam_cap += (0,) * (size - len(lam_cap))
@@ -207,7 +240,7 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
         # takes that split along; the others meet in emitted first
         pending, placed = edge_pairs[edges]
         folded, unfolded = [], []
-        for pending_next, left, weighs, parallel in _emissions(pending, budget, odd):
+        for pending_next, left, weighs, parallel in _emissions(pending, budget, False):
             edges_next = edge_id(pending_next, placed)
             ways = splits(parts, left)
             if len(ways) == 1:
@@ -216,9 +249,6 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
             elif ways:
                 unfolded.append((edges_next, left, weighs, parallel))
         return tuple(folded), tuple(unfolded)
-
-    def inexact(divisor: int, rest: int) -> AssertionError:
-        return AssertionError(f"degree-{d} sweep: {divisor} leaves {rest} at a floor")
 
     states = {(0, edge_id((), ()), 0, part_id(lam_cap, rho_cap)): scale}
     finals: dict = {}
@@ -250,7 +280,7 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
                 if divisor != 1:
                     share, rest = divmod(share, divisor)
                     if rest:
-                        raise inexact(divisor, rest)
+                        raise _inexact(d, divisor, rest)
                 key = (floors + 1, edges_next, sinks + sunk, parts_next)
                 moved[key] = moved.get(key, 0) + share
             for edges_next, left, weighs, parallel in unfolded:
@@ -258,7 +288,7 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
                 if parallel != 1:
                     share, rest = divmod(share, parallel)
                     if rest:
-                        raise inexact(parallel, rest)
+                        raise _inexact(d, parallel, rest)
                 key = (floors + 1, edges_next, sinks, parts, left)
                 emitted[key] = emitted.get(key, 0) + share
         for (floors, edges, sinks, parts, left), value in emitted.items():
@@ -267,7 +297,7 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
                 if symmetry != 1:
                     share, rest = divmod(value, symmetry)
                     if rest:
-                        raise inexact(symmetry, rest)
+                        raise _inexact(d, symmetry, rest)
                 if edges is None:
                     # the sinks fill the next positions, in (sinks + sunk)! ways
                     last = position + sinks + sunk
@@ -293,7 +323,123 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
             row[edges], rest = divmod(value * prod(map(factorial, lam)), scale)
             if rest:
                 raise AssertionError(f"degree-{d} sweep: {scale} leaves {rest} at {lam, rho}")
-    _SWEEPS[sweep] = rows
+    return rows
+
+
+def _ones_rows(d: int, odd: bool) -> dict:
+    """The rows of the sweep key (d, (), (d,), odd), lambda empty and
+    rho = 1^d: {((), (f,)): {edge count: sum of mu * nu}} for every f <= d.
+
+    The sweep reads a marking from its last position back, one position a
+    layer, where layer t has read t items.  A state is (floors read, the
+    edges by weight whose target is read and whose midpoint is pending,
+    and those whose midpoint is read and whose source is not).  A position
+    holds a pending midpoint, in pending_k ways, or the next floor down.
+    A floor takes its outgoing edges among the placed ones, in
+    prod C(placed_k, t_k) ways, summed into a dict of its own by
+    (floors, the rest, their weight out); then emits its incoming edges
+    into pending, divided by m_w! as the midpoints pick among them later.
+    Its sinks are the budget it leaves, s = 1 + in - out: they follow it,
+    so they go anywhere among the t items read, in C(t + s, s) ways, and
+    the floor's state lands in layer t + s + 1.  So no state carries a
+    sink, which the forward reading must carry until it places it.
+
+    The floors read and the edges open below them, floors + W(pending +
+    placed), are the sinks read so far, and the sweep keeps that at most
+    d: an emission is taken only if its s fits in the room that leaves.
+    A floor after which nothing is open may be floor 1: the diagram is
+    final, with f floors, f sinks and n - 2f edges at n = t + s + 1; and
+    while f < d the reading also goes on below it, to another component.
+
+    Values are integers scaled by N!, N = d(d-1)/2 + d, as in
+    ``_forward_rows``: the only divisors are the parallel-edge factorials,
+    each division is checked (one by 1 is skipped), and so is the last one,
+    by N!; a remainder raises AssertionError.  ``odd`` weighs the edges as
+    ``_emissions`` does.
+    """
+    scale = factorial(d * (d - 1) // 2 + d)
+    edge_ids: dict = {}  # (pending, placed) -> id
+    edge_pairs = []
+
+    def edge_id(pending: Vector, placed: Vector) -> int:
+        key = pending, placed
+        if key not in edge_ids:
+            edge_ids[key] = len(edge_pairs)
+            edge_pairs.append(key)
+        return edge_ids[key]
+
+    @lru_cache(maxsize=None)
+    def midpoints(edges: int) -> tuple:
+        pending, placed = edge_pairs[edges]
+        return tuple(
+            (edge_id(pending_next, placed_next), ways)
+            for pending_next, placed_next, ways in _midpoints(pending, placed)
+        )
+
+    @lru_cache(maxsize=None)
+    def outgoing(edges: int) -> tuple:
+        pending, placed = edge_pairs[edges]
+        return tuple(
+            (edge_id(pending, rest), _weight(taken), ways)
+            for taken, rest, ways in _sub_vectors(placed)
+        )
+
+    @lru_cache(maxsize=None)
+    def incoming(edges: int, out: int, floors: int) -> tuple:
+        # the sinks read stay at most d, so the floor has room for that many
+        # more; an emission of weight in leaves it s = 1 + in - out sinks and
+        # spare budget out - 1 + room - in = room - s, so 0 <= s <= room
+        pending, placed = edge_pairs[edges]
+        room = d - floors - _weight(pending) - _weight(placed) - out
+        budget = out - 1 + room
+        if budget < 0:
+            return ()
+        return tuple(
+            (edge_id(pending_next, placed), room - spare, weighs, parallel)
+            for pending_next, spare, weighs, parallel in _emissions(pending, budget, odd)
+            if spare <= room
+        )
+
+    empty = edge_id((), ())
+    # layer t holds the states t items in: at most d floors, d sinks and
+    # N - d midpoints, and one layer more for the last one's midpoints
+    layers = [{} for _ in range(d * (d + 3) // 2 + 2)]
+    layers[0][0, empty] = scale
+    finals: dict = {}
+    for t in range(len(layers) - 1):
+        states, layers[t] = layers[t], None
+        absorbed, moved = {}, layers[t + 1]
+        for (floors, edges), value in states.items():
+            for edges_next, ways in midpoints(edges):
+                key = floors, edges_next
+                moved[key] = moved.get(key, 0) + value * ways
+            for rest, out, ways in outgoing(edges):
+                key = floors, rest, out
+                absorbed[key] = absorbed.get(key, 0) + value * ways
+        for (floors, rest, out), value in absorbed.items():
+            for edges_next, sinks, weighs, parallel in incoming(rest, out, floors):
+                share = value * weighs
+                if parallel != 1:
+                    share, left = divmod(share, parallel)
+                    if left:
+                        raise _inexact(d, parallel, left)
+                if sinks:
+                    share *= comb(t + sinks, sinks)
+                last = t + sinks + 1
+                if edges_next == empty:
+                    # floor 1, or a floor with no edge down to the next one
+                    finals[floors + 1, last] = finals.get((floors + 1, last), 0) + share
+                    if floors + 1 == d:
+                        continue
+                landed = layers[last]
+                key = floors + 1, edges_next
+                landed[key] = landed.get(key, 0) + share
+    rows: dict = {}
+    for (floors, n), value in sorted(finals.items()):
+        row = rows.setdefault(((), (floors,)), {})
+        row[n - 2 * floors], left = divmod(value, scale)
+        if left:
+            raise AssertionError(f"degree-{d} sweep: {scale} leaves {left} at {(), (floors,)}")
     return rows
 
 

@@ -1,14 +1,19 @@
+import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import sweep_rows
 from floordiagrams.core import DiagramError, Partition, diagram
 from floordiagrams.enumeration import DiagramQuery
 from floordiagrams.invariants import (
+    _forward_rows,
+    _ones_rows,
     _weighted_marking_sum,
     gw,
     relative_gw,
@@ -94,52 +99,98 @@ def test_split_inversion_equals_connected_diagram_sum(d):
 
 
 def test_split_inversion_reaches_kontsevich_past_the_tables():
-    for d in (7, 8):
+    # top degree first, so that one sweep serves every degree
+    for d in (11, 10, 8, 7):
         assert gw(d, 0) == kontsevich_oracle(d), d
 
 
-def test_sweep_integrality_check_survives_optimize():
-    # an off-by-one sink symmetry leaves a fraction in the row
-    code = (
+def test_both_readings_give_the_ones_rows():
+    """Read from the first position on, the sweep capped at lambda empty
+    and rho = 1^d gives the rows its own kernel reads from the last
+    position back."""
+    for d in range(1, 9):
+        assert _forward_rows(d, (), (d,)) == _ones_rows(d, False), d
+
+
+def test_sweep_rows_equal_their_pins():
+    """Every row of every sweep key in ``tests/sweep_rows.py`` hashes to
+    the digest it was pinned with."""
+    pins = json.loads(sweep_rows.PINS.read_text())
+    assert [entry["key"] for entry in pins] == [repr(key) for key in sweep_rows.SWEEPS]
+    for key, entry in zip(sweep_rows.SWEEPS, pins):
+        assert sweep_rows.digests(key) == entry["rows"], key
+
+
+def _run_optimized(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh ``python -O`` process, with ``inv`` the invariants
+    module and ``P`` the Partition class."""
+    prelude = (
         "import math; from floordiagrams import invariants as inv; "
-        "inv.factorial = lambda n: math.factorial(n + 1); inv.severi(4, 2)"
+        "from floordiagrams.core import Partition as P; "
     )
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+    return subprocess.run(
+        [sys.executable, "-O", "-c", prelude + code], env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60,
     )
+
+
+# rho = 1^4 runs the sweep read from the last position; a profile with a
+# fixed tangency runs the forward sweep over all profiles
+ONES_QUERY = "inv.severi(4, 2)"
+ALL_PROFILE_QUERY = "inv.relative_gw(4, 0, P((2,)), P((1, 1)))"
+
+
+def test_sweep_integrality_check_survives_optimize():
+    # an off-by-one factorial leaves a fraction in the row
+    proc = _run_optimized("inv.factorial = lambda n: math.factorial(n + 1); " + ONES_QUERY)
+    assert proc.returncode != 0 and "AssertionError: degree-4 sweep" in proc.stderr
+
+
+def test_forward_sweep_integrality_check_survives_optimize():
+    proc = _run_optimized("inv.factorial = lambda n: math.factorial(n + 1); " + ALL_PROFILE_QUERY)
     assert proc.returncode != 0 and "AssertionError: degree-4 sweep" in proc.stderr
 
 
 @pytest.mark.parametrize(
-    "query",
+    "spare, query",
     [
-        # rho = 1^4: every split is folded into its emission
-        pytest.param("inv.severi(4, 2)", id="folded"),
-        # every profile: a split with a choice waits in the emitted dict
-        pytest.param("inv.relative_gw(4, 0, P((2,)), P((1, 1)))", id="split-pass"),
+        # rho = 1^4: every emission of the reading from the last position
+        # that leaves spare budget
+        pytest.param("left", ONES_QUERY, id="folded"),
+        # every profile: an emission with budget left splits several ways,
+        # so it waits in the emitted dict
+        pytest.param("left", ALL_PROFILE_QUERY, id="split-pass"),
+        # every profile: an emission that spends its whole budget splits
+        # one way, and that split is folded into it
+        pytest.param("not left", ALL_PROFILE_QUERY, id="forward-folded"),
     ],
 )
-def test_sweep_parallel_edge_check_survives_optimize(query):
+def test_sweep_parallel_edge_check_survives_optimize(spare, query):
     # a parallel-edge factor off by a prime past N, so that no scaled value
-    # absorbs it, on every emission that leaves budget for a split; the
-    # message names the prime, so the emission's own check caught it
-    code = (
-        "from floordiagrams import invariants as inv; "
-        "from floordiagrams.core import Partition as P; "
+    # absorbs it, on every emission with ``spare``; the message names the
+    # prime, so the emission's own check caught it
+    proc = _run_optimized(
         "emissions = inv._emissions; "
         "inv._emissions = lambda *key: tuple("
-        "(vec, left, weighs, parallel * 10007 if left else parallel) "
-        "for vec, left, weighs, parallel in emissions(*key)); "
-        + query
-    )
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60,
+        f"(vec, left, weighs, parallel * 10007 if {spare} else parallel) "
+        "for vec, left, weighs, parallel in emissions(*key)); " + query
     )
     assert proc.returncode != 0 and "AssertionError: degree-4 sweep: 10007 leaves " in proc.stderr
+
+
+def test_sweep_split_symmetry_check_survives_optimize():
+    # every t! u! above 1 off by the prime: in the sweep over all profiles
+    # only a split with a choice has one, so the split pass's check names a
+    # multiple of it
+    proc = _run_optimized(
+        "splits = inv.floor_splits; "
+        "inv.floor_splits = lambda *key: tuple("
+        "(lam, rho, sunk, symmetry * 10007 if symmetry > 1 else symmetry) "
+        "for lam, rho, sunk, symmetry in splits(*key)); " + ALL_PROFILE_QUERY
+    )
+    caught = re.search(r"AssertionError: degree-4 sweep: (\d+) leaves ", proc.stderr)
+    assert proc.returncode != 0 and caught and int(caught[1]) % 10007 == 0
 
 
 def test_split_oracle_examples():
