@@ -309,6 +309,7 @@ class FloorDiagram(Value):
 
     def divergence(self, v: int) -> int:
         """Outgoing minus incoming edge weight at vertex v."""
+        v = as_int(v, "vertex")
         if not 1 <= v <= self.d:
             raise DiagramError(f"vertex {v} out of range 1..{self.d}")
         return self._edge_divergences().get(v, 0)

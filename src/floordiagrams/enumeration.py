@@ -118,7 +118,7 @@ def all_diagrams(
 ) -> list[tuple[Edge, ...]]:
     """Edge multisets of degree d with exactly n_edges edges (connected ones
     only, with require_connected), in canonical text order."""
-    d = as_int(d, "degree", 1)
+    d, n_edges = as_int(d, "degree", 1), as_int(n_edges, "edge count", 0)
     result = _generate_edge_sets(d, n_edges, require_connected)
     # for d <= 9 every number in the text form is a single digit, so plain
     # tuple order coincides with lexicographic order on the canonical text

@@ -21,7 +21,7 @@ the first position on by ``_forward_rows``: a floor emits its outgoing
 edges, an edge gets its target only when it lands on a floor, and any
 floor may be the last one.  There each floor spends what is left of its
 budget through ``markings.floor_splits``, the split the marking counter
-runs, in the same step as its emission where that split is forced.
+runs.
 
 Every sweep run is kept in ``_SWEEPS`` under one key, (degree, lambda
 cap, rho cap, odd), and ``_route`` gives a query the key of the first one
@@ -74,20 +74,6 @@ def _weight(vec: Vector) -> int:
 # -- the marking-order sweep --------------------------------------------------
 
 
-def _midpoints(pending: Vector, placed: Vector) -> tuple:
-    """Every way the next position holds a pending edge's midpoint:
-    (pending, placed, ways), one edge of some weight k moved from pending
-    to placed in pending_k ways."""
-    out = []
-    for k, c in enumerate(pending):
-        if c:
-            left, moved = list(pending), list(placed) + [0] * len(pending)
-            left[k] -= 1
-            moved[k] += 1
-            out.append((trim(left), trim(moved), c))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _emissions(pending: Vector, budget: int, odd: bool) -> tuple:
     """Every multiset of outgoing edges, m_w of weight w, that a floor
@@ -105,6 +91,57 @@ def _emissions(pending: Vector, budget: int, odd: bool) -> tuple:
             if weigh or not m
         ]
     return tuple((trim(vec), left, num, den) for vec, left, num, den in out)
+
+
+def _edge_states() -> tuple:
+    """The edge half of a sweep's state, which both kernels share: the
+    edges by weight whose midpoint is pending and those whose midpoint is
+    placed and whose other end is not.  Returns (edge_id, edge_pairs,
+    closing, midpoints, taken).
+
+    ``edge_id(pending, placed)`` interns the pair as a small int once per
+    sweep, and ``edge_pairs[id]`` gives it back, so a state is a flat tuple
+    of ints and the transitions of each id are memoized for the length of
+    the sweep.  ``closing[id]`` is the budget of a last floor of the
+    forward reading, which absorbs every placed edge: their weight plus
+    one, or None while a midpoint is pending.  ``midpoints(id)`` gives
+    (next id, ways) for every way the next position holds a pending edge's
+    midpoint: one edge of some weight k moved from pending to placed in
+    pending_k ways.  ``taken(id)`` gives (id of the rest, weight taken,
+    ways) for every sub-vector of the placed edges that a floor takes, in
+    prod C(placed_k, t_k) ways.
+    """
+    edge_ids: dict = {}  # (pending, placed) -> id
+    edge_pairs, closing = [], []
+
+    def edge_id(pending: Vector, placed: Vector) -> int:
+        key = pending, placed
+        if key not in edge_ids:
+            edge_ids[key] = len(edge_pairs)
+            edge_pairs.append(key)
+            closing.append(None if pending else _weight(placed) + 1)
+        return edge_ids[key]
+
+    @lru_cache(maxsize=None)
+    def midpoints(edges: int) -> tuple:
+        pending, placed = edge_pairs[edges]
+        out = []
+        for k, c in enumerate(pending):
+            if c:
+                left, moved = list(pending), list(placed) + [0] * len(pending)
+                left[k] -= 1
+                moved[k] += 1
+                out.append((edge_id(trim(left), trim(moved)), c))
+        return tuple(out)
+
+    @lru_cache(maxsize=None)
+    def taken(edges: int) -> tuple:
+        pending, placed = edge_pairs[edges]
+        return tuple(
+            (edge_id(pending, rest), _weight(sub), ways) for sub, rest, ways in _sub_vectors(placed)
+        )
+
+    return edge_id, edge_pairs, closing, midpoints, taken
 
 
 def _inexact(d: int, divisor: int, rest: int) -> AssertionError:
@@ -158,15 +195,11 @@ def _forward_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
     holds a pending midpoint, in pending_k ways, an unplaced sink, or the
     next floor.  A floor absorbs some placed edges, in prod C(placed_k,
     t_k) ways, summed into a dict of its own; emits outgoing edges into
-    pending, divided by m_w! as the midpoints pick among them later; and
-    spends the rest of its budget through ``markings.floor_splits``, whose
-    t! u! it divides by.  ``spend`` gives the last two steps of an absorbed
-    state at once.  An emission whose rest splits one way only, as one that
-    leaves no budget always does, takes that split along and goes straight
-    to the next position's states, divided by m! t! u! in one step.  The
-    others are summed into a dict of emissions first, so that the split
-    fans out once per distinct state, and an emission whose rest has no
-    split is dropped.  A last floor joins that dict too.
+    pending, divided by m_w! as the midpoints pick among them later,
+    summed into a dict of emissions; and from there spends the rest of its
+    budget through ``markings.floor_splits``, whose t! u! it divides by, so
+    that the split fans out once per distinct state.  An emission whose
+    rest has no split is dropped there.  A last floor joins that dict too.
 
     Any floor up to the d-th may be the last one, once nothing is
     pending: it absorbs every placed edge and emits nothing.  Its s
@@ -176,10 +209,9 @@ def _forward_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
     the labels of its lambda parts.  The floors' unused budgets add up to
     the floor count, which is the profile's degree.
 
-    The two pairs in a state, (pending, placed) and (lambda left, rho
-    left), are each interned as a small int once per sweep, so a state is
-    a flat tuple of four ints, and the transitions of each id are
-    memoized for the length of the sweep.
+    The pair (lambda left, rho left) is interned as a small int, as
+    ``_edge_states`` interns (pending, placed), so a state is a flat tuple
+    of four ints.
 
     Values are integers scaled by N!, N = d(d-1)/2 + d: midpoints, sinks
     and lambda parts are at most that many disjoint items, so every
@@ -191,18 +223,9 @@ def _forward_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
     size = max(len(lam_cap), len(rho_cap))
     lam_cap += (0,) * (size - len(lam_cap))
     rho_cap += (0,) * (size - len(rho_cap))
-    edge_ids: dict = {}  # (pending, placed) -> id
+    edge_id, edge_pairs, closing, midpoints, taken = _edge_states()
     part_ids: dict = {}  # (lambda left, rho left) -> id
-    edge_pairs, part_pairs, closing = [], [], []
-
-    def edge_id(pending: Vector, placed: Vector) -> int:
-        key = pending, placed
-        if key not in edge_ids:
-            edge_ids[key] = len(edge_pairs)
-            edge_pairs.append(key)
-            # the budget of a last floor, which absorbs every placed edge
-            closing.append(None if pending else _weight(placed) + 1)
-        return edge_ids[key]
+    part_pairs = []
 
     def part_id(lam_left: Vector, rho_left: Vector) -> int:
         key = lam_left, rho_left
@@ -212,19 +235,11 @@ def _forward_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
         return part_ids[key]
 
     @lru_cache(maxsize=None)
-    def midpoints(edges: int) -> tuple:
+    def emit(edges: int, budget: int) -> tuple:
         pending, placed = edge_pairs[edges]
         return tuple(
-            (edge_id(pending_next, placed_next), ways)
-            for pending_next, placed_next, ways in _midpoints(pending, placed)
-        )
-
-    @lru_cache(maxsize=None)
-    def absorptions(edges: int) -> tuple:
-        pending, placed = edge_pairs[edges]
-        return tuple(
-            (edge_id(pending, rest), _weight(taken) + 1, ways)
-            for taken, rest, ways in _sub_vectors(placed)
+            (edge_id(pending_next, placed), left, weighs, parallel)
+            for pending_next, left, weighs, parallel in _emissions(pending, budget, False)
         )
 
     @lru_cache(maxsize=None)
@@ -233,22 +248,6 @@ def _forward_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
             (part_id(lam_next, rho_next), sunk, symmetry)
             for lam_next, rho_next, sunk, symmetry in floor_splits(left, *part_pairs[parts])
         )
-
-    @lru_cache(maxsize=None)
-    def spend(edges: int, budget: int, parts: int) -> tuple:
-        # (folded, unfolded): an emission whose rest splits one way only
-        # takes that split along; the others meet in emitted first
-        pending, placed = edge_pairs[edges]
-        folded, unfolded = [], []
-        for pending_next, left, weighs, parallel in _emissions(pending, budget, False):
-            edges_next = edge_id(pending_next, placed)
-            ways = splits(parts, left)
-            if len(ways) == 1:
-                (parts_next, sunk, symmetry), = ways
-                folded.append((edges_next, sunk, parts_next, weighs, parallel * symmetry))
-            elif ways:
-                unfolded.append((edges_next, left, weighs, parallel))
-        return tuple(folded), tuple(unfolded)
 
     states = {(0, edge_id((), ()), 0, part_id(lam_cap, rho_cap)): scale}
     finals: dict = {}
@@ -265,25 +264,16 @@ def _forward_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
                 key = (floors, edges, sinks - 1, parts)
                 moved[key] = moved.get(key, 0) + value * sinks
             if floors < d - 1:
-                for rest, budget, ways in absorptions(edges):
-                    key = (floors, rest, sinks, parts, budget)
+                for rest, weight, ways in taken(edges):
+                    key = (floors, rest, sinks, parts, weight)
                     absorbed[key] = absorbed.get(key, 0) + value * ways
             budget = closing[edges]
             if budget is not None:
                 # a last floor, marked by edges None
                 key = (floors + 1, None, sinks, parts, budget)
                 emitted[key] = emitted.get(key, 0) + value
-        for (floors, edges, sinks, parts, budget), value in absorbed.items():
-            folded, unfolded = spend(edges, budget, parts)
-            for edges_next, sunk, parts_next, weighs, divisor in folded:
-                share = value * weighs
-                if divisor != 1:
-                    share, rest = divmod(share, divisor)
-                    if rest:
-                        raise _inexact(d, divisor, rest)
-                key = (floors + 1, edges_next, sinks + sunk, parts_next)
-                moved[key] = moved.get(key, 0) + share
-            for edges_next, left, weighs, parallel in unfolded:
+        for (floors, edges, sinks, parts, weight), value in absorbed.items():
+            for edges_next, left, weighs, parallel in emit(edges, weight + 1):
                 share = value * weighs
                 if parallel != 1:
                     share, rest = divmod(share, parallel)
@@ -358,31 +348,7 @@ def _ones_rows(d: int, odd: bool) -> dict:
     ``_emissions`` does.
     """
     scale = factorial(d * (d - 1) // 2 + d)
-    edge_ids: dict = {}  # (pending, placed) -> id
-    edge_pairs = []
-
-    def edge_id(pending: Vector, placed: Vector) -> int:
-        key = pending, placed
-        if key not in edge_ids:
-            edge_ids[key] = len(edge_pairs)
-            edge_pairs.append(key)
-        return edge_ids[key]
-
-    @lru_cache(maxsize=None)
-    def midpoints(edges: int) -> tuple:
-        pending, placed = edge_pairs[edges]
-        return tuple(
-            (edge_id(pending_next, placed_next), ways)
-            for pending_next, placed_next, ways in _midpoints(pending, placed)
-        )
-
-    @lru_cache(maxsize=None)
-    def outgoing(edges: int) -> tuple:
-        pending, placed = edge_pairs[edges]
-        return tuple(
-            (edge_id(pending, rest), _weight(taken), ways)
-            for taken, rest, ways in _sub_vectors(placed)
-        )
+    edge_id, edge_pairs, _, midpoints, taken = _edge_states()
 
     @lru_cache(maxsize=None)
     def incoming(edges: int, out: int, floors: int) -> tuple:
@@ -413,7 +379,7 @@ def _ones_rows(d: int, odd: bool) -> dict:
             for edges_next, ways in midpoints(edges):
                 key = floors, edges_next
                 moved[key] = moved.get(key, 0) + value * ways
-            for rest, out, ways in outgoing(edges):
+            for rest, out, ways in taken(edges):
                 key = floors, rest, out
                 absorbed[key] = absorbed.get(key, 0) + value * ways
         for (floors, rest, out), value in absorbed.items():

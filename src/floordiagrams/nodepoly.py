@@ -209,6 +209,7 @@ def discrete_sum(p: RatPolynomial, a: int, shift: int) -> RatPolynomial:
     the lower index (hockey stick), then the argument is shifted back.
     The empty sum at n = a + shift - 1 evaluates to zero.
     """
+    a, shift = as_int(a, "lower limit"), as_int(shift, "shift")
     basis = _newton_from_values(p(i) for i in range(p.degree + 1))
     return _from_newton(_newton_sum(basis, a, shift))
 

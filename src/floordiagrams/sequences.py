@@ -258,11 +258,13 @@ class CountReport(Value):
 
 
 def cayley_count(d: int) -> int:
+    d = as_int(d, "degree", 1)
     return 1 if d == 1 else d ** (d - 2)
 
 
 def alternating_tree_count(d: int) -> int:
     """a_d = 1/(d 2^(d-1)) sum_k C(d,k) k^(d-1)."""
+    d = as_int(d, "degree", 1)
     total = sum(comb(d, k) * k ** (d - 1) for k in range(1, d + 1))
     denom = d * 2 ** (d - 1)
     if total % denom:
@@ -272,6 +274,7 @@ def alternating_tree_count(d: int) -> int:
 
 def odd_diagram_count(d: int) -> int:
     """b_d = 1/d sum_k (-1)^k C(d,k) (d-2k)^(d-1)."""
+    d = as_int(d, "degree", 1)
     total = sum(
         (-1) ** k * comb(d, k) * (d - 2 * k) ** (d - 1) for k in range(d // 2 + 1)
     )

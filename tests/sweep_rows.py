@@ -35,7 +35,11 @@ def sweep_keys(ordinary: int, odd: int, every: int) -> list:
     ]
 
 
-SWEEPS = sweep_keys(9, 10, 7)
+# keys below full caps, which the forward kernel reads as it would a sweep
+# capped at one query's own profile
+CAPPED = [(6, (1,), (5,), False), (7, (0, 1), (5,), False), (8, (), (6, 1), False)]
+
+SWEEPS = sweep_keys(9, 10, 7) + CAPPED
 
 
 def digests(key: tuple) -> dict:

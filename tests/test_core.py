@@ -13,17 +13,22 @@ from floordiagrams.enumeration import (
 )
 from floordiagrams.invariants import gw, relative_gw, severi, welschinger
 from floordiagrams.nodepoly import (
+    RatPolynomial,
     Template,
     aj_polynomials,
+    discrete_sum,
     enumerate_templates,
     node_polynomial,
 )
 from floordiagrams.oracles import distinct_orderings
 from floordiagrams.sequences import (
     LabeledTree,
+    alternating_tree_count,
+    cayley_count,
     closed_counts,
     max_tangency_fixed,
     max_tangency_free,
+    odd_diagram_count,
     ode_residual,
     tangency_series,
 )
@@ -32,6 +37,7 @@ from floordiagrams.tropical import StretchedConfig, stretched_config
 from conftest import small_diagrams
 
 EXAMPLE = diagram(4, [(1, 2, 1), (2, 3, 1), (2, 3, 1), (3, 4, 2)])
+ONE = RatPolynomial.constant(1)
 
 
 def test_divergence_example_diagram():
@@ -240,6 +246,11 @@ NON_INTEGER_SIZES = {
     "stretched_config(2, 0.5)": lambda: stretched_config(2, 0.5),
     "stretched_config(2, 0, 0.5)": lambda: stretched_config(2, 0, 0.5),
     "Partition.ones(2.0)": lambda: Partition.ones(2.0),
+    "divergence(1.0)": lambda: EXAMPLE.divergence(1.0),
+    "divergence('1')": lambda: EXAMPLE.divergence("1"),
+    "discrete_sum(1, 0.5, 0)": lambda: discrete_sum(ONE, 0.5, 0),
+    "discrete_sum(1, 0, 0.5)": lambda: discrete_sum(ONE, 0, 0.5),
+    "all_diagrams(3, 2.0)": lambda: all_diagrams(3, 2.0),
 }
 
 
@@ -259,6 +270,9 @@ BOOL_SIZES = {
     "gw(True, 0)": lambda: gw(True, 0),
     "severi(True, 0)": lambda: severi(True, 0),
     "stretched_config(True, 0)": lambda: stretched_config(True, 0),
+    "divergence(True)": lambda: EXAMPLE.divergence(True),
+    "discrete_sum(1, True, 0)": lambda: discrete_sum(ONE, True, 0),
+    "all_diagrams(3, True)": lambda: all_diagrams(3, True),
 }
 
 
@@ -276,6 +290,9 @@ BELOW_RANGE = {
     "FloorDiagram(0)": (lambda: FloorDiagram(0), "degree must be positive, got 0"),
     "Partition.ones(-1)": (lambda: Partition.ones(-1), "part count must be nonnegative, got -1"),
     "all_diagrams(0, 0)": (lambda: all_diagrams(0, 0), "degree must be positive, got 0"),
+    "all_diagrams(3, -1)": (
+        lambda: all_diagrams(3, -1), "edge count must be nonnegative, got -1"
+    ),
     "DiagramQuery(0, genus=0)": (
         lambda: DiagramQuery(0, genus=0), "degree must be positive, got 0"
     ),
@@ -313,6 +330,11 @@ BELOW_RANGE = {
     "tangency_series(-1)": (lambda: tangency_series(-1), "order must be nonnegative, got -1"),
     "ode_residual(0)": (lambda: ode_residual(0), "order must be positive, got 0"),
     "closed_counts(0)": (lambda: closed_counts(0), "degree must be positive, got 0"),
+    "cayley_count(0)": (lambda: cayley_count(0), "degree must be positive, got 0"),
+    "alternating_tree_count(0)": (
+        lambda: alternating_tree_count(0), "degree must be positive, got 0"
+    ),
+    "odd_diagram_count(0)": (lambda: odd_diagram_count(0), "degree must be positive, got 0"),
     "stretched_config(0, 0)": (lambda: stretched_config(0, 0), "degree must be positive, got 0"),
     "stretched_config(2, -1)": (
         lambda: stretched_config(2, -1), "genus must be nonnegative, got -1"

@@ -158,12 +158,9 @@ def test_forward_sweep_integrality_check_survives_optimize():
         # rho = 1^4: every emission of the reading from the last position
         # that leaves spare budget
         pytest.param("left", ONES_QUERY, id="folded"),
-        # every profile: an emission with budget left splits several ways,
-        # so it waits in the emitted dict
-        pytest.param("left", ALL_PROFILE_QUERY, id="split-pass"),
-        # every profile: an emission that spends its whole budget splits
-        # one way, and that split is folded into it
-        pytest.param("not left", ALL_PROFILE_QUERY, id="forward-folded"),
+        # every profile: every emission of the forward reading, each divided
+        # by its parallel-edge factor on its way into the emitted dict
+        pytest.param("True", ALL_PROFILE_QUERY, id="forward"),
     ],
 )
 def test_sweep_parallel_edge_check_survives_optimize(spare, query):
@@ -191,6 +188,18 @@ def test_sweep_split_symmetry_check_survives_optimize():
     )
     caught = re.search(r"AssertionError: degree-4 sweep: (\d+) leaves ", proc.stderr)
     assert proc.returncode != 0 and caught and int(caught[1]) % 10007 == 0
+
+
+def test_forward_sweep_weight_check_survives_optimize():
+    # every split keeps the parts it took, so each diagram closes on parts
+    # that weigh less than its floors
+    proc = _run_optimized(
+        "splits = inv.floor_splits; "
+        "inv.floor_splits = lambda left, lam, rho: tuple("
+        "(lam, rho, sunk, symmetry) for *_, sunk, symmetry in splits(left, lam, rho)); "
+        + ALL_PROFILE_QUERY
+    )
+    assert proc.returncode != 0 and "AssertionError: degree-4 sweep closes 1 floors" in proc.stderr
 
 
 def test_split_oracle_examples():
