@@ -158,9 +158,11 @@ def test_forward_sweep_integrality_check_survives_optimize():
         # rho = 1^4: every emission of the reading from the last position
         # that leaves spare budget
         pytest.param("left", ONES_QUERY, id="folded"),
-        # every profile: every emission of the forward reading, each divided
-        # by its parallel-edge factor on its way into the emitted dict
-        pytest.param("True", ALL_PROFILE_QUERY, id="forward"),
+        # every profile: every emission of the forward reading is divided by
+        # its parallel-edge factor on its way into the emitted dict; one that
+        # leaves budget for the split pass, and one that spends it all
+        pytest.param("left", ALL_PROFILE_QUERY, id="split-pass"),
+        pytest.param("not left", ALL_PROFILE_QUERY, id="forward-folded"),
     ],
 )
 def test_sweep_parallel_edge_check_survives_optimize(spare, query):
