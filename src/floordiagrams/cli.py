@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--d",
         type=int,
         help=f"degree, at most {INVARIANT_MAX_D} for gw, severi, relative and welschinger "
-        "(the largest measured; the sweep's cost grows about 4x per degree)",
+        "(the largest measured; the sweep's cost grows about 3x per degree)",
     )
     p.add_argument("--g", type=int)
     p.add_argument("--delta", type=int)

@@ -40,6 +40,15 @@ def as_int(value, what: str, least: int | None = None) -> int:
     return v
 
 
+def exact_div(numerator: int, divisor: int, where: str) -> int:
+    """``numerator / divisor``, which the exact count at ``where`` makes an
+    integer: a remainder raises AssertionError, which ``python -O`` keeps."""
+    quotient, rest = divmod(numerator, divisor)
+    if rest:
+        raise AssertionError(f"{where}: {divisor} leaves {rest}")
+    return quotient
+
+
 def memoize(fn):
     """``lru_cache(maxsize=None, typed=True)`` for a function that checks its
     own arguments: 3.0 misses the entry of 3, and a list skips the cache,

@@ -46,7 +46,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .core import Partition, as_int, memoize, trim
+from .core import Partition, as_int, exact_div, memoize, trim
 from .enumeration import DiagramQuery, enumerate_diagrams
 # perfbench/tracing.py patches enumerate_diagrams and both marking counters here
 from .markings import Vector, check_profile, count_markings, count_relative_markings, floor_splits
@@ -93,34 +93,45 @@ def _emissions(pending: Vector, budget: int, odd: bool) -> tuple:
     return tuple((trim(vec), left, num, den) for vec, left, num, den in out)
 
 
+def _interner(derive=None) -> tuple:
+    """A per-sweep table of small ints for keys: (intern, keys, derived).
+    ``intern(*key)`` gives a key the next int when it is first seen and the
+    same int after, ``keys[id]`` gives the key back, and with ``derive``,
+    ``derived[id]`` is ``derive(*key)``, computed once."""
+    ids: dict = {}
+    keys, derived = [], []
+
+    def intern(*key) -> int:
+        if key not in ids:
+            ids[key] = len(keys)
+            keys.append(key)
+            if derive:
+                derived.append(derive(*key))
+        return ids[key]
+
+    return intern, keys, derived
+
+
 def _edge_states() -> tuple:
     """The edge half of a sweep's state, which both kernels share: the
     edges by weight whose midpoint is pending and those whose midpoint is
     placed and whose other end is not.  Returns (edge_id, edge_pairs,
     closing, midpoints, taken).
 
-    ``edge_id(pending, placed)`` interns the pair as a small int once per
-    sweep, and ``edge_pairs[id]`` gives it back, so a state is a flat tuple
-    of ints and the transitions of each id are memoized for the length of
-    the sweep.  ``closing[id]`` is the budget of a last floor of the
-    forward reading, which absorbs every placed edge: their weight plus
-    one, or None while a midpoint is pending.  ``midpoints(id)`` gives
-    (next id, ways) for every way the next position holds a pending edge's
-    midpoint: one edge of some weight k moved from pending to placed in
-    pending_k ways.  ``taken(id)`` gives (id of the rest, weight taken,
-    ways) for every sub-vector of the placed edges that a floor takes, in
-    prod C(placed_k, t_k) ways.
+    ``edge_id(pending, placed)`` interns the pair by ``_interner``, and
+    ``edge_pairs[id]`` gives it back, so a state is a flat tuple of ints and
+    the transitions of each id are memoized for the length of the sweep.
+    ``closing[id]`` is the budget of a last floor of the forward reading,
+    which absorbs every placed edge: their weight plus one, or None while a
+    midpoint is pending.  ``midpoints(id)`` gives (next id, ways) for every
+    way the next position holds a pending edge's midpoint: one edge of some
+    weight k moved from pending to placed in pending_k ways.  ``taken(id)``
+    gives (id of the rest, weight taken, ways) for every sub-vector of the
+    placed edges that a floor takes, in prod C(placed_k, t_k) ways.
     """
-    edge_ids: dict = {}  # (pending, placed) -> id
-    edge_pairs, closing = [], []
-
-    def edge_id(pending: Vector, placed: Vector) -> int:
-        key = pending, placed
-        if key not in edge_ids:
-            edge_ids[key] = len(edge_pairs)
-            edge_pairs.append(key)
-            closing.append(None if pending else _weight(placed) + 1)
-        return edge_ids[key]
+    edge_id, edge_pairs, closing = _interner(
+        lambda pending, placed: None if pending else _weight(placed) + 1
+    )
 
     @lru_cache(maxsize=None)
     def midpoints(edges: int) -> tuple:
@@ -142,10 +153,6 @@ def _edge_states() -> tuple:
         )
 
     return edge_id, edge_pairs, closing, midpoints, taken
-
-
-def _inexact(d: int, divisor: int, rest: int) -> AssertionError:
-    return AssertionError(f"degree-{d} sweep: {divisor} leaves {rest} at a floor")
 
 
 # every sweep run so far, {(degree, lambda cap, rho cap, odd): its rows}, in
@@ -170,9 +177,11 @@ def _relative_rows(d: int, lam_cap: Vector, rho_cap: Vector, odd: bool = False) 
     ``_ones_rows``: a floor's sinks follow it, so they are placed with it
     and leave the state.  Every other key is read from the first position
     by ``_forward_rows``.  Read from the end, the sweep over all profiles
-    costs far more, as its top floors pick large parts first and that
-    choice fans out through every later layer; and no odd key has any
-    other profile.
+    gives the same rows but costs more, as its top floors pick large parts
+    first and that choice fans out through every later layer: with full
+    caps a prototype ran 3.0x slower at d = 5 (16.6 against 5.5 ms) and
+    10x slower at d = 8 (3.8 against 0.38 s), under CPython 3.11 on a 2-CPU
+    x86-64 host.  And no odd key has any other profile.
     """
     sweep = d, lam_cap, rho_cap, odd
     if sweep not in _SWEEPS:
@@ -207,32 +216,28 @@ def _forward_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
     diagram is final at position n = its position + s: it has
     n - floors - |rho| edges, and it is multiplied by prod lambda_k! for
     the labels of its lambda parts.  The floors' unused budgets add up to
-    the floor count, which is the profile's degree.
+    the floor count, which is the profile's degree.  This path stays apart
+    from the ordinary floors: folded into them, as a floor that closes
+    every edge, a prototype gave the same rows for d <= 8 but ran 1.23x to
+    1.29x slower at d = 5..7 with full caps (best of 7 to 15 alternated
+    runs), on the same host as above.
 
-    The pair (lambda left, rho left) is interned as a small int, as
+    The pair (lambda left, rho left) is interned by ``_interner``, as
     ``_edge_states`` interns (pending, placed), so a state is a flat tuple
     of four ints.
 
     Values are integers scaled by N!, N = d(d-1)/2 + d: midpoints, sinks
     and lambda parts are at most that many disjoint items, so every
-    product of parallel-edge, sink and lambda factorials divides it, each
-    division is exact (one by 1 is skipped), and a remainder raises
-    AssertionError.
+    product of parallel-edge, sink and lambda factorials divides it, and
+    each division is checked by ``exact_div`` (one by 1 is skipped).
     """
     scale = factorial(d * (d - 1) // 2 + d)
+    where = f"degree-{d} sweep"
     size = max(len(lam_cap), len(rho_cap))
     lam_cap += (0,) * (size - len(lam_cap))
     rho_cap += (0,) * (size - len(rho_cap))
     edge_id, edge_pairs, closing, midpoints, taken = _edge_states()
-    part_ids: dict = {}  # (lambda left, rho left) -> id
-    part_pairs = []
-
-    def part_id(lam_left: Vector, rho_left: Vector) -> int:
-        key = lam_left, rho_left
-        if key not in part_ids:
-            part_ids[key] = len(part_pairs)
-            part_pairs.append(key)
-        return part_ids[key]
+    part_id, part_pairs, _ = _interner()
 
     @lru_cache(maxsize=None)
     def emit(edges: int, budget: int) -> tuple:
@@ -276,18 +281,14 @@ def _forward_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
             for edges_next, left, weighs, parallel in emit(edges, weight + 1):
                 share = value * weighs
                 if parallel != 1:
-                    share, rest = divmod(share, parallel)
-                    if rest:
-                        raise _inexact(d, parallel, rest)
+                    share = exact_div(share, parallel, where)
                 key = (floors + 1, edges_next, sinks, parts, left)
                 emitted[key] = emitted.get(key, 0) + share
         for (floors, edges, sinks, parts, left), value in emitted.items():
             for parts_next, sunk, symmetry in splits(parts, left):
                 share = value
                 if symmetry != 1:
-                    share, rest = divmod(value, symmetry)
-                    if rest:
-                        raise _inexact(d, symmetry, rest)
+                    share = exact_div(value, symmetry, where)
                 if edges is None:
                     # the sinks fill the next positions, in (sinks + sunk)! ways
                     last = position + sinks + sunk
@@ -310,9 +311,7 @@ def _forward_rows(d: int, lam_cap: Vector, rho_cap: Vector) -> dict:
         row = rows[lam, rho] = {}
         for position, value in values.items():
             edges = position - floors - sum(rho)
-            row[edges], rest = divmod(value * prod(map(factorial, lam)), scale)
-            if rest:
-                raise AssertionError(f"degree-{d} sweep: {scale} leaves {rest} at {lam, rho}")
+            row[edges] = exact_div(value * prod(map(factorial, lam)), scale, where)
     return rows
 
 
@@ -343,11 +342,12 @@ def _ones_rows(d: int, odd: bool) -> dict:
 
     Values are integers scaled by N!, N = d(d-1)/2 + d, as in
     ``_forward_rows``: the only divisors are the parallel-edge factorials,
-    each division is checked (one by 1 is skipped), and so is the last one,
-    by N!; a remainder raises AssertionError.  ``odd`` weighs the edges as
-    ``_emissions`` does.
+    each division is checked by ``exact_div`` (one by 1 is skipped), and so
+    is the last one, by N!.  ``odd`` weighs the edges as ``_emissions``
+    does.
     """
     scale = factorial(d * (d - 1) // 2 + d)
+    where = f"degree-{d} sweep"
     edge_id, edge_pairs, _, midpoints, taken = _edge_states()
 
     @lru_cache(maxsize=None)
@@ -386,9 +386,7 @@ def _ones_rows(d: int, odd: bool) -> dict:
             for edges_next, sinks, weighs, parallel in incoming(rest, out, floors):
                 share = value * weighs
                 if parallel != 1:
-                    share, left = divmod(share, parallel)
-                    if left:
-                        raise _inexact(d, parallel, left)
+                    share = exact_div(share, parallel, where)
                 if sinks:
                     share *= comb(t + sinks, sinks)
                 last = t + sinks + 1
@@ -403,9 +401,7 @@ def _ones_rows(d: int, odd: bool) -> dict:
     rows: dict = {}
     for (floors, n), value in sorted(finals.items()):
         row = rows.setdefault(((), (floors,)), {})
-        row[n - 2 * floors], left = divmod(value, scale)
-        if left:
-            raise AssertionError(f"degree-{d} sweep: {scale} leaves {left} at {(), (floors,)}")
+        row[n - 2 * floors] = exact_div(value, scale, where)
     return rows
 
 

@@ -40,7 +40,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
 
-from .core import DiagramError, FloorDiagram, Partition, Value
+from .core import DiagramError, FloorDiagram, Partition, Value, exact_div
 
 BRUTE_FORCE_LIMIT = 14
 
@@ -192,14 +192,11 @@ def _gap_dp(d: int, windows: tuple[tuple[int, int], ...], budgets: Vector = (),
             if (splits := spent.get(spend)) is None:
                 splits = spent[spend] = floor_splits(*spend)
             for lam_next, rho_next, placed, symmetry in splits:
-                if value % symmetry:
-                    raise AssertionError(f"t! u! = {symmetry} does not divide {value}")
                 key = (v + 1, (*opened[:d], opened[d] + placed), lam_next, rho_next)
-                new_states[key] = new_states.get(key, 0) + value // symmetry
+                share = exact_div(value, symmetry, "gap DP, a floor's t! u!")
+                new_states[key] = new_states.get(key, 0) + share
         states = new_states
-    if total % sinks:
-        raise AssertionError(f"{sinks} does not divide the order count {total}")
-    return total // sinks
+    return exact_div(total, sinks, "gap DP, the sinks' order")
 
 
 def count_orderings(poset) -> int:
@@ -213,9 +210,7 @@ def count_relative_markings(diag: FloorDiagram, lam: Partition, rho: Partition) 
     windows = tuple((s, t - 1) for s, t, _ in diag.edges)
     raw = _gap_dp(diag.d, windows, *_budgets(diag, lam, rho))
     symmetry = prod(map(factorial, Counter(diag.edges).values()))
-    if raw % symmetry:
-        raise AssertionError(f"symmetry {symmetry} does not divide ordering count {raw}")
-    return raw // symmetry
+    return exact_div(raw, symmetry, "marking count, the edge symmetry")
 
 
 def count_markings(diag: FloorDiagram) -> int:

@@ -34,7 +34,7 @@ from itertools import accumulate, product
 from math import comb, factorial, prod
 from operator import mul
 
-from .core import DiagramError, Value, as_int, memoize, strict_index, trim
+from .core import DiagramError, Value, as_int, exact_div, memoize, strict_index, trim
 
 
 class RatPolynomial(Value):
@@ -86,9 +86,7 @@ class RatPolynomial(Value):
 
     def eval_int(self, x: int) -> int:
         value = self(x)
-        if value.denominator != 1:
-            raise AssertionError(f"expected integer value, got {value}")
-        return int(value)
+        return exact_div(value.numerator, value.denominator, f"polynomial at {x}")
 
     def format(self, var: str = "x") -> str:
         if not self.coefficients:
@@ -335,6 +333,7 @@ def _extension_newton(template: Template) -> tuple:
         occupancy = grown
     symmetry = prod(factorial(n) for n in Counter(template.edges).values())
     edges = len(template.edges)
+    where = f"template {template.edges}"
     values = []
     for k in range(edges + 1):
         # rising[g][b] = (s+1)...(s+b) for the s = k + g - kappa short
@@ -347,13 +346,7 @@ def _extension_newton(template: Template) -> tuple:
             ways * prod(map(list.__getitem__, rising, vec))
             for vec, ways in occupancy.items()
         )
-        value, rest = divmod(raw, symmetry)
-        if rest:
-            raise AssertionError(
-                f"template {template.edges}: {raw} orderings at k={k} are not "
-                f"divisible by the edge symmetry {symmetry}"
-            )
-        values.append(value)
+        values.append(exact_div(raw, symmetry, where))
     return _newton_from_values(values)
 
 

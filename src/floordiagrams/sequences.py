@@ -15,7 +15,9 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, factorial
 
-from .core import DiagramError, FloorDiagram, Value, as_int, memoize, parse_text, strict_index
+from .core import (
+    DiagramError, FloorDiagram, Value, as_int, exact_div, memoize, parse_text, strict_index,
+)
 from .enumeration import DiagramQuery, enumerate_diagrams
 
 
@@ -83,9 +85,7 @@ def max_tangency_fixed(d: int) -> int:
     d = as_int(d, "degree", 1)
     n = d - 1
     z = factorial(2 * n) * _series_exp([Fraction(0)] + tangency_series(n), n)[n]
-    if z.denominator != 1:
-        raise AssertionError(f"z({d}) must be an integer, got {z}")
-    return int(z)
+    return exact_div(z.numerator, z.denominator, f"z({d})")
 
 
 def max_tangency_free(d: int) -> int:
@@ -266,10 +266,7 @@ def alternating_tree_count(d: int) -> int:
     """a_d = 1/(d 2^(d-1)) sum_k C(d,k) k^(d-1)."""
     d = as_int(d, "degree", 1)
     total = sum(comb(d, k) * k ** (d - 1) for k in range(1, d + 1))
-    denom = d * 2 ** (d - 1)
-    if total % denom:
-        raise AssertionError(f"alternating-tree formula must divide exactly at d={d}")
-    return total // denom
+    return exact_div(total, d * 2 ** (d - 1), f"alternating-tree formula at d={d}")
 
 
 def odd_diagram_count(d: int) -> int:
@@ -278,9 +275,7 @@ def odd_diagram_count(d: int) -> int:
     total = sum(
         (-1) ** k * comb(d, k) * (d - 2 * k) ** (d - 1) for k in range(d // 2 + 1)
     )
-    if total % d:
-        raise AssertionError(f"odd-diagram formula must divide exactly at d={d}")
-    return total // d
+    return exact_div(total, d, f"odd-diagram formula at d={d}")
 
 
 def closed_counts(d: int) -> CountReport:

@@ -1,8 +1,23 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import strategies as st
 
 from floordiagrams.core import FloorDiagram
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh ``python -O`` process that imports the package
+    from this checkout's ``src``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
 
 
 @st.composite

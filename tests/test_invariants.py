@@ -2,9 +2,6 @@ import json
 import multiprocessing
 import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -32,6 +29,8 @@ from floordiagrams.oracles import (
 )
 from floordiagrams.sequences import max_tangency_fixed
 from floordiagrams.tables import gw_table, relative_table, severi_table
+
+from conftest import run_optimized
 
 P = Partition
 
@@ -121,18 +120,14 @@ def test_sweep_rows_equal_their_pins():
         assert sweep_rows.digests(key) == entry["rows"], key
 
 
-def _run_optimized(code: str) -> subprocess.CompletedProcess:
+def _run_optimized(code: str):
     """``code`` in a fresh ``python -O`` process, with ``inv`` the invariants
     module and ``P`` the Partition class."""
     prelude = (
         "import math; from floordiagrams import invariants as inv; "
         "from floordiagrams.core import Partition as P; "
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    return subprocess.run(
-        [sys.executable, "-O", "-c", prelude + code], env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60,
-    )
+    return run_optimized(prelude + code)
 
 
 # rho = 1^4 runs the sweep read from the last position; a profile with a

@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 from math import factorial
 
 import pytest
@@ -26,7 +21,7 @@ from floordiagrams.oracles import (
 )
 from floordiagrams.tables import appendix_rows, relative_table
 
-from conftest import small_diagrams
+from conftest import run_optimized, small_diagrams
 
 P = Partition
 EXAMPLE = diagram(4, [(1, 2, 1), (2, 3, 1), (2, 3, 1), (3, 4, 2)])
@@ -324,10 +319,40 @@ def test_pinned_sink_counter_matches_listing():
 
 def test_gap_dp_consistency_check_survives_optimize():
     # a window that ends before it starts leaves an item pending forever
-    code = "from floordiagrams.markings import _gap_dp; _gap_dp(3, ((3, 2),))"
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = run_optimized("from floordiagrams.markings import _gap_dp; _gap_dp(3, ((3, 2),))")
     assert proc.returncode != 0 and "AssertionError" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "fault, call, message",
+    [
+        # every t! u! above 1 off by a prime: the one floor's two sinks
+        pytest.param(
+            "splits = m.floor_splits; m.floor_splits = lambda *key: tuple("
+            "(lam, rho, placed, symmetry * 10007 if symmetry > 1 else symmetry) "
+            "for lam, rho, placed, symmetry in splits(*key))",
+            "m._gap_dp(1, (), (2,), (0,), (2,))", "gap DP, a floor's t! u!: 20014 leaves 2",
+            id="split",
+        ),
+        # 2! off by the prime: floor 1 takes both sinks, which divides that
+        # out exactly, so the order count is no multiple of the sinks' 2!
+        pytest.param(
+            "m.factorial = lambda n: math.factorial(n) * (10007 if n == 2 else 1)",
+            "m._gap_dp(2, (), (2, 0), (0,), (2,))", "gap DP, the sinks' order: 20014 leaves 4",
+            id="sinks",
+        ),
+        # an odd order count for a diagram with two parallel edges
+        pytest.param(
+            "gap = m._gap_dp; m._gap_dp = lambda *args: 2 * gap(*args) + 1",
+            "m.count_markings(diagram(3, ((1, 2, 1), (2, 3, 1), (2, 3, 1))))",
+            "marking count, the edge symmetry: 2 leaves 1",
+            id="edge-symmetry",
+        ),
+    ],
+)
+def test_marking_count_checks_survive_optimize(fault, call, message):
+    proc = run_optimized(
+        "import math; from floordiagrams import markings as m; "
+        f"from floordiagrams.core import diagram; {fault}; {call}"
+    )
+    assert proc.returncode != 0 and f"AssertionError: {message}" in proc.stderr

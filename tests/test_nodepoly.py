@@ -1,10 +1,6 @@
 import itertools
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import factorial, prod
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +31,8 @@ from floordiagrams.oracles import (
 )
 from floordiagrams.tables import aj_reference, template_rows
 
+from conftest import run_optimized
+
 F = Fraction
 
 
@@ -60,6 +58,15 @@ def test_eval_int_guards_integrality():
     half = RatPolynomial((F(1, 2),))
     with pytest.raises(AssertionError):
         half.eval_int(1)
+
+
+def test_eval_int_check_survives_optimize():
+    code = (
+        "from fractions import Fraction; from floordiagrams.nodepoly import RatPolynomial; "
+        "RatPolynomial((Fraction(1, 2),)).eval_int(1)"
+    )
+    proc = run_optimized(code)
+    assert proc.returncode != 0 and "AssertionError: polynomial at 1: 2 leaves 1" in proc.stderr
 
 
 def test_discrete_sum_examples():
@@ -231,14 +238,6 @@ def test_extension_symmetry_check_survives_optimize():
     )
     proc = run_optimized(code)
     assert proc.returncode != 0 and "AssertionError: template" in proc.stderr
-
-
-def run_optimized(code):
-    src = Path(__file__).resolve().parents[1] / "src"
-    return subprocess.run(
-        [sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60,
-    )
 
 
 @pytest.mark.parametrize("cogenus", range(1, 7))

@@ -24,6 +24,8 @@ from floordiagrams.oracles import (
 )
 from floordiagrams.tables import appendix_rows, max_tangency_table
 
+from conftest import run_optimized
+
 F = Fraction
 
 
@@ -247,3 +249,25 @@ def test_every_degree_7_diagram_round_trips():
         assert tree_to_diagram(tree) == diag_, diag_.text()
         trees.add(tree.edges)
     assert len(trees) == 7**5
+
+
+@pytest.mark.parametrize(
+    "fault, call, message",
+    [
+        # one more of every binomial: 38 over 12, and 14 over 3
+        ("s.comb = lambda n, k: math.comb(n, k) + 1", "s.alternating_tree_count(3)",
+         "alternating-tree formula at d=3: 12 leaves 2"),
+        ("s.comb = lambda n, k: math.comb(n, k) + 1", "s.odd_diagram_count(3)",
+         "odd-diagram formula at d=3: 3 leaves 2"),
+        # z(2) = 2! y_1, so y_1 = 1/3 makes it 2/3
+        ("s.tangency_series = lambda order: [Fraction(1, 3)] * order", "s.max_tangency_fixed(2)",
+         "z(2): 3 leaves 2"),
+    ],
+    ids=["alternating-trees", "odd-diagrams", "max-tangency"],
+)
+def test_closed_formula_checks_survive_optimize(fault, call, message):
+    proc = run_optimized(
+        "import math; from fractions import Fraction; from floordiagrams import sequences as s; "
+        f"{fault}; {call}"
+    )
+    assert proc.returncode != 0 and f"AssertionError: {message}" in proc.stderr
