@@ -23,10 +23,10 @@ from .markings import check_listing_size, count_markings, count_relative_marking
 from .render import render_svg
 from .sequences import LabeledTree
 
-# the largest cogenus measured (N_8: 1.0-1.3 s, 28 MB in a fresh process on a
+# the largest cogenus measured (N_8: 0.6-0.9 s, 27 MB in a fresh process on a
 # 2-CPU x86-64 host; the template-group sweep grows about 3x per cogenus);
-# larger values wait for a Caporaso-Harris check past the threshold and are
-# refused up front
+# tier-1 checks every N_delta served here against Caporaso-Harris past the
+# threshold, and larger values are refused up front
 NODEPOLY_MAX_DELTA = 8
 
 # the largest degree measured for gw, severi, relative and welschinger (the
@@ -363,16 +363,16 @@ def _check_appendix(max_d: int | None) -> list[str]:
 
 def _check_nodepoly(max_d: int | None) -> list[str]:
     # the frozen templates' mu * P, summed per (cogenus, length, k_min,
-    # epsilon), against the group sums node_polynomial's state DP reads
+    # epsilon), against the group sums of one sweep up to the table's top
+    # cogenus, the sums node_polynomial's state DP reads
     frozen: dict = {}
     for row in tables.template_rows():
         key = (row["delta"], row["ell"], row["k_min"], row["eps"])
         poly = nodepoly.RatPolynomial(row["P"]).scale(row["mu"])
         frozen[key] = frozen.get(key, nodepoly.RatPolynomial()) + poly
     swept = {
-        (cogenus, length, k_min, eps): nodepoly._from_newton(sums)
-        for cogenus in {key[0] for key in frozen}
-        for length, k_min, eps, sums in nodepoly._template_groups(cogenus)
+        tuple(key): nodepoly._from_newton(sums)
+        for *key, sums in nodepoly._template_groups(max(key[0] for key in frozen))
     }
     bad = [
         f"template group {key} = {swept.get(key)}, table says {frozen.get(key)}"

@@ -6,17 +6,16 @@ Severi degrees decompose into ordered sequences of non-overlapping
 templates with integer offsets; each template contributes a polynomial
 counting the orderings of its chunk.  Summing over the offsets is linear,
 and a sequence prefix hands on only (cogenus used, current threshold), so
-one dynamic program over those states, memoized per cogenus, merges every
-prefix that reaches a state before summing further.  It yields the node
-polynomials N_0, N_1, ..., of degree twice the cogenus, valid from the
-threshold onward.
+one dynamic program over those states merges every prefix that reaches a
+state before summing further.  One pass of it yields the node polynomials
+N_0, ..., N_delta, of degree twice the cogenus, valid from the threshold.
 
-The program reads a template only through its length, k_min, epsilon and
-mu * P, and it is linear in mu * P, so it takes one sum per (length,
-k_min, epsilon) group.  ``_template_groups`` gets those sums from one sweep
-over template vertices that carries the open edges, without building any
-template; ``enumerate_templates`` and ``extension_polynomial`` serve the
-template census, the frozen figure rows and the oracles.
+The program reads a template only through its cogenus, length, k_min,
+epsilon and mu * P, and it is linear in mu * P, so it takes one sum per
+group of the other four.  ``_template_groups`` gets every group up to
+cogenus delta from one sweep over template vertices that carries the open
+edges, without building any template; ``enumerate_templates`` and
+``extension_polynomial`` serve the frozen figure rows and the oracles.
 
 Every polynomial inside the program counts orderings, so it is
 integer-valued and is stored as integer coefficients b in the binomial
@@ -398,27 +397,27 @@ def _add_into(table: dict, key, values: list) -> None:
     table[key] = values if old is None else [a + b for a, b in zip(old, values)]
 
 
-@lru_cache(maxsize=None)
-def _template_groups(cogenus: int) -> tuple:
-    """Templates of one cogenus as (length, k_min, epsilon, sum of mu * P).
+def _template_groups(delta: int) -> tuple:
+    """Templates of cogenus 1..delta as (cogenus, length, k_min, epsilon,
+    sum of mu * P).
 
-    The three keys fix everything the state DP does with a template except
-    its polynomial, and the DP is linear in that polynomial.  The sums come
-    from one sweep over a template's vertices v = 0, 1, ..., so no template
-    is built.  A state is (cogenus used, open edges, k_min so far); each
-    open edge kind is (end j, weight w, midpoints pending, midpoints
-    placed), and its value is the sum of mu * P over the partial templates,
-    at k = 0..cogenus + 1.  Vertex v closes the edges ending there, ends
-    the template if none is left open, and otherwise opens new edges,
-    paying w^2 each.  Gap v, between v and v + 1, places some pending
-    midpoints (all of the edges ending at v + 1) among its k + v - kappa
-    short midpoints.  Pending midpoints of one kind are interchangeable;
-    that pays the parallel-edge symmetry exactly, provided m new edges that
-    join n pending ones of their kind pay C(n + m, m).  Every edge costs at
-    least 1, so each sum has degree at most the cogenus; the extra value at
-    k = cogenus + 1 checks that.
+    The last four keys fix everything the state DP does with a template
+    except its polynomial, and the DP is linear in that polynomial.  The sums
+    come from one sweep over a template's vertices v = 0, 1, ..., capped at
+    delta, so no template is built.  A state is (cogenus used, open edges,
+    k_min so far); each open edge kind is (end j, weight w, midpoints
+    pending, midpoints placed), and its value is the sum of mu * P over the
+    partial templates, at k = 0..delta + 1.  Vertex v closes the edges ending
+    there, ends the template at its used cogenus if none is left open, and
+    otherwise opens new edges, paying w^2 each.  Gap v, between v and v + 1,
+    places some pending midpoints (all of the edges ending at v + 1) among
+    its k + v - kappa short midpoints.  Pending midpoints of one kind are
+    interchangeable; that pays the parallel-edge symmetry exactly, provided
+    m new edges that join n pending ones of their kind pay C(n + m, m).
+    Every edge costs at least 1, so each sum has degree at most its
+    cogenus c; the delta + 1 - c values past it check that.
     """
-    width = cogenus + 2
+    width = delta + 2
     groups: dict = {}
     # k_min may start at 0: gap 0 is crossed by an edge, so kappa_0 >= 1
     layer = {(0, (), 0): [1] * width}
@@ -438,11 +437,10 @@ def _template_groups(cogenus: int) -> tuple:
                 closing += 1
             left = edges[closing:]
             if v and not left:
-                if used == cogenus:
-                    eps = 1 if all(w == 1 for _, w, _, _ in edges) else 0
-                    _add_into(groups, (v, k_min, eps), values)
+                eps = 1 if all(w == 1 for _, w, _, _ in edges) else 0
+                _add_into(groups, (used, v, k_min, eps), values)
                 continue
-            for cost, mu, new in _openings(cogenus - used):
+            for cost, mu, new in _openings(delta - used):
                 if not new:
                     if v:  # v_0 opens at least one edge
                         _add_into(opened, (used, left, k_min), values)
@@ -491,58 +489,55 @@ def _template_groups(cogenus: int) -> tuple:
     out = []
     for key in sorted(groups):
         poly = _newton_from_values(groups[key])
-        if len(poly) > cogenus + 1:
+        if len(poly) > key[0] + 1:
             raise AssertionError(
                 f"template sweep: group {key} has degree {len(poly) - 1} "
-                f"above the cogenus {cogenus}"
+                f"above the cogenus {key[0]}"
             )
         out.append((*key, poly))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _row(delta: int) -> tuple:
-    """(states, N_delta, worst threshold) over template sequences of cogenus delta.
+def _rows(delta: int) -> tuple:
+    """N_0, ..., N_delta in the binomial basis, from one template sweep.
 
-    ``states`` pairs each threshold a + length - 1 that such a sequence can
-    end at with the merged polynomial of every sequence ending there; the
-    next template sums its product with that polynomial over offsets from
-    max(k_min, threshold).  N_delta sums each ending polynomial shifted by
-    the last template's epsilon; ``worst`` is the largest threshold - epsilon.
+    ``states[c]`` maps each threshold a + length - 1 that a template
+    sequence of cogenus c can end at to the merged polynomial of every
+    sequence ending there; a template of cogenus t after it sums its
+    product with that polynomial over offsets from max(k_min, threshold)
+    into ``states[c + t]``.  N_c sums each ending polynomial shifted by the last
+    template's epsilon, and its largest threshold - epsilon is checked not
+    to exceed 2c, the threshold of the polynomiality theorem.
     """
-    if delta == 0:
-        return ((0, (1,)),), (1,), 0
-    states: dict = {}
-    ends: dict = {}
-    worst = 0
+    groups = _template_groups(delta)
+    states: list = [{0: (1,)}]
+    rows = [(1,)]
     for c in range(1, delta + 1):
-        before = _row(delta - c)[0]
-        for length, k_min, eps, poly in _template_groups(c):
-            for threshold, p in before:
+        states.append({})
+        ends: dict = {}
+        worst = 0
+        for cost, length, k_min, eps, poly in groups:
+            if cost > c:  # groups come sorted by cogenus
+                break
+            for threshold, p in states[c - cost].items():
                 a = max(k_min, threshold)
                 q = _newton_sum(_newton_mul(poly, p), a, length)
                 end = a + length - 1
-                states[end] = _newton_add(states.get(end, ()), q)
+                states[c][end] = _newton_add(states[c].get(end, ()), q)
                 ends[eps] = _newton_add(ends.get(eps, ()), q)
                 worst = max(worst, end - eps)
-    total = _newton_add(ends.get(0, ()), _newton_shift(ends.get(1, ()), 1))
-    return tuple(sorted(states.items())), total, worst
-
-
-def _total(delta: int) -> tuple:
-    """N_delta in the binomial basis, its tracked threshold checked not to
-    exceed twice the cogenus, the threshold of the polynomiality theorem."""
-    _, total, worst = _row(delta)
-    if worst > 2 * delta:
-        raise AssertionError(f"validity threshold {worst} exceeds 2*delta = {2 * delta}")
-    return total
+        if worst > 2 * c:
+            raise AssertionError(f"validity threshold {worst} exceeds 2*delta = {2 * c}")
+        rows.append(_newton_add(ends.get(0, ()), _newton_shift(ends.get(1, ()), 1)))
+    return tuple(rows)
 
 
 def node_polynomial(delta: int) -> tuple[RatPolynomial, int]:
     """Symbolic Severi-degree polynomial in d and its validity threshold,
     twice the cogenus, read from the state DP over template sequences."""
     delta = as_int(delta, "cogenus", 0)
-    return _from_newton(_total(delta)), 2 * delta
+    return _from_newton(_rows(delta)[delta]), 2 * delta
 
 
 def aj_polynomials(delta_max: int) -> list[RatPolynomial]:
@@ -553,7 +548,7 @@ def aj_polynomials(delta_max: int) -> list[RatPolynomial]:
     A_j = j N_j - sum_{i<j} A_i N_{j-i}, taken in the binomial basis.
     """
     delta_max = as_int(delta_max, "cogenus", 1)
-    series = [_total(delta) for delta in range(delta_max + 1)]
+    series = _rows(delta_max)
     aj: list[tuple] = []
     for j in range(1, delta_max + 1):
         acc = tuple(j * c for c in series[j])

@@ -469,9 +469,10 @@ def severi_numeric(d: int, delta: int) -> int:
 
 
 def template_groups_oracle(cogenus: int) -> dict:
-    """``nodepoly._template_groups`` one template at a time: each template's
-    extension polynomial, times its multiplicity, added to its (length,
-    k_min, epsilon) group."""
+    """The groups of one cogenus in ``nodepoly._template_groups``, one
+    template at a time: each template's extension polynomial, times its
+    multiplicity, added to its (length, k_min, epsilon) group.  The sweep
+    gives every cogenus up to its cap at once; this gives one."""
     groups: dict = {}
     for t in enumerate_templates(cogenus):
         key = (t.length, t.k_min, t.epsilon)

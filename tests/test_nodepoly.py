@@ -240,10 +240,13 @@ def test_extension_symmetry_check_survives_optimize():
     assert proc.returncode != 0 and "AssertionError: template" in proc.stderr
 
 
-@pytest.mark.parametrize("cogenus", range(1, 7))
-def test_template_sweep_equals_one_template_at_a_time(cogenus):
-    swept = {(length, k_min, eps): poly for length, k_min, eps, poly in _template_groups(cogenus)}
-    assert swept == template_groups_oracle(cogenus)
+@pytest.mark.parametrize("delta", range(1, 7))
+def test_template_sweep_equals_one_template_at_a_time(delta):
+    # one sweep capped at delta gives the groups of every cogenus up to it
+    swept: dict = {cogenus: {} for cogenus in range(1, delta + 1)}
+    for cogenus, length, k_min, eps, poly in _template_groups(delta):
+        swept[cogenus][length, k_min, eps] = poly
+    assert swept == {cogenus: template_groups_oracle(cogenus) for cogenus in swept}
 
 
 @pytest.mark.parametrize(
@@ -260,6 +263,18 @@ def test_template_sweep_checks_survive_optimize(fault, message):
     proc = run_optimized(code)
     assert proc.returncode != 0
     assert "AssertionError: template sweep: " in proc.stderr and message in proc.stderr
+
+
+def test_validity_threshold_check_survives_optimize():
+    # k_min 10 too high ends some sequence past the threshold 2 * delta
+    code = (
+        "from floordiagrams import nodepoly as np; sweep = np._template_groups; "
+        "np._template_groups = lambda delta: tuple("
+        "(c, length, k_min + 10, eps, poly) for c, length, k_min, eps, poly in sweep(delta)); "
+        "np.node_polynomial(3)"
+    )
+    proc = run_optimized(code)
+    assert proc.returncode != 0 and "AssertionError: validity threshold" in proc.stderr
 
 
 def test_node_polynomial_delta_1():

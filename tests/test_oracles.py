@@ -5,7 +5,8 @@ checks the sweep behind ``severi`` and ``relative_gw`` at every cogenus
 and tangency profile, past the frozen tables, the enumerate-then-count
 sum at every tangency profile, and the node polynomials past their
 threshold.  The enumerate-then-count sum in turn checks the sweep's
-connected sums, and its odd-weight rows behind ``welschinger``.  The
+connected sums, and its odd-weight rows behind ``welschinger``; the
+paper's frozen max-tangency table checks the forward sweep to d = 11.  The
 recursive tree bijection checks the one-pass one in both directions, the
 listing by automorphism orbits checks the marking listing, and the
 per-Fraction sketch renderer checks the integer one byte for byte.  The
@@ -70,7 +71,7 @@ from floordiagrams.oracles import (
 )
 from floordiagrams.render import sketch_svg
 from floordiagrams.sequences import LabeledTree, diagram_to_tree, tree_to_diagram
-from floordiagrams.tables import appendix_rows, severi_table
+from floordiagrams.tables import appendix_rows, max_tangency_table, severi_table
 from floordiagrams.tropical import (
     Elevator,
     FloorCurve,
@@ -263,11 +264,29 @@ def test_relative_gw_equals_connected_diagram_sums():
 
 
 def test_recursion_equals_node_polynomials_past_threshold():
-    for delta in range(6):
+    # every cogenus nodepoly --delta serves; past 5 only at d = 2 * delta,
+    # where caporaso_harris(2 * delta, delta) takes up to about 1 s
+    for delta in range(9):
         poly, threshold = node_polynomial(delta)
         assert threshold == 2 * delta
-        for d in range(threshold, threshold + 6):
+        for d in range(threshold, threshold + (6 if delta < 6 else 1)):
             assert poly.eval_int(d) == caporaso_harris(d, delta), (delta, d)
+
+
+def test_relative_sweep_equals_max_tangency_table():
+    """The paper's z(d) and d * z(d) for d = 2..11: order-d tangency at a
+    fixed and at a free point, read off the forward sweep capped at the
+    query's own profile.  The table is frozen data and the sweep shares no
+    code with the closed series the table is otherwise checked against."""
+    clear_sweeps()
+    try:
+        for d, fixed, free in max_tangency_table():
+            if 2 <= d <= 11:
+                e_d = (0,) * (d - 1) + (1,)  # one part, equal to d
+                assert _connected(d, d - 1, e_d, (), (d, e_d, (), False)) == fixed, d
+                assert d * _connected(d, d - 1, (), e_d, (d, (), e_d, False)) == free, d
+    finally:
+        clear_sweeps()
 
 
 def odd_marking_sum(query):
