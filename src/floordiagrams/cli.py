@@ -36,9 +36,9 @@ NODEPOLY_MAX_DELTA = 8
 # 16 MB); larger degrees are refused before any sweep
 INVARIANT_MAX_D = 9
 
-# the largest degree measured for counts (closed_counts(8) holds all 262,144
-# genus-0 diagrams: 3.8-4.2 s, 195 MiB on a 2-CPU x86-64 host); d = 9 has 9^7
-# of them, so larger degrees are refused before any diagram is built
+# the largest degree measured for counts (closed_counts(8) streams all 262,144
+# genus-0 diagrams: 4.6 s, 70 MiB on a 2-CPU x86-64 host); d = 9 has 9^7 of
+# them, so larger degrees are refused before any diagram is built
 COUNTS_MAX_D = 8
 
 # the largest degree measured for enumerate (degree 7 at its worst genus, 4,
@@ -136,8 +136,7 @@ def cmd_invariant(args) -> int:
     flags, call = INVARIANTS[args.kind]
     if args.table:
         _bound("--max-d", args.max_d, 1, INVARIANT_MAX_D)
-        if args.kind not in ("gw", "severi"):
-            raise DiagramError(f"--table supports gw and severi, not {args.kind}")
+        _require(args.kind in ("gw", "severi"), f"--table supports gw and severi, not {args.kind}")
         # one CSV row for each d = 1..--max-d (default 5) and second flag 0..6;
         # the top degree runs first, so every row reads its one sweep
         top = 5 if args.max_d is None else args.max_d

@@ -88,11 +88,12 @@ class Value:
 
     The shared ``__init__`` stores its positional and then its keyword
     arguments in slot order, and raises TypeError for a missing, extra,
-    unknown or repeated field, as a dataclass does.  A class whose
-    constructor canonicalizes, validates or has a default (``Partition``,
-    ``FloorDiagram``, ``DiagramQuery``, ``Template``, ``RatPolynomial``,
-    ``LabeledTree``, ``StretchedConfig``, ``CurveCheck``) keeps its own
-    ``__init__``, which stores its fields with ``object.__setattr__``.
+    unknown or repeated field, as a dataclass does.  It is the only code that
+    stores a field: a class whose constructor canonicalizes, validates or has
+    a default (``Partition``, ``FloorDiagram``, ``DiagramQuery``,
+    ``Template``, ``RatPolynomial``, ``LabeledTree``, ``StretchedConfig``,
+    ``CurveCheck``) keeps its own ``__init__`` and, after its checks, makes
+    one ``Value.__init__(self, ...)`` call with the fields in slot order.
     """
 
     __slots__ = ()
@@ -164,12 +165,12 @@ class Partition(Value):
             parts = tuple(map(strict_index, parts))
         except TypeError as exc:
             raise DiagramError(f"partition parts must be integers, got {parts!r}") from exc
-        object.__setattr__(self, "parts", parts)
         for i, p in enumerate(parts):
             if p < 1:
                 raise DiagramError(f"partition parts must be positive, got {p}")
             if i and parts[i - 1] < p:
                 raise DiagramError(f"partition parts must be weakly decreasing: {parts}")
+        Value.__init__(self, parts)
 
     @property
     def size(self) -> int:
@@ -260,36 +261,35 @@ class DiagramShape(Value):
     __slots__ = ("components", "degree", "genus", "cogenus", "connected")
 
 
+def edge_text(edges: Iterable[Edge]) -> str:
+    """The ``(s,t,w);...`` edge list of a diagram's canonical text."""
+    return ";".join(["(%d,%d,%d)" % e for e in edges])
+
+
 class FloorDiagram(Value):
     """Degree-d labeled floor diagram; edges stored as a sorted multiset."""
 
     __slots__ = ("d", "edges")
 
     def __init__(self, d: int, edges: tuple[Edge, ...] = ()):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "edges", edges)
-        self.__post_init__()
+        self.__post_init__(d, edges)
 
-    def __post_init__(self):
+    def __post_init__(self, d: int, edges: Iterable[Sequence[int]]):
         """Canonicalize and validate in one pass over the sorted edges, so
-        the cost is O(E) whatever d is; a separate method so that it can be
-        counted once per diagram built."""
-        d = as_int(self.d, "degree", 1)
+        the cost is O(E) whatever d is, then store; a separate method so that
+        it can be counted once per diagram built."""
+        d = as_int(d, "degree", 1)
         try:
             # index passes a bool as 0 or 1: a False fails the checks below and
-            # strict_index refuses a True
+            # strict_index refuses a True; a failure leaves edges as given
             edges = tuple(sorted([
                 (index(s), index(t), index(w))
                 if s is not True and t is not True and w is not True
                 else (strict_index(s), strict_index(t), strict_index(w))
-                for s, t, w in self.edges
+                for s, t, w in edges
             ]))
         except (TypeError, ValueError) as exc:
-            raise DiagramError(
-                f"edge entries must be integers, got {self.edges!r}"
-            ) from exc
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "edges", edges)
+            raise DiagramError(f"edge entries must be integers, got {edges!r}") from exc
         div: dict[int, int] = {}
         for s, t, w in edges:
             if not (1 <= s < t <= d):
@@ -301,6 +301,7 @@ class FloorDiagram(Value):
         if max(div.values(), default=0) > 1:
             v = min(v for v, dv in div.items() if dv > 1)
             raise DiagramError(f"divergence {div[v]} > 1 at vertex {v}")
+        Value.__init__(self, d, edges)
 
     def _edge_divergences(self) -> dict[int, int]:
         """Divergence of every vertex that has an edge, in one pass over the
@@ -364,8 +365,7 @@ class FloorDiagram(Value):
     # -- canonical text / JSON forms ------------------------------------
 
     def text(self) -> str:
-        body = ";".join(["(%d,%d,%d)" % e for e in self.edges])
-        return f"d={self.d}; edges={body}"
+        return f"d={self.d}; edges={edge_text(self.edges)}"
 
     def to_json(self) -> str:
         import json  # here, so that importing the package leaves json unloaded

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator
 
-from .core import DiagramError, Edge, FloorDiagram, Value, as_int, parse_tuples
+from .core import DiagramError, Edge, FloorDiagram, Value, as_int, edge_text, parse_tuples
 
 
 def _sweep(d: int, n_edges: int, connected: bool):
@@ -120,12 +120,9 @@ def all_diagrams(
     only, with require_connected), in canonical text order."""
     d, n_edges = as_int(d, "degree", 1), as_int(n_edges, "edge count", 0)
     result = _generate_edge_sets(d, n_edges, require_connected)
-    # for d <= 9 every number in the text form is a single digit, so plain
-    # tuple order coincides with lexicographic order on the canonical text
-    if d <= 9:
-        result.sort()
-    else:
-        result.sort(key=lambda edges: FloorDiagram(d, edges).text())
+    # canonical text order is the order of the edge text after one shared
+    # prefix; for d <= 9 every number is one digit, so tuple order matches it
+    result.sort(key=None if d <= 9 else edge_text)
     return result
 
 
@@ -194,11 +191,7 @@ class DiagramQuery(Value):
         if genus is not None and connected is False:
             raise DiagramError("genus queries require connected diagrams")
         filter_predicate(filter)  # a malformed spec fails here, not at first next()
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "cogenus", cogenus)
-        object.__setattr__(self, "connected", connected)
-        object.__setattr__(self, "filter", filter)
+        Value.__init__(self, d, genus, cogenus, connected, filter)
 
 
 def _exact_edge_count(query: DiagramQuery) -> int:

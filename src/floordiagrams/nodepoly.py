@@ -42,10 +42,7 @@ class RatPolynomial(Value):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: tuple[Fraction, ...] = ()):
-        coeffs = tuple(Fraction(c) for c in coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        Value.__init__(self, trim(Fraction(c) for c in coefficients))
 
     @property
     def degree(self) -> int:
@@ -224,7 +221,6 @@ class Template(Value):
             raise DiagramError(
                 f"template edge entries must be integers, got {edges!r}"
             ) from exc
-        object.__setattr__(self, "edges", edges)
         if not edges:
             raise DiagramError("a template needs at least one edge")
         for i, j, w in edges:
@@ -240,6 +236,7 @@ class Template(Value):
         for mid in range(1, ell):
             if not any(i < mid < j for i, j, _ in edges):
                 raise DiagramError(f"no template edge straddles vertex v_{mid}")
+        Value.__init__(self, edges)
 
     @property
     def length(self) -> int:

@@ -41,8 +41,6 @@ class LabeledTree(Value):
         if len(edges) < len(pairs):
             a, b = next(pair for i, pair in enumerate(pairs) if pair in pairs[:i])
             raise DiagramError(f"tree edge ({a},{b}) is repeated")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "edges", edges)
         if len(edges) != d - 1:
             raise DiagramError(f"a tree on {d} vertices needs {d - 1} edges")
         for a, b in edges:
@@ -60,6 +58,7 @@ class LabeledTree(Value):
             if a == b:
                 raise DiagramError("tree must be connected")
             root[b] = a
+        Value.__init__(self, d, edges)
 
     def text(self) -> str:
         body = ";".join(f"({a},{b})" for a, b in sorted(self.edges))
@@ -285,14 +284,18 @@ def closed_counts(d: int) -> CountReport:
     equinumerosity is open), the others are exact identities.
     """
     d = as_int(d, "degree", 1)
-    genus0 = list(enumerate_diagrams(DiagramQuery(d, genus=0)))
-    underlying = {frozenset((s, t) for s, t, _ in diag.edges) for diag in genus0}
-    odd = sum(1 for diag in genus0 if all(w % 2 for _, _, w in diag.edges))
-    simple = sum(1 for diag in genus0 if all(w == 1 for _, _, w in diag.edges))
+    # tallied in one pass over the stream, so the diagrams are never held together
+    count = odd = simple = 0
+    underlying = set()
+    for diag in enumerate_diagrams(DiagramQuery(d, genus=0)):
+        count += 1
+        underlying.add(frozenset((s, t) for s, t, _ in diag.edges))
+        odd += all(w % 2 for _, _, w in diag.edges)
+        simple += all(w == 1 for _, _, w in diag.edges)
     return CountReport(
         d=d,
         cayley=cayley_count(d),
-        genus0_enumerated=len(genus0),
+        genus0_enumerated=count,
         alternating_formula=alternating_tree_count(d),
         underlying_trees_enumerated=len(underlying),
         odd_formula=odd_diagram_count(d),

@@ -41,9 +41,6 @@ class StretchedConfig(Value):
             pts = tuple((Fraction(x), Fraction(y)) for x, y in points)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise DiagramError(f"points must be pairs of rationals, got {points!r}") from exc
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "points", pts)
         if len(pts) != 3 * d - 1 + g:
             raise DiagramError(f"a ({d},{g})-configuration needs {3 * d - 1 + g} points")
         xs = [p[0] for p in pts]
@@ -58,6 +55,7 @@ class StretchedConfig(Value):
             factor = d**3 + d
             if not min_dy > factor * max_dx:
                 raise DiagramError("configuration is not vertically stretched")
+        Value.__init__(self, d, g, pts)
 
 
 def _lcg(seed: int):
@@ -103,9 +101,7 @@ class CurveCheck(Value):
     __slots__ = ("name", "ok", "detail")
 
     def __init__(self, name: str, ok: bool, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
+        Value.__init__(self, name, ok, detail)
 
 
 class CurveReport(Value):

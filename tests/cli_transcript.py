@@ -113,6 +113,18 @@ CASES = [
     ["nodepoly", "--delta", "9"],
     ["frobnicate"],
     ["enumerate", "--d", "3"],
+    # --table for a kind it does not serve, a usage error
+    ["invariant", "relative", "--table"],
+    ["invariant", "welschinger", "--table"],
+    # a cogenus listing with its disconnected diagrams, every filter but odd,
+    # and a marked edge of weight 2, which draws its weight label
+    ["enumerate", "--d", "4", "--cogenus", "3"],
+    *[
+        ["enumerate", "--d", "4", "--genus", "0", "--filter", spec]
+        for spec in ["simple", "has-weight=2", "max-weight=1", "last-sinks=2", "contains=(1,2,1)"]
+    ],
+    ["render", "--diagram", "d=3; edges=(1,2,1);(2,3,2)",
+     "--marking", "v1 e1-2w1#0 v2 e2-3w2#0 v3 s3w1#0 s3w1#1 s3w1#2", "--out", "weighted.svg"],
 ]
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import cli_transcript
 import pytest
 
-from floordiagrams import cli, invariants, tables
+from floordiagrams import cli, invariants, sequences, tables
 from floordiagrams.cli import DIAGRAM_MAX_D, RENDER_MAX_D, main
 
 
@@ -90,6 +90,8 @@ USAGE_ERRORS = [
     (["markings", "--diagram", "d=21; edges="], "--diagram degree must be at most 20, got 21"),
     (["invariant", "gw", "--table", "--max-d", "0"], "--max-d must be at least 1, got 0"),
     (["invariant", "severi", "--table", "--max-d", "10"], "--max-d must be at most 9, got 10"),
+    (["invariant", "relative", "--table"], "--table supports gw and severi, not relative"),
+    (["invariant", "welschinger", "--table"], "--table supports gw and severi, not welschinger"),
     # the bound on --d is reported before the missing --g
     (["invariant", "gw", "--d", "0"], "--d must be at least 1, got 0"),
     (["invariant", "welschinger", "--d", "10"], "--d must be at most 9 for welschinger, got 10"),
@@ -414,6 +416,66 @@ def test_verify_tables_nodepoly_reports_a_corrupted_template(capsys, monkeypatch
         "table says 8*x^2 - 40*x + 64\n",
         "",
     )
+
+
+def serve_corrupted(monkeypatch, name, edit):
+    """Every table getter reads frozen file ``name`` as changed by ``edit``.
+    The gw and severi suites bind their getters at import, so the loader
+    the getters call at run time is patched, not a getter."""
+    data = copy.deepcopy(tables._load(name))
+    edit(data)
+    load = tables._load
+    monkeypatch.setattr(tables, "_load", lambda file: data if file == name else load(file))
+
+
+D3_CHAIN = "d=3; edges=(1,2,1);(2,3,1)"
+
+# suite, the frozen file and the one value corrupted in it, the mismatch lines
+CORRUPTED = [
+    ("gw", "gw_table.json", lambda t: t["rows"]["3"].__setitem__(0, 13),
+     ["gw(3,0) = 12, table says 13"]),
+    ("severi", "severi_table.json", lambda t: t["rows"]["3"].__setitem__(1, 13),
+     ["severi(3,1) = 12, table says 13"]),
+    ("relative", "relative_table.json", lambda t: t["totals"].__setitem__(0, 37),
+     ["relative(3,0,'','2,1') = 36 != 37"]),
+    ("tangency", "max_tangency.json", lambda t: t["rows"][2].__setitem__(slice(1, 3), [8, 22]),
+     ["z(3) != 8", "d*z(3) != 22"]),
+    ("appendix", "appendix_a.json",
+     lambda t: t["rows"][2].update(mu=2, nu=6, tree=[[1, 3], [2, 3]]),
+     [f"mu({D3_CHAIN}) != 2", f"nu({D3_CHAIN}) != 6", f"tree({D3_CHAIN}) != [[1, 3], [2, 3]]"]),
+    ("nodepoly", "aj_reference.json", lambda t: t["coefficients"][1].__setitem__(0, "-74"),
+     ["A_2 = -42*x^2 + 117*x - 75 != [Fraction(-74, 1), Fraction(117, 1), Fraction(-42, 1)]"]),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, name, edit, lines", CORRUPTED, ids=[case[0] for case in CORRUPTED]
+)
+def test_verify_tables_reports_a_corrupted_value(capsys, monkeypatch, suite, name, edit, lines):
+    serve_corrupted(monkeypatch, name, edit)
+    flags = [] if suite == "nodepoly" else ["--max-d", "3"]
+    report = "".join(f"MISMATCH {line}\n" for line in lines)
+    assert run(capsys, "verify-tables", "--suite", suite, *flags) == (1, report, "")
+
+
+def test_verify_tables_counts_reports_a_wrong_formula(capsys, monkeypatch):
+    # the counts suite has no frozen file: it compares closed formulas with
+    # the enumeration, so one formula is made wrong at d = 3
+    cayley, odd = sequences.cayley_count, sequences.odd_diagram_count
+    monkeypatch.setattr(sequences, "cayley_count", lambda d: cayley(d) + (d == 3))
+    monkeypatch.setattr(sequences, "odd_diagram_count", lambda d: odd(d) + (d == 3))
+    assert run(capsys, "verify-tables", "--suite", "counts", "--max-d", "3") == (
+        1, "MISMATCH cayley mismatch at d=3\nMISMATCH odd-count mismatch at d=3\n", ""
+    )
+
+
+def test_render_refuses_floors_out_of_order(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    argv = ["render", "--diagram", "d=2; edges=", "--marking", "v2 v1 s1w1#0 s2w1#0"]
+    assert run(capsys, *argv, "--out", "bad.svg") == (
+        1, "", "error: floors must appear in increasing order\n"
+    )
+    assert not (tmp_path / "bad.svg").exists()
 
 
 def test_verify_tables_max_d_skips_higher_rows(capsys, monkeypatch):

@@ -151,6 +151,19 @@ def test_stream_is_deterministic():
     assert first == second
 
 
+def test_degree_10_stream_is_in_text_order_and_builds_each_diagram_once(monkeypatch):
+    # past degree 9 a number can take two digits, so "10" sorts before "2"
+    built = []
+    check = FloorDiagram.__post_init__
+    monkeypatch.setattr(
+        FloorDiagram, "__post_init__", lambda self, *args: built.append(check(self, *args))
+    )
+    texts = [diag.text() for diag in enumerate_diagrams(DiagramQuery(10, cogenus=43))]
+    assert len(texts) == len(built) == 990
+    assert texts[0] == "d=10; edges=(1,10,1);(2,10,1)"
+    assert texts == sorted(texts)
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_sweep_alone_enforces_every_query(d):
     # oracle: classify every diagram of degree d, then group by shape

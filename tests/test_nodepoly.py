@@ -154,6 +154,8 @@ def test_template_validation():
         Template(((1, 0, 2),))
     with pytest.raises(DiagramError):
         Template(((0, 2, 1.5),))  # was truncated to weight 1
+    with pytest.raises(DiagramError, match=r"^template edge \(0,2,0\) needs positive weight$"):
+        Template(((0, 2, 0),))
 
 
 def brute_force_templates(delta):

@@ -151,3 +151,26 @@ def test_no_record_restates_the_shared_constructor():
     for path in sorted(package.glob("*.py")):
         if path.name != "oracles.py":
             assert store_only_inits(path.read_text()) == [], path.name
+
+
+
+def test_every_own_constructor_stores_through_the_shared_one():
+    # Value.__init__ stores through the slot descriptors, so no field name is
+    # spelled twice; each class with its own __init__ calls it exactly once
+    package = Path(floordiagrams.__file__).parent
+    stores = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        assert "object.__setattr__" not in calls, path.name
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name != "Value" and any(
+                isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in cls.body
+            ):
+                stores[cls.name] = sum(
+                    isinstance(node, ast.Call) and ast.unparse(node.func) == "Value.__init__"
+                    for node in ast.walk(cls)
+                )
+    own = ["Partition", "FloorDiagram", "DiagramQuery", "RatPolynomial", "Template",
+           "LabeledTree", "StretchedConfig", "CurveCheck"]
+    assert stores == dict.fromkeys(own, 1)

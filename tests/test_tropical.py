@@ -63,6 +63,10 @@ def test_config_validation():
             0,
             ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(2))),
         )
+    with pytest.raises(DiagramError, match="^x coordinates must increase strictly$"):
+        StretchedConfig(1, 0, ((2, 1), (1, 100)))
+    with pytest.raises(DiagramError, match="^y coordinates must increase strictly$"):
+        StretchedConfig(1, 0, ((1, 100), (2, 100)))
 
 
 def test_nine_rational_cubic_sketches():
